@@ -9,9 +9,19 @@ Conventions
 -----------
 Noise arguments are variances, not standard deviations. Targets are centered
 by their mean at fit time and the offset is restored at prediction, so the
-prior mean is the constant data mean. A small jitter proportional to the mean
-kernel diagonal is always added before factorization and escalated tenfold on
-failure up to a hard ceiling.
+prior mean is the constant data mean.
+
+A jitter proportional to the mean kernel diagonal is added to every
+observation's own noise variance, s_k = r_k + jitter, before the
+observations are grouped; it is escalated tenfold while the Cholesky
+factorization fails, up to a hard ceiling. The observations at each
+distinct input are then replaced by one: their precision-weighted mean,
+with noise variance 1 / sum(1 / s_k). A correction term carries the
+within-group scatter, so the reduced system has exactly the posterior and
+the log marginal likelihood of the full one, for equal or unequal noise
+(Rasmussen & Williams 2006, Alg. 2.1 and §5.4.1). Fitted models, the
+hyperparameter search and the gradient all factorize only the distinct
+inputs, and the search maximizes exactly the likelihood fit_gp reports.
 """
 
 from __future__ import annotations
@@ -19,17 +29,19 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, solve_triangular
+from scipy.linalg.lapack import dpotri, dpotrs
 from scipy.optimize import minimize
 
 from .errors import (InconsistentConstraintError, InvalidInputError,
                      InsufficientDataError, NotFittedError,
                      NumericalConditioningError, OptimizationFailureError)
 
-# Jitter added to the Gram diagonal, as fractions of mean(diag K).
+# Jitter added to every observation's noise, as fractions of mean(diag K).
 JITTER_START_FRAC = 1e-10
 JITTER_MAX_FRAC = 1e-4
 
@@ -94,50 +106,185 @@ def rbf_kernel(ta, tb, params: KernelParams) -> np.ndarray:
     return params.signal_std ** 2 * np.exp(-0.5 * d * d)
 
 
-def _as_noise_vector(noise, n):
-    """Validate a scalar-or-vector noise variance and expand it to length n."""
+def _as_noise(noise, n):
+    """Validate a noise variance: a float, or a vector of length n."""
     if np.isscalar(noise) or getattr(noise, "ndim", None) == 0:
         val = float(noise)
         if not (val >= 0.0 and math.isfinite(val)):
             raise InvalidInputError("noise variance must be finite and >= 0")
-        return np.full(n, val), True
+        return val
     vec = np.asarray(noise, dtype=float)
     if vec.shape != (n,):
         raise InvalidInputError("noise vector length must match the training set")
     if not np.all(np.isfinite(vec)) or np.any(vec < 0.0):
         raise InvalidInputError("noise variances must be finite and >= 0")
-    return vec, False
+    return vec
 
 
-def _check_singular_duplicates(t, r):
-    # Exact duplicate inputs with zero noise make the Gram matrix singular in
-    # exact arithmetic; refuse them instead of letting jitter paper over it.
+def _group(t):
+    """Sorted distinct inputs, each point's group index and the group sizes."""
     order = np.argsort(t, kind="stable")
-    ts, rs = t[order], r[order]
-    same = ts[1:] == ts[:-1]
-    if np.any(same & (rs[1:] == 0.0) & (rs[:-1] == 0.0)):
-        raise NumericalConditioningError(
-            "duplicate timestamps with zero noise produce a singular Gram matrix")
+    ts = t[order]
+    first = np.empty(t.size, dtype=bool)
+    first[0] = True
+    np.not_equal(ts[1:], ts[:-1], out=first[1:])
+    index = np.empty(t.size, dtype=np.intp)
+    index[order] = np.cumsum(first) - 1
+    return ts[first], index, np.bincount(index)
 
 
-def _factorize(K, r_vec):
-    """Cholesky of K + diag(r) + jitter*I with escalating jitter."""
-    base = float(np.mean(np.diag(K)))
-    if base <= 0.0:
-        base = 1.0
-    n = K.shape[0]
-    Ky = K + np.diag(r_vec)
+class _Reduced:
+    """A training set grouped by distinct input, ready to collapse.
+
+    ``noise`` is the fixed noise variance (a float or a per-point vector),
+    or None for none; ``collapse`` adds a common variance on top of it (the
+    jitter, plus the noise variance when one is searched). Everything that
+    does not depend on the kernel hyperparameters is computed here, once per
+    fit or search. Each collapse precision-weights the points anew, as the
+    added variance changes the weights.
+    """
+
+    def __init__(self, train: TrainingSet, noise=None):
+        self.u, self.index, _ = _group(train.t)
+        n, m = len(train), self.u.size
+        self.offset = float(train.y.mean())
+        self.resid = train.y - self.offset
+        if noise is not None and m < n:
+            # Exact duplicates with zero noise make the Gram matrix singular
+            # in exact arithmetic; refuse them instead of letting jitter
+            # paper over it.
+            zero = np.broadcast_to(np.asarray(noise) == 0.0, (n,))
+            if np.any(np.bincount(self.index, zero, m) > 1):
+                raise NumericalConditioningError(
+                    "duplicate timestamps with zero noise produce a singular "
+                    "Gram matrix")
+        self.point_noise = np.zeros(n) + (0.0 if noise is None else noise)
+        self.sq_dist = np.subtract.outer(self.u, self.u) ** 2
+
+    @cached_property
+    def upper_weights(self):
+        """Weights that sum a symmetric product from its upper triangle."""
+        return np.triu(np.full(self.sq_dist.shape, 2.0), 1) + np.eye(self.u.size)
+
+    @cached_property
+    def upper_sq_dist(self):
+        return self.upper_weights * self.sq_dist
+
+    def collapse(self, add):
+        """Group means, group noise and the log-likelihood correction.
+
+        ``add`` is added to every observation's noise variance. The
+        correction is the full system's log marginal likelihood minus the
+        reduced system's.
+        """
+        m = self.u.size
+        w = 1.0 / (self.point_noise + add)
+        total = np.bincount(self.index, w, m)
+        ybar = np.bincount(self.index, w * self.resid, m) / total
+        d = self.resid - ybar[self.index]
+        corr = -0.5 * ((w.size - m) * LOG_2PI - float(np.log(w).sum())
+                       + float(np.log(total).sum()) + float(w @ (d * d)))
+        return ybar, 1.0 / total, corr
+
+    def shift_terms(self, add, ybar, rbar):
+        """Pieces of dLML/d(add), for a shift common to every noise variance.
+
+        Returns (q, p, c) with dLML/d(add) = 0.5 * (c + sum(q * (alpha^2 -
+        diag(K^-1))) + 2 * sum(p * alpha)), where q = d rbar / d(add) and
+        ``ybar``, ``rbar`` and alpha, K^-1 are the reduced system's. This is
+        0.5 * tr(alpha_full alpha_full^T - K_full^-1) of the full system,
+        rewritten with Woodbury over the input groups.
+        """
+        m = self.u.size
+        w = 1.0 / (self.point_noise + add)
+        d = self.resid - ybar[self.index]
+        w2 = w * w
+        w2d = w2 * d
+        b = np.bincount(self.index, w2, m)
+        total = np.bincount(self.index, w, m)
+        p = np.bincount(self.index, w2d, m) * rbar
+        # sum(b * rbar) - sum(w), grouped so that singletons cancel exactly.
+        c = float(w2d @ d) + float(((b - total * total) / total).sum())
+        return b * (rbar * rbar), p, c
+
+
+@dataclass
+class _System:
+    """A factorized reduced system: K_f, chol of K_f + diag(rbar), alpha."""
+
+    K: np.ndarray
+    chol: np.ndarray
+    alpha: np.ndarray
+    ybar: np.ndarray
+    rbar: np.ndarray
+    jitter: float
+    lml: float
+
+
+def _solve(red: _Reduced, params: KernelParams, add=0.0) -> _System:
+    """Factorize the reduced system; its LML is the full system's.
+
+    ``add`` is the searched noise variance, if any. The jitter is folded
+    into every observation's noise before collapsing, and escalated tenfold
+    while the factorization fails.
+    """
+    sf2 = params.signal_std ** 2
+    K = sf2 * np.exp(red.sq_dist * (-0.5 / params.length_scale ** 2))
+    base = sf2 if sf2 > 0.0 else 1.0
     jitter = JITTER_START_FRAC * base
     ceiling = JITTER_MAX_FRAC * base
+    m = red.u.size
     while True:
+        ybar, rbar, corr = red.collapse(add + jitter)
+        Ky = K.copy()
+        Ky.flat[::m + 1] += rbar
         try:
-            chol = cho_factor(Ky + jitter * np.eye(n), lower=True)
-            return chol, jitter
+            # Ky is symmetric, so its transpose is the Fortran-ordered array
+            # LAPACK factorizes in place.
+            chol, _ = cho_factor(Ky.T, lower=True, overwrite_a=True,
+                                 check_finite=False)
+            break
         except LinAlgError:
             jitter *= 10.0
             if jitter > ceiling * (1.0 + 1e-12):
                 raise NumericalConditioningError(
                     "Gram matrix stayed non-positive-definite at the jitter ceiling")
+    alpha = dpotrs(chol, ybar, lower=1)[0]
+    log_det = 2.0 * float(np.log(np.diagonal(chol)).sum())
+    lml = -0.5 * float(ybar @ alpha) - 0.5 * log_det - 0.5 * m * LOG_2PI + corr
+    return _System(K=K, chol=chol, alpha=alpha, ybar=ybar, rbar=rbar,
+                   jitter=jitter, lml=lml)
+
+
+def _lml_and_grad(red: _Reduced, params: KernelParams, noise_var=None):
+    """Log marginal likelihood and its gradient, from the reduced system.
+
+    Components are with respect to (log length_scale, log signal_std) and,
+    when ``noise_var`` gives a searched noise variance (added to every
+    observation's own), log noise_std. Uses
+    dLML/dtheta = 0.5 tr((alpha alpha^T - K^-1) dK/dtheta). The jitter scales
+    with signal_std^2 and sits in every observation's noise, so the
+    signal_std component carries its share of the noise term.
+    """
+    add = 0.0 if noise_var is None else noise_var
+    sol = _solve(red, params, add)
+    a = sol.alpha
+    # dpotri leaves K^-1 in the lower triangle of a Fortran-ordered array:
+    # the upper triangle of its C-ordered transpose, which the upper weights
+    # pick out.
+    Kinv_t = dpotri(sol.chol, lower=1, overwrite_c=1)[0].T
+    Ku = sol.K * red.upper_weights
+    Kl = sol.K * red.upper_sq_dist
+    q, p, c = red.shift_terms(add + sol.jitter, sol.ybar, sol.rbar)
+    d_shift = 0.5 * (c + float(np.dot(q, a * a - np.diagonal(Kinv_t)))
+                     + 2.0 * float(np.sum(p * a)))
+    grad = [0.5 / params.length_scale ** 2
+            * (float(a @ (Kl @ a)) - float(np.vdot(Kinv_t, Kl))),
+            float(a @ (Ku @ a)) - float(np.vdot(Kinv_t, Ku))
+            + 2.0 * sol.jitter * d_shift]
+    if noise_var is not None:
+        grad.append(2.0 * noise_var * d_shift)
+    return sol.lml, np.array(grad)
 
 
 @dataclass
@@ -145,7 +292,7 @@ class GPModel:
     """Fitted homoscedastic (or fixed per-point noise) GP.
 
     Instances are immutable by convention once fit_gp returns them; the
-    cached factorization is reused by every predict call.
+    factorization of the reduced system is reused by every predict call.
     """
 
     train: TrainingSet
@@ -153,9 +300,10 @@ class GPModel:
     noise: float | np.ndarray
     mean_offset: float = 0.0
     jitter: float = 0.0
-    _noise_vec: np.ndarray | None = field(default=None, repr=False)
-    _chol: tuple | None = field(default=None, repr=False)
+    _u: np.ndarray | None = field(default=None, repr=False)
+    _chol: np.ndarray | None = field(default=None, repr=False)
     _alpha: np.ndarray | None = field(default=None, repr=False)
+    _lml: float | None = field(default=None, repr=False)
 
     def _require_fitted(self):
         if self._chol is None or self._alpha is None:
@@ -170,15 +318,15 @@ class GPModel:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         if not np.all(np.isfinite(ts)):
             raise InvalidInputError("query inputs must be finite")
-        Ks = rbf_kernel(ts, self.train.t, self.params)
+        Ks = rbf_kernel(ts, self._u, self.params)
         mean = self.mean_offset + Ks @ self._alpha
-        v = cho_solve(self._chol, Ks.T)
+        v = solve_triangular(self._chol, Ks.T, lower=True, check_finite=False)
         if full_cov:
-            cov = rbf_kernel(ts, ts, self.params) - Ks @ v
+            cov = rbf_kernel(ts, ts, self.params) - v.T @ v
             var = np.diag(cov).copy()
         else:
             cov = None
-            var = self.params.signal_std ** 2 - np.einsum("ij,ji->i", Ks, v)
+            var = self.params.signal_std ** 2 - np.einsum("ij,ij->j", v, v)
         if np.any(var < -1e-8 * self.params.signal_std ** 2):
             warnings.warn("posterior variance dipped below the conditioning "
                           "tolerance and was clamped to zero", RuntimeWarning)
@@ -187,10 +335,7 @@ class GPModel:
 
     def log_marginal_likelihood(self) -> float:
         self._require_fitted()
-        resid = self.train.y - self.mean_offset
-        n = len(self.train)
-        log_det = 2.0 * float(np.sum(np.log(np.diag(self._chol[0]))))
-        return float(-0.5 * resid @ self._alpha - 0.5 * log_det - 0.5 * n * LOG_2PI)
+        return self._lml
 
 
 def fit_gp(train: TrainingSet, params: KernelParams, noise=0.0) -> GPModel:
@@ -201,15 +346,11 @@ def fit_gp(train: TrainingSet, params: KernelParams, noise=0.0) -> GPModel:
     """
     if not isinstance(train, TrainingSet):
         train = TrainingSet(*train)
-    n = len(train)
-    r_vec, _ = _as_noise_vector(noise, n)
-    _check_singular_duplicates(train.t, r_vec)
-    offset = float(np.mean(train.y))
-    K = rbf_kernel(train.t, train.t, params)
-    chol, jitter = _factorize(K, r_vec)
-    alpha = cho_solve(chol, train.y - offset)
-    return GPModel(train=train, params=params, noise=noise, mean_offset=offset,
-                   jitter=jitter, _noise_vec=r_vec, _chol=chol, _alpha=alpha)
+    red = _Reduced(train, _as_noise(noise, len(train)))
+    sol = _solve(red, params)
+    return GPModel(train=train, params=params, noise=noise,
+                   mean_offset=red.offset, jitter=sol.jitter, _u=red.u,
+                   _chol=sol.chol, _alpha=sol.alpha, _lml=sol.lml)
 
 
 def log_marginal_likelihood(model: GPModel) -> float:
@@ -223,27 +364,13 @@ def lml_gradient(model: GPModel) -> np.ndarray:
     log noise_std), so the model must carry a scalar positive noise variance.
     """
     model._require_fitted()
-    if model._noise_vec is None or np.ptp(model._noise_vec) != 0.0:
+    noise = np.asarray(model.noise, dtype=float)
+    if np.ptp(noise) != 0.0:
         raise InvalidInputError("gradient requires a scalar noise variance")
-    sigma_n2 = float(model._noise_vec[0])
+    sigma_n2 = float(noise.flat[0])
     if sigma_n2 <= 0.0:
         raise InvalidInputError("gradient requires a positive noise variance")
-    t = model.train.t
-    n = t.size
-    Kf = rbf_kernel(t, t, model.params)
-    Kinv = cho_solve(model._chol, np.eye(n))
-    alpha = model._alpha
-    A = np.outer(alpha, alpha) - Kinv
-
-    d = (t[:, None] - t[None, :]) / model.params.length_scale
-    dK_dlog_l = Kf * d * d
-    dK_dlog_sf = 2.0 * Kf
-    grad = np.empty(3)
-    grad[0] = 0.5 * float(np.sum(A * dK_dlog_l))
-    grad[1] = 0.5 * float(np.sum(A * dK_dlog_sf))
-    # d K_y / d log sigma_n = 2 sigma_n^2 I, so only the diagonal of A matters.
-    grad[2] = 0.5 * float(np.trace(A)) * 2.0 * sigma_n2
-    return grad
+    return _lml_and_grad(_Reduced(model.train), model.params, sigma_n2)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -274,96 +401,6 @@ class OptResult:
     lml: float
 
 
-class _Collapsed:
-    """Sufficient-statistics reduction of replicated inputs.
-
-    Observing a group of n_i targets at the same input with equal noise r is
-    exactly equivalent to observing their mean with noise r / n_i, up to a
-    correction term that involves only the within-group scatter. The search
-    below runs on the reduced system, which keeps the cubic factorization
-    cost tied to the number of distinct inputs.
-    """
-
-    def __init__(self, t, resid, r_vec):
-        order = np.argsort(t, kind="stable")
-        ts, ys, rs = t[order], resid[order], r_vec[order]
-        boundaries = np.concatenate([[0], np.nonzero(ts[1:] != ts[:-1])[0] + 1,
-                                     [ts.size]])
-        self.collapsible = True
-        u, ybar, counts, scatter, rbar = [], [], [], [], []
-        for a, b in zip(boundaries[:-1], boundaries[1:]):
-            group_r = rs[a:b]
-            if np.ptp(group_r) != 0.0:
-                # Unequal noise inside a duplicate group: no exact reduction.
-                self.collapsible = False
-                break
-            m = float(np.mean(ys[a:b]))
-            u.append(ts[a])
-            ybar.append(m)
-            counts.append(b - a)
-            scatter.append(float(np.sum((ys[a:b] - m) ** 2)))
-            rbar.append(float(group_r[0]))
-        if self.collapsible:
-            self.u = np.array(u)
-            self.ybar = np.array(ybar)
-            self.counts = np.array(counts, dtype=float)
-            self.scatter = np.array(scatter)
-            self.rbar = np.array(rbar)
-        else:
-            self.u = ts
-            self.ybar = ys
-            self.counts = np.ones(ts.size)
-            self.scatter = np.zeros(ts.size)
-            self.rbar = rs
-
-    def correction(self, sigma_n2=None):
-        """Log-likelihood difference between the full and reduced systems."""
-        r = self.rbar if sigma_n2 is None else np.full_like(self.rbar, sigma_n2)
-        extra = self.counts - 1.0
-        out = -0.5 * float(np.sum(np.log(self.counts)))
-        mask = extra > 0.0
-        if np.any(mask):
-            if np.any(r[mask] <= 0.0):
-                return -np.inf
-            out -= 0.5 * float(np.sum(extra[mask] * (LOG_2PI + np.log(r[mask]))))
-            out -= 0.5 * float(np.sum(self.scatter[mask] / r[mask]))
-        return out
-
-    def correction_grad_log_sn(self, sigma_n2):
-        extra = self.counts - 1.0
-        return float(np.sum(-extra + self.scatter / sigma_n2))
-
-
-def _reduced_lml_and_grad(col: _Collapsed, log_l, log_sf, log_sn):
-    """LML of the full data set and its gradient, via the reduced system."""
-    l, sf = math.exp(log_l), math.exp(log_sf)
-    params = KernelParams(l, sf)
-    sigma_n2 = math.exp(2.0 * log_sn) if log_sn is not None else None
-    r = (np.full_like(col.rbar, sigma_n2) if sigma_n2 is not None else col.rbar)
-    r_reduced = r / col.counts
-
-    m = col.u.size
-    Kf = rbf_kernel(col.u, col.u, params)
-    try:
-        chol, _ = _factorize(Kf, r_reduced)
-    except NumericalConditioningError:
-        return -np.inf, None
-    alpha = cho_solve(chol, col.ybar)
-    log_det = 2.0 * float(np.sum(np.log(np.diag(chol[0]))))
-    lml = -0.5 * float(col.ybar @ alpha) - 0.5 * log_det - 0.5 * m * LOG_2PI
-    lml += col.correction(sigma_n2)
-
-    Kinv = cho_solve(chol, np.eye(m))
-    A = np.outer(alpha, alpha) - Kinv
-    d = (col.u[:, None] - col.u[None, :]) / l
-    grad = [0.5 * float(np.sum(A * (Kf * d * d))),
-            0.5 * float(np.sum(A * (2.0 * Kf)))]
-    if log_sn is not None:
-        diag_term = float(np.sum(np.diag(A) * (2.0 * sigma_n2 / col.counts)))
-        grad.append(0.5 * diag_term + col.correction_grad_log_sn(sigma_n2))
-    return lml, np.array(grad)
-
-
 def optimize_hyperparameters(train: TrainingSet, noise=None,
                              config: OptConfig = OptConfig()) -> OptResult:
     """Maximize the log marginal likelihood over kernel hyperparameters.
@@ -380,13 +417,12 @@ def optimize_hyperparameters(train: TrainingSet, noise=None,
     if len(train) < 2:
         raise InsufficientDataError("hyperparameter search needs at least 2 points")
 
-    t, y = train.t, train.y
-    offset = float(np.mean(y))
-    resid = y - offset
+    optimize_noise = noise is None
+    red = _Reduced(train, None if optimize_noise else _as_noise(noise, len(train)))
 
-    t_range = float(np.ptp(t))
+    t_range = float(np.ptp(train.t))
     scale_t = max(t_range, 1e-3)
-    sd = max(float(np.std(resid)), 1e-8)
+    sd = max(float(np.std(red.resid)), 1e-8)
 
     lb = config.length_scale_bounds or (1e-3, 10.0 * scale_t)
     sb = config.signal_std_bounds or (1e-3 * sd, 10.0 * sd)
@@ -396,22 +432,17 @@ def optimize_hyperparameters(train: TrainingSet, noise=None,
         if not (0.0 < lo < hi):
             raise InvalidInputError(f"invalid {name} bounds ({lo}, {hi})")
 
-    optimize_noise = noise is None
-    if optimize_noise:
-        r_vec = np.zeros(len(train))
-    else:
-        r_vec, _ = _as_noise_vector(noise, len(train))
-    col = _Collapsed(t, resid, r_vec)
-
     log_bounds = [(math.log(lb[0]), math.log(lb[1])),
                   (math.log(sb[0]), math.log(sb[1]))]
     if optimize_noise:
         log_bounds.append((math.log(nb[0]), math.log(nb[1])))
 
     def objective(theta):
-        log_sn = theta[2] if optimize_noise else None
-        lml, grad = _reduced_lml_and_grad(col, theta[0], theta[1], log_sn)
-        if not np.isfinite(lml) or grad is None:
+        params = KernelParams(math.exp(theta[0]), math.exp(theta[1]))
+        noise_var = math.exp(2.0 * theta[2]) if optimize_noise else None
+        try:
+            lml, grad = _lml_and_grad(red, params, noise_var)
+        except NumericalConditioningError:
             return np.inf, np.zeros(len(theta))
         return -lml, -grad
 
@@ -495,19 +526,6 @@ class HeteroGPModel:
         return out
 
 
-def _group_mean_square(t, resid):
-    """Mean squared residual per distinct input, inputs sorted ascending."""
-    order = np.argsort(t, kind="stable")
-    ts, rs = t[order], resid[order]
-    boundaries = np.concatenate([[0], np.nonzero(ts[1:] != ts[:-1])[0] + 1,
-                                 [ts.size]])
-    u = ts[boundaries[:-1]]
-    sq = rs * rs
-    sums = np.add.reduceat(sq, boundaries[:-1])
-    counts = np.diff(boundaries)
-    return u, sums / counts
-
-
 def _moving_average(v, window):
     half = window // 2
     out = np.empty_like(v)
@@ -531,14 +549,17 @@ def fit_heteroscedastic(train: TrainingSet,
     if floor is None:
         floor = max(1e-10 * float(np.var(train.y)), 1e-12)
 
+    # Residuals and noise are evaluated once per distinct input and
+    # expanded by group index, so replicates share their noise exactly.
+    u, index, counts = _group(train.t)
     stage1 = optimize_hyperparameters(train, noise=None, config=config.opt)
     signal = fit_gp(train, stage1.params, noise=stage1.noise)
     noise_model = None
     degenerate = False
 
     for round_idx in range(config.iterations):
-        resid = train.y - signal.predict(train.t).mean
-        u, mean_sq = _group_mean_square(train.t, resid)
+        resid = train.y - signal.predict(u).mean[index]
+        mean_sq = np.bincount(index, resid * resid) / counts
         smoothed = _moving_average(mean_sq, config.smoothing_window)
         degenerate = bool(np.max(smoothed) <= floor)
         z = np.log(np.maximum(smoothed, floor))
@@ -554,7 +575,7 @@ def fit_heteroscedastic(train: TrainingSet,
                                 signal_std=1e-6)
             noise_model = fit_gp(TrainingSet(u, z), flat, noise=1e-12)
 
-        r_train = np.exp(noise_model.predict(train.t).mean)
+        r_train = np.exp(noise_model.predict(u).mean)[index]
         if round_idx == 0 and config.reoptimize_after_noise and not degenerate:
             refit = optimize_hyperparameters(train, noise=r_train,
                                              config=config.opt)

@@ -223,11 +223,42 @@ def _gp_payload(model):
     }
 
 
-def _gp_restore(payload):
-    train = TrainingSet(np.array(payload["t"]), np.array(payload["y"]))
-    params = KernelParams(payload["length_scale"], payload["signal_std"])
+def _numbers(value, where) -> np.ndarray:
+    """A JSON list of numbers as a float array (bools and strings refused)."""
+    if not (isinstance(value, list)
+            and all(type(v) in (int, float) for v in value)):
+        raise FormatError(f"{where} must be a list of numbers")
+    try:
+        return np.array(value, dtype=float)
+    except OverflowError:
+        raise FormatError(f"{where} holds a number out of range") from None
+
+
+def _number(value, where) -> float:
+    if type(value) not in (int, float):
+        raise FormatError(f"{where} must be a number")
+    return float(_numbers([value], where)[0])
+
+
+def _fields(payload, keys, where) -> dict:
+    if not isinstance(payload, dict):
+        raise FormatError(f"{where} must be an object")
+    missing = [key for key in keys if key not in payload]
+    if missing:
+        raise FormatError(f"{where} lacks {', '.join(missing)}")
+    return payload
+
+
+def _gp_restore(payload, where):
+    payload = _fields(payload, ("t", "y", "length_scale", "signal_std", "noise"),
+                      where)
+    train = TrainingSet(_numbers(payload["t"], f"{where}.t"),
+                        _numbers(payload["y"], f"{where}.y"))
+    params = KernelParams(_number(payload["length_scale"], f"{where}.length_scale"),
+                          _number(payload["signal_std"], f"{where}.signal_std"))
     noise = payload["noise"]
-    noise = np.array(noise) if isinstance(noise, list) else float(noise)
+    noise = (_numbers(noise, f"{where}.noise") if isinstance(noise, list)
+             else _number(noise, f"{where}.noise"))
     return fit_gp(train, params, noise=noise)
 
 
@@ -245,15 +276,31 @@ def save_policy(path, policy: TaskPolicy) -> None:
 
 
 def load_policy(path) -> TaskPolicy:
-    payload = json.loads(Path(path).read_text())
-    if payload.get("format") != FORMAT_POLICY:
+    """Read a policy file, refusing a malformed one with FormatError."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"{path}: not a JSON document ({exc})") from None
+    if not isinstance(payload, dict) or payload.get("format") != FORMAT_POLICY:
         raise FormatError(f"{path}: not a {FORMAT_POLICY} file")
+    _fields(payload, ("grid", "dims"), str(path))
+    entries = payload["dims"]
+    if not isinstance(entries, list) or len(entries) != len(DIM_NAMES):
+        raise FormatError(f"{path}: dims must list {len(DIM_NAMES)} models")
     dims = []
-    for entry in payload["dims"]:
-        dims.append(HeteroGPModel(signal_gp=_gp_restore(entry["signal"]),
-                                  noise_gp=_gp_restore(entry["noise"]),
-                                  degenerate=bool(entry["degenerate"])))
-    return TaskPolicy(dims=tuple(dims), grid=np.array(payload["grid"]))
+    for name, entry in zip(DIM_NAMES, entries):
+        where = f"{path}: dims.{name}"
+        entry = _fields(entry, ("signal", "noise", "degenerate"), where)
+        if not isinstance(entry["degenerate"], bool):
+            raise FormatError(f"{where}.degenerate must be true or false")
+        dims.append(HeteroGPModel(
+            signal_gp=_gp_restore(entry["signal"], f"{where}.signal"),
+            noise_gp=_gp_restore(entry["noise"], f"{where}.noise"),
+            degenerate=entry["degenerate"]))
+    grid = _numbers(payload["grid"], f"{path}: grid")
+    if grid.size < 2 or not np.all(np.isfinite(grid)):
+        raise FormatError(f"{path}: grid must hold at least 2 finite times")
+    return TaskPolicy(dims=tuple(dims), grid=grid)
 
 
 # ---------------------------------------------------------------------------

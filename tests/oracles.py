@@ -1,7 +1,8 @@
 """Independent recomputations the tests freeze expected values against.
 
 Everything here deliberately avoids the library's code paths: kernels are
-rebuilt from the formula, solves use explicit inverses, and the DTW cost is
+rebuilt from the formula, solves use explicit inverses (or, for the
+extended-precision posterior, a hand-written Cholesky), and the DTW cost is
 found by enumerating every admissible path.
 """
 
@@ -66,3 +67,51 @@ def critically_damped_free(e0, v0, omega, t):
     """Unforced critically damped response with natural frequency omega."""
     t = np.asarray(t, float)
     return (e0 + (v0 + omega * e0) * t) * np.exp(-omega * t)
+
+
+def _cholesky_longdouble(A):
+    """Lower Cholesky factor by the column algorithm, in A's precision."""
+    n = A.shape[0]
+    L = np.zeros_like(A)
+    for j in range(n):
+        pivot = A[j, j] - L[j, :j] @ L[j, :j]
+        if not pivot > 0:
+            raise ArithmeticError("matrix is not positive definite")
+        L[j, j] = np.sqrt(pivot)
+        L[j + 1:, j] = (A[j + 1:, j] - L[j + 1:, :j] @ L[j, :j]) / L[j, j]
+    return L
+
+
+def _forward_longdouble(L, B):
+    """Solve L X = B for lower-triangular L by forward substitution."""
+    X = np.zeros_like(B)
+    for i in range(L.shape[0]):
+        X[i] = (B[i] - L[i, :i] @ X[:i]) / L[i, i]
+    return X
+
+
+def longdouble_posterior(t, y, length_scale, signal_std, r_vec, jitter, ts):
+    """Dense latent posterior mean/variance in np.longdouble.
+
+    The kernel, the Cholesky factorization and both triangular solves are
+    written out here, so no LAPACK or BLAS routine touches the numbers.
+    Where longdouble is the 80-bit x87 format it carries 64 mantissa bits
+    against float64's 53.
+    """
+    ld = np.longdouble
+    t, y, ts = (np.asarray(a, dtype=float).astype(ld) for a in (t, y, ts))
+    l, sf2 = ld(length_scale), ld(signal_std) ** 2
+
+    def kernel(a, b):
+        lag = a[:, None] - b[None, :]
+        return sf2 * np.exp(-lag * lag / (2 * l * l))
+
+    A = kernel(t, t) + np.diag(np.asarray(r_vec, dtype=float).astype(ld)
+                               + ld(jitter))
+    L = _cholesky_longdouble(A)
+    offset = np.sum(y) / ld(y.size)
+    z = _forward_longdouble(L, (y - offset)[:, None])
+    V = _forward_longdouble(L, kernel(t, ts))
+    mean = offset + (V.T @ z)[:, 0]
+    var = sf2 - np.sum(V * V, axis=0)
+    return mean, var

@@ -10,9 +10,9 @@ from gplfd import (GPModel, HeteroConfig, InconsistentConstraintError,
                    PosteriorPrediction, TrainingSet, fit_gp,
                    fit_heteroscedastic, gaussian_product, lml_gradient,
                    optimize_hyperparameters, rbf_kernel)
-from gplfd.gp import HeteroGPModel
+from gplfd.gp import JITTER_START_FRAC, HeteroGPModel, _lml_and_grad, _Reduced
 
-from oracles import dense_lml, dense_posterior
+from oracles import dense_lml, dense_posterior, longdouble_posterior
 
 
 def random_instance(rng, vector_noise=False, allow_duplicates=False):
@@ -162,6 +162,138 @@ class TestLogMarginalLikelihood:
             lml_gradient(fit_gp(train, params, noise=np.array([0.1, 0.2, 0.1])))
 
 
+def replicated_instance(rng, noise_kind):
+    """Replicated inputs with scatter; noise None, per group or per point."""
+    reps = rng.integers(1, 5, int(rng.integers(3, 7)))
+    t = np.repeat(np.sort(rng.uniform(0.0, 1.0, reps.size)), reps)
+    y = np.sin(2 * np.pi * t) + rng.normal(0.0, 0.3, t.size)
+    noise = {"searched": None,
+             "per group": np.repeat(rng.uniform(1e-3, 0.2, reps.size), reps),
+             "per point": rng.uniform(1e-3, 0.2, t.size)}[noise_kind]
+    return TrainingSet(t, y), noise
+
+
+class TestReducedCore:
+    """The replicate-collapsed system against dense oracles on all points."""
+
+    @pytest.mark.parametrize("noise_kind, shifted", [
+        ("searched", True), ("per group", False), ("per point", False),
+        ("per point", True)])
+    def test_search_gradient_matches_finite_differences(self, rng, noise_kind,
+                                                        shifted):
+        """``shifted`` searches a noise variance added to every point's own,
+        which is how the jitter enters; with unequal noise inside a group
+        that shift also moves the precision-weighted group means."""
+        h = 1e-5
+
+        def dense_objective(train, noise, theta):
+            l, sf = np.exp(theta[:2])
+            r = 0.0 if noise is None else noise
+            if shifted:
+                r = r + np.exp(2.0 * theta[2])
+            return dense_lml(train.t, train.y, l, sf,
+                             np.broadcast_to(r, train.t.shape),
+                             JITTER_START_FRAC * sf ** 2)
+
+        for _ in range(10):
+            train, noise = replicated_instance(rng, noise_kind)
+            theta = np.log([rng.uniform(0.05, 1.0), rng.uniform(0.3, 2.0)]
+                           + ([rng.uniform(0.03, 0.4)] if shifted else []))
+            params = KernelParams(*np.exp(theta[:2]))
+            noise_var = math.exp(2.0 * theta[2]) if shifted else None
+            lml, grad = _lml_and_grad(_Reduced(train, noise), params, noise_var)
+            assert_allclose(lml, dense_objective(train, noise, theta), rtol=1e-9)
+            fd = np.empty(theta.size)
+            for i in range(theta.size):
+                step = np.zeros(theta.size)
+                step[i] = h
+                fd[i] = (dense_objective(train, noise, theta + step)
+                         - dense_objective(train, noise, theta - step)) / (2 * h)
+            denom = np.maximum(np.abs(fd), 1e-6)
+            assert np.max(np.abs(grad - fd) / denom) < 1e-4
+
+    @pytest.mark.parametrize("noise_kind", ["searched", "per point"])
+    def test_search_gradient_tracks_the_jitter(self, rng, noise_kind):
+        """Replicates whose noise sits below the jitter.
+
+        The jitter scales with signal_std^2 and outweighs the noise of most
+        observations here, so the gradient must carry its share; per-point
+        noise also moves the precision-weighted group means.
+        """
+        grid = np.linspace(0.0, 1.0, 40)
+        t = np.tile(grid, 6)
+        y = np.sin(2 * np.pi * t)
+        noise = None
+        if noise_kind == "per point":
+            y = y + rng.normal(0.0, 1e-6, t.size)
+            noise = 10.0 ** rng.uniform(-14.0, -8.0, t.size)
+        red = _Reduced(TrainingSet(t, y), noise)
+        theta = np.log([0.05, 0.3, 1e-7])[:2 if noise is not None else 3]
+        h = 1e-5
+
+        def lml_at(theta):
+            params = KernelParams(*np.exp(theta[:2]))
+            noise_var = math.exp(2.0 * theta[2]) if noise is None else None
+            return _lml_and_grad(red, params, noise_var)
+
+        lml, grad = lml_at(theta)
+        fd = np.array([(lml_at(theta + h * e)[0] - lml_at(theta - h * e)[0])
+                       / (2 * h) for e in np.eye(theta.size)])
+        assert abs(fd[1]) > 1.0
+        assert np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-6)) < 1e-4
+
+    @pytest.mark.parametrize("noise_kind", ["scalar", "per group", "per point"])
+    def test_fit_matches_dense_oracle(self, rng, noise_kind):
+        for _ in range(10):
+            train, noise = replicated_instance(
+                rng, "searched" if noise_kind == "scalar" else noise_kind)
+            if noise is None:
+                noise = float(rng.uniform(1e-3, 0.2))
+            params = KernelParams(float(rng.uniform(0.05, 1.0)),
+                                  float(rng.uniform(0.3, 2.0)))
+            model = fit_gp(train, params, noise=noise)
+            r_vec = np.broadcast_to(noise, train.t.shape)
+            ts = np.sort(rng.uniform(-0.2, 1.2, 9))
+            pred = model.predict(ts)
+            om, ov = dense_posterior(train.t, train.y, params.length_scale,
+                                     params.signal_std, r_vec, model.jitter, ts)
+            scale = max(params.signal_std ** 2, float(np.max(np.abs(om))), 1.0)
+            assert np.max(np.abs(pred.mean - om)) < 1e-8 * scale
+            assert np.max(np.abs(pred.var - ov)) < 1e-8 * scale
+            want = dense_lml(train.t, train.y, params.length_scale,
+                             params.signal_std, r_vec, model.jitter)
+            assert_allclose(model.log_marginal_likelihood(), want, rtol=1e-8)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="np.longdouble is no wider than float64 here")
+    @pytest.mark.parametrize("length_scale, signal_std, noise", [
+        (0.02, 0.3, 2e-11),    # like the door set's ry
+        (0.5, 1e-4, 1e-12),    # a tiny signal, like rx and rz
+    ])
+    def test_noise_free_replicates_closer_to_extended_precision(
+            self, length_scale, signal_std, noise):
+        """Six identical replicates on a 100-point grid, as in a door policy.
+
+        The reduced predict must land at least as close to the longdouble
+        dense posterior as the float64 dense posterior over all 600 points.
+        """
+        grid = np.linspace(0.0, 1.0, 100)
+        t = np.tile(grid, 6)
+        y = np.tile(0.4 * np.sin(2 * np.pi * grid), 6)
+        r_vec = np.full(t.size, noise)
+        params = KernelParams(length_scale, signal_std)
+        model = fit_gp(TrainingSet(t, y), params, noise=r_vec)
+        ts = np.linspace(0.0, 1.0, 199)
+        pred = model.predict(ts)
+        args = (t, y, length_scale, signal_std, r_vec, model.jitter, ts)
+        ref_mean, ref_var = longdouble_posterior(*args)
+        dense_mean, dense_var = dense_posterior(*args)
+        assert (np.max(np.abs(pred.mean - ref_mean))
+                <= np.max(np.abs(dense_mean - ref_mean)))
+        assert (np.max(np.abs(pred.var - ref_var))
+                <= np.max(np.abs(dense_var - ref_var)))
+
+
 class TestHyperparameterSearch:
     def test_needs_two_points(self):
         with pytest.raises(InsufficientDataError):
@@ -184,6 +316,16 @@ class TestHyperparameterSearch:
         res = optimize_hyperparameters(TrainingSet(t, y),
                                        config=OptConfig(n_starts=4))
         full = fit_gp(TrainingSet(t, y), res.params, noise=res.noise)
+        assert_allclose(full.log_marginal_likelihood(), res.lml, rtol=1e-6)
+
+    def test_reported_lml_is_the_fit_lml_on_noise_free_replicates(self):
+        """The jitter outweighs the searched noise here; the objective must
+        still be the LML of the model fit_gp builds from the result."""
+        grid = np.linspace(0.0, 1.0, 30)
+        train = TrainingSet(np.tile(grid, 6), np.tile(np.sin(2 * np.pi * grid), 6))
+        res = optimize_hyperparameters(train, config=OptConfig(n_starts=4))
+        full = fit_gp(train, res.params, noise=res.noise)
+        assert full.jitter > res.noise
         assert_allclose(full.log_marginal_likelihood(), res.lml, rtol=1e-6)
 
     def test_fixed_noise_is_respected(self, rng):

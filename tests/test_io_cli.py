@@ -167,6 +167,31 @@ class TestPolicyFiles:
         with pytest.raises(FormatError):
             io.load_policy(path)
 
+    @pytest.mark.parametrize("probe", ["no dims", "t not numbers",
+                                       "t holds a string", "no length_scale",
+                                       "not utf-8"])
+    def test_malformed_policy_fails_cleanly(self, tmp_path, capsys,
+                                            door_policy, probe):
+        path = tmp_path / "policy.json"
+        io.save_policy(path, door_policy)
+        payload = json.loads(path.read_text())
+        if probe == "no dims":
+            payload = {"format": payload["format"]}
+        elif probe == "t not numbers":
+            payload["dims"][0]["signal"]["t"] = "abc"
+        elif probe == "t holds a string":
+            payload["dims"][0]["signal"]["t"][0] = "abc"
+        elif probe == "no length_scale":
+            del payload["dims"][0]["signal"]["length_scale"]
+        path.write_text(json.dumps(payload))
+        if probe == "not utf-8":
+            path.write_bytes(b"\xff\xfe\x00{")
+        with pytest.raises(FormatError):
+            io.load_policy(path)
+        assert main(["query", "--policy", str(path),
+                     "--out-dir", str(tmp_path)]) == 1
+        assert "error:" in capsys.readouterr().err
+
 
 class TestManifests:
     def test_round_trip_and_hashes(self, tmp_path):
