@@ -18,6 +18,11 @@ import numpy as np
 from .errors import DivergenceError, InvalidInputError
 
 AXES = 6
+INTEGRATORS = ("semi_implicit", "rk4")
+
+# Most integration steps one run may take: a trace holds six (steps+1) x 6
+# arrays, and a policy schedule queries every step.
+MAX_SIM_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -221,6 +226,19 @@ def _resolve_sigma(source, sigma, times, horizon, shared):
     return rows
 
 
+def simulation_steps(dt: float, horizon: float,
+                     integrator: str = "semi_implicit") -> int:
+    """Integration steps over [0, horizon]; checks the timing arguments."""
+    if integrator not in INTEGRATORS:
+        raise InvalidInputError(f"integrator must be one of {INTEGRATORS}")
+    if not (dt > 0.0 and horizon > 0.0):
+        raise InvalidInputError("dt and horizon must be positive")
+    if not 0.5 < horizon / dt < MAX_SIM_STEPS + 0.5:
+        raise InvalidInputError("horizon / dt must round to 1 to "
+                                f"{MAX_SIM_STEPS} steps")
+    return round(horizon / dt)
+
+
 def simulate(setpoint=None, force=None,
              params: ControllerParams = ControllerParams(),
              dt: float = 1e-3, horizon: float = 2.0, *,
@@ -235,13 +253,7 @@ def simulate(setpoint=None, force=None,
     respects the energy diagnostic; "rk4" is available when comparing
     against closed-form solutions.
     """
-    if dt <= 0.0 or horizon <= 0.0:
-        raise InvalidInputError("dt and horizon must be positive")
-    if integrator not in ("semi_implicit", "rk4"):
-        raise InvalidInputError(f"unknown integrator {integrator!r}")
-    steps = int(round(horizon / dt))
-    if steps < 1:
-        raise InvalidInputError("horizon must cover at least one step")
+    steps = simulation_steps(dt, horizon, integrator)
     times = np.arange(steps + 1) * dt
 
     sig = _resolve_sigma(setpoint, sigma, times, horizon, shared_sigma)

@@ -10,8 +10,8 @@ reproduces the outputs byte for byte.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,9 @@ from .errors import InvalidInputError, ToolkitError
 from .policy import (DIM_NAMES, adapt_with_viapoints, learn_policy, query,
                      streaming_evaluation)
 from .synthetic import generate_synthetic_door_set
+
+# Largest --grid: each query time becomes a pose distribution and a table row.
+MAX_QUERY_POINTS = 100_000
 
 
 def _resolve_config(args) -> RunConfig:
@@ -48,9 +51,20 @@ def _write_manifest(args, command: str, config: RunConfig,
                       arguments=arguments)
 
 
+def _numbers(text: str, flag: str) -> np.ndarray:
+    """Comma-separated numbers from a command-line argument."""
+    try:
+        return np.array([float(v) for v in text.split(",")])
+    except ValueError:
+        raise InvalidInputError(f"{flag} must be comma-separated numbers, "
+                                f"got {text!r}") from None
+
+
 def _query_times(args) -> np.ndarray:
     if args.times:
-        return np.array([float(v) for v in args.times.split(",")])
+        return _numbers(args.times, "--times")
+    if not 1 <= args.grid <= MAX_QUERY_POINTS:
+        raise InvalidInputError(f"--grid must lie in [1, {MAX_QUERY_POINTS}]")
     return np.linspace(0.0, 1.0, args.grid)
 
 
@@ -69,11 +83,8 @@ def _distribution_table(path, ts, dists) -> None:
 def _cmd_gen_data(args) -> None:
     config = _resolve_config(args)
     out = _out_dir(args)
-    d = config.data
-    demos = generate_synthetic_door_set(seed=config.seed, radii=d.radii,
-                                        repeats=d.repeats, noise=d.noise,
-                                        n_samples=d.n_samples,
-                                        max_angle=d.max_angle)
+    demos = generate_synthetic_door_set(seed=config.seed,
+                                        **asdict(config.data))
     outputs = []
     for i, demo in enumerate(demos, start=1):
         path = out / f"{args.prefix}_{i:02d}.csv"
@@ -141,15 +152,11 @@ def _cmd_simulate(args) -> None:
     config = _resolve_config(args)
     out = _out_dir(args)
     sim, ctrl = config.simulation, config.controller
-    inputs = []
-    if args.policy:
-        setpoint, sigma = io.load_policy(args.policy), None
-        inputs.append(args.policy)
-    elif args.sigma is not None:
-        setpoint, sigma = None, float(args.sigma)
-    else:
-        raise InvalidInputError("simulate needs --policy or --sigma")
-    force = constant_force([float(v) for v in args.force.split(",")]) \
+    # A policy wins over --sigma; simulate refuses a run with neither.
+    setpoint = io.load_policy(args.policy) if args.policy else None
+    sigma = None if args.policy else args.sigma
+    inputs = [args.policy] if args.policy else []
+    force = constant_force(_numbers(args.force, "--force")) \
         if args.force else None
     trace = simulate(setpoint, force, ctrl, dt=sim.dt, horizon=sim.horizon,
                      sigma=sigma, shared_sigma=sim.shared_sigma,
@@ -271,9 +278,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    # OSError covers missing/unreadable files, JSONDecodeError corrupt
-    # config/policy/manifest documents: user input, not internal faults.
-    except (ToolkitError, OSError, json.JSONDecodeError) as exc:
+    # OSError covers missing or unreadable files: user input, not an
+    # internal fault.
+    except (ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -1,36 +1,30 @@
 """Declarative run configuration with full defaulting.
 
 One JSON document drives every command; omitted sections fall back to the
-defaults below, and each field is validated at load time against the
-preconditions of the module that consumes it. A run manifest embeds the
-resolved configuration, so a manifest file is itself an accepted config
-source.
+defaults below. Loading checks each value's type against its field's
+default, then builds the library objects the sections feed, so each range
+check runs at load time in the module that owns it. A run manifest embeds
+the resolved configuration, so a manifest file is itself an accepted
+config source.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+import sys
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .admittance import ControllerParams
+from .admittance import ControllerParams, simulation_steps
 from .errors import InvalidInputError
 from .gp import HeteroConfig, OptConfig
-from .io import FORMAT_MANIFEST
-from .policy import LearnConfig
+from .io import FORMAT_MANIFEST, canonical_sha256, read_json
+from .policy import LearnConfig, strength_vector
 from .se3 import DistanceWeights
-
-_MEASURES = ("tci", "euclidean-pose")
-_INTEGRATORS = ("semi_implicit", "rk4")
-
-
-def _bounds_ok(bounds) -> bool:
-    return (len(bounds) == 2 and 0.0 < bounds[0] <= bounds[1]
-            and math.isfinite(bounds[1]))
+from .synthetic import check_door_set
 
 
 @dataclass(frozen=True)
@@ -38,11 +32,6 @@ class AlignmentSection:
     rotation_weight: float = 0.5
     translation_weight: float = 0.5
     measure: str = "tci"
-
-    def __post_init__(self):
-        DistanceWeights(self.rotation_weight, self.translation_weight)
-        if self.measure not in _MEASURES:
-            raise InvalidInputError(f"measure must be one of {_MEASURES}")
 
 
 @dataclass(frozen=True)
@@ -58,26 +47,6 @@ class PolicySection:
     position_strength: float = 1e-4
     rotation_strength: float = 1e-4
 
-    def __post_init__(self):
-        if self.grid_size < 2:
-            raise InvalidInputError("grid_size must be at least 2")
-        if self.hetero_iterations < 1 or self.smoothing_window < 1:
-            raise InvalidInputError("iterations and smoothing window must be >= 1")
-        if self.opt_starts < 1 or self.opt_max_iter < 1:
-            raise InvalidInputError("optimizer starts and iterations must be >= 1")
-        for name in ("length_scale_bounds", "signal_std_bounds",
-                     "noise_std_bounds"):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            value = tuple(float(v) for v in value)
-            if not _bounds_ok(value):
-                raise InvalidInputError(f"{name} must be (low, high) with "
-                                        "0 < low <= high")
-            object.__setattr__(self, name, value)
-        if self.position_strength <= 0.0 or self.rotation_strength <= 0.0:
-            raise InvalidInputError("via-point strengths must be positive")
-
 
 @dataclass(frozen=True)
 class SimulationSection:
@@ -85,12 +54,6 @@ class SimulationSection:
     horizon: float = 2.0
     integrator: str = "semi_implicit"
     shared_sigma: bool = False
-
-    def __post_init__(self):
-        if self.dt <= 0.0 or self.horizon < self.dt:
-            raise InvalidInputError("need dt > 0 and horizon >= dt")
-        if self.integrator not in _INTEGRATORS:
-            raise InvalidInputError(f"integrator must be one of {_INTEGRATORS}")
 
 
 @dataclass(frozen=True)
@@ -100,18 +63,6 @@ class DataSection:
     noise: float = 0.005
     n_samples: int = 60
     max_angle: float = math.pi / 2
-
-    def __post_init__(self):
-        radii = tuple(float(r) for r in self.radii)
-        if not radii or any(r <= 0.0 for r in radii):
-            raise InvalidInputError("door radii must be positive")
-        object.__setattr__(self, "radii", radii)
-        if self.repeats < 1 or self.n_samples < 2:
-            raise InvalidInputError("need repeats >= 1 and n_samples >= 2")
-        if self.noise < 0.0:
-            raise InvalidInputError("noise must be >= 0")
-        if not 0.0 < self.max_angle <= math.pi:
-            raise InvalidInputError("max_angle must lie in (0, pi]")
 
 
 @dataclass(frozen=True)
@@ -127,41 +78,67 @@ class RunConfig:
         return asdict(self)
 
 
-_SECTIONS = {"alignment": AlignmentSection, "policy": PolicySection,
-             "controller": ControllerParams, "simulation": SimulationSection,
-             "data": DataSection}
+def _is_number(value) -> bool:
+    """A finite JSON number; bool is an int subclass and is refused."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
-def _build_section(cls, payload, name):
-    if payload is None:
-        return cls()
+def _typed(value, default, where):
+    """``value`` checked against the type of the field's default.
+
+    A section takes an object, built field by field. A tuple, or the None
+    of optional bounds, takes a list of finite numbers and becomes a tuple
+    of floats.
+    """
+    if is_dataclass(default):
+        return _build(type(default), value, where)
+    if isinstance(default, bool):
+        ok, kind = isinstance(value, bool), "true or false"
+    elif isinstance(default, int):
+        ok, kind = type(value) is int, "an integer"
+    elif isinstance(default, float):
+        ok, kind = _is_number(value), "a finite number"
+    elif isinstance(default, str):
+        ok, kind = isinstance(value, str), "a string"
+    elif value is None and default is None:
+        return None
+    elif isinstance(value, (list, tuple)) and all(map(_is_number, value)):
+        return tuple(float(v) for v in value)
+    else:
+        ok, kind = False, "a list of finite numbers"
+    if not ok:
+        raise InvalidInputError(f"{where} must be {kind}, got {value!r}")
+    return value
+
+
+def _build(cls, payload, where):
+    """Dataclass ``cls`` from a JSON object; omitted fields keep defaults."""
     if not isinstance(payload, dict):
-        raise InvalidInputError(f"config section {name!r} must be an object")
-    allowed = {f.name for f in fields(cls)}
-    unknown = sorted(set(payload) - allowed)
+        raise InvalidInputError(f"{where} must be a JSON object")
+    defaults = {f.name: f.default for f in fields(cls)}
+    unknown = sorted(set(payload) - set(defaults))
     if unknown:
-        raise InvalidInputError(f"unknown {name} config fields: {unknown}")
-    return cls(**payload)
+        raise InvalidInputError(f"unknown {where} fields: {unknown}")
+    return cls(**{key: _typed(value, defaults[key], f"{where}.{key}")
+                  for key, value in payload.items()})
 
 
 def config_from_dict(payload: dict) -> RunConfig:
-    if not isinstance(payload, dict):
-        raise InvalidInputError("config must be a JSON object")
-    allowed = {"seed"} | set(_SECTIONS)
-    unknown = sorted(set(payload) - allowed)
-    if unknown:
-        raise InvalidInputError(f"unknown config fields: {unknown}")
-    seed = payload.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+    config = _build(RunConfig, payload, "config")
+    if config.seed < 0:
         raise InvalidInputError("seed must be a nonnegative integer")
-    sections = {name: _build_section(cls, payload.get(name), name)
-                for name, cls in _SECTIONS.items()}
-    return RunConfig(seed=seed, **sections)
+    # Build what the sections feed: each range check runs where it lives.
+    learn_config(config)
+    via_strength(config)
+    check_door_set(**asdict(config.data))
+    sim = config.simulation
+    simulation_steps(sim.dt, sim.horizon, sim.integrator)
+    return config
 
 
 def read_config_payload(path) -> dict:
     """Raw config dict from a config file or from a run manifest."""
-    payload = json.loads(Path(path).read_text())
+    payload = read_json(path)
     if isinstance(payload, dict) and payload.get("format") == FORMAT_MANIFEST:
         payload = payload.get("config", {})
     if not isinstance(payload, dict):
@@ -180,9 +157,7 @@ def save_config(path, config: RunConfig) -> None:
 
 
 def config_sha256(config: RunConfig) -> str:
-    canonical = json.dumps(config.to_dict(), sort_keys=True,
-                           separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return canonical_sha256(config.to_dict())
 
 
 def apply_overrides(payload: dict, assignments) -> dict:
@@ -197,7 +172,7 @@ def apply_overrides(payload: dict, assignments) -> dict:
         key, text = raw.split("=", 1)
         try:
             value = json.loads(text)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):
             value = text
         node = out
         parts = key.split(".")
@@ -238,4 +213,4 @@ def learn_config(config: RunConfig) -> LearnConfig:
 
 def via_strength(config: RunConfig) -> np.ndarray:
     p = config.policy
-    return np.array([p.position_strength] * 3 + [p.rotation_strength] * 3)
+    return strength_vector([p.position_strength] * 3 + [p.rotation_strength] * 3)

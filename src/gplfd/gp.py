@@ -45,6 +45,9 @@ from .errors import (InconsistentConstraintError, InvalidInputError,
 JITTER_START_FRAC = 1e-10
 JITTER_MAX_FRAC = 1e-4
 
+# Fewest training points a heteroscedastic fit accepts.
+HETERO_MIN_POINTS = 10
+
 LOG_2PI = math.log(2.0 * math.pi)
 
 
@@ -383,7 +386,8 @@ class OptConfig:
 
     Bounds left as None are derived from the data: length scale within
     [1e-3, 10 * range(t)], signal std within [1e-3, 10] * std(y), noise std
-    within [1e-6, 3] * std(y). Bounds are (low, high) in the natural scale.
+    within [1e-6, 3] * std(y). Bounds are (low, high) in the natural scale,
+    finite with 0 < low < high; derived bounds always satisfy this.
     """
 
     n_starts: int = 8
@@ -392,6 +396,16 @@ class OptConfig:
     length_scale_bounds: tuple[float, float] | None = None
     signal_std_bounds: tuple[float, float] | None = None
     noise_std_bounds: tuple[float, float] | None = None
+
+    def __post_init__(self):
+        if self.n_starts < 1 or self.max_iter < 1:
+            raise InvalidInputError("optimizer starts and iterations must be >= 1")
+        for bounds in (self.length_scale_bounds, self.signal_std_bounds,
+                       self.noise_std_bounds):
+            if bounds is not None and not (
+                    len(bounds) == 2 and 0.0 < bounds[0] < bounds[1] < math.inf):
+                raise InvalidInputError(f"search bounds {bounds} are not "
+                                        "(low, high) with 0 < low < high < inf")
 
 
 @dataclass(frozen=True)
@@ -427,11 +441,6 @@ def optimize_hyperparameters(train: TrainingSet, noise=None,
     lb = config.length_scale_bounds or (1e-3, 10.0 * scale_t)
     sb = config.signal_std_bounds or (1e-3 * sd, 10.0 * sd)
     nb = config.noise_std_bounds or (1e-6 * sd, 3.0 * sd)
-    for name, (lo, hi) in (("length_scale", lb), ("signal_std", sb),
-                           ("noise_std", nb)):
-        if not (0.0 < lo < hi):
-            raise InvalidInputError(f"invalid {name} bounds ({lo}, {hi})")
-
     log_bounds = [(math.log(lb[0]), math.log(lb[1])),
                   (math.log(sb[0]), math.log(sb[1]))]
     if optimize_noise:
@@ -484,16 +493,17 @@ class HeteroConfig:
     (squared residuals pooled per distinct input, then a centered moving
     window over neighbors in time) and refits the signal GP with the
     predicted per-point noise. Signal hyperparameters are re-optimized once,
-    after the first noise injection, unless disabled.
+    after the first noise injection, unless the variance profile is flat.
     """
 
     iterations: int = 3
-    min_points: int = 10
     smoothing_window: int = 5
-    reoptimize_after_noise: bool = True
     opt: OptConfig = OptConfig()
     noise_opt: OptConfig = OptConfig()
-    noise_floor: float | None = None
+
+    def __post_init__(self):
+        if self.iterations < 1 or self.smoothing_window < 1:
+            raise InvalidInputError("iterations and smoothing window must be >= 1")
 
 
 @dataclass
@@ -540,22 +550,18 @@ def fit_heteroscedastic(train: TrainingSet,
     """Fit a GP whose observation noise varies over the input domain."""
     if not isinstance(train, TrainingSet):
         train = TrainingSet(*train)
-    if len(train) < config.min_points:
+    if len(train) < HETERO_MIN_POINTS:
         raise InsufficientDataError(
-            f"heteroscedastic fit needs at least {config.min_points} points, "
+            f"heteroscedastic fit needs at least {HETERO_MIN_POINTS} points, "
             f"got {len(train)}")
 
-    floor = config.noise_floor
-    if floor is None:
-        floor = max(1e-10 * float(np.var(train.y)), 1e-12)
+    floor = max(1e-10 * float(np.var(train.y)), 1e-12)
 
     # Residuals and noise are evaluated once per distinct input and
     # expanded by group index, so replicates share their noise exactly.
     u, index, counts = _group(train.t)
     stage1 = optimize_hyperparameters(train, noise=None, config=config.opt)
     signal = fit_gp(train, stage1.params, noise=stage1.noise)
-    noise_model = None
-    degenerate = False
 
     for round_idx in range(config.iterations):
         resid = train.y - signal.predict(u).mean[index]
@@ -576,7 +582,7 @@ def fit_heteroscedastic(train: TrainingSet,
             noise_model = fit_gp(TrainingSet(u, z), flat, noise=1e-12)
 
         r_train = np.exp(noise_model.predict(u).mean)[index]
-        if round_idx == 0 and config.reoptimize_after_noise and not degenerate:
+        if round_idx == 0 and not degenerate:
             refit = optimize_hyperparameters(train, noise=r_train,
                                              config=config.opt)
             signal = fit_gp(train, refit.params, noise=r_train)

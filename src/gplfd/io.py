@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .alignment import Trajectory
-from .errors import FormatError, ParseError
+from .errors import FormatError, InvalidInputError, ParseError
 from .gp import HeteroGPModel, KernelParams, TrainingSet, fit_gp
 from .policy import DIM_NAMES, TaskPolicy, ViaPoint
 from .se3 import Pose, RotationVector, quaternion_of, rotvec_from_quaternion
@@ -47,10 +47,35 @@ def _write_columnar(path, fmt_tag, metadata, header, rows):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                          f"{exc.start})") from None
+
+
+def read_json(path):
+    """Parse a UTF-8 JSON document, refusing a malformed one with FormatError."""
+    text = _read_text(path)
+    # ValueError also covers integers longer than Python parses, and
+    # RecursionError arrays nested too deep.
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"{path}: not a JSON document ({exc})") from None
+
+
+def canonical_sha256(payload: dict) -> str:
+    """SHA-256 of the key-sorted, whitespace-free JSON form of a document."""
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
 def _read_columnar(path):
     """Returns (metadata, header, rows-with-line-numbers)."""
     metadata, header, rows = {}, None, []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -99,13 +124,13 @@ def _quaternion_order(metadata, path):
 
 
 def _pose_from_cells(values, order, lineno):
-    position = np.array(values[0:3])
     quat = np.array(values[3:7])
     if order == "xyzw":
         quat = quat[[3, 0, 1, 2]]
-    if abs(np.linalg.norm(quat) - 1.0) > 1e-6:
-        raise ParseError("quaternion is not unit length", line=lineno)
-    return Pose(position, rotvec_from_quaternion(quat))
+    try:
+        return Pose(np.array(values[0:3]), rotvec_from_quaternion(quat))
+    except InvalidInputError as exc:
+        raise ParseError(str(exc), line=lineno) from None
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +302,7 @@ def save_policy(path, policy: TaskPolicy) -> None:
 
 def load_policy(path) -> TaskPolicy:
     """Read a policy file, refusing a malformed one with FormatError."""
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: not a JSON document ({exc})") from None
+    payload = read_json(path)
     if not isinstance(payload, dict) or payload.get("format") != FORMAT_POLICY:
         raise FormatError(f"{path}: not a {FORMAT_POLICY} file")
     _fields(payload, ("grid", "dims"), str(path))
@@ -331,13 +353,12 @@ def write_manifest(path, command: str, config: dict, inputs, outputs,
     (file names, query grids). No timestamps by design: two runs of the
     same command from the same manifest must produce identical manifests.
     """
-    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     manifest = {
         "format": FORMAT_MANIFEST,
         "command": command,
         "seed": config.get("seed"),
         "config": config,
-        "config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
+        "config_sha256": canonical_sha256(config),
         "arguments": dict(arguments or {}),
         "inputs": {str(p): file_sha256(p) for p in inputs},
         "outputs": {str(p): file_sha256(p) for p in outputs},
@@ -347,7 +368,7 @@ def write_manifest(path, command: str, config: dict, inputs, outputs,
 
 
 def read_manifest(path) -> dict:
-    manifest = json.loads(Path(path).read_text())
-    if manifest.get("format") != FORMAT_MANIFEST:
+    manifest = read_json(path)
+    if not isinstance(manifest, dict) or manifest.get("format") != FORMAT_MANIFEST:
         raise FormatError(f"{path}: not a {FORMAT_MANIFEST} file")
     return manifest

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .alignment import Trajectory, align_demonstrations, resample
+from .alignment import MEASURES, Trajectory, align_demonstrations, resample
 from .errors import (InconsistentConstraintError, InsufficientDataError,
                      InvalidInputError)
 from .gp import (HeteroConfig, HeteroGPModel, PosteriorPrediction, TrainingSet,
@@ -29,6 +29,9 @@ DIM_NAMES = ("x", "y", "z", "rx", "ry", "rz")
 _SAME_TIME_TOL = 1e-12
 _HARD_STRENGTH = 1e-10
 
+# Largest policy grid: the search holds a few grid_size^2 matrices.
+MAX_GRID_SIZE = 2000
+
 
 @dataclass(frozen=True)
 class LearnConfig:
@@ -38,8 +41,10 @@ class LearnConfig:
     hetero: HeteroConfig = HeteroConfig()
 
     def __post_init__(self):
-        if self.grid_size < 2:
-            raise InvalidInputError("grid_size must be at least 2")
+        if self.measure not in MEASURES:
+            raise InvalidInputError(f"measure must be one of {MEASURES}")
+        if not 2 <= self.grid_size <= MAX_GRID_SIZE:
+            raise InvalidInputError(f"grid_size must lie in [2, {MAX_GRID_SIZE}]")
 
 
 @dataclass
@@ -63,6 +68,18 @@ class PoseDistribution:
         return Pose(self.mean[:3], RotationVector(rot))
 
 
+def strength_vector(strength) -> np.ndarray:
+    """Via-point strengths as 6 positive finite variances (from a scalar or 6)."""
+    s = np.asarray(strength, dtype=float)
+    if s.ndim == 0:
+        s = np.full(6, float(s))
+    if s.shape != (6,):
+        raise InvalidInputError("via-point strength must be scalar or length 6")
+    if not np.all(np.isfinite(s)) or np.any(s <= 0.0):
+        raise InvalidInputError("via-point strengths must be positive")
+    return s
+
+
 @dataclass(frozen=True)
 class ViaPoint:
     """Desired pose at a normalized time with per-dimension strengths.
@@ -79,15 +96,8 @@ class ViaPoint:
     def __post_init__(self):
         if not math.isfinite(self.time):
             raise InvalidInputError("via-point time must be finite")
-        s = np.asarray(self.strength, dtype=float)
-        if s.ndim == 0:
-            s = np.full(6, float(s))
-        if s.shape != (6,):
-            raise InvalidInputError("via-point strength must be scalar or length 6")
-        if not np.all(np.isfinite(s)) or np.any(s <= 0.0):
-            raise InvalidInputError("via-point strengths must be positive")
-        object.__setattr__(self, "strength", s)
-        s.setflags(write=False)
+        object.__setattr__(self, "strength", strength_vector(self.strength))
+        self.strength.setflags(write=False)
 
 
 @dataclass

@@ -141,8 +141,8 @@ def rotvec_from_quaternion(q) -> RotationVector:
         raise InvalidInputError("quaternion must be a finite 4-vector")
     norm = float(np.linalg.norm(q))
     if abs(norm - 1.0) > 1e-6:
-        raise InvalidInputError(
-            f"quaternion norm {norm:.8f} deviates from 1 by more than 1e-6")
+        raise InvalidInputError(f"quaternion is not unit length: norm "
+                                f"{norm:.8f} deviates from 1 by more than 1e-6")
     q = q / norm
     if q[0] < 0.0:
         q = -q

@@ -16,6 +16,9 @@ from .alignment import Trajectory
 from .errors import InvalidInputError
 from .se3 import Pose, RotationVector
 
+# Most samples (Pose objects, ~0.5 kB each) over all demos of one door set.
+MAX_DOOR_SAMPLES = 500_000
+
 
 def _warped_stamps(rng, n: int) -> np.ndarray:
     """Strictly increasing stamps over a random duration with uneven pacing."""
@@ -32,6 +35,23 @@ def door_pull_arc(radius: float, angles: np.ndarray) -> np.ndarray:
                      radius * (1.0 - np.cos(angles))], axis=1)
 
 
+def check_door_set(radii, repeats, noise, n_samples, max_angle) -> tuple:
+    """Check door-set arguments; returns the radii as a tuple of floats."""
+    radii = tuple(float(r) for r in radii)
+    if not radii or not all(0.0 < r < math.inf for r in radii):
+        raise InvalidInputError("door radii must be positive and finite")
+    if repeats < 1 or n_samples < 2:
+        raise InvalidInputError("need repeats >= 1 and n_samples >= 2")
+    if not 0.0 <= noise < math.inf:
+        raise InvalidInputError("noise must be finite and >= 0")
+    if len(radii) * repeats * n_samples > MAX_DOOR_SAMPLES:
+        raise InvalidInputError(f"a door set holds at most {MAX_DOOR_SAMPLES} "
+                                "samples (radii x repeats x n_samples)")
+    if not 0.0 < max_angle <= math.pi:
+        raise InvalidInputError("max door angle must lie in (0, pi]")
+    return radii
+
+
 def generate_synthetic_door_set(seed: int = 0,
                                 radii=(0.7, 0.8, 0.9),
                                 repeats: int = 2,
@@ -45,18 +65,7 @@ def generate_synthetic_door_set(seed: int = 0,
     about the hinge axis (y), proportional to the door angle. Deterministic
     for a given seed.
     """
-    radii = tuple(float(r) for r in radii)
-    if not radii or any(r <= 0.0 for r in radii):
-        raise InvalidInputError("door radii must be positive")
-    if repeats < 1:
-        raise InvalidInputError("repeats must be >= 1")
-    if noise < 0.0:
-        raise InvalidInputError("noise must be >= 0")
-    if n_samples < 2:
-        raise InvalidInputError("need at least 2 samples per demonstration")
-    if not 0.0 < max_angle <= math.pi:
-        raise InvalidInputError("max door angle must lie in (0, pi]")
-
+    radii = check_door_set(radii, repeats, noise, n_samples, max_angle)
     rng = np.random.default_rng(seed)
     angles = np.linspace(0.0, max_angle, n_samples)
     demos = []

@@ -8,6 +8,7 @@ from gplfd import (ControllerParams, DivergenceError, InvalidInputError,
                    check_stability, constant_force, damping_from_ratio,
                    simulate, spring_to_ground_truth, stiffness_profile,
                    stiffness_rate, stiffness_rate_bound, zero_force)
+from gplfd.admittance import MAX_SIM_STEPS, simulation_steps
 
 from oracles import critically_damped_free
 
@@ -171,6 +172,18 @@ class TestSimulate:
     def test_unknown_integrator_rejected(self):
         with pytest.raises(InvalidInputError):
             simulate(sigma=0.05, integrator="euler")
+
+    @pytest.mark.parametrize("dt, horizon", [
+        (math.nan, 1.0), (1e-3, math.nan), (-1e-3, -1.0), (1e-3, 4e-4),
+        (1e-3, math.inf), (1.0 / MAX_SIM_STEPS, 1.00001), (1e-9, 1.0)])
+    def test_timing_refused(self, dt, horizon):
+        # The step cap is checked before any (steps + 1) x 6 array exists.
+        with pytest.raises(InvalidInputError):
+            simulate(sigma=0.05, dt=dt, horizon=horizon)
+
+    def test_step_count_rounds(self):
+        assert simulation_steps(1e-3, 6e-4) == 1
+        assert simulation_steps(1.0 / MAX_SIM_STEPS, 1.0) == MAX_SIM_STEPS
 
     def test_divergence_reports_the_step(self):
         # Positive position feedback beyond the controller stiffness blows up.

@@ -340,6 +340,14 @@ class TestHyperparameterSearch:
         res = optimize_hyperparameters(train, config=OptConfig(n_starts=2))
         assert res.params.signal_std <= 1e-7
 
+    @pytest.mark.parametrize("kwargs", [
+        {"n_starts": 0}, {"max_iter": 0},
+        {"length_scale_bounds": (0.1, 0.1)}, {"signal_std_bounds": (0.0, 1.0)},
+        {"noise_std_bounds": (1e-3, math.inf)}, {"noise_std_bounds": (1.0,)}])
+    def test_config_ranges_refused(self, kwargs):
+        with pytest.raises(InvalidInputError):
+            OptConfig(**kwargs)
+
     def test_bad_bounds_rejected(self):
         train = TrainingSet([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
         with pytest.raises(InvalidInputError):
@@ -348,6 +356,12 @@ class TestHyperparameterSearch:
 
 
 class TestHeteroscedastic:
+    @pytest.mark.parametrize("kwargs", [{"iterations": 0},
+                                        {"smoothing_window": 0}])
+    def test_config_ranges_refused(self, kwargs):
+        with pytest.raises(InvalidInputError):
+            HeteroConfig(**kwargs)
+
     def test_needs_enough_points(self):
         with pytest.raises(InsufficientDataError):
             fit_heteroscedastic(TrainingSet([0.0, 1.0], [0.0, 1.0]))

@@ -9,6 +9,7 @@ from gplfd import (InconsistentConstraintError, InsufficientDataError,
                    RotationVector, Trajectory, ViaPoint, adapt_with_viapoints,
                    learn_policy, prediction_error, query,
                    streaming_evaluation)
+from gplfd.policy import MAX_GRID_SIZE
 
 
 def offset_pose(dist, dx=0.0, dz=0.0):
@@ -40,6 +41,12 @@ class TestLearnAndQuery:
     def test_grid_size_validated(self):
         with pytest.raises(InvalidInputError):
             LearnConfig(grid_size=1)
+        with pytest.raises(InvalidInputError):
+            LearnConfig(grid_size=MAX_GRID_SIZE + 1)
+
+    def test_measure_validated(self):
+        with pytest.raises(InvalidInputError):
+            LearnConfig(measure="banana")
 
     def test_query_tracks_demonstrations(self, door_policy, door_demos):
         """The mean stays inside the envelope the demos actually span."""

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gplfd import InvalidInputError, generate_synthetic_door_set
+from gplfd.synthetic import MAX_DOOR_SAMPLES
 
 
 def test_demo_count_and_shape():
@@ -72,3 +73,10 @@ def test_parameter_validation():
         generate_synthetic_door_set(n_samples=1)
     with pytest.raises(InvalidInputError):
         generate_synthetic_door_set(max_angle=4.0)
+    with pytest.raises(InvalidInputError):
+        generate_synthetic_door_set(noise=math.nan)
+    with pytest.raises(InvalidInputError):
+        generate_synthetic_door_set(radii=(math.inf,))
+    # Refused before a single pose is built.
+    with pytest.raises(InvalidInputError, match="at most"):
+        generate_synthetic_door_set(repeats=MAX_DOOR_SAMPLES)
