@@ -9,18 +9,23 @@ their intermediate samples dragged onto the wrong task phase.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DegenerateTrajectoryError, InvalidInputError
-from .se3 import (ANGLE_EPS, DistanceWeights, Pose, RotationVector,
-                  arc_distance, pose_distance, quaternion_of,
-                  rotvec_from_quaternion)
+from .se3 import (DistanceWeights, Pose, arc_distances, canonical_rotvecs,
+                  pose_distances, pose_rows, slerp)
 
 MEASURES = ("tci", "euclidean-pose")
+# Most cells (na * nb) of one DTW pair: the cost matrix and the cumulative
+# cost matrix take 8 bytes a cell each, about 400 MB together at the cap.
+MAX_DTW_CELLS = 25_000_000
+# Cells per row block of the euclidean-pose cost matrix: its (rows, nb, 3)
+# temporaries take about 100 bytes a cell.
+_COST_BLOCK_CELLS = 1_000_000
 
 
 class AlignmentWarning(UserWarning):
@@ -29,40 +34,39 @@ class AlignmentWarning(UserWarning):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Strictly increasing timestamps paired with poses, at least two samples."""
+    """Strictly increasing stamps paired with pose rows, at least two samples.
+
+    ``samples`` is an (n, 6) array: the position, then the canonical
+    rotation vector. The constructor takes any array-like of that shape, a
+    sequence of Poses included, and canonicalizes the rotations.
+    """
 
     stamps: np.ndarray
-    poses: tuple
+    samples: np.ndarray
 
     def __post_init__(self):
         stamps = np.asarray(self.stamps, dtype=float)
-        poses = tuple(self.poses)
         if stamps.ndim != 1 or stamps.size < 2:
             raise InvalidInputError("trajectory needs at least two samples")
         if not np.all(np.isfinite(stamps)):
             raise InvalidInputError("timestamps must be finite")
         if np.any(np.diff(stamps) <= 0.0):
             raise InvalidInputError("timestamps must be strictly increasing")
-        if len(poses) != stamps.size:
+        samples = pose_rows(self.samples)
+        if len(samples) != stamps.size:
             raise InvalidInputError("timestamps and poses differ in length")
-        if not all(isinstance(p, Pose) for p in poses):
-            raise InvalidInputError("trajectory samples must be Pose instances")
         object.__setattr__(self, "stamps", stamps)
-        object.__setattr__(self, "poses", poses)
+        object.__setattr__(self, "samples", samples)
         stamps.setflags(write=False)
+        samples.setflags(write=False)
 
     def __len__(self):
         return self.stamps.size
 
-    def positions(self) -> np.ndarray:
-        return np.stack([p.position for p in self.poses])
-
-    def rotation_vectors(self) -> np.ndarray:
-        return np.stack([p.rotation.vec for p in self.poses])
-
-    def as_matrix(self) -> np.ndarray:
-        """Sample-major (n, 6) array of concatenated pose vectors."""
-        return np.hstack([self.positions(), self.rotation_vectors()])
+    @cached_property
+    def poses(self) -> tuple:
+        """The samples as Pose objects, built on first use and kept."""
+        return tuple(Pose.from_vector(row) for row in self.samples)
 
 
 @dataclass(frozen=True)
@@ -77,42 +81,17 @@ class TCIProfile:
         z.setflags(write=False)
 
 
-def _step_lengths(traj: Trajectory, weights: DistanceWeights) -> np.ndarray:
-    pos = traj.positions()
-    rot = traj.rotation_vectors()
-    dp = np.diff(pos, axis=0)
-    trans_sq = np.einsum("ij,ij->i", dp, dp)
-    arc = _arc_distances(rot[:-1], rot[1:])
-    return np.sqrt(weights.rotation * arc * arc + weights.translation * trans_sq)
-
-
-def _arc_distances(ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
-    """Vectorized geodesic angles between rows of canonical rotation vectors."""
-    tha = np.linalg.norm(ra, axis=-1)
-    thb = np.linalg.norm(rb, axis=-1)
-    ua = np.where(tha[..., None] < ANGLE_EPS, [1.0, 0.0, 0.0],
-                  ra / np.maximum(tha, ANGLE_EPS)[..., None])
-    ub = np.where(thb[..., None] < ANGLE_EPS, [1.0, 0.0, 0.0],
-                  rb / np.maximum(thb, ANGLE_EPS)[..., None])
-    ca, sa = np.cos(0.5 * tha), np.sin(0.5 * tha)
-    cb, sb = np.cos(0.5 * thb), np.sin(0.5 * thb)
-    # Same atan2 form as se3.arc_distance: exact zero for coincident rows.
-    w = ca * cb + sa * sb * np.einsum("...i,...i->...", ua, ub)
-    v = ((ca * sb)[..., None] * ub - (cb * sa)[..., None] * ua
-         - (sa * sb)[..., None] * np.cross(ua, ub))
-    return 2.0 * np.arctan2(np.linalg.norm(v, axis=-1), np.abs(w))
-
-
 def path_length(traj: Trajectory,
                 weights: DistanceWeights = DistanceWeights()) -> float:
     """Total SE(3) arc length under the weighted pose distance."""
-    return float(np.sum(_step_lengths(traj, weights)))
+    return float(np.sum(pose_distances(traj.samples[:-1], traj.samples[1:],
+                                       weights)))
 
 
 def tci_profile(traj: Trajectory,
                 weights: DistanceWeights = DistanceWeights()) -> TCIProfile:
     """Cumulative fraction of path length covered at each sample."""
-    steps = _step_lengths(traj, weights)
+    steps = pose_distances(traj.samples[:-1], traj.samples[1:], weights)
     total = float(np.sum(steps))
     if total <= 0.0:
         raise DegenerateTrajectoryError(
@@ -148,13 +127,10 @@ def _cost_matrix(a: Trajectory, b: Trajectory, weights: DistanceWeights,
         zb = tci_profile(b, weights).zeta
         return np.abs(za[:, None] - zb[None, :])
     if measure == "euclidean-pose":
-        pa, pb = a.positions(), b.positions()
-        dp = pa[:, None, :] - pb[None, :, :]
-        trans_sq = np.einsum("ijk,ijk->ij", dp, dp)
-        ra, rb = a.rotation_vectors(), b.rotation_vectors()
-        arc = _arc_distances(ra[:, None, :], rb[None, :, :])
-        return np.sqrt(weights.rotation * arc * arc
-                       + weights.translation * trans_sq)
+        step = max(1, _COST_BLOCK_CELLS // len(b))
+        return np.concatenate([pose_distances(a.samples[i:i + step, None, :],
+                                              b.samples[None, :, :], weights)
+                               for i in range(0, len(a), step)])
     raise InvalidInputError(f"unknown alignment measure {measure!r}; "
                             f"expected one of {MEASURES}")
 
@@ -167,6 +143,9 @@ def dtw_align(a: Trajectory, b: Trajectory,
     ``a`` is treated as the reference: when backtracking hits cost ties the
     diagonal step is preferred, then the step that advances ``a``.
     """
+    if len(a) * len(b) > MAX_DTW_CELLS:
+        raise InvalidInputError(f"a DTW pair holds at most {MAX_DTW_CELLS} "
+                                f"cells; got {len(a)} x {len(b)} samples")
     C = _cost_matrix(a, b, weights, measure)
     na, nb = C.shape
     D = np.full((na, nb), np.inf)
@@ -199,14 +178,21 @@ def dtw_align(a: Trajectory, b: Trajectory,
     return WarpPath(pairs=np.array(pairs), cost=float(D[na - 1, nb - 1]))
 
 
-def _mean_rotation_pick(rotvecs: np.ndarray) -> RotationVector:
-    # Among collided samples keep the member closest to their componentwise
-    # mean; averaging rotation vectors directly is only a tie-break device.
-    if rotvecs.shape[0] == 1:
-        return RotationVector(rotvecs[0])
-    center = RotationVector(np.mean(rotvecs, axis=0))
-    dists = [arc_distance(RotationVector(r), center) for r in rotvecs]
-    return RotationVector(rotvecs[int(np.argmin(dists))])
+def _merge_collisions(samples: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """One pose row per reference index from the warp's (i, j) pairs.
+
+    The pairs are sorted by i and cover every reference index. Samples that
+    share an i average their positions; for the rotation, the member
+    closest to the canonical componentwise mean wins, the first one on a
+    tie. Averaging rotation vectors directly is only a tie-break device.
+    """
+    i, members = pairs[:, 0], samples[pairs[:, 1]]
+    counts = np.bincount(i)
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    means = np.add.reduceat(members, starts, axis=0) / counts[:, None]
+    dists = arc_distances(members[:, 3:], canonical_rotvecs(means[i, 3:]))
+    pick = np.lexsort((dists, i))[starts]
+    return np.hstack([means[:, :3], members[pick, 3:]])
 
 
 def align_demonstrations(demos, weights: DistanceWeights = DistanceWeights(),
@@ -244,41 +230,12 @@ def align_demonstrations(demos, weights: DistanceWeights = DistanceWeights(),
     aligned = []
     for demo in usable:
         if demo is ref:
-            aligned.append(Trajectory(stamps, ref.poses))
+            aligned.append(Trajectory(stamps, ref.samples))
             continue
         warp = dtw_align(ref, demo, weights, measure)
-        poses = []
-        pairs = warp.pairs
-        for i in range(len(ref)):
-            js = pairs[pairs[:, 0] == i, 1]
-            if js.size == 1:
-                poses.append(demo.poses[int(js[0])])
-                continue
-            members = [demo.poses[int(j)] for j in js]
-            position = np.mean([p.position for p in members], axis=0)
-            rotation = _mean_rotation_pick(
-                np.stack([p.rotation.vec for p in members]))
-            poses.append(Pose(position, rotation))
-        aligned.append(Trajectory(stamps, tuple(poses)))
+        aligned.append(Trajectory(stamps,
+                                  _merge_collisions(demo.samples, warp.pairs)))
     return aligned
-
-
-def _slerp(ra: RotationVector, rb: RotationVector, frac: float) -> RotationVector:
-    if frac <= 0.0:
-        return ra
-    if frac >= 1.0:
-        return rb
-    qa, qb = quaternion_of(ra), quaternion_of(rb)
-    dot = float(np.dot(qa, qb))
-    if dot < 0.0:
-        qb, dot = -qb, -dot
-    if dot > 1.0 - 1e-12:
-        q = (1.0 - frac) * qa + frac * qb
-        return rotvec_from_quaternion(q / np.linalg.norm(q))
-    omega = math.acos(min(1.0, dot))
-    s = math.sin(omega)
-    q = (math.sin((1.0 - frac) * omega) / s) * qa + (math.sin(frac * omega) / s) * qb
-    return rotvec_from_quaternion(q / np.linalg.norm(q))
 
 
 def resample(traj: Trajectory, grid) -> Trajectory:
@@ -296,16 +253,11 @@ def resample(traj: Trajectory, grid) -> Trajectory:
     if grid[0] < traj.stamps[0] - 1e-12 or grid[-1] > traj.stamps[-1] + 1e-12:
         raise InvalidInputError("resample grid extends outside the trajectory span")
 
-    stamps = traj.stamps
-    pos = traj.positions()
-    new_pos = np.stack([np.interp(grid, stamps, pos[:, d]) for d in range(3)],
-                       axis=1)
+    stamps, samples = traj.stamps, traj.samples
+    new_pos = np.stack([np.interp(grid, stamps, samples[:, d])
+                        for d in range(3)], axis=1)
     idx = np.clip(np.searchsorted(stamps, grid, side="right") - 1,
                   0, len(traj) - 2)
-    poses = []
-    for g, k, p in zip(grid, idx, new_pos):
-        t0, t1 = stamps[k], stamps[k + 1]
-        frac = (g - t0) / (t1 - t0)
-        rot = _slerp(traj.poses[k].rotation, traj.poses[k + 1].rotation, frac)
-        poses.append(Pose(p, rot))
-    return Trajectory(grid, tuple(poses))
+    frac = (grid - stamps[idx]) / (stamps[idx + 1] - stamps[idx])
+    rot = slerp(samples[idx, 3:], samples[idx + 1, 3:], frac)
+    return Trajectory(grid, np.hstack([new_pos, rot]))

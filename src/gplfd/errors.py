@@ -13,6 +13,8 @@ class ToolkitError(Exception):
 class InvalidInputError(ToolkitError, ValueError):
     """An argument violates a documented precondition."""
 
+    row = None  # set by row-wise checks, so a file reader can name the line
+
 
 class InsufficientDataError(InvalidInputError):
     """Too few data points for the requested operation."""

@@ -47,6 +47,8 @@ JITTER_MAX_FRAC = 1e-4
 
 # Fewest training points a heteroscedastic fit accepts.
 HETERO_MIN_POINTS = 10
+# Most L-BFGS-B starts of one search: each start is a full local search.
+MAX_OPT_STARTS = 1000
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -398,8 +400,9 @@ class OptConfig:
     noise_std_bounds: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if self.n_starts < 1 or self.max_iter < 1:
-            raise InvalidInputError("optimizer starts and iterations must be >= 1")
+        if not 1 <= self.n_starts <= MAX_OPT_STARTS or self.max_iter < 1:
+            raise InvalidInputError(f"optimizer starts must lie in [1, "
+                                    f"{MAX_OPT_STARTS}] and iterations be >= 1")
         for bounds in (self.length_scale_bounds, self.signal_std_bounds,
                        self.noise_std_bounds):
             if bounds is not None and not (
@@ -456,11 +459,9 @@ def optimize_hyperparameters(train: TrainingSet, noise=None,
         return -lml, -grad
 
     rng = np.random.default_rng(config.seed)
-    starts = [np.array([rng.uniform(lo, hi) for lo, hi in log_bounds])
-              for _ in range(config.n_starts)]
-
     best_theta, best_lml = None, -np.inf
-    for theta0 in starts:
+    for _ in range(config.n_starts):
+        theta0 = np.array([rng.uniform(lo, hi) for lo, hi in log_bounds])
         try:
             res = minimize(objective, theta0, jac=True, method="L-BFGS-B",
                            bounds=log_bounds,

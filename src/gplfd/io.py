@@ -20,7 +20,7 @@ from .alignment import Trajectory
 from .errors import FormatError, InvalidInputError, ParseError
 from .gp import HeteroGPModel, KernelParams, TrainingSet, fit_gp
 from .policy import DIM_NAMES, TaskPolicy, ViaPoint
-from .se3 import Pose, RotationVector, quaternion_of, rotvec_from_quaternion
+from .se3 import Pose, pose_rows, quaternions_of, rotvecs_from_quaternions
 
 FORMAT_DEMO = "gplfd-demo v1"
 FORMAT_VIA = "gplfd-via v1"
@@ -72,9 +72,13 @@ def canonical_sha256(payload: dict) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _read_columnar(path):
-    """Returns (metadata, header, rows-with-line-numbers)."""
-    metadata, header, rows = {}, None, []
+def _read_columnar(path, fmt_tag, width=None):
+    """(metadata, header, float rows, line numbers) of a columnar file.
+
+    Checks the format tag; each row needs ``width`` cells, the header's by
+    default, and a bad one raises ParseError at its line.
+    """
+    metadata, header, cells = {}, None, []
     for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -90,30 +94,23 @@ def _read_columnar(path):
         elif header is None:
             header = [cell.strip() for cell in line.split(",")]
         else:
-            rows.append((lineno, line.split(",")))
+            cells.append((lineno, line.split(",")))
     if header is None:
         raise FormatError(f"{path}: no header row")
-    return metadata, header, rows
-
-
-def _parse_floats(cells, lineno, expected):
-    if len(cells) != expected:
-        raise ParseError(f"expected {expected} columns, found {len(cells)}",
-                         line=lineno)
-    out = []
-    for cell in cells:
-        try:
-            out.append(float(cell))
-        except ValueError:
-            raise ParseError(f"unreadable number {cell.strip()!r}",
-                             line=lineno) from None
-    return out
-
-
-def _check_format(metadata, expected, path):
     found = metadata.get("format")
-    if found != expected:
-        raise FormatError(f"{path}: expected format {expected!r}, found {found!r}")
+    if found != fmt_tag:
+        raise FormatError(f"{path}: expected format {fmt_tag!r}, found {found!r}")
+    width = width or len(header)
+    rows = np.empty((len(cells), width))
+    for k, (lineno, row) in enumerate(cells):
+        if len(row) != width:
+            raise ParseError(f"expected {width} columns, found {len(row)}",
+                             line=lineno)
+        try:
+            rows[k] = [float(cell) for cell in row]
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno) from None
+    return metadata, header, rows, [lineno for lineno, _ in cells]
 
 
 def _quaternion_order(metadata, path):
@@ -123,14 +120,16 @@ def _quaternion_order(metadata, path):
     return order
 
 
-def _pose_from_cells(values, order, lineno):
-    quat = np.array(values[3:7])
-    if order == "xyzw":
-        quat = quat[[3, 0, 1, 2]]
+def _pose_rows(path, metadata, rows, lines) -> np.ndarray:
+    """Pose rows of position and quaternion columns; a bad one names its line."""
+    quat = rows[:, 3:7]
+    if _quaternion_order(metadata, path) == "xyzw":
+        quat = quat[:, [3, 0, 1, 2]]
     try:
-        return Pose(np.array(values[0:3]), rotvec_from_quaternion(quat))
+        return pose_rows(np.hstack([rows[:, :3],
+                                    rotvecs_from_quaternions(quat)]))
     except InvalidInputError as exc:
-        raise ParseError(str(exc), line=lineno) from None
+        raise ParseError(str(exc), line=lines[exc.row]) from None
 
 
 # ---------------------------------------------------------------------------
@@ -138,41 +137,32 @@ def _pose_from_cells(values, order, lineno):
 # ---------------------------------------------------------------------------
 
 def save_demonstration(path, traj: Trajectory, frame: str = "task") -> None:
-    rows = []
-    for t, pose in zip(traj.stamps, traj.poses):
-        q = quaternion_of(pose.rotation)
-        rows.append([t, *pose.position, *q])
+    samples = traj.samples
+    rows = np.hstack([traj.stamps[:, None], samples[:, :3],
+                      quaternions_of(samples[:, 3:])])
     _write_columnar(path, FORMAT_DEMO,
                     {"frame": frame, "quaternion": "wxyz"},
                     _DEMO_HEADER, rows)
 
 
+def _demonstration(path, metadata, header, rows, lines) -> Trajectory:
+    return Trajectory(rows[:, 0], _pose_rows(path, metadata, rows[:, 1:], lines))
+
+
 def load_demonstration(path) -> Trajectory:
-    metadata, header, rows = _read_columnar(path)
-    _check_format(metadata, FORMAT_DEMO, path)
-    order = _quaternion_order(metadata, path)
-    stamps, poses = [], []
-    for lineno, cells in rows:
-        values = _parse_floats(cells, lineno, len(_DEMO_HEADER))
-        stamps.append(values[0])
-        poses.append(_pose_from_cells(values[1:], order, lineno))
-    return Trajectory(np.array(stamps), tuple(poses))
+    return _demonstration(path, *_read_columnar(path, FORMAT_DEMO,
+                                                len(_DEMO_HEADER)))
 
 
 def load_demonstrations(paths) -> list:
-    """Load several demonstration files, requiring consistent headers."""
-    paths = list(paths)
-    demos, orders = [], set()
-    for path in paths:
-        metadata, _, _ = _read_columnar(path)
-        _check_format(metadata, FORMAT_DEMO, path)
-        orders.add(_quaternion_order(metadata, path))
+    """Load demonstration files, each read once, all headers checked first."""
+    files = [(path, _read_columnar(path, FORMAT_DEMO, len(_DEMO_HEADER)))
+             for path in paths]
+    orders = {_quaternion_order(file[0], path) for path, file in files}
     if len(orders) > 1:
         raise FormatError("mixed quaternion conventions across demonstration "
                           f"files: {sorted(orders)}")
-    for path in paths:
-        demos.append(load_demonstration(path))
-    return demos
+    return [_demonstration(path, *file) for path, file in files]
 
 
 # ---------------------------------------------------------------------------
@@ -180,25 +170,23 @@ def load_demonstrations(paths) -> list:
 # ---------------------------------------------------------------------------
 
 def save_viapoints(path, vias) -> None:
-    rows = []
-    for via in vias:
-        q = quaternion_of(via.pose.rotation)
-        rows.append([via.time, *via.pose.position, *q,
-                     via.strength[0], via.strength[3]])
+    rows = [[via.time, *via.pose.position, *quaternions_of(via.pose.rotation.vec),
+             via.strength[0], via.strength[3]] for via in vias]
     _write_columnar(path, FORMAT_VIA, {"quaternion": "wxyz"},
                     _VIA_HEADER, rows)
 
 
 def load_viapoints(path) -> list:
-    metadata, header, rows = _read_columnar(path)
-    _check_format(metadata, FORMAT_VIA, path)
-    order = _quaternion_order(metadata, path)
+    metadata, _, rows, lines = _read_columnar(path, FORMAT_VIA,
+                                              len(_VIA_HEADER))
+    poses = _pose_rows(path, metadata, rows[:, 1:8], lines)
     vias = []
-    for lineno, cells in rows:
-        values = _parse_floats(cells, lineno, len(_VIA_HEADER))
-        pose = _pose_from_cells(values[1:8], order, lineno)
-        strength = np.array([values[8]] * 3 + [values[9]] * 3)
-        vias.append(ViaPoint(values[0], pose, strength))
+    for lineno, values, pose in zip(lines, rows, poses):
+        try:
+            vias.append(ViaPoint(float(values[0]), Pose.from_vector(pose),
+                                 np.repeat(values[8:], 3)))
+        except InvalidInputError as exc:
+            raise ParseError(str(exc), line=lineno) from None
     return vias
 
 
@@ -215,11 +203,8 @@ def write_table(path, header, rows, metadata=None) -> None:
 
 def read_table(path):
     """Returns (metadata, header, float array of shape (rows, columns))."""
-    metadata, header, raw = _read_columnar(path)
-    _check_format(metadata, FORMAT_TABLE, path)
-    rows = [_parse_floats(cells, lineno, len(header)) for lineno, cells in raw]
-    data = np.array(rows, dtype=float) if rows else np.empty((0, len(header)))
-    return metadata, header, data
+    metadata, header, rows, _ = _read_columnar(path, FORMAT_TABLE)
+    return metadata, header, rows
 
 
 def save_trace(path, trace) -> None:

@@ -21,7 +21,7 @@ from .errors import (InconsistentConstraintError, InsufficientDataError,
                      InvalidInputError)
 from .gp import (HeteroConfig, HeteroGPModel, PosteriorPrediction, TrainingSet,
                  fit_gp, fit_heteroscedastic, gaussian_product)
-from .se3 import DistanceWeights, Pose, RotationVector
+from .se3 import DistanceWeights, Pose
 
 DIM_NAMES = ("x", "y", "z", "rx", "ry", "rz")
 
@@ -65,7 +65,7 @@ class PoseDistribution:
         if float(np.linalg.norm(rot)) > math.pi:
             warnings.warn("rotation mean crossed the pi-ball boundary; the "
                           "canonical representative wraps", RuntimeWarning)
-        return Pose(self.mean[:3], RotationVector(rot))
+        return Pose(self.mean[:3], rot)
 
 
 def strength_vector(strength) -> np.ndarray:
@@ -138,14 +138,10 @@ def learn_policy(demos, config: LearnConfig = LearnConfig()) -> TaskPolicy:
         raise InsufficientDataError("policy learning needs at least 2 demonstrations")
     aligned = align_demonstrations(demos, config.weights, config.measure)
     grid = np.linspace(0.0, 1.0, config.grid_size)
-    sampled = [resample(traj, grid).as_matrix() for traj in aligned]
-
-    t_pool = np.tile(grid, len(sampled))
-    models = []
-    for d in range(6):
-        y_pool = np.concatenate([mat[:, d] for mat in sampled])
-        models.append(fit_heteroscedastic(TrainingSet(t_pool, y_pool),
-                                          config.hetero))
+    pooled = np.concatenate([resample(traj, grid).samples for traj in aligned])
+    t_pool = np.tile(grid, len(aligned))
+    models = [fit_heteroscedastic(TrainingSet(t_pool, pooled[:, d].copy()),
+                                  config.hetero) for d in range(6)]
     return TaskPolicy(dims=models, grid=grid)
 
 
@@ -229,7 +225,7 @@ def prediction_error(pred, truth: Trajectory) -> np.ndarray:
         raise InvalidInputError("prediction and truth lengths differ")
     means = np.stack([p.mean for p in pred])
     vars_ = np.stack([p.var for p in pred])
-    target = truth.as_matrix()
+    target = truth.samples
     return np.mean((means - target) ** 2 + vars_, axis=0)
 
 
@@ -262,12 +258,11 @@ def streaming_evaluation(policy: TaskPolicy, truth: Trajectory,
     stamps = truth.stamps
     ts = (stamps - stamps[0]) / (stamps[-1] - stamps[0])
     strength = np.broadcast_to(np.asarray(strength, dtype=float), (6,)).copy()
-    target = Trajectory(ts[1:], truth.poses[1:])
+    target = Trajectory(ts[1:], truth.samples[1:])
 
-    adaptive = []
-    for i in range(1, ts.size):
-        vias = [ViaPoint(ts[j], truth.poses[j], strength) for j in range(i)]
-        adaptive.append(adapt_with_viapoints(policy, vias, ts[i])[0])
+    vias = [ViaPoint(t, pose, strength) for t, pose in zip(ts, truth.poses)]
+    adaptive = [adapt_with_viapoints(policy, vias[:i], ts[i])[0]
+                for i in range(1, ts.size)]
     static = query(policy, ts[1:])
     return StreamingReport(static_mse=prediction_error(static, target),
                            adaptive_mse=prediction_error(adaptive, target))

@@ -3,6 +3,10 @@
 Rotations are stored as rotation vectors r = angle * axis with norm(r) <= pi.
 The antipodal ambiguity on the norm(r) = pi boundary is resolved by a fixed
 hemisphere rule so equality of rotations is equality of vectors.
+
+Every operation is written once, over the last axis of an array of rows.
+The single-rotation API (RotationVector, Pose, quaternion_of, arc_distance,
+...) calls it on one row.
 """
 
 from __future__ import annotations
@@ -21,179 +25,131 @@ HEMISPHERE_TOL = 1e-9
 # Axis components this close to zero count as zero in the hemisphere rule.
 _COMPONENT_EPS = 1e-12
 
-_IDENTITY_AXIS = np.array([1.0, 0.0, 0.0])
+
+def _refuse_rows(bad, message: str) -> None:
+    """Raise InvalidInputError, with ``row`` set, for the first row in ``bad``."""
+    bad = np.ravel(bad)
+    if bad.any():
+        exc = InvalidInputError(message)
+        exc.row = int(np.argmax(bad))
+        raise exc
 
 
-def _hemisphere_representative(vec):
+def _finite_rows(values, width: int, what: str, one: bool = False) -> np.ndarray:
+    """Float rows of length ``width`` (exactly one row if ``one``), all finite."""
+    values = np.asarray(values, dtype=float)
+    message = f"{what} must be a finite {width}-vector"
+    if values.shape[-1:] != (width,) or (one and values.ndim != 1):
+        raise InvalidInputError(message)
+    _refuse_rows(~np.all(np.isfinite(values), axis=-1), message)
+    return values
+
+
+def canonical_rotvecs(r) -> np.ndarray:
+    """Canonical representatives of rotation vectors, row by row.
+
+    Rows inside the pi-ball come back bit for bit, so canonicalizing twice
+    changes nothing. Longer rows wrap modulo 2*pi and flip their axis past
+    pi; rows on the boundary obey the hemisphere rule.
+    """
+    r = _finite_rows(r, 3, "rotation vector")
+    angle = np.linalg.norm(r, axis=-1, keepdims=True)
+    wrapped = np.fmod(angle, 2.0 * math.pi)
+    past_pi = wrapped > math.pi
+    wrapped = np.where(past_pi, 2.0 * math.pi - wrapped, wrapped)
+    axis = r / np.maximum(angle, ANGLE_EPS)
+    out = np.where(angle > math.pi,
+                   np.where(past_pi, -wrapped, wrapped) * axis, r)
+    out = np.where(wrapped < ANGLE_EPS, 0.0, out)
     # On the boundary r and -r encode the same rotation; keep the one whose
     # axis has u_z >= 0, breaking ties by u_y, then u_x.
-    x, y, z = vec
-    if z < -_COMPONENT_EPS:
-        return -vec
-    if z <= _COMPONENT_EPS:
-        if y < -_COMPONENT_EPS:
-            return -vec
-        if y <= _COMPONENT_EPS and x < -_COMPONENT_EPS:
-            return -vec
-    return vec
+    x, y, z = out[..., 0], out[..., 1], out[..., 2]
+    tiny = _COMPONENT_EPS
+    lower = (z < -tiny) | ((z <= tiny) & ((y < -tiny)
+                                          | ((y <= tiny) & (x < -tiny))))
+    flip = (np.abs(wrapped[..., 0] - math.pi) <= HEMISPHERE_TOL) & lower
+    return np.where(flip[..., None], -out, out)
 
 
-def _canonical_vector(vec):
-    """Map an arbitrary 3-vector, read as angle*axis, onto the closed pi-ball."""
-    vec = np.asarray(vec, dtype=float)
-    if vec.shape != (3,) or not np.all(np.isfinite(vec)):
-        raise InvalidInputError("rotation vector must be a finite 3-vector")
-    angle = float(np.linalg.norm(vec))
-    if angle < ANGLE_EPS:
-        return np.zeros(3)
-    axis = vec / angle
-    angle = math.fmod(angle, 2.0 * math.pi)
-    if angle > math.pi:
-        angle = 2.0 * math.pi - angle
-        axis = -axis
-    if angle < ANGLE_EPS:
-        return np.zeros(3)
-    out = angle * axis
-    if abs(angle - math.pi) <= HEMISPHERE_TOL:
-        out = _hemisphere_representative(out)
-    return out
+def quaternions_of(r) -> np.ndarray:
+    """Unit quaternions (w, x, y, z), scalar first, of canonical rotation vectors."""
+    r = np.asarray(r, dtype=float)
+    # A canonical row below ANGLE_EPS is exactly zero: it maps to (1, 0, 0, 0).
+    half = 0.5 * np.linalg.norm(r, axis=-1, keepdims=True)
+    return np.concatenate([np.cos(half), np.sin(half) * (
+        r / np.maximum(2.0 * half, ANGLE_EPS))], axis=-1)
 
 
-@dataclass(frozen=True)
-class RotationVector:
-    """Canonical axis-angle rotation, immutable after construction.
+def rotvecs_from_quaternions(q) -> np.ndarray:
+    """Canonical rotation vectors of unit quaternions (w, x, y, z), row by row.
 
-    The constructor canonicalizes its input, so every instance satisfies
-    norm <= pi and the boundary hemisphere rule. Construction is therefore
-    idempotent: RotationVector(r.vec) == r.
+    q and -q map to the same rotation. Each norm must be within 1e-6 of one;
+    the quaternions are renormalized before conversion.
     """
-
-    vec: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "vec", _canonical_vector(self.vec))
-        self.vec.setflags(write=False)
-
-    @property
-    def angle(self) -> float:
-        return float(np.linalg.norm(self.vec))
-
-    @property
-    def axis(self) -> np.ndarray:
-        """Unit axis; the identity rotation reports (1, 0, 0) by convention."""
-        theta = self.angle
-        if theta < ANGLE_EPS:
-            return _IDENTITY_AXIS.copy()
-        return self.vec / theta
-
-    def __eq__(self, other):
-        if not isinstance(other, RotationVector):
-            return NotImplemented
-        return bool(np.array_equal(self.vec, other.vec))
-
-    def __hash__(self):
-        return hash(self.vec.tobytes())
-
-
-IDENTITY_ROTATION = RotationVector(np.zeros(3))
-
-
-def canonicalize_rotation(axis, angle) -> RotationVector:
-    """Build the canonical rotation vector for a rotation about ``axis``.
-
-    The axis need not be unit length but must be nonzero whenever the angle
-    is not a multiple of 2*pi.
-    """
-    axis = np.asarray(axis, dtype=float)
-    if axis.shape != (3,) or not np.all(np.isfinite(axis)):
-        raise InvalidInputError("axis must be a finite 3-vector")
-    if not math.isfinite(angle):
-        raise InvalidInputError("angle must be finite")
-    norm = float(np.linalg.norm(axis))
-    angle = math.fmod(float(angle), 2.0 * math.pi)
-    if abs(angle) < ANGLE_EPS:
-        return RotationVector(np.zeros(3))
-    if norm < ANGLE_EPS:
-        raise InvalidInputError("zero-norm axis with a nonzero rotation angle")
-    return RotationVector(axis / norm * angle)
-
-
-def quaternion_of(rot: RotationVector) -> np.ndarray:
-    """Unit quaternion (w, x, y, z) of a rotation vector, scalar first."""
-    theta = rot.angle
-    if theta < ANGLE_EPS:
-        return np.array([1.0, 0.0, 0.0, 0.0])
-    half = 0.5 * theta
-    q = np.empty(4)
-    q[0] = math.cos(half)
-    q[1:] = math.sin(half) * (rot.vec / theta)
-    return q
-
-
-def rotvec_from_quaternion(q) -> RotationVector:
-    """Canonical rotation vector of a unit quaternion (w, x, y, z).
-
-    q and -q map to the same rotation. The norm must be within 1e-6 of one;
-    the quaternion is renormalized before conversion.
-    """
-    q = np.asarray(q, dtype=float)
-    if q.shape != (4,) or not np.all(np.isfinite(q)):
-        raise InvalidInputError("quaternion must be a finite 4-vector")
-    norm = float(np.linalg.norm(q))
-    if abs(norm - 1.0) > 1e-6:
-        raise InvalidInputError(f"quaternion is not unit length: norm "
-                                f"{norm:.8f} deviates from 1 by more than 1e-6")
+    q = _finite_rows(q, 4, "quaternion")
+    norm = np.linalg.norm(q, axis=-1, keepdims=True)
+    bad = np.abs(norm - 1.0) > 1e-6
+    first = np.ravel(norm)[np.argmax(np.ravel(bad))]
+    _refuse_rows(bad, f"quaternion is not unit length: norm {first:.8f} "
+                      "deviates from 1 by more than 1e-6")
     q = q / norm
-    if q[0] < 0.0:
-        q = -q
-    vec_norm = float(np.linalg.norm(q[1:]))
+    q = np.where(q[..., :1] < 0.0, -q, q)
+    vec_norm = np.linalg.norm(q[..., 1:], axis=-1, keepdims=True)
     # atan2 keeps full accuracy near the identity where arccos(w) loses digits.
-    theta = 2.0 * math.atan2(vec_norm, q[0])
-    if theta < ANGLE_EPS or vec_norm == 0.0:
-        return RotationVector(np.zeros(3))
-    return RotationVector(q[1:] / vec_norm * theta)
+    theta = 2.0 * np.arctan2(vec_norm, q[..., :1])
+    # Rows below ANGLE_EPS come out as exact zeros from canonical_rotvecs.
+    return canonical_rotvecs(q[..., 1:] / np.where(vec_norm > 0.0, vec_norm, 1.0)
+                             * theta)
 
 
-def arc_distance(a: RotationVector, b: RotationVector) -> float:
-    """Geodesic angle in [0, pi] between two canonical rotations."""
-    ha, hb = 0.5 * a.angle, 0.5 * b.angle
-    ca, sa = math.cos(ha), math.sin(ha)
-    cb, sb = math.cos(hb), math.sin(hb)
-    ua, ub = a.axis, b.axis
+def arc_distances(ra, rb) -> np.ndarray:
+    """Geodesic angles in [0, pi] between rows of canonical rotation vectors."""
+    qa, qb = quaternions_of(ra), quaternions_of(rb)
     # Relative-quaternion components; atan2 keeps full precision at both
     # ends of [0, pi] where arccos loses half the significant digits, and
     # coincident inputs cancel to an exact zero.
-    w = ca * cb + sa * sb * float(np.dot(ua, ub))
-    v = ca * sb * ub - cb * sa * ua - sa * sb * np.cross(ua, ub)
-    return 2.0 * math.atan2(float(np.linalg.norm(v)), abs(w))
+    w = np.einsum("...i,...i->...", qa, qb)
+    v = (qa[..., :1] * qb[..., 1:] - qb[..., :1] * qa[..., 1:]
+         - np.cross(qa[..., 1:], qb[..., 1:]))
+    return 2.0 * np.arctan2(np.linalg.norm(v, axis=-1), np.abs(w))
 
 
-@dataclass(frozen=True)
-class Pose:
-    """Position paired with a canonical rotation."""
+def slerp(ra, rb, frac) -> np.ndarray:
+    """Geodesic interpolation between rows of canonical rotation vectors.
 
-    position: np.ndarray
-    rotation: RotationVector
+    Fractions <= 0 and >= 1 return the rows of ``ra`` and ``rb`` bit for bit.
+    Nearly parallel quaternions blend linearly: the sine ratio loses its
+    digits there.
+    """
+    ra, rb = np.asarray(ra, dtype=float), np.asarray(rb, dtype=float)
+    frac = np.asarray(frac, dtype=float)[..., None]
+    qa, qb = quaternions_of(ra), quaternions_of(rb)
+    dot = np.einsum("...i,...i->...", qa, qb)[..., None]
+    qb = np.where(dot < 0.0, -qb, qb)
+    dot = np.abs(dot)
+    near = dot > 1.0 - 1e-12
+    omega = np.arccos(np.minimum(dot, 1.0))
+    s = np.where(near, 1.0, np.sin(omega))
+    q = (np.where(near, 1.0 - frac, np.sin((1.0 - frac) * omega) / s) * qa
+         + np.where(near, frac, np.sin(frac * omega) / s) * qb)
+    out = rotvecs_from_quaternions(q / np.linalg.norm(q, axis=-1, keepdims=True))
+    return np.where(frac <= 0.0, ra, np.where(frac >= 1.0, rb, out))
 
-    def __post_init__(self):
-        pos = np.asarray(self.position, dtype=float)
-        if pos.shape != (3,) or not np.all(np.isfinite(pos)):
-            raise InvalidInputError("position must be a finite 3-vector")
-        object.__setattr__(self, "position", pos)
-        self.position.setflags(write=False)
-        if not isinstance(self.rotation, RotationVector):
-            object.__setattr__(self, "rotation", RotationVector(self.rotation))
 
-    def as_vector(self) -> np.ndarray:
-        """Concatenated (position, rotation vector), length 6."""
-        return np.concatenate([self.position, self.rotation.vec])
+def pose_rows(samples) -> np.ndarray:
+    """Checked (n, 6) copy of pose rows: position, canonical rotation vector.
 
-    @classmethod
-    def from_vector(cls, vec) -> "Pose":
-        vec = np.asarray(vec, dtype=float)
-        if vec.shape != (6,):
-            raise InvalidInputError("pose vector must have length 6")
-        return cls(vec[:3], RotationVector(vec[3:]))
+    Accepts any array-like of that shape, a sequence of Poses included.
+    """
+    try:
+        rows = np.array(samples, dtype=float)
+    except (TypeError, ValueError):
+        rows = None
+    if rows is None or rows.ndim != 2 or rows.shape[1] != 6:
+        raise InvalidInputError("pose samples must form an (n, 6) array")
+    _finite_rows(rows[:, :3], 3, "position")
+    rows[:, 3:] = canonical_rotvecs(rows[:, 3:])
+    return rows
 
 
 @dataclass(frozen=True)
@@ -212,9 +168,116 @@ class DistanceWeights:
             raise InvalidInputError("distance weights must sum to 1")
 
 
+def pose_distances(a, b, weights: DistanceWeights = DistanceWeights()) -> np.ndarray:
+    """Weighted SE(3) distances sqrt(w_rot * arc^2 + w_trans * |dp|^2) of pose rows."""
+    dp = a[..., :3] - b[..., :3]
+    trans_sq = np.einsum("...i,...i->...", dp, dp)
+    arc = arc_distances(a[..., 3:], b[..., 3:])
+    return np.sqrt(weights.rotation * arc * arc + weights.translation * trans_sq)
+
+
+# ---------------------------------------------------------------------------
+# Single rotations and poses
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class RotationVector:
+    """Canonical axis-angle rotation, immutable after construction.
+
+    The constructor canonicalizes its input, so every instance satisfies
+    norm <= pi and the boundary hemisphere rule. Construction is therefore
+    idempotent: RotationVector(r.vec) == r.
+    """
+
+    vec: np.ndarray
+
+    def __post_init__(self):
+        vec = _finite_rows(self.vec, 3, "rotation vector", one=True)
+        object.__setattr__(self, "vec", canonical_rotvecs(vec))
+        self.vec.setflags(write=False)
+
+    @property
+    def angle(self) -> float:
+        return float(np.linalg.norm(self.vec))
+
+    @property
+    def axis(self) -> np.ndarray:
+        """Unit axis; the identity rotation reports (1, 0, 0) by convention."""
+        theta = self.angle
+        if theta < ANGLE_EPS:
+            return np.array([1.0, 0.0, 0.0])
+        return self.vec / theta
+
+    def __eq__(self, other):
+        if not isinstance(other, RotationVector):
+            return NotImplemented
+        return bool(np.array_equal(self.vec, other.vec))
+
+    def __hash__(self):
+        return hash(self.vec.tobytes())
+
+
+def canonicalize_rotation(axis, angle) -> RotationVector:
+    """Build the canonical rotation vector for a rotation about ``axis``.
+
+    The axis need not be unit length but must be nonzero whenever the angle
+    is not a multiple of 2*pi.
+    """
+    axis = _finite_rows(axis, 3, "axis", one=True)
+    if not math.isfinite(angle):
+        raise InvalidInputError("angle must be finite")
+    norm = float(np.linalg.norm(axis))
+    angle = math.fmod(float(angle), 2.0 * math.pi)
+    if norm < ANGLE_EPS <= abs(angle):
+        raise InvalidInputError("zero-norm axis with a nonzero rotation angle")
+    # Below ANGLE_EPS the product is canonicalized to the exact identity.
+    return RotationVector(axis / max(norm, ANGLE_EPS) * angle)
+
+
+def quaternion_of(rot: RotationVector) -> np.ndarray:
+    """Unit quaternion (w, x, y, z) of a rotation vector, scalar first."""
+    return quaternions_of(rot.vec)
+
+
+def rotvec_from_quaternion(q) -> RotationVector:
+    """Canonical rotation vector of a unit quaternion (w, x, y, z)."""
+    q = _finite_rows(q, 4, "quaternion", one=True)
+    return RotationVector(rotvecs_from_quaternions(q))
+
+
+def arc_distance(a: RotationVector, b: RotationVector) -> float:
+    """Geodesic angle in [0, pi] between two canonical rotations."""
+    return float(arc_distances(a.vec, b.vec))
+
+
+@dataclass(frozen=True)
+class Pose:
+    """Position paired with a canonical rotation."""
+
+    position: np.ndarray
+    rotation: RotationVector
+
+    def __post_init__(self):
+        pos = _finite_rows(self.position, 3, "position", one=True)
+        object.__setattr__(self, "position", pos)
+        self.position.setflags(write=False)
+        if not isinstance(self.rotation, RotationVector):
+            object.__setattr__(self, "rotation", RotationVector(self.rotation))
+
+    def as_vector(self) -> np.ndarray:
+        """Concatenated (position, rotation vector), length 6."""
+        return np.concatenate([self.position, self.rotation.vec])
+
+    def __array__(self, dtype=None, copy=None):
+        # Lets np.asarray turn a sequence of Poses into (n, 6) pose rows.
+        return np.asarray(self.as_vector(), dtype=dtype)
+
+    @classmethod
+    def from_vector(cls, vec) -> "Pose":
+        vec = _finite_rows(vec, 6, "pose vector", one=True)
+        return cls(vec[:3], RotationVector(vec[3:]))
+
+
 def pose_distance(a: Pose, b: Pose, weights: DistanceWeights = DistanceWeights()) -> float:
     """Weighted SE(3) distance sqrt(w_rot * arc^2 + w_trans * |dp|^2)."""
-    arc = arc_distance(a.rotation, b.rotation)
-    dp = a.position - b.position
-    return math.sqrt(weights.rotation * arc * arc
-                     + weights.translation * float(np.dot(dp, dp)))
+    return float(pose_distances(a.as_vector(), b.as_vector(), weights))

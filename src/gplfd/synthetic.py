@@ -14,9 +14,8 @@ import numpy as np
 
 from .alignment import Trajectory
 from .errors import InvalidInputError
-from .se3 import Pose, RotationVector
 
-# Most samples (Pose objects, ~0.5 kB each) over all demos of one door set.
+# Most samples over all demos of one door set: gen-data then writes ~60 MB.
 MAX_DOOR_SAMPLES = 500_000
 
 
@@ -73,8 +72,9 @@ def generate_synthetic_door_set(seed: int = 0,
         for _ in range(repeats):
             stamps = _warped_stamps(rng, n_samples)
             positions = door_pull_arc(radius, angles)
-            positions = positions + noise * rng.standard_normal(positions.shape)
-            poses = tuple(Pose(p, RotationVector((0.0, a, 0.0)))
-                          for p, a in zip(positions, angles))
-            demos.append(Trajectory(stamps, poses))
+            samples = np.zeros((n_samples, 6))
+            samples[:, :3] = positions + noise * rng.standard_normal(
+                positions.shape)
+            samples[:, 4] = angles
+            demos.append(Trajectory(stamps, samples))
     return demos

@@ -139,7 +139,7 @@ def test_criterion_04_completion_alignment_beats_euclidean_pairing():
     demos = low + high
 
     def pooled_height_var(aligned):
-        Z = np.stack([t.positions()[:, 2] for t in aligned])
+        Z = np.stack([t.samples[:, 2] for t in aligned])
         return float(np.mean(np.var(Z, axis=0)))
 
     v_tci = pooled_height_var(align_demonstrations(demos, measure="tci"))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ from scipy.spatial.transform import Rotation, Slerp
 
 from gplfd import (AlignmentWarning, DegenerateTrajectoryError,
                    DistanceWeights, InvalidInputError, Pose, RotationVector,
-                   Trajectory, WarpPath, align_demonstrations, dtw_align,
-                   path_length, resample, tci_profile)
-from gplfd.alignment import _cost_matrix
+                   Trajectory, WarpPath, align_demonstrations, arc_distance,
+                   dtw_align, io, path_length, resample, tci_profile)
+from gplfd import alignment
+from gplfd.alignment import MAX_DTW_CELLS, _cost_matrix, _merge_collisions
+from gplfd.cli import main
 
 from oracles import brute_force_dtw_cost
 
@@ -38,9 +41,33 @@ class TestTrajectory:
 
     def test_matrix_layout(self):
         traj = line_trajectory([0.0, 1.0], [0, 0, 0], [2, 0, 0])
-        mat = traj.as_matrix()
+        mat = traj.samples
         assert mat.shape == (2, 6)
         assert_allclose(mat[1], [2, 0, 0, 0, 0, 0])
+
+
+    def test_samples_from_poses_or_rows(self, rng):
+        traj = random_trajectory(rng, n=5)
+        again = Trajectory(traj.stamps, traj.samples.copy())
+        assert np.array_equal(Trajectory(traj.stamps, traj.poses).samples,
+                              again.samples)
+        # The Pose view is built once and kept.
+        assert again.poses is again.poses
+        for pose, row in zip(again.poses, again.samples):
+            assert np.array_equal(pose.as_vector(), row)
+
+    def test_rotations_canonicalized(self):
+        traj = Trajectory([0.0, 1.0], [[0, 0, 0, 0, 0, 1.5 * math.pi],
+                                       [1, 0, 0, 0, 0, 0]])
+        assert_allclose(traj.samples[0, 3:], [0, 0, -math.pi / 2], atol=1e-15)
+        assert not traj.samples.flags.writeable
+
+    @pytest.mark.parametrize("samples", [np.zeros((2, 5)), np.zeros((3, 6)),
+                                         [[0.0] * 6, [0.0] * 5], ["a", "b"],
+                                         [[np.nan] + [0.0] * 5, [0.0] * 6]])
+    def test_bad_samples_rejected(self, samples):
+        with pytest.raises(InvalidInputError):
+            Trajectory([0.0, 1.0], samples)
 
 
 class TestCompletionIndex:
@@ -93,6 +120,13 @@ class TestDTW:
                 C = _cost_matrix(a, b, DistanceWeights(), measure)
                 assert warp.cost == brute_force_dtw_cost(C)
 
+    def test_cost_matrix_blocks_join_exactly(self, rng, monkeypatch):
+        a, b = random_trajectory(rng, n=7), random_trajectory(rng, n=6)
+        whole = _cost_matrix(a, b, DistanceWeights(), "euclidean-pose")
+        monkeypatch.setattr(alignment, "_COST_BLOCK_CELLS", 13)
+        blocks = _cost_matrix(a, b, DistanceWeights(), "euclidean-pose")
+        assert np.array_equal(blocks, whole)
+
     def test_path_cost_is_sum_along_pairs(self, rng):
         a, b = random_trajectory(rng), random_trajectory(rng)
         warp = dtw_align(a, b)
@@ -106,6 +140,37 @@ class TestDTW:
         a, b = random_trajectory(rng), random_trajectory(rng)
         with pytest.raises(InvalidInputError):
             dtw_align(a, b, measure="chebyshev")
+
+    def test_cell_cap_checked_before_allocation(self):
+        def long_line(n):
+            samples = np.zeros((n, 6))
+            samples[:, 0] = np.linspace(0.0, 1.0, n)
+            return Trajectory(np.arange(n, dtype=float), samples)
+
+        a, b = long_line(5001), long_line(MAX_DTW_CELLS // 5000 + 1)
+        assert len(a) * len(b) > MAX_DTW_CELLS
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInputError, match="at most"):
+                dtw_align(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # One n x m float matrix alone would be 200 MB.
+        assert peak < 1_000_000
+
+    def test_cell_cap_ends_cli_with_exit_1(self, tmp_path, capsys):
+        paths = []
+        for k in range(2):
+            n = 5001 + k
+            samples = np.zeros((n, 6))
+            samples[:, 0] = np.linspace(0.0, 1.0 + k, n)
+            path = tmp_path / f"demo_{k}.csv"
+            io.save_demonstration(path, Trajectory(np.arange(n, dtype=float),
+                                                   samples))
+            paths.append(str(path))
+        assert main(["align", *paths, "--out-dir", str(tmp_path)]) == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_warp_path_steps_validated(self):
         with pytest.raises(InvalidInputError):
@@ -137,7 +202,7 @@ class TestAlignDemonstrations:
         coarse = line_trajectory(np.linspace(0, 1, 20), [0, 0, 0], [1, 0, 0])
         aligned = align_demonstrations([coarse, fine])
         ref = aligned[0]
-        assert_allclose(aligned[1].positions()[:, 0], ref.positions()[:, 0],
+        assert_allclose(aligned[1].samples[:, 0], ref.samples[:, 0],
                         atol=0.06)
 
     def test_zero_length_demo_skipped_with_warning(self, rng):
@@ -172,10 +237,46 @@ class TestAlignDemonstrations:
         js = warp.pairs[warp.pairs[:, 0] == 1, 1]
         assert js.size == 2
         aligned = align_demonstrations([a, b])
-        assert_allclose(aligned[1].positions()[1, 0], 0.95)
+        assert_allclose(aligned[1].samples[1, 0], 0.95)
+
+
+class TestMergeCollisions:
+    def test_matches_per_index_loop(self, rng):
+        """Grouped reductions give what a loop over reference indices gives."""
+        for _ in range(20):
+            demo = random_trajectory(rng, n=12)
+            steps = rng.choice([[1, 0], [0, 1], [1, 1]], size=40)
+            pairs = np.vstack([[0, 0], np.cumsum(steps, axis=0)])
+            pairs = pairs[(pairs[:, 0] < 8) & (pairs[:, 1] < 12)]
+            pairs = pairs[:np.flatnonzero(pairs[:, 0] == pairs[-1, 0])[0] + 1]
+            merged = _merge_collisions(demo.samples, pairs)
+            for i in range(pairs[-1, 0] + 1):
+                members = demo.samples[pairs[pairs[:, 0] == i, 1]]
+                center = RotationVector(np.mean(members[:, 3:], axis=0))
+                dists = [arc_distance(RotationVector(r), center)
+                         for r in members[:, 3:]]
+                assert_allclose(merged[i, :3], np.mean(members[:, :3], axis=0),
+                                rtol=0, atol=1e-15)
+                assert np.array_equal(merged[i, 3:],
+                                      members[int(np.argmin(dists)), 3:])
+
+
+    def test_first_member_wins_a_tie(self):
+        # +r and -r lie exactly equally far from their mean, the identity.
+        samples = np.array([[0.0, 0, 0, 0, 0, 0.3], [1.0, 0, 0, 0, 0, -0.3]])
+        for first in (0, 1):
+            pairs = np.array([[0, first], [0, 1 - first]])
+            merged = _merge_collisions(samples, pairs)
+            assert np.array_equal(merged[0], [0.5, 0, 0, *samples[first, 3:]])
 
 
 class TestResample:
+    def test_original_stamps_bit_for_bit(self, rng):
+        traj = random_trajectory(rng, n=9)
+        assert np.array_equal(resample(traj, traj.stamps).samples, traj.samples)
+        inner = resample(traj, traj.stamps[2:7])
+        assert np.array_equal(inner.samples, traj.samples[2:7])
+
     def test_identity_on_original_grid(self, rng):
         traj = random_trajectory(rng, n=6)
         out = resample(traj, traj.stamps)
@@ -204,7 +305,7 @@ class TestResample:
             grid = np.array([0.0, 0.3, 0.62, 1.0])
             ours = resample(traj, grid)
             theirs = Slerp([0.0, 1.0], rots)(grid)
-            for got, want in zip(ours.rotation_vectors(), theirs):
+            for got, want in zip(ours.samples[:, 3:].copy(), theirs):
                 rel = Rotation.from_rotvec(got).inv() * want
                 assert rel.magnitude() < 1e-9
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import minimize
 
 from gplfd import (GPModel, HeteroConfig, InconsistentConstraintError,
                    InsufficientDataError, InvalidInputError, KernelParams,
@@ -10,7 +11,9 @@ from gplfd import (GPModel, HeteroConfig, InconsistentConstraintError,
                    PosteriorPrediction, TrainingSet, fit_gp,
                    fit_heteroscedastic, gaussian_product, lml_gradient,
                    optimize_hyperparameters, rbf_kernel)
-from gplfd.gp import JITTER_START_FRAC, HeteroGPModel, _lml_and_grad, _Reduced
+from gplfd import gp
+from gplfd.gp import (JITTER_START_FRAC, MAX_OPT_STARTS, HeteroGPModel,
+                      _lml_and_grad, _Reduced)
 
 from oracles import dense_lml, dense_posterior, longdouble_posterior
 
@@ -343,10 +346,30 @@ class TestHyperparameterSearch:
     @pytest.mark.parametrize("kwargs", [
         {"n_starts": 0}, {"max_iter": 0},
         {"length_scale_bounds": (0.1, 0.1)}, {"signal_std_bounds": (0.0, 1.0)},
-        {"noise_std_bounds": (1e-3, math.inf)}, {"noise_std_bounds": (1.0,)}])
+        {"noise_std_bounds": (1e-3, math.inf)}, {"noise_std_bounds": (1.0,)},
+        {"n_starts": MAX_OPT_STARTS + 1}])
     def test_config_ranges_refused(self, kwargs):
         with pytest.raises(InvalidInputError):
             OptConfig(**kwargs)
+
+    def test_starts_drawn_in_seed_order(self, rng, monkeypatch):
+        bounds = {"length_scale_bounds": (0.01, 2.0),
+                  "signal_std_bounds": (0.1, 5.0),
+                  "noise_std_bounds": (1e-4, 1.0)}
+        seen = []
+
+        def record(fun, x0, **kwargs):
+            seen.append(np.array(x0))
+            return minimize(fun, x0, **kwargs)
+
+        monkeypatch.setattr(gp, "minimize", record)
+        t = np.linspace(0.0, 1.0, 12)
+        optimize_hyperparameters(TrainingSet(t, np.sin(t)),
+                                 config=OptConfig(n_starts=5, seed=3, **bounds))
+        draws = np.random.default_rng(3)
+        logs = [(math.log(lo), math.log(hi)) for lo, hi in bounds.values()]
+        want = [[draws.uniform(lo, hi) for lo, hi in logs] for _ in range(5)]
+        assert np.array_equal(np.array(seen), np.array(want))
 
     def test_bad_bounds_rejected(self):
         train = TrainingSet([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])

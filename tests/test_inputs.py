@@ -9,12 +9,13 @@ import json
 import math
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gplfd import (FormatError, ParseError, RunConfig, config_sha256, io,
-                   load_config)
+from gplfd import (FormatError, ParseError, RunConfig, ToolkitError,
+                   Trajectory, ViaPoint, config_sha256, io, load_config)
 from gplfd.admittance import MAX_SIM_STEPS
 from gplfd.cli import MAX_QUERY_POINTS, main
 from gplfd.config import apply_overrides, config_from_dict
@@ -49,6 +50,7 @@ CONFIG_PROBES = [
     'simulation.shared_sigma="yes"',
     "policy.hetero_iterations=0",
     "policy.opt_starts=0",
+    "policy.opt_starts=1000000000",
     "policy.position_strength=0",
     "alignment.measure=banana",
     "simulation.integrator=euler",
@@ -200,3 +202,99 @@ class TestMutatedInputs:
         force = [] if force is None else [f"--force={force}"]
         assert_clean(["simulate", f"--sigma={sigma!r}", *force, *TINY,
                       *overrides])
+
+
+# ---------------------------------------------------------------------------
+# Property: mutated demonstration, via-point and table files load or fail
+# with a ToolkitError, and a bad pose row names its line
+# ---------------------------------------------------------------------------
+
+def _base_files(out):
+    """Valid demo, via-point and table files as {kind: (path, text)}."""
+    rng = np.random.default_rng(5)
+    samples = np.hstack([rng.normal(size=(4, 3)), rng.normal(size=(4, 3))])
+    demo = Trajectory(np.arange(4.0), samples)
+    vias = [ViaPoint(0.2 * (k + 1), pose, 1e-4)
+            for k, pose in enumerate(demo.poses[:3])]
+    paths = {kind: f"{out}/{kind}.csv" for kind in ("demo", "via", "table")}
+    io.save_demonstration(paths["demo"], demo)
+    io.save_viapoints(paths["via"], vias)
+    io.write_table(paths["table"], ["a", "b", "c"], rng.normal(size=(3, 3)))
+    return {kind: (path, open(path).read()) for kind, path in paths.items()}
+
+
+LOADERS = {"demo": io.load_demonstration, "via": io.load_viapoints,
+           "table": io.read_table,
+           "demos": lambda path: io.load_demonstrations(
+               [path, path.replace("demos.csv", "demo.csv")])}
+CELLS = ["nan", "inf", "-inf", "1e999", "", "x", "0", "2", "-1", "1.5"]
+METADATA = ["# format: gplfd-table v1", "# format: gplfd-via v1",
+            "# quaternion: xyzw", "# quaternion: zyxw", "# quaternion",
+            "#", "", "t,x,y"]
+MUTATIONS = st.one_of(
+    st.tuples(st.sampled_from(["drop", "dup"]), st.integers(0, 3),
+              st.integers(0, 9)),
+    st.tuples(st.just("set"), st.integers(0, 3), st.integers(0, 9),
+              st.sampled_from(CELLS)),
+    st.tuples(st.just("scale"), st.integers(0, 3),
+              st.sampled_from([0.0, 0.5, 1.001, -1.0, 3.0])),
+    st.tuples(st.just("meta"), st.integers(0, 2), st.sampled_from(METADATA)),
+    st.tuples(st.just("bytes"), st.integers(0, 1000)))
+
+
+def _mutate(text, kind, mutation):
+    """(mutated bytes, line of the mutated row or None, must it fail?)."""
+    lines = text.splitlines()
+    header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    op = mutation[0]
+    if op in ("meta", "bytes"):
+        if op == "meta":
+            lines[min(mutation[1], header)] = mutation[2]
+            return "\n".join(lines).encode(), None, False
+        raw = text.encode()
+        pos = mutation[1] % len(raw)
+        return raw[:pos] + b"\xff\xfe" + raw[pos:], None, False
+    row = header + 1 + mutation[1] % (len(lines) - header - 1)
+    cells = lines[row].split(",")
+    pose_cols = range(1, 8) if kind != "table" else ()
+    if op == "scale":
+        if kind == "table":
+            return text.encode(), None, False
+        for c in range(4, 8):
+            cells[c] = repr(float(cells[c]) * mutation[2])
+        fails = mutation[2] not in (-1.0,)
+    else:
+        col = mutation[2] % len(cells)
+        if op == "drop":
+            del cells[col]
+        elif op == "dup":
+            cells.insert(col, cells[col])
+        else:
+            cells[col] = mutation[3]
+        fails = (op != "set" or mutation[3] in ("", "x")
+                 or (col in pose_cols and mutation[3] in CELLS[:4]))
+    lines[row] = ",".join(cells)
+    return "\n".join(lines).encode(), row + 1, fails
+
+
+class TestMutatedFiles:
+    @settings(PROPERTY, max_examples=150)
+    @given(st.sampled_from(sorted(LOADERS)), MUTATIONS)
+    def test_load_or_refuse(self, which, mutation):
+        kind = "demo" if which == "demos" else which
+        with tempfile.TemporaryDirectory() as out:
+            files = _base_files(out)
+            raw, lineno, fails = _mutate(files[kind][1], kind, mutation)
+            path = f"{out}/{which}.csv"
+            with open(path, "wb") as handle:
+                handle.write(raw)
+            try:
+                LOADERS[which](path)
+            except ToolkitError as exc:
+                # Every via-point row error names its line.
+                if fails or isinstance(exc, ParseError) or (
+                        kind == "via" and lineno is not None):
+                    assert isinstance(exc, ParseError), exc
+                    assert lineno is None or exc.line == lineno, exc
+            else:
+                assert not fails, mutation

@@ -30,8 +30,8 @@ class TestDemonstrationFiles:
         io.save_demonstration(path, traj)
         back = io.load_demonstration(path)
         assert np.array_equal(back.stamps, traj.stamps)
-        assert np.array_equal(back.positions(), traj.positions())
-        assert_allclose(back.rotation_vectors(), traj.rotation_vectors(),
+        assert np.array_equal(back.samples[:, :3], traj.samples[:, :3])
+        assert_allclose(back.samples[:, 3:], traj.samples[:, 3:],
                         atol=1e-12)
 
     def test_xyzw_convention_accepted(self, tmp_path):
@@ -65,6 +65,18 @@ class TestDemonstrationFiles:
                                            "quaternion: xyzw"))
         with pytest.raises(FormatError, match="mixed quaternion"):
             io.load_demonstrations([a, b])
+
+    def test_each_file_read_once(self, tmp_path, rng, monkeypatch):
+        paths = []
+        for k in range(6):
+            paths.append(tmp_path / f"demo_{k}.csv")
+            io.save_demonstration(paths[-1], wiggly_trajectory(rng, n=5))
+        reads = []
+        read_text = io._read_text
+        monkeypatch.setattr(io, "_read_text",
+                            lambda path: reads.append(path) or read_text(path))
+        demos = io.load_demonstrations(paths)
+        assert reads == paths and len(demos) == 6
 
     def test_bad_number_reports_line(self, tmp_path):
         path = tmp_path / "demo.csv"

@@ -52,7 +52,7 @@ class TestLearnAndQuery:
         """The mean stays inside the envelope the demos actually span."""
         ts = np.linspace(0.0, 1.0, 21)
         dists = query(door_policy, ts)
-        mats = [d.as_matrix() for d in door_demos]
+        mats = [d.samples for d in door_demos]
         lo = np.min([m.min(axis=0) for m in mats], axis=0) - 0.05
         hi = np.max([m.max(axis=0) for m in mats], axis=0) + 0.05
         for dist in dists:
@@ -185,7 +185,7 @@ class TestPredictionError:
         target = rng.normal(size=(8, 6))
         poses = tuple(Pose(row[:3], RotationVector(row[3:])) for row in target)
         truth = Trajectory(ts, poses)
-        truth_mat = truth.as_matrix()
+        truth_mat = truth.samples
         means = rng.normal(size=(8, 6))
         vars_ = rng.uniform(0.0, 0.5, size=(8, 6))
         pred = [PoseDistribution(mean=means[i], var=vars_[i]) for i in range(8)]

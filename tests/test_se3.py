@@ -1,13 +1,17 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.spatial.transform import Rotation
+from scipy.spatial.transform import Rotation, Slerp
 
 from gplfd import (DistanceWeights, InvalidInputError, Pose, RotationVector,
                    arc_distance, canonicalize_rotation, pose_distance,
                    quaternion_of, rotvec_from_quaternion)
+from gplfd.se3 import (HEMISPHERE_TOL, arc_distances, canonical_rotvecs,
+                       pose_distances, quaternions_of, rotvecs_from_quaternions,
+                       slerp)
 
 
 def random_rotvec(rng):
@@ -117,6 +121,15 @@ class TestPose:
         with pytest.raises(InvalidInputError):
             Pose(np.array([1.0, 2.0]), RotationVector((0, 0, 0)))
 
+    def test_array_protocol(self):
+        pose = Pose(np.array([1.0, 2.0, 3.0]), RotationVector((0.1, 0.0, 0.2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(np.array(pose), pose.as_vector())
+            assert np.asarray(pose, dtype=np.float32).dtype == np.float32
+        assert np.array_equal(np.asarray([pose, pose]),
+                              np.stack([pose.as_vector()] * 2))
+
     def test_rotation_coerced(self):
         pose = Pose(np.zeros(3), (0.0, 0.0, 0.1))
         assert isinstance(pose.rotation, RotationVector)
@@ -143,3 +156,127 @@ class TestPoseDistance:
             DistanceWeights(rotation=0.7, translation=0.7)
         with pytest.raises(InvalidInputError):
             DistanceWeights(rotation=-0.1, translation=1.1)
+
+
+# ---------------------------------------------------------------------------
+# Row-wise functions: one implementation behind the single-rotation API
+# ---------------------------------------------------------------------------
+
+def hard_rotvecs(rng):
+    """Random rows plus the cases the scalar code branches on."""
+    axes = rng.normal(size=(40, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    rows = [axes[:20] * rng.uniform(0.0, math.pi, (20, 1)),
+            axes[20:30] * rng.uniform(math.pi, 7.0, (10, 1)),
+            # On and next to the pi boundary, both hemispheres.
+            axes[30:34] * math.pi, -axes[30:34] * math.pi,
+            axes[34:36] * (math.pi - 1e-10), axes[36:38] * (math.pi + 1e-10),
+            np.array([[0.0, 0.0, -math.pi], [0.0, -math.pi, 0.0],
+                      [-math.pi, 0.0, 0.0], [0.0, 0.0, 2.0 * math.pi]]),
+            # Near the identity, above and below ANGLE_EPS.
+            axes[38:40] * 1e-8, axes[38:40] * 1e-11, axes[38:40] * 1e-13]
+    return np.concatenate(rows)
+
+
+def assert_same_rotation(ours, theirs, atol=1e-12):
+    rel = Rotation.from_rotvec(np.array(ours)).inv() * theirs
+    assert np.all(rel.magnitude() <= atol)
+
+
+class TestRowWise:
+    def test_canonical_matches_scipy_and_scalar(self, rng):
+        raw = hard_rotvecs(rng)
+        canon = canonical_rotvecs(raw)
+        # Inside the boundary band the hemisphere rule may swap r for -r,
+        # which moves the rotation by twice the distance to pi.
+        off_pi = np.abs(np.linalg.norm(raw, axis=1) - math.pi)
+        slack = np.where(off_pi <= HEMISPHERE_TOL, 2.0 * off_pi, 0.0)
+        assert_same_rotation(canon, Rotation.from_rotvec(raw), 1e-12 + slack)
+        assert np.all(np.linalg.norm(canon, axis=1) <= math.pi + 1e-15)
+        for row, got in zip(raw, canon):
+            assert np.array_equal(RotationVector(row).vec, got)
+        assert np.array_equal(canonical_rotvecs(canon), canon)
+
+    def test_hemisphere_rule_rows(self):
+        raw = np.array([[0.0, 0.0, -math.pi], [0.0, -math.pi, 0.0],
+                        [-math.pi, 0.0, 0.0],
+                        [0.0, -math.pi, -1e-13 * math.pi]])
+        assert_allclose(canonical_rotvecs(raw),
+                        [[0, 0, math.pi], [0, math.pi, 0], [math.pi, 0, 0],
+                         [0, math.pi, 1e-13 * math.pi]], atol=1e-15)
+
+    def test_identity_below_angle_eps(self):
+        canon = canonical_rotvecs([[1e-13, 0.0, 0.0], [0.0, 2e-8, 0.0]])
+        assert np.array_equal(canon[0], np.zeros(3))
+        assert canon[1, 1] == 2e-8
+
+    def test_quaternions_match_scipy_and_scalar(self, rng):
+        rows = canonical_rotvecs(hard_rotvecs(rng))
+        q = quaternions_of(rows)
+        theirs = Rotation.from_rotvec(rows).as_quat()[:, [3, 0, 1, 2]]
+        theirs *= np.where(theirs[:, :1] * q[:, :1] < 0.0, -1.0, 1.0)
+        assert_allclose(q, theirs, atol=1e-12)
+        for row, got in zip(rows, q):
+            assert np.array_equal(quaternion_of(RotationVector(row)), got)
+
+    def test_quaternion_round_trip_and_scalar(self, rng):
+        rows = canonical_rotvecs(hard_rotvecs(rng))
+        q = quaternions_of(rows)
+        back = rotvecs_from_quaternions(q)
+        assert_same_rotation(back, Rotation.from_rotvec(rows))
+        assert_allclose(back[:30], rows[:30], atol=1e-12)
+        # q and -q are one rotation.
+        assert np.array_equal(rotvecs_from_quaternions(-q), back)
+        for quat, got in zip(q, back):
+            assert np.array_equal(rotvec_from_quaternion(quat).vec, got)
+
+    def test_bad_quaternion_row_named(self):
+        q = np.array([[1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0],
+                      [np.nan, 0.0, 0.0, 0.0], [0.0, 3.0, 0.0, 0.0]])
+        with pytest.raises(InvalidInputError, match="norm 2.0") as info:
+            rotvecs_from_quaternions(q[[0, 1, 3]])
+        assert info.value.row == 1
+        with pytest.raises(InvalidInputError, match="finite") as info:
+            rotvecs_from_quaternions(q[[0, 2]])
+        assert info.value.row == 1
+
+    def test_arc_distances_match_scipy_and_scalar(self, rng):
+        a = canonical_rotvecs(hard_rotvecs(rng))
+        b = canonical_rotvecs(hard_rotvecs(rng)[::-1])
+        arcs = arc_distances(a, b)
+        rel = Rotation.from_rotvec(a).inv() * Rotation.from_rotvec(b)
+        assert_allclose(arcs, rel.magnitude(), atol=1e-12)
+        for ra, rb, got in zip(a, b, arcs):
+            assert arc_distance(RotationVector(ra), RotationVector(rb)) == got
+        assert np.all(arc_distances(a, a) == 0.0)
+
+    def test_slerp_matches_scipy(self, rng):
+        a = canonical_rotvecs(hard_rotvecs(rng))
+        b = canonical_rotvecs(rng.normal(size=a.shape))
+        # Nearly parallel and equal pairs take the linear blend.
+        b[:5] = canonical_rotvecs(a[:5] + 1e-7 * rng.normal(size=(5, 3)))
+        b[5:7] = a[5:7]
+        frac = rng.uniform(0.0, 1.0, len(a))
+        ours = slerp(a, b, frac)
+        for ra, rb, f, got in zip(a, b, frac, ours):
+            want = Slerp([0.0, 1.0], Rotation.from_rotvec([ra, rb]))([f])
+            assert_same_rotation(got[None, :], want)
+
+    def test_slerp_endpoints_bit_for_bit(self, rng):
+        a = canonical_rotvecs(hard_rotvecs(rng))
+        b = a[::-1].copy()
+        frac = np.tile([0.0, 1.0, -0.1, 1.2], len(a))[:len(a)]
+        out = slerp(a, b, frac)
+        low = frac <= 0.0
+        assert np.array_equal(out[low], a[low])
+        assert np.array_equal(out[~low], b[~low])
+
+    def test_pose_distances_match_scalar(self, rng):
+        a = np.hstack([rng.normal(size=(10, 3)),
+                       canonical_rotvecs(rng.normal(size=(10, 3)))])
+        b = np.hstack([rng.normal(size=(10, 3)),
+                       canonical_rotvecs(rng.normal(size=(10, 3)))])
+        w = DistanceWeights(rotation=0.3, translation=0.7)
+        for ra, rb, got in zip(a, b, pose_distances(a, b, w)):
+            assert pose_distance(Pose.from_vector(ra), Pose.from_vector(rb),
+                                 w) == got

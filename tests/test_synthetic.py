@@ -19,7 +19,7 @@ def test_pull_arc_geometry():
     """Noise-free pulls lie on the circle of their door radius."""
     demos = generate_synthetic_door_set(seed=1, radii=(0.8,), repeats=1,
                                         noise=0.0, n_samples=40)
-    pos = demos[0].positions()
+    pos = demos[0].samples[:, :3]
     # The handle starts at the origin and sweeps a circle centered at
     # (0, 0, R): x^2 + (z - R)^2 = R^2 throughout.
     assert_allclose(pos[0], [0.0, 0.0, 0.0], atol=1e-12)
@@ -31,7 +31,7 @@ def test_rotation_tracks_pull_angle():
     demos = generate_synthetic_door_set(seed=1, radii=(0.8,), repeats=1,
                                         noise=0.0, n_samples=30,
                                         max_angle=math.pi / 3)
-    rot = demos[0].rotation_vectors()
+    rot = demos[0].samples[:, 3:]
     assert_allclose(rot[:, [0, 2]], 0.0, atol=1e-12)
     assert_allclose(rot[-1, 1], math.pi / 3, atol=1e-12)
     assert np.all(np.diff(rot[:, 1]) > 0.0)
@@ -42,7 +42,7 @@ def test_repeats_share_the_angle_grid():
     demos = generate_synthetic_door_set(seed=3, radii=(0.7,), repeats=2,
                                         noise=0.0, n_samples=20)
     a, b = demos
-    assert_allclose(a.positions(), b.positions(), atol=1e-12)
+    assert_allclose(a.samples[:, :3], b.samples[:, :3], atol=1e-12)
     assert not np.allclose(a.stamps, b.stamps)
 
 
@@ -59,7 +59,7 @@ def test_seed_reproducibility():
     b = generate_synthetic_door_set(seed=42)
     for da, db in zip(a, b):
         assert np.array_equal(da.stamps, db.stamps)
-        assert np.array_equal(da.positions(), db.positions())
+        assert np.array_equal(da.samples[:, :3], db.samples[:, :3])
 
 
 def test_parameter_validation():
