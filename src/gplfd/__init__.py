@@ -17,9 +17,8 @@ from .alignment import (AlignmentWarning, TCIProfile, Trajectory, WarpPath,
 from .config import RunConfig, config_sha256, load_config, save_config
 from .errors import (DegenerateTrajectoryError, DivergenceError, FormatError,
                      InconsistentConstraintError, InsufficientDataError,
-                     InvalidInputError, NotFittedError,
-                     NumericalConditioningError, OptimizationFailureError,
-                     ParseError, ToolkitError)
+                     InvalidInputError, NumericalConditioningError,
+                     OptimizationFailureError, ParseError, ToolkitError)
 from .gp import (GPModel, HeteroConfig, HeteroGPModel, KernelParams,
                  OptConfig, PosteriorPrediction, TrainingSet, fit_gp,
                  fit_heteroscedastic, gaussian_product, lml_gradient,

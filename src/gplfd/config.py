@@ -201,11 +201,8 @@ def learn_config(config: RunConfig) -> LearnConfig:
                     length_scale_bounds=p.length_scale_bounds,
                     signal_std_bounds=p.signal_std_bounds,
                     noise_std_bounds=p.noise_std_bounds)
-    noise_opt = OptConfig(n_starts=p.opt_starts, seed=config.seed + 1,
-                          max_iter=p.opt_max_iter)
     hetero = HeteroConfig(iterations=p.hetero_iterations,
-                          smoothing_window=p.smoothing_window,
-                          opt=opt, noise_opt=noise_opt)
+                          smoothing_window=p.smoothing_window, opt=opt)
     return LearnConfig(weights=distance_weights(config),
                        measure=config.alignment.measure,
                        grid_size=p.grid_size, hetero=hetero)

@@ -45,10 +45,6 @@ class FormatError(InvalidInputError):
     """A data file is well formed but declares an unsupported format."""
 
 
-class NotFittedError(ToolkitError, RuntimeError):
-    """A model was used before it was fitted."""
-
-
 class NumericalConditioningError(ToolkitError, RuntimeError):
     """A linear system stayed numerically singular after regularization."""
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -38,13 +38,19 @@ from scipy.linalg.lapack import dpotri, dpotrs
 from scipy.optimize import minimize
 
 from .errors import (InconsistentConstraintError, InvalidInputError,
-                     InsufficientDataError, NotFittedError,
-                     NumericalConditioningError, OptimizationFailureError)
+                     InsufficientDataError, NumericalConditioningError,
+                     OptimizationFailureError)
 
 # Jitter added to every observation's noise, as fractions of mean(diag K).
 JITTER_START_FRAC = 1e-10
 JITTER_MAX_FRAC = 1e-4
 
+# Most distinct inputs of one GP: a fit holds a few m x m float matrices,
+# about 100 MB at this size.
+MAX_GP_INPUTS = 2000
+# Most query-by-input cells of one predict, which holds a few q x m float
+# matrices: about 1 GB at this size.
+MAX_PREDICT_CELLS = 40_000_000
 # Fewest training points a heteroscedastic fit accepts.
 HETERO_MIN_POINTS = 10
 # Most L-BFGS-B starts of one search: each start is a full local search.
@@ -61,10 +67,12 @@ class KernelParams:
     signal_std: float
 
     def __post_init__(self):
-        if not (self.length_scale > 0.0 and math.isfinite(self.length_scale)):
-            raise InvalidInputError("length_scale must be positive and finite")
-        if not (self.signal_std > 0.0 and math.isfinite(self.signal_std)):
-            raise InvalidInputError("signal_std must be positive and finite")
+        # The kernel squares both: a square must neither overflow nor vanish.
+        for name in ("length_scale", "signal_std"):
+            value = getattr(self, name)
+            if not (value > 0.0 and 0.0 < value * value < math.inf):
+                raise InvalidInputError(
+                    f"{name} must be positive with a finite, nonzero square")
 
 
 @dataclass(frozen=True)
@@ -96,11 +104,10 @@ class TrainingSet:
 
 @dataclass
 class PosteriorPrediction:
-    """Pointwise posterior mean and variance, optional full covariance."""
+    """Pointwise posterior mean and variance."""
 
     mean: np.ndarray
     var: np.ndarray
-    cov: np.ndarray | None = None
 
 
 def rbf_kernel(ta, tb, params: KernelParams) -> np.ndarray:
@@ -152,6 +159,9 @@ class _Reduced:
     def __init__(self, train: TrainingSet, noise=None):
         self.u, self.index, _ = _group(train.t)
         n, m = len(train), self.u.size
+        if m > MAX_GP_INPUTS:
+            raise InvalidInputError(f"a GP takes at most {MAX_GP_INPUTS} "
+                                    f"distinct inputs, got {m}")
         self.offset = float(train.y.mean())
         self.resid = train.y - self.offset
         if noise is not None and m < n:
@@ -292,54 +302,47 @@ def _lml_and_grad(red: _Reduced, params: KernelParams, noise_var=None):
     return sol.lml, np.array(grad)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GPModel:
-    """Fitted homoscedastic (or fixed per-point noise) GP.
+    """Fitted homoscedastic (or fixed per-point noise) GP; fit_gp builds it.
 
-    Instances are immutable by convention once fit_gp returns them; the
-    factorization of the reduced system is reused by every predict call.
+    Carries the factorization of the reduced system over the distinct
+    inputs, which every predict call reuses.
     """
 
     train: TrainingSet
     params: KernelParams
     noise: float | np.ndarray
-    mean_offset: float = 0.0
-    jitter: float = 0.0
-    _u: np.ndarray | None = field(default=None, repr=False)
-    _chol: np.ndarray | None = field(default=None, repr=False)
-    _alpha: np.ndarray | None = field(default=None, repr=False)
-    _lml: float | None = field(default=None, repr=False)
+    mean_offset: float
+    jitter: float
+    _u: np.ndarray = field(repr=False)
+    _chol: np.ndarray = field(repr=False)
+    _alpha: np.ndarray = field(repr=False)
+    _lml: float = field(repr=False)
 
-    def _require_fitted(self):
-        if self._chol is None or self._alpha is None:
-            raise NotFittedError("model has no cached factorization; use fit_gp")
-
-    def predict(self, ts, full_cov: bool = False) -> PosteriorPrediction:
+    def predict(self, ts) -> PosteriorPrediction:
         """Posterior mean and variance of the latent function at ``ts``.
 
         The variance does not include observation noise at the query points.
         """
-        self._require_fitted()
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         if not np.all(np.isfinite(ts)):
             raise InvalidInputError("query inputs must be finite")
+        if ts.size * self._u.size > MAX_PREDICT_CELLS:
+            raise InvalidInputError(
+                f"{ts.size} query inputs against {self._u.size} training "
+                f"inputs exceed {MAX_PREDICT_CELLS} cells")
         Ks = rbf_kernel(ts, self._u, self.params)
         mean = self.mean_offset + Ks @ self._alpha
         v = solve_triangular(self._chol, Ks.T, lower=True, check_finite=False)
-        if full_cov:
-            cov = rbf_kernel(ts, ts, self.params) - v.T @ v
-            var = np.diag(cov).copy()
-        else:
-            cov = None
-            var = self.params.signal_std ** 2 - np.einsum("ij,ij->j", v, v)
+        var = self.params.signal_std ** 2 - np.einsum("ij,ij->j", v, v)
         if np.any(var < -1e-8 * self.params.signal_std ** 2):
             warnings.warn("posterior variance dipped below the conditioning "
                           "tolerance and was clamped to zero", RuntimeWarning)
         var = np.maximum(var, 0.0)
-        return PosteriorPrediction(mean=mean, var=var, cov=cov)
+        return PosteriorPrediction(mean=mean, var=var)
 
     def log_marginal_likelihood(self) -> float:
-        self._require_fitted()
         return self._lml
 
 
@@ -349,17 +352,11 @@ def fit_gp(train: TrainingSet, params: KernelParams, noise=0.0) -> GPModel:
     ``noise`` is a scalar variance or a per-point vector. Targets are
     centered by their mean; the offset is restored at prediction time.
     """
-    if not isinstance(train, TrainingSet):
-        train = TrainingSet(*train)
     red = _Reduced(train, _as_noise(noise, len(train)))
     sol = _solve(red, params)
     return GPModel(train=train, params=params, noise=noise,
                    mean_offset=red.offset, jitter=sol.jitter, _u=red.u,
                    _chol=sol.chol, _alpha=sol.alpha, _lml=sol.lml)
-
-
-def log_marginal_likelihood(model: GPModel) -> float:
-    return model.log_marginal_likelihood()
 
 
 def lml_gradient(model: GPModel) -> np.ndarray:
@@ -368,7 +365,6 @@ def lml_gradient(model: GPModel) -> np.ndarray:
     Components are with respect to (log length_scale, log signal_std,
     log noise_std), so the model must carry a scalar positive noise variance.
     """
-    model._require_fitted()
     noise = np.asarray(model.noise, dtype=float)
     if np.ptp(noise) != 0.0:
         raise InvalidInputError("gradient requires a scalar noise variance")
@@ -429,8 +425,6 @@ def optimize_hyperparameters(train: TrainingSet, noise=None,
     the best final candidate is returned, so the result is never worse than
     any start point.
     """
-    if not isinstance(train, TrainingSet):
-        train = TrainingSet(*train)
     if len(train) < 2:
         raise InsufficientDataError("hyperparameter search needs at least 2 points")
 
@@ -495,19 +489,20 @@ class HeteroConfig:
     window over neighbors in time) and refits the signal GP with the
     predicted per-point noise. Signal hyperparameters are re-optimized once,
     after the first noise injection, unless the variance profile is flat.
+    ``opt`` configures the signal searches; the noise GP's search takes its
+    starts and iterations, seed + 1 and bounds derived from its own data.
     """
 
     iterations: int = 3
     smoothing_window: int = 5
     opt: OptConfig = OptConfig()
-    noise_opt: OptConfig = OptConfig()
 
     def __post_init__(self):
         if self.iterations < 1 or self.smoothing_window < 1:
             raise InvalidInputError("iterations and smoothing window must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class HeteroGPModel:
     """Signal GP plus a log-noise GP evaluated wherever noise is needed."""
 
@@ -519,21 +514,14 @@ class HeteroGPModel:
     def params(self) -> KernelParams:
         return self.signal_gp.params
 
-    @property
-    def train(self) -> TrainingSet:
-        return self.signal_gp.train
-
     def noise_variance(self, ts) -> np.ndarray:
         """exp of the noise GP posterior mean: positive by construction."""
         return np.exp(self.noise_gp.predict(ts).mean)
 
-    def predict(self, ts, full_cov: bool = False) -> PosteriorPrediction:
+    def predict(self, ts) -> PosteriorPrediction:
         """Posterior of a new observation: latent variance plus local noise."""
-        out = self.signal_gp.predict(ts, full_cov=full_cov)
-        r_star = self.noise_variance(ts)
-        out.var = out.var + r_star
-        if out.cov is not None:
-            out.cov = out.cov + np.diag(r_star)
+        out = self.signal_gp.predict(ts)
+        out.var = out.var + self.noise_variance(ts)
         return out
 
 
@@ -549,8 +537,6 @@ def _moving_average(v, window):
 def fit_heteroscedastic(train: TrainingSet,
                         config: HeteroConfig = HeteroConfig()) -> HeteroGPModel:
     """Fit a GP whose observation noise varies over the input domain."""
-    if not isinstance(train, TrainingSet):
-        train = TrainingSet(*train)
     if len(train) < HETERO_MIN_POINTS:
         raise InsufficientDataError(
             f"heteroscedastic fit needs at least {HETERO_MIN_POINTS} points, "
@@ -561,6 +547,9 @@ def fit_heteroscedastic(train: TrainingSet,
     # Residuals and noise are evaluated once per distinct input and
     # expanded by group index, so replicates share their noise exactly.
     u, index, counts = _group(train.t)
+    noise_opt = OptConfig(n_starts=config.opt.n_starts,
+                          seed=config.opt.seed + 1,
+                          max_iter=config.opt.max_iter)
     stage1 = optimize_hyperparameters(train, noise=None, config=config.opt)
     signal = fit_gp(train, stage1.params, noise=stage1.noise)
 
@@ -573,7 +562,7 @@ def fit_heteroscedastic(train: TrainingSet,
 
         if u.size >= 2 and not degenerate:
             noise_fit = optimize_hyperparameters(TrainingSet(u, z), noise=None,
-                                                 config=config.noise_opt)
+                                                 config=noise_opt)
             noise_model = fit_gp(TrainingSet(u, z), noise_fit.params,
                                  noise=noise_fit.noise)
         else:

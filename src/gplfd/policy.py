@@ -4,8 +4,8 @@ A policy is six independent heteroscedastic GPs over normalized time, one per
 pose dimension (x, y, z, then the rotation vector components). Via-point
 adaptation fuses the demonstration posterior with a second GP built from the
 via-points, one Gaussian product per dimension and query time. The
-demonstration-side posterior for a given query grid is computed once and
-cached, so repeated adaptation calls only pay for the via-point side.
+demonstration-side posterior of the last query grid is kept, so repeated
+adaptation calls on one grid only pay for the via-point side.
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ import numpy as np
 from .alignment import MEASURES, Trajectory, align_demonstrations, resample
 from .errors import (InconsistentConstraintError, InsufficientDataError,
                      InvalidInputError)
-from .gp import (HeteroConfig, HeteroGPModel, PosteriorPrediction, TrainingSet,
-                 fit_gp, fit_heteroscedastic, gaussian_product)
+from .gp import (MAX_GP_INPUTS, HeteroConfig, PosteriorPrediction,
+                 TrainingSet, fit_gp, fit_heteroscedastic, gaussian_product)
 from .se3 import DistanceWeights, Pose
 
 DIM_NAMES = ("x", "y", "z", "rx", "ry", "rz")
@@ -29,8 +29,8 @@ DIM_NAMES = ("x", "y", "z", "rx", "ry", "rz")
 _SAME_TIME_TOL = 1e-12
 _HARD_STRENGTH = 1e-10
 
-# Largest policy grid: the search holds a few grid_size^2 matrices.
-MAX_GRID_SIZE = 2000
+# Largest policy grid: the pooled training set has grid_size distinct inputs.
+MAX_GRID_SIZE = MAX_GP_INPUTS
 
 
 @dataclass(frozen=True)
@@ -106,22 +106,21 @@ class TaskPolicy:
 
     dims: list
     grid: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False)
+    # (grid bytes, per-dimension posterior) of the last query grid.
+    _last: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if len(self.dims) != 6:
             raise InvalidInputError("a task policy carries exactly 6 models")
 
     def demonstration_posterior(self, ts: np.ndarray):
-        """Per-dimension posterior at ``ts``, cached by grid content."""
+        """Per-dimension posterior at ``ts``; the last grid's is kept."""
         key = ts.tobytes()
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = [model.predict(ts) for model in self.dims]
-            self._cache[key] = hit
-        # Hand out copies so callers cannot mutate the cached arrays.
+        if self._last is None or self._last[0] != key:
+            self._last = (key, [model.predict(ts) for model in self.dims])
+        # Hand out copies so callers cannot mutate the kept arrays.
         return [PosteriorPrediction(mean=p.mean.copy(), var=p.var.copy())
-                for p in hit]
+                for p in self._last[1]]
 
 
 def _as_times(ts) -> np.ndarray:
@@ -178,7 +177,7 @@ def adapt_with_viapoints(policy: TaskPolicy, via, ts) -> list:
     Each dimension gets a via-point GP sharing the policy's kernel
     hyperparameters, with the strengths as observation noise; its predictive
     variance includes the locally interpolated strength, and the result is
-    fused with the cached demonstration posterior by a Gaussian product.
+    fused with the demonstration posterior by a Gaussian product.
     """
     via = list(via)
     if not via:
@@ -255,6 +254,10 @@ def streaming_evaluation(policy: TaskPolicy, truth: Trajectory,
     if len(truth) < 3:
         raise InsufficientDataError(
             "streaming evaluation needs at least three samples")
+    # The last step fits the via-point GP on every sample but one.
+    if len(truth) - 1 > MAX_GP_INPUTS:
+        raise InvalidInputError(f"streaming evaluation takes at most "
+                                f"{MAX_GP_INPUTS + 1} samples, got {len(truth)}")
     stamps = truth.stamps
     ts = (stamps - stamps[0]) / (stamps[-1] - stamps[0])
     strength = np.broadcast_to(np.asarray(strength, dtype=float), (6,)).copy()

@@ -1,18 +1,21 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.linalg import LinAlgError
 from numpy.testing import assert_allclose
 from scipy.optimize import minimize
 
-from gplfd import (GPModel, HeteroConfig, InconsistentConstraintError,
+from gplfd import (HeteroConfig, InconsistentConstraintError,
                    InsufficientDataError, InvalidInputError, KernelParams,
-                   NotFittedError, NumericalConditioningError, OptConfig,
-                   PosteriorPrediction, TrainingSet, fit_gp,
-                   fit_heteroscedastic, gaussian_product, lml_gradient,
-                   optimize_hyperparameters, rbf_kernel)
+                   NumericalConditioningError, OptConfig,
+                   OptimizationFailureError, PosteriorPrediction, TrainingSet,
+                   fit_gp, fit_heteroscedastic, gaussian_product,
+                   lml_gradient, optimize_hyperparameters, rbf_kernel)
 from gplfd import gp
-from gplfd.gp import (JITTER_START_FRAC, MAX_OPT_STARTS, HeteroGPModel,
+from gplfd.gp import (JITTER_MAX_FRAC, JITTER_START_FRAC, MAX_GP_INPUTS,
+                      MAX_OPT_STARTS, MAX_PREDICT_CELLS, HeteroGPModel,
                       _lml_and_grad, _Reduced)
 
 from oracles import dense_lml, dense_posterior, longdouble_posterior
@@ -49,6 +52,11 @@ class TestKernel:
             KernelParams(length_scale=-1.0, signal_std=1.0)
         with pytest.raises(InvalidInputError):
             KernelParams(length_scale=1.0, signal_std=0.0)
+        # The kernel squares both; a square out of float range is refused.
+        for length_scale, signal_std in [(1e-200, 1.0), (1e200, 1.0),
+                                         (1.0, 1e-200), (1.0, 1e200)]:
+            with pytest.raises(InvalidInputError, match="square"):
+                KernelParams(length_scale=length_scale, signal_std=signal_std)
 
 
 class TestFitPredict:
@@ -81,14 +89,6 @@ class TestFitPredict:
             assert np.max(np.abs(pred.mean - mean)) < 1e-9 * max(1.0, scale)
             assert np.max(np.abs(pred.var - var)) < 1e-9 * scale
 
-    def test_full_cov_diagonal_consistent(self, rng):
-        train, params, noise = random_instance(rng)
-        model = fit_gp(train, params, noise=noise)
-        ts = np.linspace(0.0, 1.0, 5)
-        pred = model.predict(ts, full_cov=True)
-        assert pred.cov.shape == (5, 5)
-        assert_allclose(np.diag(pred.cov), pred.var, atol=1e-10)
-
     def test_duplicate_inputs_with_zero_noise_rejected(self):
         train = TrainingSet([0.2, 0.2, 0.5], [1.0, 1.1, 0.0])
         params = KernelParams(length_scale=0.3, signal_std=1.0)
@@ -103,18 +103,146 @@ class TestFitPredict:
         with pytest.raises(InvalidInputError):
             fit_gp(train, params, noise=np.array([1e-3, 1e-3, 1e-3]))
 
-    def test_unfitted_model_refuses_predict(self):
-        bare = GPModel(train=TrainingSet([0.0, 1.0], [0.0, 1.0]),
-                       params=KernelParams(length_scale=1.0, signal_std=1.0),
-                       noise=0.0)
-        with pytest.raises(NotFittedError):
-            bare.predict([0.5])
-
     def test_training_set_validation(self):
         with pytest.raises(InvalidInputError):
             TrainingSet([0.0, 1.0], [0.0])
         with pytest.raises(InvalidInputError):
             TrainingSet([0.0, np.inf], [0.0, 1.0])
+
+
+def traced_peak(call):
+    """Peak traced allocation, in bytes, while ``call`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSizeCaps:
+    def test_input_cap_counts_distinct_inputs(self):
+        params = KernelParams(length_scale=0.3, signal_std=1.0)
+        t = np.repeat(np.linspace(0.0, 1.0, 10), MAX_GP_INPUTS)
+        fit_gp(TrainingSet(t, np.sin(t)), params, noise=1e-3)
+
+        t = np.linspace(0.0, 1.0, MAX_GP_INPUTS + 1)
+        train = TrainingSet(t, np.sin(t))
+
+        def refused():
+            with pytest.raises(InvalidInputError, match="distinct inputs"):
+                fit_gp(train, params, noise=1e-3)
+
+        # One m x m float matrix alone would be 32 MB.
+        assert traced_peak(refused) < 1_000_000
+
+    def test_predict_cell_cap(self):
+        t = np.linspace(0.0, 1.0, 500)
+        model = fit_gp(TrainingSet(t, np.sin(t)), KernelParams(0.3, 1.0),
+                       noise=1e-3)
+        ts = np.linspace(0.0, 1.0, MAX_PREDICT_CELLS // t.size + 1)
+
+        def refused():
+            with pytest.raises(InvalidInputError, match="cells"):
+                model.predict(ts)
+
+        # One q x m float matrix alone would be 320 MB.
+        assert traced_peak(refused) < 1_000_000
+        # A default policy grid (100 distinct inputs) takes the largest
+        # query and simulation, 100 001 times.
+        assert 100_001 * 100 <= MAX_PREDICT_CELLS
+
+
+class TestSafetyPaths:
+    """Jitter, search and variance guards, driven by a patched factorization.
+
+    No well-posed input found reaches them: the jitter's first rung already
+    factorizes near-identical inputs and noise-free dense grids.
+    """
+
+    @staticmethod
+    def failing_cho_factor(monkeypatch, fails):
+        """Make gp.cho_factor fail its first ``fails`` calls; return the calls."""
+        real, calls = gp.cho_factor, []
+
+        def flaky(a, *args, **kwargs):
+            calls.append(a.shape[0])
+            if len(calls) <= fails:
+                raise LinAlgError("not positive definite")
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(gp, "cho_factor", flaky)
+        return calls
+
+    def test_jitter_escalates_tenfold(self, monkeypatch, rng):
+        train, params, noise = random_instance(rng)
+        calls = self.failing_cho_factor(monkeypatch, 2)
+        model = fit_gp(train, params, noise=noise)
+        assert len(calls) == 3
+        assert model.jitter == JITTER_START_FRAC * params.signal_std ** 2 * 100.0
+        # The escalated jitter is the one the posterior and LML carry.
+        ts = np.linspace(-0.2, 1.2, 7)
+        r_vec = np.full(train.t.shape, noise)
+        mean, var = dense_posterior(train.t, train.y, params.length_scale,
+                                    params.signal_std, r_vec, model.jitter, ts)
+        pred = model.predict(ts)
+        assert_allclose(pred.mean, mean, atol=1e-9)
+        assert_allclose(pred.var, var, atol=1e-9)
+        assert_allclose(model.log_marginal_likelihood(),
+                        dense_lml(train.t, train.y, params.length_scale,
+                                  params.signal_std, r_vec, model.jitter),
+                        rtol=1e-9)
+
+    def test_jitter_ceiling_raises(self, monkeypatch, rng):
+        train, params, noise = random_instance(rng)
+        calls = self.failing_cho_factor(monkeypatch, math.inf)
+        with pytest.raises(NumericalConditioningError, match="ceiling"):
+            fit_gp(train, params, noise=noise)
+        # Every tenfold rung from the start to the ceiling, both included.
+        rungs = round(math.log10(JITTER_MAX_FRAC / JITTER_START_FRAC)) + 1
+        assert len(calls) == rungs
+
+    def test_search_fails_when_no_start_factorizes(self, monkeypatch):
+        """The objective answers +inf, and every start is then skipped."""
+        calls = self.failing_cho_factor(monkeypatch, math.inf)
+        t = np.linspace(0.0, 1.0, 12)
+        with pytest.raises(OptimizationFailureError, match="no start point"):
+            optimize_hyperparameters(TrainingSet(t, np.sin(t)),
+                                     config=OptConfig(n_starts=3))
+        assert calls
+
+    @pytest.mark.parametrize("error", [LinAlgError, ValueError])
+    def test_raising_start_is_skipped(self, monkeypatch, error):
+        starts, finished = [], []
+
+        def first_start_raises(fun, x0, **kwargs):
+            starts.append(x0)
+            if len(starts) == 1:
+                raise error("start failed")
+            res = minimize(fun, x0, **kwargs)
+            finished.append(-res.fun)
+            return res
+
+        monkeypatch.setattr(gp, "minimize", first_start_raises)
+        t = np.linspace(0.0, 1.0, 12)
+        res = optimize_hyperparameters(TrainingSet(t, np.sin(3 * t)),
+                                       config=OptConfig(n_starts=3))
+        assert len(starts) == 3 and len(finished) == 2
+        assert res.lml == max(finished)
+
+    def test_negative_variance_warns_and_clamps(self, monkeypatch):
+        real = gp.cho_factor
+        # Factorizing half the system doubles the explained variance, so
+        # the latent variance turns negative near the data.
+        monkeypatch.setattr(gp, "cho_factor",
+                            lambda a, *args, **kwargs: real(0.5 * a, *args,
+                                                            **kwargs))
+        t = np.linspace(0.0, 1.0, 8)
+        model = fit_gp(TrainingSet(t, np.sin(t)), KernelParams(0.3, 1.0),
+                       noise=1e-4)
+        with pytest.warns(RuntimeWarning, match="clamped"):
+            pred = model.predict(t)
+        assert np.all(pred.var == 0.0)
 
 
 class TestLogMarginalLikelihood:

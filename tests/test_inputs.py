@@ -8,17 +8,20 @@ import io as stdio
 import json
 import math
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gplfd import (FormatError, ParseError, RunConfig, ToolkitError,
-                   Trajectory, ViaPoint, config_sha256, io, load_config)
+from gplfd import (DIM_NAMES, FormatError, ParseError, Pose, RunConfig,
+                   ToolkitError, Trajectory, ViaPoint, config_sha256, io,
+                   load_config)
 from gplfd.admittance import MAX_SIM_STEPS
 from gplfd.cli import MAX_QUERY_POINTS, main
 from gplfd.config import apply_overrides, config_from_dict
+from gplfd.gp import MAX_GP_INPUTS
 from gplfd.policy import MAX_GRID_SIZE
 from gplfd.synthetic import MAX_DOOR_SAMPLES
 
@@ -140,6 +143,81 @@ class TestFiles:
         path.write_bytes(payload)
         with pytest.raises(FormatError):
             io.read_manifest(path)
+
+
+def gp_entry(n):
+    """One GP of a policy file, with ``n`` distinct inputs."""
+    t = np.linspace(0.0, 1.0, n)
+    return {"t": t.tolist(), "y": np.sin(3.0 * t).tolist(),
+            "length_scale": 0.3, "signal_std": 1.0, "noise": 1e-4}
+
+
+def policy_payload(n_inputs=4):
+    """A hand-written policy whose x signal GP has ``n_inputs`` inputs."""
+    dims = [{"name": name, "degenerate": False,
+             "signal": gp_entry(n_inputs if k == 0 else 4),
+             "noise": gp_entry(4)} for k, name in enumerate(DIM_NAMES)]
+    return {"format": "gplfd-policy v1", "grid": [0.0, 0.5, 1.0],
+            "dims": dims}
+
+
+def traced_run(argv):
+    """(exit code, stderr, peak traced bytes) of one in-process CLI call."""
+    tracemalloc.start()
+    try:
+        code, err = run(argv)
+        return code, err, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSizeCaps:
+    """Oversize files and queries end before their GP matrices exist.
+
+    At a cap, one GP's m x m matrix alone is 32 MB and one predict's q x m
+    matrix 320 MB; every refusal here peaks under 10 MB.
+    """
+
+    def test_viapoint_file(self, tmp_path, policy_file):
+        n = MAX_GP_INPUTS + 1
+        pose = Pose.from_vector(np.zeros(6))
+        io.save_viapoints(tmp_path / "vias.csv",
+                          [ViaPoint(k / n, pose, 1e-4) for k in range(n)])
+        code, err, peak = traced_run(["adapt", "--policy", policy_file,
+                                      "--via", str(tmp_path / "vias.csv"),
+                                      "--out-dir", str(tmp_path)])
+        assert code == 1 and err.startswith("error:") and "distinct" in err
+        assert peak < 10_000_000
+
+    def test_policy_file(self, tmp_path):
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(policy_payload(MAX_GP_INPUTS + 1)))
+        code, err, peak = traced_run(["query", "--policy", str(path),
+                                      "--out-dir", str(tmp_path)])
+        assert code == 1 and err.startswith("error:") and "distinct" in err
+        assert peak < 10_000_000
+
+    def test_truth_file(self, tmp_path, policy_file):
+        n = MAX_GP_INPUTS + 2
+        samples = np.zeros((n, 6))
+        samples[:, 0] = np.linspace(0.0, 1.0, n)
+        io.save_demonstration(tmp_path / "truth.csv",
+                              Trajectory(np.arange(n, dtype=float), samples))
+        code, err, peak = traced_run(["eval", "--policy", policy_file,
+                                      "--truth", str(tmp_path / "truth.csv"),
+                                      "--out-dir", str(tmp_path)])
+        assert code == 1 and err.startswith("error:")
+        assert "streaming evaluation takes at most" in err
+        assert peak < 10_000_000
+
+    def test_query_grid(self, tmp_path):
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(policy_payload(500)))
+        code, err, peak = traced_run(["query", "--policy", str(path),
+                                      "--grid", str(MAX_QUERY_POINTS),
+                                      "--out-dir", str(tmp_path)])
+        assert code == 1 and err.startswith("error:") and "cells" in err
+        assert peak < 10_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -298,3 +376,69 @@ class TestMutatedFiles:
                     assert lineno is None or exc.line == lineno, exc
             else:
                 assert not fails, mutation
+
+
+# ---------------------------------------------------------------------------
+# Property: mutated policy files load or fail with a ToolkitError, and the
+# CLI then exits 1 with error:
+# ---------------------------------------------------------------------------
+
+# Stands for the literal 1e999, which json.dumps cannot write.
+OVERFLOW = "<1e999>"
+POLICY_VALUES = [math.nan, math.inf, OVERFLOW, -1.0, 0.0, 1e-200, 1e-9, 1e308,
+                 10 ** 400, True, None, "x", [], ["a"], [0.5], {}]
+# A key inside the file, by the object that holds it.
+POLICY_KEYS = ([("file", k) for k in ("format", "grid", "dims")]
+               + [("dim", k) for k in ("signal", "noise", "degenerate")]
+               + [("gp", k) for k in ("t", "y", "length_scale", "signal_std",
+                                      "noise")])
+POLICY_MUTATIONS = st.tuples(
+    st.sampled_from(["drop", "dup", "set", "item", "cut", "noise", "big"]),
+    st.sampled_from(POLICY_KEYS), st.integers(0, 5),
+    st.sampled_from(["signal", "noise"]), st.sampled_from(POLICY_VALUES))
+
+
+def _mutate_policy(mutation):
+    """The text of the hand-written policy with one mutation applied."""
+    op, (level, key), dim, side, value = mutation
+    payload = policy_payload()
+    gp = payload["dims"][dim][side]
+    node = {"file": payload, "dim": payload["dims"][dim], "gp": gp}[level]
+    if op == "drop":
+        del node[key]
+    elif op == "dup":
+        # Written after the original, so the duplicate's value wins.
+        node[key + "\0dup"] = value
+    elif op == "set":
+        node[key] = value
+    elif op == "item" and isinstance(node[key], list) and node[key]:
+        node[key][0] = value
+    elif op == "cut":
+        gp[key if key in ("t", "y") else "y"].pop()
+    elif op == "noise":
+        # A per-point noise vector: negative, non-finite or mistyped.
+        gp["noise"] = [value] * len(gp["t"])
+    elif op == "big":
+        gp.update(gp_entry(MAX_GP_INPUTS + 1))
+    text = json.dumps(payload)
+    return (text.replace(json.dumps(key + "\0dup"), json.dumps(key))
+            .replace(json.dumps(OVERFLOW), "1e999"))
+
+
+class TestMutatedPolicies:
+    @settings(PROPERTY, max_examples=150)
+    @given(POLICY_MUTATIONS)
+    def test_load_or_refuse(self, mutation):
+        with tempfile.TemporaryDirectory() as out:
+            path = f"{out}/policy.json"
+            with open(path, "w") as handle:
+                handle.write(_mutate_policy(mutation))
+            try:
+                io.load_policy(path)
+                refused = False
+            except ToolkitError:
+                refused = True
+            code, err = run(["query", "--policy", path, "--grid", "5",
+                             "--out-dir", out])
+        assert code == 0 or (code == 1 and err.startswith("error:")), err
+        assert code == 1 or not refused

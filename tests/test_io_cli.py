@@ -3,12 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from numpy.linalg import LinAlgError
 from numpy.testing import assert_allclose
 
 from gplfd import (FormatError, InvalidInputError, ParseError, Pose,
                    RotationVector, RunConfig, Trajectory, ViaPoint,
                    config_sha256, load_config, query, save_config, simulate)
-from gplfd import io
+from gplfd import gp, io
 from gplfd.cli import main
 from gplfd.config import apply_overrides, config_from_dict
 
@@ -355,6 +356,21 @@ class TestCommandLine:
         io.save_demonstration(demo, wiggly_trajectory(rng, n=6))
         assert main(["fit", str(demo), "--out-dir", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_fit_whose_every_start_fails_fails_cleanly(
+            self, tmp_path, capsys, monkeypatch, door_demos):
+        paths = []
+        for k, demo in enumerate(door_demos[:2]):
+            paths.append(str(tmp_path / f"demo_{k}.csv"))
+            io.save_demonstration(paths[-1], demo)
+
+        def singular(*args, **kwargs):
+            raise LinAlgError("not positive definite")
+
+        monkeypatch.setattr(gp, "cho_factor", singular)
+        assert main(["fit", *paths, "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "no start point" in err
 
     def test_rerun_from_manifest_is_identical(self, tmp_path):
         first, second = tmp_path / "one", tmp_path / "two"

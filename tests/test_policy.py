@@ -4,12 +4,29 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gplfd import (InconsistentConstraintError, InsufficientDataError,
-                   InvalidInputError, LearnConfig, Pose, PoseDistribution,
-                   RotationVector, Trajectory, ViaPoint, adapt_with_viapoints,
-                   learn_policy, prediction_error, query,
-                   streaming_evaluation)
+from gplfd import (GPModel, InconsistentConstraintError, InsufficientDataError,
+                   InvalidInputError, LearnConfig, OptConfig, Pose,
+                   PoseDistribution, PosteriorPrediction, RotationVector,
+                   TaskPolicy, Trajectory, ViaPoint, adapt_with_viapoints,
+                   generate_synthetic_door_set, learn_policy,
+                   prediction_error, query, streaming_evaluation)
+from gplfd import gp
+from gplfd.config import config_from_dict, learn_config
 from gplfd.policy import MAX_GRID_SIZE
+
+
+def posteriors_held(policy):
+    """Count the posteriors reachable from the policy's fields."""
+    stack, found = list(vars(policy).values()), 0
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, PosteriorPrediction):
+            found += 1
+        elif isinstance(obj, (list, tuple)):
+            stack.extend(obj)
+        elif isinstance(obj, dict):
+            stack.extend(obj.values())
+    return found
 
 
 def offset_pose(dist, dx=0.0, dz=0.0):
@@ -136,6 +153,28 @@ class TestAdaptation:
             assert np.array_equal(a.mean, b.mean)
             assert np.array_equal(a.var, b.var)
 
+    def test_only_the_last_grid_is_kept(self, door_policy, monkeypatch):
+        policy = TaskPolicy(dims=door_policy.dims, grid=door_policy.grid)
+        via = [ViaPoint(0.5, query(policy, [0.5])[0].pose(), 1e-4)]
+        grids = [np.linspace(0.0, 1.0 - 1e-6 * k, 20) for k in range(1000)]
+        for ts in grids:
+            adapt_with_viapoints(policy, via, ts)
+        # One per dimension: the last grid's posterior.
+        assert posteriors_held(policy) == 6
+
+        calls, predict = [], GPModel.predict
+
+        def counted(model, ts):
+            calls.append(ts.size)
+            return predict(model, ts)
+
+        monkeypatch.setattr(GPModel, "predict", counted)
+        policy.demonstration_posterior(grids[-1])
+        assert calls == []
+        # The first grid was dropped: its 6 signal and 6 noise GPs predict.
+        policy.demonstration_posterior(grids[0])
+        assert calls == [20] * 12
+
     def test_empty_or_invalid_via_rejected(self, door_policy):
         with pytest.raises(InvalidInputError):
             adapt_with_viapoints(door_policy, [], [0.5])
@@ -200,6 +239,31 @@ class TestPredictionError:
         pred = [PoseDistribution(mean=np.zeros(6), var=np.zeros(6))] * 3
         with pytest.raises(InvalidInputError):
             prediction_error(pred, truth)
+
+
+class TestNoiseSearch:
+    def test_noise_gp_searches_with_the_signal_budget(self, monkeypatch):
+        """Starts and iterations of ``opt``, seed + 1, no user bounds."""
+        config = config_from_dict({"seed": 5, "policy": {
+            "grid_size": 20, "opt_starts": 2, "opt_max_iter": 7,
+            "hetero_iterations": 2, "length_scale_bounds": [0.01, 1.0]}})
+        searches = []
+        search = gp.optimize_hyperparameters
+
+        def spy(train, noise=None, config=OptConfig()):
+            searches.append((len(train), config))
+            return search(train, noise, config)
+
+        monkeypatch.setattr(gp, "optimize_hyperparameters", spy)
+        learn_policy(generate_synthetic_door_set(seed=5, n_samples=20),
+                     learn_config(config))
+        # The noise GP regresses one value per grid time, the signal GP
+        # the six pooled demonstrations.
+        noise = [opt for n, opt in searches if n == 20]
+        signal = [opt for n, opt in searches if n == 120]
+        assert noise and len(noise) + len(signal) == len(searches)
+        assert set(noise) == {OptConfig(n_starts=2, seed=6, max_iter=7)}
+        assert set(signal) == {learn_config(config).hetero.opt}
 
 
 class TestStreaming:
