@@ -9,8 +9,8 @@ variable-stiffness admittance schedule with a closed-form stability check.
 
 from .admittance import (ControllerParams, SimTrace, StabilityReport,
                          check_stability, constant_force, damping_from_ratio,
-                         simulate, spring_to_ground_truth, stiffness_profile,
-                         stiffness_rate, stiffness_rate_bound, zero_force)
+                         simulate, stiffness_profile, stiffness_rate,
+                         stiffness_rate_bound, zero_force)
 from .alignment import (AlignmentWarning, TCIProfile, Trajectory, WarpPath,
                         align_demonstrations, dtw_align, path_length,
                         resample, tci_profile)
@@ -30,9 +30,7 @@ from .io import (load_demonstration, load_demonstrations, load_policy,
 from .policy import (DIM_NAMES, LearnConfig, PoseDistribution, StreamingReport,
                      TaskPolicy, ViaPoint, adapt_with_viapoints, learn_policy,
                      prediction_error, query, streaming_evaluation)
-from .se3 import (DistanceWeights, Pose, RotationVector, arc_distance,
-                  canonicalize_rotation, pose_distance, quaternion_of,
-                  rotvec_from_quaternion)
+from .se3 import DistanceWeights, Pose
 from .synthetic import generate_synthetic_door_set
 
 __version__ = "0.1.0"

@@ -151,20 +151,6 @@ def constant_force(vec):
     return force
 
 
-def spring_to_ground_truth(gap, stiffness):
-    """Environment spring pulling the actual pose toward a ground-truth path.
-
-    ``gap(t)`` returns desired-minus-truth as a 6-vector; the spring force in
-    error coordinates is stiffness * (e - gap(t)). A stiffness above the
-    controller stiffness makes the coupled system unstable, as it would in
-    hardware.
-    """
-    def force(t, e, v):
-        return float(stiffness) * (e - np.asarray(gap(t), dtype=float))
-
-    return force
-
-
 # ---------------------------------------------------------------------------
 # Simulation
 # ---------------------------------------------------------------------------

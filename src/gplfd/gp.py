@@ -55,6 +55,10 @@ MAX_PREDICT_CELLS = 40_000_000
 HETERO_MIN_POINTS = 10
 # Most L-BFGS-B starts of one search: each start is a full local search.
 MAX_OPT_STARTS = 1000
+# Most L-BFGS-B iterations of one start.
+MAX_OPT_ITER = 10_000
+# Most noise-refit rounds of one heteroscedastic fit.
+MAX_HETERO_ITERATIONS = 100
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -162,8 +166,13 @@ class _Reduced:
         if m > MAX_GP_INPUTS:
             raise InvalidInputError(f"a GP takes at most {MAX_GP_INPUTS} "
                                     f"distinct inputs, got {m}")
-        self.offset = float(train.y.mean())
-        self.resid = train.y - self.offset
+        # Targets whose mean or spread overflows would give NaN weights.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.offset = float(train.y.mean())
+            self.resid = train.y - self.offset
+            spread = float(self.resid @ self.resid)
+        if not math.isfinite(spread):
+            raise InvalidInputError("training targets overflow in float64")
         if noise is not None and m < n:
             # Exact duplicates with zero noise make the Gram matrix singular
             # in exact arithmetic; refuse them instead of letting jitter
@@ -396,9 +405,11 @@ class OptConfig:
     noise_std_bounds: tuple[float, float] | None = None
 
     def __post_init__(self):
-        if not 1 <= self.n_starts <= MAX_OPT_STARTS or self.max_iter < 1:
-            raise InvalidInputError(f"optimizer starts must lie in [1, "
-                                    f"{MAX_OPT_STARTS}] and iterations be >= 1")
+        if not (1 <= self.n_starts <= MAX_OPT_STARTS
+                and 1 <= self.max_iter <= MAX_OPT_ITER):
+            raise InvalidInputError(
+                f"optimizer starts must lie in [1, {MAX_OPT_STARTS}] and "
+                f"iterations in [1, {MAX_OPT_ITER}]")
         for bounds in (self.length_scale_bounds, self.signal_std_bounds,
                        self.noise_std_bounds):
             if bounds is not None and not (
@@ -498,8 +509,11 @@ class HeteroConfig:
     opt: OptConfig = OptConfig()
 
     def __post_init__(self):
-        if self.iterations < 1 or self.smoothing_window < 1:
-            raise InvalidInputError("iterations and smoothing window must be >= 1")
+        if (not 1 <= self.iterations <= MAX_HETERO_ITERATIONS
+                or self.smoothing_window < 1):
+            raise InvalidInputError(
+                f"iterations must lie in [1, {MAX_HETERO_ITERATIONS}] and the "
+                "smoothing window be >= 1")
 
 
 @dataclass(frozen=True)
@@ -515,8 +529,12 @@ class HeteroGPModel:
         return self.signal_gp.params
 
     def noise_variance(self, ts) -> np.ndarray:
-        """exp of the noise GP posterior mean: positive by construction."""
-        return np.exp(self.noise_gp.predict(ts).mean)
+        """exp of the noise GP posterior mean: positive, and finite or refused."""
+        with np.errstate(over="ignore"):
+            var = np.exp(self.noise_gp.predict(ts).mean)
+        if not np.all(np.isfinite(var)):
+            raise InvalidInputError("noise GP log variance overflows exp")
+        return var
 
     def predict(self, ts) -> PosteriorPrediction:
         """Posterior of a new observation: latent variance plus local noise."""

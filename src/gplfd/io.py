@@ -20,7 +20,7 @@ from .alignment import Trajectory
 from .errors import FormatError, InvalidInputError, ParseError
 from .gp import HeteroGPModel, KernelParams, TrainingSet, fit_gp
 from .policy import DIM_NAMES, TaskPolicy, ViaPoint
-from .se3 import Pose, pose_rows, quaternions_of, rotvecs_from_quaternions
+from .se3 import pose_rows, quaternions_of, rotvecs_from_quaternions
 
 FORMAT_DEMO = "gplfd-demo v1"
 FORMAT_VIA = "gplfd-via v1"
@@ -170,7 +170,7 @@ def load_demonstrations(paths) -> list:
 # ---------------------------------------------------------------------------
 
 def save_viapoints(path, vias) -> None:
-    rows = [[via.time, *via.pose.position, *quaternions_of(via.pose.rotation.vec),
+    rows = [[via.time, *via.pose[:3], *quaternions_of(via.pose[3:]),
              via.strength[0], via.strength[3]] for via in vias]
     _write_columnar(path, FORMAT_VIA, {"quaternion": "wxyz"},
                     _VIA_HEADER, rows)
@@ -183,7 +183,7 @@ def load_viapoints(path) -> list:
     vias = []
     for lineno, values, pose in zip(lines, rows, poses):
         try:
-            vias.append(ViaPoint(float(values[0]), Pose.from_vector(pose),
+            vias.append(ViaPoint(float(values[0]), pose,
                                  np.repeat(values[8:], 3)))
         except InvalidInputError as exc:
             raise ParseError(str(exc), line=lineno) from None

@@ -11,7 +11,6 @@ adaptation calls on one grid only pay for the via-point side.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +20,7 @@ from .errors import (InconsistentConstraintError, InsufficientDataError,
                      InvalidInputError)
 from .gp import (MAX_GP_INPUTS, HeteroConfig, PosteriorPrediction,
                  TrainingSet, fit_gp, fit_heteroscedastic, gaussian_product)
-from .se3 import DistanceWeights, Pose
+from .se3 import DistanceWeights, pose_rows
 
 DIM_NAMES = ("x", "y", "z", "rx", "ry", "rz")
 
@@ -55,22 +54,10 @@ class PoseDistribution:
     var: np.ndarray
     extrapolated: bool = False
 
-    def pose(self) -> Pose:
-        """Assemble a Pose; the rotation part is re-canonicalized.
-
-        Warns when the raw rotation mean leaves the pi-ball, since the
-        wrapped representative then jumps away from the componentwise mean.
-        """
-        rot = self.mean[3:]
-        if float(np.linalg.norm(rot)) > math.pi:
-            warnings.warn("rotation mean crossed the pi-ball boundary; the "
-                          "canonical representative wraps", RuntimeWarning)
-        return Pose(self.mean[:3], rot)
-
 
 def strength_vector(strength) -> np.ndarray:
     """Via-point strengths as 6 positive finite variances (from a scalar or 6)."""
-    s = np.asarray(strength, dtype=float)
+    s = np.array(strength, dtype=float)
     if s.ndim == 0:
         s = np.full(6, float(s))
     if s.shape != (6,):
@@ -84,19 +71,22 @@ def strength_vector(strength) -> np.ndarray:
 class ViaPoint:
     """Desired pose at a normalized time with per-dimension strengths.
 
+    The pose is a read-only (6,) row: position, canonical rotation vector.
     Strength is the observation variance attached to the constraint
     (position dimensions in m^2, rotation dimensions in rad^2): smaller is
     harder. Strengths must be positive.
     """
 
     time: float
-    pose: Pose
+    pose: np.ndarray
     strength: np.ndarray
 
     def __post_init__(self):
         if not math.isfinite(self.time):
             raise InvalidInputError("via-point time must be finite")
+        object.__setattr__(self, "pose", pose_rows([self.pose])[0])
         object.__setattr__(self, "strength", strength_vector(self.strength))
+        self.pose.setflags(write=False)
         self.strength.setflags(write=False)
 
 
@@ -159,58 +149,62 @@ def query(policy: TaskPolicy, ts) -> list:
             for i in range(ts.size)]
 
 
-def _check_via_consistency(via) -> None:
-    by_time = sorted(via, key=lambda v: v.time)
-    for a, b in zip(by_time[:-1], by_time[1:]):
-        if abs(a.time - b.time) > _SAME_TIME_TOL:
-            continue
-        hard = (a.strength < _HARD_STRENGTH) & (b.strength < _HARD_STRENGTH)
-        differ = np.abs(a.pose.as_vector() - b.pose.as_vector()) > 1e-9
-        if np.any(hard & differ):
-            raise InconsistentConstraintError(
-                f"two near-exact via-points at t={a.time} demand different poses")
+def _fuse(policy: TaskPolicy, via_t, via_y, via_s, ts):
+    """(q, 6) mean and variance of the policy fused with via-points at ``ts``.
 
-
-def adapt_with_viapoints(policy: TaskPolicy, via, ts) -> list:
-    """Fuse the policy with via-point constraints at the query times.
-
-    Each dimension gets a via-point GP sharing the policy's kernel
+    Via-point k has time via_t[k], pose row via_y[k] and strengths
+    via_s[k]. Each dimension gets a via-point GP sharing the policy's kernel
     hyperparameters, with the strengths as observation noise; its predictive
     variance includes the locally interpolated strength, and the result is
     fused with the demonstration posterior by a Gaussian product.
     """
-    via = list(via)
-    if not via:
-        raise InvalidInputError("via-point adaptation needs at least one via-point")
-    if not all(isinstance(v, ViaPoint) for v in via):
-        raise InvalidInputError("via must contain ViaPoint instances")
-    _check_via_consistency(via)
-    ts = _as_times(ts)
+    order = np.argsort(via_t, kind="stable")
+    t, s = via_t[order], via_s[order]
+    # Neighbours in time this close must agree where both are near-exact;
+    # poses whose gap overflows differ.
+    hard = (s[:-1] < _HARD_STRENGTH) & (s[1:] < _HARD_STRENGTH)
+    with np.errstate(over="ignore"):
+        differ = np.abs(np.diff(via_y[order], axis=0)) > 1e-9
+    clash = (np.diff(t) <= _SAME_TIME_TOL) & np.any(hard & differ, axis=1)
+    if np.any(clash):
+        raise InconsistentConstraintError(
+            f"two near-exact via-points at t={t[np.argmax(clash)]} demand "
+            "different poses")
 
     demo_side = policy.demonstration_posterior(ts)
-    via_t = np.array([v.time for v in via])
-    via_y = np.stack([v.pose.as_vector() for v in via])
-    via_s = np.stack([v.strength for v in via])
-    order = np.argsort(via_t, kind="stable")
-
-    fused_mean = np.empty((ts.size, 6))
-    fused_var = np.empty((ts.size, 6))
+    fused = []
     for d in range(6):
         model = fit_gp(TrainingSet(via_t, via_y[:, d]),
                        policy.dims[d].params, noise=via_s[:, d])
         pred = model.predict(ts)
         # Treat the constraint noise as a log-interpolated profile so the
         # via side stays an observation-level posterior away from the knots.
-        log_s = np.log(via_s[order, d])
-        pred.var = pred.var + np.exp(np.interp(ts, via_t[order], log_s))
-        fused = gaussian_product(demo_side[d], pred)
-        fused_mean[:, d] = fused.mean
-        fused_var[:, d] = fused.var
+        pred.var = pred.var + np.exp(np.interp(ts, t, np.log(s[:, d])))
+        fused.append(gaussian_product(demo_side[d], pred))
+    return (np.stack([f.mean for f in fused], axis=1),
+            np.stack([f.var for f in fused], axis=1))
 
+
+def adapt_with_viapoints(policy: TaskPolicy, via, ts) -> list:
+    """Fuse the policy with via-point constraints at the query times."""
+    via = list(via)
+    if not via:
+        raise InvalidInputError("via-point adaptation needs at least one via-point")
+    if not all(isinstance(v, ViaPoint) for v in via):
+        raise InvalidInputError("via must contain ViaPoint instances")
+    ts = _as_times(ts)
+    mean, var = _fuse(policy, np.array([v.time for v in via]),
+                      np.stack([v.pose for v in via]),
+                      np.stack([v.strength for v in via]), ts)
     lo, hi = policy.grid[0], policy.grid[-1]
-    return [PoseDistribution(mean=fused_mean[i], var=fused_var[i],
+    return [PoseDistribution(mean=mean[i], var=var[i],
                              extrapolated=bool(ts[i] < lo or ts[i] > hi))
             for i in range(ts.size)]
+
+
+def _expected_sq_error(mean, var, target) -> np.ndarray:
+    """Per-dimension mean over rows of (mean - target)^2 + var."""
+    return np.mean((mean - target) ** 2 + var, axis=0)
 
 
 def prediction_error(pred, truth: Trajectory) -> np.ndarray:
@@ -222,10 +216,8 @@ def prediction_error(pred, truth: Trajectory) -> np.ndarray:
     """
     if len(pred) != len(truth):
         raise InvalidInputError("prediction and truth lengths differ")
-    means = np.stack([p.mean for p in pred])
-    vars_ = np.stack([p.var for p in pred])
-    target = truth.samples
-    return np.mean((means - target) ** 2 + vars_, axis=0)
+    return _expected_sq_error(np.stack([p.mean for p in pred]),
+                              np.stack([p.var for p in pred]), truth.samples)
 
 
 @dataclass(frozen=True)
@@ -234,11 +226,6 @@ class StreamingReport:
 
     static_mse: np.ndarray
     adaptive_mse: np.ndarray
-
-    def improvement(self) -> np.ndarray:
-        """Per-dimension fraction of the static error the adaptation removed."""
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return 1.0 - self.adaptive_mse / self.static_mse
 
 
 def streaming_evaluation(policy: TaskPolicy, truth: Trajectory,
@@ -258,14 +245,17 @@ def streaming_evaluation(policy: TaskPolicy, truth: Trajectory,
     if len(truth) - 1 > MAX_GP_INPUTS:
         raise InvalidInputError(f"streaming evaluation takes at most "
                                 f"{MAX_GP_INPUTS + 1} samples, got {len(truth)}")
-    stamps = truth.stamps
+    stamps, samples = truth.stamps, truth.samples
     ts = (stamps - stamps[0]) / (stamps[-1] - stamps[0])
-    strength = np.broadcast_to(np.asarray(strength, dtype=float), (6,)).copy()
-    target = Trajectory(ts[1:], truth.samples[1:])
+    via_s = np.broadcast_to(strength_vector(strength), samples.shape)
 
-    vias = [ViaPoint(t, pose, strength) for t, pose in zip(ts, truth.poses)]
-    adaptive = [adapt_with_viapoints(policy, vias[:i], ts[i])[0]
-                for i in range(1, ts.size)]
-    static = query(policy, ts[1:])
-    return StreamingReport(static_mse=prediction_error(static, target),
-                           adaptive_mse=prediction_error(adaptive, target))
+    steps = [_fuse(policy, ts[:i], samples[:i], via_s[:i], ts[i:i + 1])
+             for i in range(1, ts.size)]
+    adaptive = _expected_sq_error(np.concatenate([m for m, _ in steps]),
+                                  np.concatenate([v for _, v in steps]),
+                                  samples[1:])
+    per_dim = policy.demonstration_posterior(ts[1:])
+    static = _expected_sq_error(np.stack([p.mean for p in per_dim], axis=1),
+                                np.stack([p.var for p in per_dim], axis=1),
+                                samples[1:])
+    return StreamingReport(static_mse=static, adaptive_mse=adaptive)

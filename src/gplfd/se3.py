@@ -4,9 +4,8 @@ Rotations are stored as rotation vectors r = angle * axis with norm(r) <= pi.
 The antipodal ambiguity on the norm(r) = pi boundary is resolved by a fixed
 hemisphere rule so equality of rotations is equality of vectors.
 
-Every operation is written once, over the last axis of an array of rows.
-The single-rotation API (RotationVector, Pose, quaternion_of, arc_distance,
-...) calls it on one row.
+Every operation is written once, over the last axis of an array of rows; a
+single rotation or pose is one row.
 """
 
 from __future__ import annotations
@@ -41,7 +40,8 @@ def _finite_rows(values, width: int, what: str, one: bool = False) -> np.ndarray
     message = f"{what} must be a finite {width}-vector"
     if values.shape[-1:] != (width,) or (one and values.ndim != 1):
         raise InvalidInputError(message)
-    _refuse_rows(~np.all(np.isfinite(values), axis=-1), message)
+    if not np.isfinite(values).all():
+        _refuse_rows(~np.all(np.isfinite(values), axis=-1), message)
     return values
 
 
@@ -54,6 +54,9 @@ def canonical_rotvecs(r) -> np.ndarray:
     """
     r = _finite_rows(r, 3, "rotation vector")
     angle = np.linalg.norm(r, axis=-1, keepdims=True)
+    if np.all((angle >= ANGLE_EPS) & (angle < math.pi - HEMISPHERE_TOL)):
+        # Inside the ball, off the identity and the boundary: canonical.
+        return r.copy()
     wrapped = np.fmod(angle, 2.0 * math.pi)
     past_pi = wrapped > math.pi
     wrapped = np.where(past_pi, 2.0 * math.pi - wrapped, wrapped)
@@ -177,96 +180,28 @@ def pose_distances(a, b, weights: DistanceWeights = DistanceWeights()) -> np.nda
 
 
 # ---------------------------------------------------------------------------
-# Single rotations and poses
+# Single poses
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RotationVector:
-    """Canonical axis-angle rotation, immutable after construction.
-
-    The constructor canonicalizes its input, so every instance satisfies
-    norm <= pi and the boundary hemisphere rule. Construction is therefore
-    idempotent: RotationVector(r.vec) == r.
-    """
-
-    vec: np.ndarray
-
-    def __post_init__(self):
-        vec = _finite_rows(self.vec, 3, "rotation vector", one=True)
-        object.__setattr__(self, "vec", canonical_rotvecs(vec))
-        self.vec.setflags(write=False)
-
-    @property
-    def angle(self) -> float:
-        return float(np.linalg.norm(self.vec))
-
-    @property
-    def axis(self) -> np.ndarray:
-        """Unit axis; the identity rotation reports (1, 0, 0) by convention."""
-        theta = self.angle
-        if theta < ANGLE_EPS:
-            return np.array([1.0, 0.0, 0.0])
-        return self.vec / theta
-
-    def __eq__(self, other):
-        if not isinstance(other, RotationVector):
-            return NotImplemented
-        return bool(np.array_equal(self.vec, other.vec))
-
-    def __hash__(self):
-        return hash(self.vec.tobytes())
-
-
-def canonicalize_rotation(axis, angle) -> RotationVector:
-    """Build the canonical rotation vector for a rotation about ``axis``.
-
-    The axis need not be unit length but must be nonzero whenever the angle
-    is not a multiple of 2*pi.
-    """
-    axis = _finite_rows(axis, 3, "axis", one=True)
-    if not math.isfinite(angle):
-        raise InvalidInputError("angle must be finite")
-    norm = float(np.linalg.norm(axis))
-    angle = math.fmod(float(angle), 2.0 * math.pi)
-    if norm < ANGLE_EPS <= abs(angle):
-        raise InvalidInputError("zero-norm axis with a nonzero rotation angle")
-    # Below ANGLE_EPS the product is canonicalized to the exact identity.
-    return RotationVector(axis / max(norm, ANGLE_EPS) * angle)
-
-
-def quaternion_of(rot: RotationVector) -> np.ndarray:
-    """Unit quaternion (w, x, y, z) of a rotation vector, scalar first."""
-    return quaternions_of(rot.vec)
-
-
-def rotvec_from_quaternion(q) -> RotationVector:
-    """Canonical rotation vector of a unit quaternion (w, x, y, z)."""
-    q = _finite_rows(q, 4, "quaternion", one=True)
-    return RotationVector(rotvecs_from_quaternions(q))
-
-
-def arc_distance(a: RotationVector, b: RotationVector) -> float:
-    """Geodesic angle in [0, pi] between two canonical rotations."""
-    return float(arc_distances(a.vec, b.vec))
-
-
-@dataclass(frozen=True)
 class Pose:
-    """Position paired with a canonical rotation."""
+    """Position paired with a canonical rotation vector, both read-only (3,)."""
 
     position: np.ndarray
-    rotation: RotationVector
+    rotation: np.ndarray
 
     def __post_init__(self):
-        pos = _finite_rows(self.position, 3, "position", one=True)
+        pos = _finite_rows(self.position, 3, "position", one=True).copy()
+        rot = canonical_rotvecs(
+            _finite_rows(self.rotation, 3, "rotation vector", one=True))
         object.__setattr__(self, "position", pos)
+        object.__setattr__(self, "rotation", rot)
         self.position.setflags(write=False)
-        if not isinstance(self.rotation, RotationVector):
-            object.__setattr__(self, "rotation", RotationVector(self.rotation))
+        self.rotation.setflags(write=False)
 
     def as_vector(self) -> np.ndarray:
         """Concatenated (position, rotation vector), length 6."""
-        return np.concatenate([self.position, self.rotation.vec])
+        return np.concatenate([self.position, self.rotation])
 
     def __array__(self, dtype=None, copy=None):
         # Lets np.asarray turn a sequence of Poses into (n, 6) pose rows.
@@ -275,9 +210,4 @@ class Pose:
     @classmethod
     def from_vector(cls, vec) -> "Pose":
         vec = _finite_rows(vec, 6, "pose vector", one=True)
-        return cls(vec[:3], RotationVector(vec[3:]))
-
-
-def pose_distance(a: Pose, b: Pose, weights: DistanceWeights = DistanceWeights()) -> float:
-    """Weighted SE(3) distance sqrt(w_rot * arc^2 + w_trans * |dp|^2)."""
-    return float(pose_distances(a.as_vector(), b.as_vector(), weights))
+        return cls(vec[:3], vec[3:])

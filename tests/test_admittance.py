@@ -6,8 +6,8 @@ from numpy.testing import assert_allclose
 
 from gplfd import (ControllerParams, DivergenceError, InvalidInputError,
                    check_stability, constant_force, damping_from_ratio,
-                   simulate, spring_to_ground_truth, stiffness_profile,
-                   stiffness_rate, stiffness_rate_bound, zero_force)
+                   simulate, stiffness_profile, stiffness_rate,
+                   stiffness_rate_bound, zero_force)
 from gplfd.admittance import MAX_SIM_STEPS, simulation_steps
 
 from oracles import critically_damped_free
@@ -195,8 +195,9 @@ class TestSimulate:
         assert info.value.step is not None and info.value.step > 0
 
     def test_stiff_environment_spring_diverges(self):
+        # A spring toward a ground truth the setpoint already follows.
         gap = lambda t: np.zeros(6)
-        force = spring_to_ground_truth(gap, stiffness=1e7)
+        force = lambda t, e, v: 1e7 * (e - gap(t))
         with np.errstate(all="ignore"):
             with pytest.raises(DivergenceError):
                 simulate(sigma=0.05, force=force, dt=1e-3, horizon=2.0,
@@ -219,8 +220,3 @@ class TestForceModels:
         g = constant_force(np.arange(6.0))
         assert_allclose(g(1.0, np.zeros(6), np.zeros(6)), np.arange(6.0))
 
-    def test_spring_to_ground_truth_pulls_toward_gap(self):
-        gap = lambda t: np.full(6, 0.2)
-        force = spring_to_ground_truth(gap, stiffness=50.0)
-        e = np.full(6, 0.5)
-        assert_allclose(force(0.0, e, np.zeros(6)), 50.0 * (0.5 - 0.2))

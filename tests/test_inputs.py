@@ -54,6 +54,8 @@ CONFIG_PROBES = [
     "policy.hetero_iterations=0",
     "policy.opt_starts=0",
     "policy.opt_starts=1000000000",
+    "policy.opt_max_iter=1000000000",
+    "policy.hetero_iterations=1000000000",
     "policy.position_strength=0",
     "alignment.measure=banana",
     "simulation.integrator=euler",
@@ -135,6 +137,22 @@ class TestFiles:
         with pytest.raises(ParseError, match="finite 3-vector") as info:
             io.load_demonstration(path)
         assert info.value.line == 5
+
+    @pytest.mark.parametrize("command", ["adapt", "eval"])
+    def test_overflowing_targets_refused(self, tmp_path, policy_file, command):
+        """Via-point and truth rows become GP targets; their sum overflows."""
+        rows = np.zeros((4, 6))
+        rows[:, 0] = [1e308, 1e308, -1e308, 1e308]
+        path = tmp_path / "rows.csv"
+        if command == "adapt":
+            io.save_viapoints(path, [ViaPoint(0.2 * (k + 1), row, 1e-4)
+                                     for k, row in enumerate(rows)])
+            argv = ["adapt", "--policy", policy_file, "--via", str(path)]
+        else:
+            io.save_demonstration(path, Trajectory(np.arange(4.0), rows))
+            argv = ["eval", "--policy", policy_file, "--truth", str(path)]
+        code, err = run([*argv, "--out-dir", str(tmp_path)])
+        assert code == 1 and err.startswith("error:") and "overflow" in err
 
     @pytest.mark.parametrize("payload", [b"[1, 2]", b"\xff", b"[" * 100000],
                              ids=["list", "not-utf-8", "nested-too-deep"])
@@ -393,7 +411,8 @@ POLICY_KEYS = ([("file", k) for k in ("format", "grid", "dims")]
                + [("gp", k) for k in ("t", "y", "length_scale", "signal_std",
                                       "noise")])
 POLICY_MUTATIONS = st.tuples(
-    st.sampled_from(["drop", "dup", "set", "item", "cut", "noise", "big"]),
+    st.sampled_from(["drop", "dup", "set", "item", "cut", "noise", "big",
+                     "overflow"]),
     st.sampled_from(POLICY_KEYS), st.integers(0, 5),
     st.sampled_from(["signal", "noise"]), st.sampled_from(POLICY_VALUES))
 
@@ -420,15 +439,20 @@ def _mutate_policy(mutation):
         gp["noise"] = [value] * len(gp["t"])
     elif op == "big":
         gp.update(gp_entry(MAX_GP_INPUTS + 1))
+    elif op == "overflow":
+        # Targets whose sum or squares overflow, or whose exp does.
+        pattern = [[1e308, 1e308, -1e308, 1e308], [1e200, -1e200],
+                   [800.0]][dim % 3]
+        gp["y"] = (pattern * len(gp["t"]))[:len(gp["t"])]
     text = json.dumps(payload)
     return (text.replace(json.dumps(key + "\0dup"), json.dumps(key))
             .replace(json.dumps(OVERFLOW), "1e999"))
 
 
 class TestMutatedPolicies:
-    @settings(PROPERTY, max_examples=150)
-    @given(POLICY_MUTATIONS)
-    def test_load_or_refuse(self, mutation):
+    @staticmethod
+    def load_and_query(mutation) -> int:
+        """Exit code of ``query``: 0 with a finite table, or 1 with error:."""
         with tempfile.TemporaryDirectory() as out:
             path = f"{out}/policy.json"
             with open(path, "w") as handle:
@@ -440,5 +464,21 @@ class TestMutatedPolicies:
                 refused = True
             code, err = run(["query", "--policy", path, "--grid", "5",
                              "--out-dir", out])
+            if code == 0:
+                _, _, table = io.read_table(f"{out}/query.csv")
+                assert np.all(np.isfinite(table)), mutation
         assert code == 0 or (code == 1 and err.startswith("error:")), err
         assert code == 1 or not refused
+        return code
+
+    @settings(PROPERTY, max_examples=150)
+    @given(POLICY_MUTATIONS)
+    def test_load_or_refuse(self, mutation):
+        self.load_and_query(mutation)
+
+    @pytest.mark.parametrize("side", ["signal", "noise"])
+    @pytest.mark.parametrize("dim", [0, 1, 2])
+    def test_overflow_refused(self, dim, side):
+        code = self.load_and_query(("overflow", ("gp", "y"), dim, side, None))
+        # Targets of 800 are ordinary signal values; only their exp overflows.
+        assert code == (0 if (dim, side) == (2, "signal") else 1)

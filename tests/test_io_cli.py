@@ -7,8 +7,7 @@ from numpy.linalg import LinAlgError
 from numpy.testing import assert_allclose
 
 from gplfd import (FormatError, InvalidInputError, ParseError, Pose,
-                   RotationVector, RunConfig, Trajectory, ViaPoint,
-                   config_sha256, load_config, query, save_config, simulate)
+                   RunConfig, Trajectory, ViaPoint, config_sha256, load_config, query, save_config, simulate)
 from gplfd import gp, io
 from gplfd.cli import main
 from gplfd.config import apply_overrides, config_from_dict
@@ -19,7 +18,7 @@ DEFAULTS = RunConfig()
 def wiggly_trajectory(rng, n=12):
     stamps = np.cumsum(rng.uniform(0.05, 0.4, n))
     poses = tuple(Pose(rng.normal(size=3),
-                       RotationVector(rng.normal(size=3) * 0.6))
+                       rng.normal(size=3) * 0.6)
                   for _ in range(n))
     return Trajectory(stamps, poses)
 
@@ -44,8 +43,8 @@ class TestDemonstrationFiles:
                         "0.0,0,0,0,0,0,0,1\n"
                         f"1.0,1,0,0,0,0,{half},{half}\n")
         traj = io.load_demonstration(path)
-        assert_allclose(traj.poses[0].rotation.vec, [0, 0, 0], atol=1e-12)
-        assert_allclose(traj.poses[1].rotation.vec, [0, 0, math.pi / 2],
+        assert_allclose(traj.poses[0].rotation, [0, 0, 0], atol=1e-12)
+        assert_allclose(traj.poses[1].rotation, [0, 0, math.pi / 2],
                         atol=1e-9)
 
     def test_unknown_convention_rejected(self, tmp_path):
@@ -120,10 +119,10 @@ class TestDemonstrationFiles:
 class TestViaPointFiles:
     def test_round_trip(self, tmp_path):
         vias = [ViaPoint(0.25, Pose(np.array([0.1, 0.2, 0.3]),
-                                    RotationVector((0, 0.4, 0))),
+                                    (0, 0.4, 0)),
                          np.array([1e-4] * 3 + [1e-3] * 3)),
                 ViaPoint(0.75, Pose(np.array([-0.1, 0.0, 0.5]),
-                                    RotationVector((0.2, 0, 0))),
+                                    (0.2, 0, 0)),
                          np.array([1e-6] * 3 + [1e-5] * 3))]
         path = tmp_path / "via.csv"
         io.save_viapoints(path, vias)
@@ -131,8 +130,7 @@ class TestViaPointFiles:
         assert len(back) == 2
         for ours, orig in zip(back, vias):
             assert ours.time == orig.time
-            assert_allclose(ours.pose.as_vector(), orig.pose.as_vector(),
-                            atol=1e-12)
+            assert_allclose(ours.pose, orig.pose, atol=1e-12)
             assert np.array_equal(ours.strength, orig.strength)
 
 
@@ -302,7 +300,7 @@ class TestCommandLine:
         assert data.shape == (9, len(header))
 
         vias = [ViaPoint(0.5, Pose(np.array([0.5, 0.0, 0.2]),
-                                   RotationVector((0, 0.5, 0))), 1e-4)]
+                                   (0, 0.5, 0)), 1e-4)]
         via_path = tmp_path / "via.csv"
         io.save_viapoints(via_path, vias)
         assert main(["adapt", "--policy", str(policy_path), "--via",

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -6,13 +7,14 @@ from numpy.testing import assert_allclose
 
 from gplfd import (GPModel, InconsistentConstraintError, InsufficientDataError,
                    InvalidInputError, LearnConfig, OptConfig, Pose,
-                   PoseDistribution, PosteriorPrediction, RotationVector,
-                   TaskPolicy, Trajectory, ViaPoint, adapt_with_viapoints,
+                   PoseDistribution, PosteriorPrediction, TaskPolicy,
+                   Trajectory, ViaPoint, adapt_with_viapoints,
                    generate_synthetic_door_set, learn_policy,
                    prediction_error, query, streaming_evaluation)
 from gplfd import gp
 from gplfd.config import config_from_dict, learn_config
 from gplfd.policy import MAX_GRID_SIZE
+from gplfd.se3 import canonical_rotvecs
 
 
 def posteriors_held(policy):
@@ -34,20 +36,37 @@ def offset_pose(dist, dx=0.0, dz=0.0):
     vec = dist.mean.copy()
     vec[0] += dx
     vec[2] += dz
-    return Pose(vec[:3], RotationVector(vec[3:]))
+    return Pose(vec[:3], vec[3:])
 
 
 class TestViaPoint:
     def test_scalar_strength_broadcasts(self):
-        v = ViaPoint(0.5, Pose(np.zeros(3), RotationVector((0, 0, 0))), 1e-4)
+        v = ViaPoint(0.5, Pose(np.zeros(3), (0, 0, 0)), 1e-4)
         assert v.strength.shape == (6,)
 
     def test_strength_must_be_positive(self):
-        pose = Pose(np.zeros(3), RotationVector((0, 0, 0)))
+        pose = Pose(np.zeros(3), (0, 0, 0))
         with pytest.raises(InvalidInputError):
             ViaPoint(0.5, pose, 0.0)
         with pytest.raises(InvalidInputError):
             ViaPoint(0.5, pose, np.array([1e-4] * 5 + [-1e-4]))
+
+    def test_pose_or_row_give_one_read_only_row(self):
+        raw = np.array([0.1, 0.2, 0.3, 0.0, 0.0, 1.5 * math.pi])
+        want = np.r_[raw[:3], canonical_rotvecs(raw[3:])]
+        vias = [ViaPoint(0.5, Pose.from_vector(raw), 1e-4),
+                ViaPoint(0.5, raw, 1e-4), ViaPoint(0.5, raw.tolist(), 1e-4)]
+        raw[0] = 9.0
+        for via in vias:
+            assert via.pose.shape == (6,) and not via.pose.flags.writeable
+            assert np.array_equal(via.pose, want)
+        strength = np.full(6, 1e-4)
+        via = ViaPoint(0.5, want, strength)
+        strength[0] = 1.0
+        assert np.all(via.strength == 1e-4)
+        for bad in (raw[:5], np.r_[raw[:5], np.nan], [raw, raw], "pose"):
+            with pytest.raises(InvalidInputError):
+                ViaPoint(0.5, bad, 1e-4)
 
 
 class TestLearnAndQuery:
@@ -92,7 +111,7 @@ class TestLearnAndQuery:
             xs = 0.3 * np.sin(4 * np.pi * t) + off
             zs = 0.2 * np.cos(4 * np.pi * t) + off
             poses = tuple(Pose(np.array([x, 0.0, z]),
-                               RotationVector((0, 0, 0)))
+                               (0, 0, 0))
                           for x, z in zip(xs, zs))
             demos.append(Trajectory(t.copy(), poses))
         policy = learn_policy(demos)
@@ -109,12 +128,6 @@ class TestLearnAndQuery:
             query(door_policy, [np.nan])
         with pytest.raises(InvalidInputError):
             query(door_policy, [])
-
-    def test_pose_assembly_warns_outside_pi_ball(self):
-        dist = PoseDistribution(mean=np.r_[np.zeros(3), 0.0, 3.2, 0.0],
-                                var=np.ones(6))
-        with pytest.warns(RuntimeWarning):
-            dist.pose()
 
 
 class TestAdaptation:
@@ -144,7 +157,7 @@ class TestAdaptation:
 
     def test_demo_side_cache_is_bitwise_stable(self, door_policy):
         ts = np.linspace(0.0, 1.0, 13)
-        pose = Pose(np.array([0.4, 0.0, 0.2]), RotationVector((0, 0.4, 0)))
+        pose = Pose(np.array([0.4, 0.0, 0.2]), (0, 0.4, 0))
         adapt_with_viapoints(door_policy, [ViaPoint(0.3, pose, 1e-4)], ts)
         demo_a = door_policy.demonstration_posterior(ts)
         adapt_with_viapoints(door_policy, [ViaPoint(0.7, pose, 1e-2)], ts)
@@ -155,7 +168,7 @@ class TestAdaptation:
 
     def test_only_the_last_grid_is_kept(self, door_policy, monkeypatch):
         policy = TaskPolicy(dims=door_policy.dims, grid=door_policy.grid)
-        via = [ViaPoint(0.5, query(policy, [0.5])[0].pose(), 1e-4)]
+        via = [ViaPoint(0.5, query(policy, [0.5])[0].mean, 1e-4)]
         grids = [np.linspace(0.0, 1.0 - 1e-6 * k, 20) for k in range(1000)]
         for ts in grids:
             adapt_with_viapoints(policy, via, ts)
@@ -182,11 +195,26 @@ class TestAdaptation:
             adapt_with_viapoints(door_policy, ["not a via"], [0.5])
 
     def test_conflicting_hard_constraints_rejected(self, door_policy):
-        pa = Pose(np.zeros(3), RotationVector((0, 0, 0)))
-        pb = Pose(np.ones(3), RotationVector((0, 0, 0)))
+        pa = Pose(np.zeros(3), (0, 0, 0))
+        pb = Pose(np.ones(3), (0, 0, 0))
         vias = [ViaPoint(0.5, pa, 1e-12), ViaPoint(0.5, pb, 1e-12)]
         with pytest.raises(InconsistentConstraintError):
             adapt_with_viapoints(door_policy, vias, [0.5])
+        # In any input order, among via-points at other times: a hard
+        # partner 1e-13 later still clashes; a soft partner, or one hard only
+        # where the two poses agree, does not.
+        others = [ViaPoint(0.2, pa, 1e-4), ViaPoint(0.8, pb, 1e-12)]
+        hard_rot = np.r_[np.full(3, 1e-4), np.full(3, 1e-12)]
+        for partner, clash in [(vias[1], True),
+                               (ViaPoint(0.5 + 1e-13, pb, 1e-12), True),
+                               (ViaPoint(0.5, pb, 1e-4), False),
+                               (ViaPoint(0.5, pb, hard_rot), False)]:
+            for order in itertools.permutations([vias[0], partner, *others]):
+                if clash:
+                    with pytest.raises(InconsistentConstraintError):
+                        adapt_with_viapoints(door_policy, order, [0.5])
+                else:
+                    adapt_with_viapoints(door_policy, order, [0.5])
 
     def test_multiple_vias_each_pull_locally(self, door_policy):
         b1, b2 = query(door_policy, [0.3, 0.7])
@@ -202,7 +230,7 @@ class TestPredictionError:
     @staticmethod
     def flat_truth(ts, value=0.0):
         poses = tuple(Pose(np.array([value, 0.0, 0.0]),
-                           RotationVector((0, 0, 0))) for _ in ts)
+                           (0, 0, 0)) for _ in ts)
         return Trajectory(ts, poses)
 
     def test_pure_variance_term(self):
@@ -222,7 +250,7 @@ class TestPredictionError:
     def test_matches_two_term_oracle(self, rng):
         ts = np.linspace(0.0, 1.0, 8)
         target = rng.normal(size=(8, 6))
-        poses = tuple(Pose(row[:3], RotationVector(row[3:])) for row in target)
+        poses = tuple(Pose(row[:3], row[3:]) for row in target)
         truth = Trajectory(ts, poses)
         truth_mat = truth.samples
         means = rng.normal(size=(8, 6))
@@ -268,8 +296,8 @@ class TestNoiseSearch:
 
 class TestStreaming:
     def test_needs_three_samples(self, door_policy):
-        poses = (Pose(np.zeros(3), RotationVector((0, 0, 0))),
-                 Pose(np.ones(3), RotationVector((0, 0, 0))))
+        poses = (Pose(np.zeros(3), (0, 0, 0)),
+                 Pose(np.ones(3), (0, 0, 0)))
         short = Trajectory([0.0, 1.0], poses)
         with pytest.raises(InsufficientDataError):
             streaming_evaluation(door_policy, short, 1e-4)
@@ -278,5 +306,23 @@ class TestStreaming:
         report = streaming_evaluation(door_policy, door_holdout, 1e-4)
         assert report.static_mse.shape == (6,)
         assert report.adaptive_mse.shape == (6,)
-        gain = report.improvement()
+        gain = 1.0 - report.adaptive_mse / report.static_mse
         assert gain[0] > 0.0 and gain[2] > 0.0
+
+    def test_matches_the_per_step_public_path(self, door_policy,
+                                              door_holdout):
+        """Bit for bit: one adapt_with_viapoints per step, then the errors."""
+        strength = np.r_[np.full(3, 1e-4), np.full(3, 1e-3)]
+        report = streaming_evaluation(door_policy, door_holdout, strength)
+        stamps = door_holdout.stamps
+        ts = (stamps - stamps[0]) / (stamps[-1] - stamps[0])
+        vias = [ViaPoint(t, pose, strength)
+                for t, pose in zip(ts, door_holdout.poses)]
+        adaptive = [adapt_with_viapoints(door_policy, vias[:i], ts[i])[0]
+                    for i in range(1, ts.size)]
+        target = Trajectory(ts[1:], door_holdout.samples[1:])
+        assert np.array_equal(report.adaptive_mse,
+                              prediction_error(adaptive, target))
+        assert np.array_equal(report.static_mse,
+                              prediction_error(query(door_policy, ts[1:]),
+                                               target))
