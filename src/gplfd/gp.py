@@ -37,9 +37,8 @@ from scipy.linalg import cho_factor, solve_triangular
 from scipy.linalg.lapack import dpotri, dpotrs
 from scipy.optimize import minimize
 
-from .errors import (InconsistentConstraintError, InvalidInputError,
-                     InsufficientDataError, NumericalConditioningError,
-                     OptimizationFailureError)
+from .errors import (InsufficientDataError, InvalidInputError,
+                     NumericalConditioningError, OptimizationFailureError)
 
 # Jitter added to every observation's noise, as fractions of mean(diag K).
 JITTER_START_FRAC = 1e-10
@@ -609,9 +608,9 @@ def gaussian_product(a: PosteriorPrediction,
                      b: PosteriorPrediction) -> PosteriorPrediction:
     """Elementwise product of two independent Gaussian predictions.
 
-    Implements mean = (vb*ma + va*mb) / (va+vb), var = va*vb / (va+vb),
-    handled so an infinite variance on one side leaves the other unchanged.
-    Two exact (zero-variance) constraints must agree.
+    Implements mean = (vb*ma + va*mb) / (va+vb), var = va*vb / (va+vb).
+    Variances must be nonnegative, and a result that is not finite (an
+    infinite side, two zero variances, an overflow) is refused.
     """
     ma, va = np.asarray(a.mean, dtype=float), np.asarray(a.var, dtype=float)
     mb, vb = np.asarray(b.mean, dtype=float), np.asarray(b.var, dtype=float)
@@ -619,29 +618,10 @@ def gaussian_product(a: PosteriorPrediction,
         raise InvalidInputError("fused predictions must share their shape")
     if np.any(va < 0.0) or np.any(vb < 0.0):
         raise InvalidInputError("variances must be nonnegative")
-
-    both_zero = (va == 0.0) & (vb == 0.0)
-    if np.any(both_zero & ~np.isclose(ma, mb, rtol=0.0, atol=1e-12)):
-        raise InconsistentConstraintError(
-            "two zero-variance constraints disagree at the same input")
-
-    mean = np.empty_like(ma)
-    var = np.empty_like(va)
-
-    a_inf, b_inf = np.isinf(va), np.isinf(vb)
-    regular = ~(a_inf | b_inf | both_zero)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         tot = va + vb
-        mean[regular] = (vb[regular] * ma[regular]
-                         + va[regular] * mb[regular]) / tot[regular]
-        var[regular] = va[regular] * vb[regular] / tot[regular]
-    # An infinite-variance side carries no information.
-    take_a = b_inf & ~a_inf
-    take_b = a_inf & ~b_inf
-    mean[take_a], var[take_a] = ma[take_a], va[take_a]
-    mean[take_b], var[take_b] = mb[take_b], vb[take_b]
-    both_inf = a_inf & b_inf
-    mean[both_inf] = 0.5 * (ma[both_inf] + mb[both_inf])
-    var[both_inf] = np.inf
-    mean[both_zero], var[both_zero] = ma[both_zero], 0.0
+        mean = (vb * ma + va * mb) / tot
+        var = va * vb / tot
+    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(var))):
+        raise InvalidInputError("Gaussian product is not finite")
     return PosteriorPrediction(mean=mean, var=var)

@@ -304,10 +304,8 @@ def load_policy(path) -> TaskPolicy:
             signal_gp=_gp_restore(entry["signal"], f"{where}.signal"),
             noise_gp=_gp_restore(entry["noise"], f"{where}.noise"),
             degenerate=entry["degenerate"]))
-    grid = _numbers(payload["grid"], f"{path}: grid")
-    if grid.size < 2 or not np.all(np.isfinite(grid)):
-        raise FormatError(f"{path}: grid must hold at least 2 finite times")
-    return TaskPolicy(dims=tuple(dims), grid=grid)
+    return TaskPolicy(dims=tuple(dims),
+                      grid=_numbers(payload["grid"], f"{path}: grid"))
 
 
 # ---------------------------------------------------------------------------

@@ -96,21 +96,28 @@ class TaskPolicy:
 
     dims: list
     grid: np.ndarray
-    # (grid bytes, per-dimension posterior) of the last query grid.
+    # (grid bytes, (q, 6) posterior) of the last query grid.
     _last: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if len(self.dims) != 6:
             raise InvalidInputError("a task policy carries exactly 6 models")
+        self.grid = np.asarray(self.grid, dtype=float)
+        if (self.grid.ndim != 1 or self.grid.size < 2
+                or not np.all(np.isfinite(self.grid))):
+            raise InvalidInputError("grid must hold at least 2 finite times")
 
-    def demonstration_posterior(self, ts: np.ndarray):
-        """Per-dimension posterior at ``ts``; the last grid's is kept."""
+    def demonstration_posterior(self, ts: np.ndarray) -> PosteriorPrediction:
+        """(q, 6) posterior at ``ts``; the last grid's is kept."""
         key = ts.tobytes()
         if self._last is None or self._last[0] != key:
-            self._last = (key, [model.predict(ts) for model in self.dims])
+            per_dim = [model.predict(ts) for model in self.dims]
+            self._last = (key, PosteriorPrediction(
+                mean=np.stack([p.mean for p in per_dim], axis=1),
+                var=np.stack([p.var for p in per_dim], axis=1)))
         # Hand out copies so callers cannot mutate the kept arrays.
-        return [PosteriorPrediction(mean=p.mean.copy(), var=p.var.copy())
-                for p in self._last[1]]
+        kept = self._last[1]
+        return PosteriorPrediction(mean=kept.mean.copy(), var=kept.var.copy())
 
 
 def _as_times(ts) -> np.ndarray:
@@ -134,23 +141,28 @@ def learn_policy(demos, config: LearnConfig = LearnConfig()) -> TaskPolicy:
     return TaskPolicy(dims=models, grid=grid)
 
 
+def _distributions(policy: TaskPolicy, ts, post: PosteriorPrediction) -> list:
+    """One PoseDistribution per query time from a (q, 6) posterior.
+
+    Times outside the policy grid are flagged as extrapolation.
+    """
+    lo, hi = policy.grid[0], policy.grid[-1]
+    return [PoseDistribution(mean=post.mean[i], var=post.var[i],
+                             extrapolated=bool(ts[i] < lo or ts[i] > hi))
+            for i in range(ts.size)]
+
+
 def query(policy: TaskPolicy, ts) -> list:
     """Policy posterior at each query time.
 
     Times outside [0, 1] are allowed but flagged as extrapolation.
     """
     ts = _as_times(ts)
-    per_dim = policy.demonstration_posterior(ts)
-    means = np.stack([p.mean for p in per_dim], axis=1)
-    vars_ = np.stack([p.var for p in per_dim], axis=1)
-    lo, hi = policy.grid[0], policy.grid[-1]
-    return [PoseDistribution(mean=means[i], var=vars_[i],
-                             extrapolated=bool(ts[i] < lo or ts[i] > hi))
-            for i in range(ts.size)]
+    return _distributions(policy, ts, policy.demonstration_posterior(ts))
 
 
-def _fuse(policy: TaskPolicy, via_t, via_y, via_s, ts):
-    """(q, 6) mean and variance of the policy fused with via-points at ``ts``.
+def _fuse(policy: TaskPolicy, via_t, via_y, via_s, ts) -> PosteriorPrediction:
+    """(q, 6) posterior of the policy fused with via-points at ``ts``.
 
     Via-point k has time via_t[k], pose row via_y[k] and strengths
     via_s[k]. Each dimension gets a via-point GP sharing the policy's kernel
@@ -159,30 +171,33 @@ def _fuse(policy: TaskPolicy, via_t, via_y, via_s, ts):
     fused with the demonstration posterior by a Gaussian product.
     """
     order = np.argsort(via_t, kind="stable")
-    t, s = via_t[order], via_s[order]
-    # Neighbours in time this close must agree where both are near-exact;
-    # poses whose gap overflows differ.
-    hard = (s[:-1] < _HARD_STRENGTH) & (s[1:] < _HARD_STRENGTH)
-    with np.errstate(over="ignore"):
-        differ = np.abs(np.diff(via_y[order], axis=0)) > 1e-9
-    clash = (np.diff(t) <= _SAME_TIME_TOL) & np.any(hard & differ, axis=1)
-    if np.any(clash):
-        raise InconsistentConstraintError(
-            f"two near-exact via-points at t={t[np.argmax(clash)]} demand "
-            "different poses")
+    t, y, s = via_t[order], via_y[order], via_s[order]
+    for d in range(6):
+        # Near-exact via-points of a dimension this close in time must
+        # agree there; poses whose gap overflows differ.
+        hard = s[:, d] < _HARD_STRENGTH
+        t_hard = t[hard]
+        with np.errstate(over="ignore"):
+            differ = np.abs(np.diff(y[hard, d])) > 1e-9
+        clash = (np.diff(t_hard) <= _SAME_TIME_TOL) & differ
+        if np.any(clash):
+            raise InconsistentConstraintError(
+                f"two near-exact via-points at t={t_hard[np.argmax(clash)]} "
+                "demand different poses")
 
     demo_side = policy.demonstration_posterior(ts)
-    fused = []
+    via_side = PosteriorPrediction(mean=np.empty_like(demo_side.mean),
+                                   var=np.empty_like(demo_side.var))
     for d in range(6):
         model = fit_gp(TrainingSet(via_t, via_y[:, d]),
                        policy.dims[d].params, noise=via_s[:, d])
         pred = model.predict(ts)
+        via_side.mean[:, d] = pred.mean
         # Treat the constraint noise as a log-interpolated profile so the
         # via side stays an observation-level posterior away from the knots.
-        pred.var = pred.var + np.exp(np.interp(ts, t, np.log(s[:, d])))
-        fused.append(gaussian_product(demo_side[d], pred))
-    return (np.stack([f.mean for f in fused], axis=1),
-            np.stack([f.var for f in fused], axis=1))
+        strength = np.exp(np.interp(ts, t, np.log(s[:, d])))
+        via_side.var[:, d] = pred.var + strength
+    return gaussian_product(demo_side, via_side)
 
 
 def adapt_with_viapoints(policy: TaskPolicy, via, ts) -> list:
@@ -193,18 +208,23 @@ def adapt_with_viapoints(policy: TaskPolicy, via, ts) -> list:
     if not all(isinstance(v, ViaPoint) for v in via):
         raise InvalidInputError("via must contain ViaPoint instances")
     ts = _as_times(ts)
-    mean, var = _fuse(policy, np.array([v.time for v in via]),
-                      np.stack([v.pose for v in via]),
-                      np.stack([v.strength for v in via]), ts)
-    lo, hi = policy.grid[0], policy.grid[-1]
-    return [PoseDistribution(mean=mean[i], var=var[i],
-                             extrapolated=bool(ts[i] < lo or ts[i] > hi))
-            for i in range(ts.size)]
+    fused = _fuse(policy, np.array([v.time for v in via]),
+                  np.stack([v.pose for v in via]),
+                  np.stack([v.strength for v in via]), ts)
+    return _distributions(policy, ts, fused)
 
 
 def _expected_sq_error(mean, var, target) -> np.ndarray:
-    """Per-dimension mean over rows of (mean - target)^2 + var."""
-    return np.mean((mean - target) ** 2 + var, axis=0)
+    """Per-dimension mean over rows of (mean - target)^2 + var.
+
+    A mean that lies too far from its target overflows float64 and is
+    refused.
+    """
+    with np.errstate(over="ignore"):
+        err = np.mean((mean - target) ** 2 + var, axis=0)
+    if not np.all(np.isfinite(err)):
+        raise InvalidInputError("expected squared error overflows in float64")
+    return err
 
 
 def prediction_error(pred, truth: Trajectory) -> np.ndarray:
@@ -251,11 +271,9 @@ def streaming_evaluation(policy: TaskPolicy, truth: Trajectory,
 
     steps = [_fuse(policy, ts[:i], samples[:i], via_s[:i], ts[i:i + 1])
              for i in range(1, ts.size)]
-    adaptive = _expected_sq_error(np.concatenate([m for m, _ in steps]),
-                                  np.concatenate([v for _, v in steps]),
+    adaptive = _expected_sq_error(np.concatenate([p.mean for p in steps]),
+                                  np.concatenate([p.var for p in steps]),
                                   samples[1:])
-    per_dim = policy.demonstration_posterior(ts[1:])
-    static = _expected_sq_error(np.stack([p.mean for p in per_dim], axis=1),
-                                np.stack([p.var for p in per_dim], axis=1),
-                                samples[1:])
+    demo = policy.demonstration_posterior(ts[1:])
+    static = _expected_sq_error(demo.mean, demo.var, samples[1:])
     return StreamingReport(static_mse=static, adaptive_mse=adaptive)

@@ -138,11 +138,20 @@ class TestFiles:
             io.load_demonstration(path)
         assert info.value.line == 5
 
-    @pytest.mark.parametrize("command", ["adapt", "eval"])
-    def test_overflowing_targets_refused(self, tmp_path, policy_file, command):
-        """Via-point and truth rows become GP targets; their sum overflows."""
+    @pytest.mark.parametrize("command, x", [
+        ("adapt", [1e308, 1e308, -1e308, 1e308]),
+        ("eval", [1e308, 1e308, -1e308, 1e308]),
+        ("eval", [0.0, 0.1, 0.2, 1e200])],
+        ids=["adapt", "eval", "eval-last-sample"])
+    def test_overflowing_targets_refused(self, tmp_path, policy_file, command,
+                                         x):
+        """Via-point and truth rows become GP targets; their sum overflows.
+
+        The last truth sample is only predicted, never a target: its
+        squared error overflows instead.
+        """
         rows = np.zeros((4, 6))
-        rows[:, 0] = [1e308, 1e308, -1e308, 1e308]
+        rows[:, 0] = x
         path = tmp_path / "rows.csv"
         if command == "adapt":
             io.save_viapoints(path, [ViaPoint(0.2 * (k + 1), row, 1e-4)

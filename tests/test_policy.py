@@ -5,16 +5,19 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gplfd import (GPModel, InconsistentConstraintError, InsufficientDataError,
-                   InvalidInputError, LearnConfig, OptConfig, Pose,
-                   PoseDistribution, PosteriorPrediction, TaskPolicy,
-                   Trajectory, ViaPoint, adapt_with_viapoints,
+from gplfd import (GPModel, HeteroGPModel, InconsistentConstraintError,
+                   InsufficientDataError, InvalidInputError, KernelParams,
+                   LearnConfig, OptConfig, Pose, PoseDistribution,
+                   PosteriorPrediction, TaskPolicy, Trajectory, TrainingSet,
+                   ViaPoint, adapt_with_viapoints, fit_gp,
                    generate_synthetic_door_set, learn_policy,
                    prediction_error, query, streaming_evaluation)
 from gplfd import gp
 from gplfd.config import config_from_dict, learn_config
+from gplfd.gp import JITTER_START_FRAC
 from gplfd.policy import MAX_GRID_SIZE
 from gplfd.se3 import canonical_rotvecs
+from oracles import dense_posterior
 
 
 def posteriors_held(policy):
@@ -79,6 +82,12 @@ class TestLearnAndQuery:
             LearnConfig(grid_size=1)
         with pytest.raises(InvalidInputError):
             LearnConfig(grid_size=MAX_GRID_SIZE + 1)
+
+    @pytest.mark.parametrize("grid", [[], [0.5], [np.nan, 1.0]],
+                             ids=["empty", "one-point", "non-finite"])
+    def test_grid_validated(self, door_policy, grid):
+        with pytest.raises(InvalidInputError, match="grid"):
+            TaskPolicy(dims=door_policy.dims, grid=np.array(grid))
 
     def test_measure_validated(self):
         with pytest.raises(InvalidInputError):
@@ -162,9 +171,8 @@ class TestAdaptation:
         demo_a = door_policy.demonstration_posterior(ts)
         adapt_with_viapoints(door_policy, [ViaPoint(0.7, pose, 1e-2)], ts)
         demo_b = door_policy.demonstration_posterior(ts)
-        for a, b in zip(demo_a, demo_b):
-            assert np.array_equal(a.mean, b.mean)
-            assert np.array_equal(a.var, b.var)
+        assert np.array_equal(demo_a.mean, demo_b.mean)
+        assert np.array_equal(demo_a.var, demo_b.var)
 
     def test_only_the_last_grid_is_kept(self, door_policy, monkeypatch):
         policy = TaskPolicy(dims=door_policy.dims, grid=door_policy.grid)
@@ -172,8 +180,8 @@ class TestAdaptation:
         grids = [np.linspace(0.0, 1.0 - 1e-6 * k, 20) for k in range(1000)]
         for ts in grids:
             adapt_with_viapoints(policy, via, ts)
-        # One per dimension: the last grid's posterior.
-        assert posteriors_held(policy) == 6
+        # One (q, 6) posterior: the last grid's.
+        assert posteriors_held(policy) == 1
 
         calls, predict = [], GPModel.predict
 
@@ -188,6 +196,51 @@ class TestAdaptation:
         policy.demonstration_posterior(grids[0])
         assert calls == [20] * 12
 
+    def test_fused_posterior_matches_dense_oracle(self, rng):
+        """Each dimension rebuilt from explicit inverses and fused by hand."""
+        dims = []
+        for _ in range(6):
+            t = np.sort(rng.uniform(0.0, 1.0, 10))
+            noise_gp = fit_gp(TrainingSet(t, rng.normal(-4.0, 0.5, 10)),
+                              KernelParams(0.4, 1.0), noise=0.05)
+            signal_gp = fit_gp(
+                TrainingSet(t, np.sin(3.0 * t) + rng.normal(0.0, 0.1, 10)),
+                KernelParams(float(rng.uniform(0.2, 0.5)),
+                             float(rng.uniform(0.5, 1.5))),
+                noise=np.exp(noise_gp.predict(t).mean))
+            dims.append(HeteroGPModel(signal_gp=signal_gp, noise_gp=noise_gp))
+        policy = TaskPolicy(dims=dims, grid=np.linspace(0.0, 1.0, 10))
+        via_t = np.array([0.5, 0.15, 0.8])
+        via_y = rng.normal(0.0, 0.5, (3, 6))
+        via_s = rng.uniform(1e-4, 1e-2, (3, 6))
+        ts = np.linspace(0.0, 1.0, 9)
+        out = adapt_with_viapoints(
+            policy, [ViaPoint(*row) for row in zip(via_t, via_y, via_s)], ts)
+
+        order = np.argsort(via_t)
+        for d, model in enumerate(dims):
+            sig, noi = model.signal_gp, model.noise_gp
+            ma, va = dense_posterior(sig.train.t, sig.train.y,
+                                     sig.params.length_scale,
+                                     sig.params.signal_std, sig.noise,
+                                     sig.jitter, ts)
+            log_r, _ = dense_posterior(noi.train.t, noi.train.y, 0.4, 1.0,
+                                       np.full(10, 0.05), noi.jitter, ts)
+            va = va + np.exp(log_r)
+            # The via-point GP is well conditioned, so its jitter stays at
+            # the starting fraction of signal_std^2.
+            mb, vb = dense_posterior(via_t, via_y[:, d],
+                                     sig.params.length_scale,
+                                     sig.params.signal_std, via_s[:, d],
+                                     JITTER_START_FRAC
+                                     * sig.params.signal_std ** 2, ts)
+            vb = vb + np.exp(np.interp(ts, via_t[order],
+                                       np.log(via_s[order, d])))
+            want_var = 1.0 / (1.0 / va + 1.0 / vb)
+            want_mean = want_var * (ma / va + mb / vb)
+            assert_allclose([p.mean[d] for p in out], want_mean, rtol=1e-9)
+            assert_allclose([p.var[d] for p in out], want_var, rtol=1e-9)
+
     def test_empty_or_invalid_via_rejected(self, door_policy):
         with pytest.raises(InvalidInputError):
             adapt_with_viapoints(door_policy, [], [0.5])
@@ -201,15 +254,18 @@ class TestAdaptation:
         with pytest.raises(InconsistentConstraintError):
             adapt_with_viapoints(door_policy, vias, [0.5])
         # In any input order, among via-points at other times: a hard
-        # partner 1e-13 later still clashes; a soft partner, or one hard only
-        # where the two poses agree, does not.
+        # partner 1e-13 later still clashes, and so does one with a soft
+        # via-point between them; a soft partner, or one hard only where the
+        # two poses agree, does not.
         others = [ViaPoint(0.2, pa, 1e-4), ViaPoint(0.8, pb, 1e-12)]
         hard_rot = np.r_[np.full(3, 1e-4), np.full(3, 1e-12)]
-        for partner, clash in [(vias[1], True),
-                               (ViaPoint(0.5 + 1e-13, pb, 1e-12), True),
-                               (ViaPoint(0.5, pb, 1e-4), False),
-                               (ViaPoint(0.5, pb, hard_rot), False)]:
-            for order in itertools.permutations([vias[0], partner, *others]):
+        soft_mid = ViaPoint(0.5, Pose(np.full(3, 0.5), (0, 0, 0)), 1e-4)
+        for partner, clash in [((vias[1],), True),
+                               ((ViaPoint(0.5 + 1e-13, pb, 1e-12),), True),
+                               ((soft_mid, vias[1]), True),
+                               ((ViaPoint(0.5, pb, 1e-4),), False),
+                               ((ViaPoint(0.5, pb, hard_rot),), False)]:
+            for order in itertools.permutations([vias[0], *partner, *others]):
                 if clash:
                     with pytest.raises(InconsistentConstraintError):
                         adapt_with_viapoints(door_policy, order, [0.5])
