@@ -20,8 +20,8 @@ from .se3 import (DistanceWeights, Pose, arc_distances, canonical_rotvecs,
                   pose_distances, pose_rows, slerp)
 
 MEASURES = ("tci", "euclidean-pose")
-# Most cells (na * nb) of one DTW pair: the cost matrix and the cumulative
-# cost matrix take 8 bytes a cell each, about 400 MB together at the cap.
+# Most cells (na * nb) of one DTW pair: the costs and then the cumulative
+# costs share one buffer of 8 bytes a cell, about 200 MB at the cap.
 MAX_DTW_CELLS = 25_000_000
 # Cells per row block of the euclidean-pose cost matrix: its (rows, nb, 3)
 # temporaries take about 100 bytes a cell.
@@ -122,17 +122,55 @@ class WarpPath:
 
 def _cost_matrix(a: Trajectory, b: Trajectory, weights: DistanceWeights,
                  measure: str) -> np.ndarray:
+    """Local costs in the [1:, 1:] interior of an inf-bordered buffer whose
+    corner is 0: the (len(a)+1, len(b)+1) input of `_dtw`."""
+    if measure not in MEASURES:
+        raise InvalidInputError(f"unknown alignment measure {measure!r}; "
+                                f"expected one of {MEASURES}")
+    D = np.full((len(a) + 1, len(b) + 1), np.inf)
+    D[0, 0] = 0.0
+    C = D[1:, 1:]
     if measure == "tci":
         za = tci_profile(a, weights).zeta
         zb = tci_profile(b, weights).zeta
-        return np.abs(za[:, None] - zb[None, :])
-    if measure == "euclidean-pose":
+        np.abs(np.subtract(za[:, None], zb[None, :], out=C), out=C)
+    else:
         step = max(1, _COST_BLOCK_CELLS // len(b))
-        return np.concatenate([pose_distances(a.samples[i:i + step, None, :],
-                                              b.samples[None, :, :], weights)
-                               for i in range(0, len(a), step)])
-    raise InvalidInputError(f"unknown alignment measure {measure!r}; "
-                            f"expected one of {MEASURES}")
+        for i in range(0, len(a), step):
+            C[i:i + step] = pose_distances(a.samples[i:i + step, None, :],
+                                           b.samples[None, :, :], weights)
+    return D
+
+
+def _dtw(D: np.ndarray) -> WarpPath:
+    """Warp over a bordered cost buffer, which is left holding the cumulative
+    costs. Anti-diagonal k (cells with i + j = k) is a stride-nb slice of the
+    flat buffer, as are its cells' neighbours on diagonals k - 1 and k - 2.
+    """
+    rows, width = D.shape
+    nb = width - 1
+    flat = D.reshape(-1)
+    for k in range(2, rows + nb):
+        first, last = max(1, k - nb), min(rows - 1, k - 1)
+        s = first * width + k - first
+        e = s + (last - first) * nb + 1
+        diag, up, left = (flat[s - o:e - o:nb] for o in (width + 1, width, 1))
+        flat[s:e:nb] += np.minimum(np.minimum(diag, up), left)
+    if not np.isfinite(D[-1, -1]):
+        raise InvalidInputError("DTW cost is not finite: a distance overflows")
+    i, j = rows - 1, nb
+    pairs = [(i - 1, j - 1)]
+    while i > 1 or j > 1:
+        best = min(D[i - 1, j - 1], D[i - 1, j], D[i, j - 1])
+        if D[i - 1, j - 1] == best:
+            i, j = i - 1, j - 1
+        elif D[i - 1, j] == best:
+            i -= 1
+        else:
+            j -= 1
+        pairs.append((i - 1, j - 1))
+    pairs.reverse()
+    return WarpPath(pairs=np.array(pairs), cost=float(D[-1, -1]))
 
 
 def dtw_align(a: Trajectory, b: Trajectory,
@@ -146,36 +184,7 @@ def dtw_align(a: Trajectory, b: Trajectory,
     if len(a) * len(b) > MAX_DTW_CELLS:
         raise InvalidInputError(f"a DTW pair holds at most {MAX_DTW_CELLS} "
                                 f"cells; got {len(a)} x {len(b)} samples")
-    C = _cost_matrix(a, b, weights, measure)
-    na, nb = C.shape
-    D = np.full((na, nb), np.inf)
-    D[0, 0] = C[0, 0]
-    for j in range(1, nb):
-        D[0, j] = D[0, j - 1] + C[0, j]
-    for i in range(1, na):
-        row = D[i - 1]
-        D[i, 0] = row[0] + C[i, 0]
-        for j in range(1, nb):
-            D[i, j] = C[i, j] + min(row[j - 1], row[j], D[i, j - 1])
-
-    pairs = [(na - 1, nb - 1)]
-    i, j = na - 1, nb - 1
-    while i > 0 or j > 0:
-        if i == 0:
-            j -= 1
-        elif j == 0:
-            i -= 1
-        else:
-            best = min(D[i - 1, j - 1], D[i - 1, j], D[i, j - 1])
-            if D[i - 1, j - 1] == best:
-                i, j = i - 1, j - 1
-            elif D[i - 1, j] == best:
-                i -= 1
-            else:
-                j -= 1
-        pairs.append((i, j))
-    pairs.reverse()
-    return WarpPath(pairs=np.array(pairs), cost=float(D[na - 1, nb - 1]))
+    return _dtw(_cost_matrix(a, b, weights, measure))
 
 
 def _merge_collisions(samples: np.ndarray, pairs: np.ndarray) -> np.ndarray:

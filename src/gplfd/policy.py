@@ -104,8 +104,10 @@ class TaskPolicy:
             raise InvalidInputError("a task policy carries exactly 6 models")
         self.grid = np.asarray(self.grid, dtype=float)
         if (self.grid.ndim != 1 or self.grid.size < 2
-                or not np.all(np.isfinite(self.grid))):
-            raise InvalidInputError("grid must hold at least 2 finite times")
+                or not np.all(np.isfinite(self.grid))
+                or np.any(self.grid[1:] <= self.grid[:-1])):
+            raise InvalidInputError("grid must hold at least 2 finite, "
+                                    "strictly increasing times")
 
     def demonstration_posterior(self, ts: np.ndarray) -> PosteriorPrediction:
         """(q, 6) posterior at ``ts``; the last grid's is kept."""

@@ -63,6 +63,43 @@ def brute_force_dtw_cost(C):
     return best[0]
 
 
+def loop_dtw(C):
+    """Cumulative cost and warp pairs by the plain double loop.
+
+    The row-by-row dynamic program and backtrack that the wavefront DTW in
+    `gplfd.alignment` replaced, kept as its bit-for-bit reference.
+    """
+    na, nb = C.shape
+    D = np.full((na, nb), np.inf)
+    D[0, 0] = C[0, 0]
+    for j in range(1, nb):
+        D[0, j] = D[0, j - 1] + C[0, j]
+    for i in range(1, na):
+        row = D[i - 1]
+        D[i, 0] = row[0] + C[i, 0]
+        for j in range(1, nb):
+            D[i, j] = C[i, j] + min(row[j - 1], row[j], D[i, j - 1])
+
+    pairs = [(na - 1, nb - 1)]
+    i, j = na - 1, nb - 1
+    while i > 0 or j > 0:
+        if i == 0:
+            j -= 1
+        elif j == 0:
+            i -= 1
+        else:
+            best = min(D[i - 1, j - 1], D[i - 1, j], D[i, j - 1])
+            if D[i - 1, j - 1] == best:
+                i, j = i - 1, j - 1
+            elif D[i - 1, j] == best:
+                i -= 1
+            else:
+                j -= 1
+        pairs.append((i, j))
+    pairs.reverse()
+    return D, np.array(pairs)
+
+
 def critically_damped_free(e0, v0, omega, t):
     """Unforced critically damped response with natural frequency omega."""
     t = np.asarray(t, float)

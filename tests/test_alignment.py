@@ -9,13 +9,14 @@ from scipy.spatial.transform import Rotation, Slerp
 from gplfd import (AlignmentWarning, DegenerateTrajectoryError,
                    DistanceWeights, InvalidInputError, Pose, Trajectory,
                    WarpPath, align_demonstrations, dtw_align, io, path_length,
-                   resample, tci_profile)
+                   generate_synthetic_door_set, resample, tci_profile)
 from gplfd import alignment
-from gplfd.se3 import arc_distances, canonical_rotvecs
-from gplfd.alignment import MAX_DTW_CELLS, _cost_matrix, _merge_collisions
+from gplfd.se3 import arc_distances, canonical_rotvecs, pose_distances
+from gplfd.alignment import (MAX_DTW_CELLS, _cost_matrix, _dtw,
+                             _merge_collisions)
 from gplfd.cli import main
 
-from oracles import brute_force_dtw_cost
+from oracles import brute_force_dtw_cost, loop_dtw
 
 
 def line_trajectory(stamps, start, end):
@@ -118,24 +119,82 @@ class TestDTW:
             a, b = random_trajectory(rng), random_trajectory(rng)
             for measure in ("tci", "euclidean-pose"):
                 warp = dtw_align(a, b, measure=measure)
-                C = _cost_matrix(a, b, DistanceWeights(), measure)
+                C = _cost_matrix(a, b, DistanceWeights(), measure)[1:, 1:]
                 assert warp.cost == brute_force_dtw_cost(C)
 
     def test_cost_matrix_blocks_join_exactly(self, rng, monkeypatch):
         a, b = random_trajectory(rng, n=7), random_trajectory(rng, n=6)
-        whole = _cost_matrix(a, b, DistanceWeights(), "euclidean-pose")
+        whole = _cost_matrix(a, b, DistanceWeights(), "euclidean-pose")[1:, 1:]
         monkeypatch.setattr(alignment, "_COST_BLOCK_CELLS", 13)
-        blocks = _cost_matrix(a, b, DistanceWeights(), "euclidean-pose")
+        blocks = _cost_matrix(a, b, DistanceWeights(), "euclidean-pose")[1:, 1:]
         assert np.array_equal(blocks, whole)
 
     def test_path_cost_is_sum_along_pairs(self, rng):
         a, b = random_trajectory(rng), random_trajectory(rng)
         warp = dtw_align(a, b)
-        C = _cost_matrix(a, b, DistanceWeights(), "tci")
+        C = _cost_matrix(a, b, DistanceWeights(), "tci")[1:, 1:]
         acc = 0.0
         for i, j in warp.pairs:
             acc += C[i, j]
         assert_allclose(warp.cost, acc, rtol=1e-12)
+
+    @staticmethod
+    def bordered(C):
+        D = np.full((C.shape[0] + 1, C.shape[1] + 1), np.inf)
+        D[0, 0] = 0.0
+        D[1:, 1:] = C
+        return D
+
+    def test_wavefront_matches_loop_bit_for_bit(self, rng):
+        shapes = [(1, 1), (1, 7), (7, 1), (2, 9), (9, 2)]
+        shapes += [tuple(rng.integers(1, 40, 2)) for _ in range(60)]
+        for k, shape in enumerate(shapes):
+            # Integer costs from {0, 1, 2} tie often: they pin the tie order.
+            C = (rng.integers(0, 3, shape).astype(float) if k % 2
+                 else rng.uniform(0.0, 1.0, shape))
+            D = self.bordered(C)
+            warp = _dtw(D)
+            loop_D, loop_pairs = loop_dtw(C)
+            assert np.array_equal(D[1:, 1:], loop_D)
+            assert np.array_equal(warp.pairs, loop_pairs)
+            assert warp.cost == loop_D[-1, -1]
+
+    @pytest.mark.parametrize("measure", ["tci", "euclidean-pose"])
+    def test_door_pair_matches_loop(self, measure):
+        a, b = generate_synthetic_door_set(seed=3, radii=(0.7, 0.9), repeats=1,
+                                           n_samples=300)
+        if measure == "tci":
+            C = np.abs(tci_profile(a).zeta[:, None] - tci_profile(b).zeta[None, :])
+        else:
+            C = pose_distances(a.samples[:, None, :], b.samples[None, :, :])
+        loop_D, loop_pairs = loop_dtw(C)
+        warp = dtw_align(a, b, measure=measure)
+        assert np.array_equal(warp.pairs, loop_pairs)
+        assert warp.cost == loop_D[-1, -1]
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_cost_refused(self, bad):
+        # Every warp crosses column 2.
+        C = np.ones((3, 4))
+        C[:, 2] = bad
+        with pytest.raises(InvalidInputError, match="not finite"):
+            _dtw(self.bordered(C))
+
+    def test_one_buffer_per_pair(self):
+        n = 1000
+        ramp = np.linspace(0.0, 1.0, n)
+        a, b = (Trajectory(np.arange(n, dtype=float),
+                           np.column_stack([x, np.zeros((n, 5))]))
+                for x in (ramp, ramp ** 2))
+        tracemalloc.start()
+        try:
+            dtw_align(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The bordered buffer alone is 8 MB; a second n x n matrix beside it
+        # (a separate cost matrix or temporary) would be another 8 MB.
+        assert peak < 10_000_000
 
     def test_unknown_measure_rejected(self, rng):
         a, b = random_trajectory(rng), random_trajectory(rng)

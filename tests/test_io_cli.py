@@ -204,6 +204,17 @@ class TestPolicyFiles:
         assert "error:" in capsys.readouterr().err
 
 
+    def test_reversed_grid_fails_cleanly(self, tmp_path, capsys, door_policy):
+        path = tmp_path / "policy.json"
+        io.save_policy(path, door_policy)
+        payload = json.loads(path.read_text())
+        payload["grid"].reverse()
+        path.write_text(json.dumps(payload))
+        assert main(["query", "--policy", str(path),
+                     "--out-dir", str(tmp_path)]) == 1
+        assert "error:" in capsys.readouterr().err
+
+
 class TestManifests:
     def test_round_trip_and_hashes(self, tmp_path):
         src = tmp_path / "input.csv"

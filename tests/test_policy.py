@@ -83,8 +83,10 @@ class TestLearnAndQuery:
         with pytest.raises(InvalidInputError):
             LearnConfig(grid_size=MAX_GRID_SIZE + 1)
 
-    @pytest.mark.parametrize("grid", [[], [0.5], [np.nan, 1.0]],
-                             ids=["empty", "one-point", "non-finite"])
+    @pytest.mark.parametrize("grid", [[], [0.5], [np.nan, 1.0], [1.0, 0.5, 0.0],
+                                      [0.0, 0.5, 0.5, 1.0]],
+                             ids=["empty", "one-point", "non-finite",
+                                  "reversed", "repeated"])
     def test_grid_validated(self, door_policy, grid):
         with pytest.raises(InvalidInputError, match="grid"):
             TaskPolicy(dims=door_policy.dims, grid=np.array(grid))
