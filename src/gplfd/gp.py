@@ -33,8 +33,7 @@ from functools import cached_property
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg import cho_factor, solve_triangular
-from scipy.linalg.lapack import dpotri, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtrs
 from scipy.optimize import minimize
 
 from .errors import (InsufficientDataError, InvalidInputError,
@@ -153,22 +152,28 @@ class _Reduced:
 
     ``noise`` is the fixed noise variance (a float or a per-point vector),
     or None for none; ``collapse`` adds a common variance on top of it (the
-    jitter, plus the noise variance when one is searched). Everything that
-    does not depend on the kernel hyperparameters is computed here, once per
-    fit or search. Each collapse precision-weights the points anew, as the
-    added variance changes the weights.
+    jitter, plus the noise variance when one is searched), so each collapse
+    precision-weights the points anew. What does not depend on the kernel
+    hyperparameters is computed here, once per fit or search;
+    ``set_targets`` swaps in other targets on the same inputs.
     """
 
     def __init__(self, train: TrainingSet, noise=None):
         self.u, self.index, _ = _group(train.t)
-        n, m = len(train), self.u.size
-        if m > MAX_GP_INPUTS:
+        if self.u.size > MAX_GP_INPUTS:
             raise InvalidInputError(f"a GP takes at most {MAX_GP_INPUTS} "
-                                    f"distinct inputs, got {m}")
+                                    f"distinct inputs, got {self.u.size}")
+        self.set_targets(train.y, noise)
+        self.sq_dist = np.subtract.outer(self.u, self.u) ** 2
+
+    def set_targets(self, y, noise=None):
+        """Center the targets ``y``, one per point; ``noise`` as above."""
+        n, m = y.size, self.u.size
+        noise = None if noise is None else _as_noise(noise, n)
         # Targets whose mean or spread overflows would give NaN weights.
         with np.errstate(over="ignore", invalid="ignore"):
-            self.offset = float(train.y.mean())
-            self.resid = train.y - self.offset
+            self.offset = float(y.mean())
+            self.resid = y - self.offset
             spread = float(self.resid @ self.resid)
         if not math.isfinite(spread):
             raise InvalidInputError("training targets overflow in float64")
@@ -182,7 +187,6 @@ class _Reduced:
                     "duplicate timestamps with zero noise produce a singular "
                     "Gram matrix")
         self.point_noise = np.zeros(n) + (0.0 if noise is None else noise)
-        self.sq_dist = np.subtract.outer(self.u, self.u) ** 2
 
     @cached_property
     def upper_weights(self):
@@ -231,6 +235,14 @@ class _Reduced:
         return b * (rbar * rbar), p, c
 
 
+def cho_factor(a):
+    """Lower Cholesky factor by LAPACK dpotrf, in place for Fortran order."""
+    chol, info = dpotrf(a, lower=1, clean=0, overwrite_a=1)
+    if info > 0:
+        raise LinAlgError(f"{info}-th leading minor is not positive definite")
+    return chol
+
+
 @dataclass
 class _System:
     """A factorized reduced system: K_f, chol of K_f + diag(rbar), alpha."""
@@ -264,8 +276,7 @@ def _solve(red: _Reduced, params: KernelParams, add=0.0) -> _System:
         try:
             # Ky is symmetric, so its transpose is the Fortran-ordered array
             # LAPACK factorizes in place.
-            chol, _ = cho_factor(Ky.T, lower=True, overwrite_a=True,
-                                 check_finite=False)
+            chol = cho_factor(Ky.T)
             break
         except LinAlgError:
             jitter *= 10.0
@@ -333,25 +344,30 @@ class GPModel:
 
         The variance does not include observation noise at the query points.
         """
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        if not np.all(np.isfinite(ts)):
-            raise InvalidInputError("query inputs must be finite")
-        if ts.size * self._u.size > MAX_PREDICT_CELLS:
-            raise InvalidInputError(
-                f"{ts.size} query inputs against {self._u.size} training "
-                f"inputs exceed {MAX_PREDICT_CELLS} cells")
-        Ks = rbf_kernel(ts, self._u, self.params)
-        mean = self.mean_offset + Ks @ self._alpha
-        v = solve_triangular(self._chol, Ks.T, lower=True, check_finite=False)
-        var = self.params.signal_std ** 2 - np.einsum("ij,ij->j", v, v)
-        if np.any(var < -1e-8 * self.params.signal_std ** 2):
-            warnings.warn("posterior variance dipped below the conditioning "
-                          "tolerance and was clamped to zero", RuntimeWarning)
-        var = np.maximum(var, 0.0)
-        return PosteriorPrediction(mean=mean, var=var)
+        return PosteriorPrediction(*_predict(self._u, self._chol, self._alpha,
+                                             self.mean_offset, self.params, ts))
 
     def log_marginal_likelihood(self) -> float:
         return self._lml
+
+
+def _predict(u, chol, alpha, offset, params, ts):
+    """Latent (mean, variance) at ``ts`` of a factorized reduced system."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    if not np.all(np.isfinite(ts)):
+        raise InvalidInputError("query inputs must be finite")
+    if ts.size * u.size > MAX_PREDICT_CELLS:
+        raise InvalidInputError(
+            f"{ts.size} query inputs against {u.size} training "
+            f"inputs exceed {MAX_PREDICT_CELLS} cells")
+    Ks = rbf_kernel(ts, u, params)
+    mean = offset + Ks @ alpha
+    v = dtrtrs(chol, Ks.T, lower=1)[0]
+    var = params.signal_std ** 2 - np.einsum("ij,ij->j", v, v)
+    if np.any(var < -1e-8 * params.signal_std ** 2):
+        warnings.warn("posterior variance dipped below the conditioning "
+                      "tolerance and was clamped to zero", RuntimeWarning)
+    return mean, np.maximum(var, 0.0)
 
 
 def fit_gp(train: TrainingSet, params: KernelParams, noise=0.0) -> GPModel:
@@ -360,11 +376,28 @@ def fit_gp(train: TrainingSet, params: KernelParams, noise=0.0) -> GPModel:
     ``noise`` is a scalar variance or a per-point vector. Targets are
     centered by their mean; the offset is restored at prediction time.
     """
-    red = _Reduced(train, _as_noise(noise, len(train)))
+    red = _Reduced(train, noise)
     sol = _solve(red, params)
     return GPModel(train=train, params=params, noise=noise,
                    mean_offset=red.offset, jitter=sol.jitter, _u=red.u,
                    _chol=sol.chol, _alpha=sol.alpha, _lml=sol.lml)
+
+
+def predict_columns(t, y, noise, params, ts) -> PosteriorPrediction:
+    """(q, c) latent posteriors at ``ts`` of c GPs on the shared inputs ``t``.
+
+    Column j is fit_gp(TrainingSet(t, y[:, j]), params[j], noise[:, j])
+    .predict(ts) bit for bit; one column's system is held at a time.
+    """
+    red = _Reduced(TrainingSet(t, y[:, 0]))
+    out = PosteriorPrediction(*np.empty((2, np.size(ts), len(params))))
+    for j, p in enumerate(params):
+        red.set_targets(y[:, j], noise[:, j])
+        sol = _solve(red, p)
+        out.mean[:, j], out.var[:, j] = _predict(red.u, sol.chol, sol.alpha,
+                                                 red.offset, p, ts)
+        del sol  # frees this column's m x m matrices before the next
+    return out
 
 
 def lml_gradient(model: GPModel) -> np.ndarray:
@@ -439,7 +472,7 @@ def optimize_hyperparameters(train: TrainingSet, noise=None,
         raise InsufficientDataError("hyperparameter search needs at least 2 points")
 
     optimize_noise = noise is None
-    red = _Reduced(train, None if optimize_noise else _as_noise(noise, len(train)))
+    red = _Reduced(train, noise)
 
     t_range = float(np.ptp(train.t))
     scale_t = max(t_range, 1e-3)

@@ -19,7 +19,8 @@ from .alignment import MEASURES, Trajectory, align_demonstrations, resample
 from .errors import (InconsistentConstraintError, InsufficientDataError,
                      InvalidInputError)
 from .gp import (MAX_GP_INPUTS, HeteroConfig, PosteriorPrediction,
-                 TrainingSet, fit_gp, fit_heteroscedastic, gaussian_product)
+                 TrainingSet, fit_gp,  # noqa: F401 (tracers wrap it here)
+                 fit_heteroscedastic, gaussian_product, predict_columns)
 from .se3 import DistanceWeights, pose_rows
 
 DIM_NAMES = ("x", "y", "z", "rx", "ry", "rz")
@@ -148,10 +149,9 @@ def _distributions(policy: TaskPolicy, ts, post: PosteriorPrediction) -> list:
 
     Times outside the policy grid are flagged as extrapolation.
     """
-    lo, hi = policy.grid[0], policy.grid[-1]
-    return [PoseDistribution(mean=post.mean[i], var=post.var[i],
-                             extrapolated=bool(ts[i] < lo or ts[i] > hi))
-            for i in range(ts.size)]
+    outside = ((ts < policy.grid[0]) | (ts > policy.grid[-1])).tolist()
+    return [PoseDistribution(mean=mean, var=var, extrapolated=flag)
+            for mean, var, flag in zip(post.mean, post.var, outside)]
 
 
 def query(policy: TaskPolicy, ts) -> list:
@@ -174,31 +174,27 @@ def _fuse(policy: TaskPolicy, via_t, via_y, via_s, ts) -> PosteriorPrediction:
     """
     order = np.argsort(via_t, kind="stable")
     t, y, s = via_t[order], via_y[order], via_s[order]
-    for d in range(6):
-        # Near-exact via-points of a dimension this close in time must
-        # agree there; poses whose gap overflows differ.
-        hard = s[:, d] < _HARD_STRENGTH
-        t_hard = t[hard]
-        with np.errstate(over="ignore"):
-            differ = np.abs(np.diff(y[hard, d])) > 1e-9
-        clash = (np.diff(t_hard) <= _SAME_TIME_TOL) & differ
-        if np.any(clash):
-            raise InconsistentConstraintError(
-                f"two near-exact via-points at t={t_hard[np.argmax(clash)]} "
-                "demand different poses")
+    # A near-exact via-point must agree with the previous near-exact one of
+    # its dimension if that is this close in time; a gap that overflows differs.
+    hard = s < _HARD_STRENGTH
+    prev = np.maximum.accumulate(np.where(hard, np.c_[:t.size], -1))[:-1]
+    with np.errstate(over="ignore"):
+        clash = (hard[1:] & (prev >= 0)
+                 & (t[1:, None] - t[prev] <= _SAME_TIME_TOL)
+                 & (np.abs(y[1:] - np.take_along_axis(y, prev, 0)) > 1e-9))
+    if np.any(clash):
+        d = np.argmax(clash.any(axis=0))
+        first = prev[np.argmax(clash[:, d]), d]
+        raise InconsistentConstraintError(
+            f"two near-exact via-points at t={t[first]} demand different poses")
 
     demo_side = policy.demonstration_posterior(ts)
-    via_side = PosteriorPrediction(mean=np.empty_like(demo_side.mean),
-                                   var=np.empty_like(demo_side.var))
+    via_side = predict_columns(via_t, via_y, via_s,
+                               [model.params for model in policy.dims], ts)
     for d in range(6):
-        model = fit_gp(TrainingSet(via_t, via_y[:, d]),
-                       policy.dims[d].params, noise=via_s[:, d])
-        pred = model.predict(ts)
-        via_side.mean[:, d] = pred.mean
         # Treat the constraint noise as a log-interpolated profile so the
         # via side stays an observation-level posterior away from the knots.
-        strength = np.exp(np.interp(ts, t, np.log(s[:, d])))
-        via_side.var[:, d] = pred.var + strength
+        via_side.var[:, d] += np.exp(np.interp(ts, t, np.log(s[:, d])))
     return gaussian_product(demo_side, via_side)
 
 

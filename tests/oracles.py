@@ -1,14 +1,21 @@
 """Independent recomputations the tests freeze expected values against.
 
-Everything here deliberately avoids the library's code paths: kernels are
-rebuilt from the formula, solves use explicit inverses (or, for the
-extended-precision posterior, a hand-written Cholesky), and the DTW cost is
-found by enumerating every admissible path.
+Everything here except the loop references deliberately avoids the
+library's code paths: kernels are rebuilt from the formula, solves use
+explicit inverses (or, for the extended-precision posterior, a hand-written
+Cholesky), and the DTW cost is found by enumerating every admissible path.
+The loop references (`loop_dtw`, `loop_fuse`) are the plain implementations
+that faster library code replaced, kept to pin it bit for bit.
 """
 
 import math
 
 import numpy as np
+
+from gplfd.errors import InconsistentConstraintError
+from gplfd.gp import (PosteriorPrediction, TrainingSet, fit_gp,
+                      gaussian_product)
+from gplfd.policy import _HARD_STRENGTH, _SAME_TIME_TOL
 
 
 def _rbf(ta, tb, length_scale, signal_std):
@@ -152,3 +159,40 @@ def longdouble_posterior(t, y, length_scale, signal_std, r_vec, jitter, ts):
     mean = offset + (V.T @ z)[:, 0]
     var = sf2 - np.sum(V * V, axis=0)
     return mean, var
+
+
+def loop_fuse(policy, via_t, via_y, via_s, ts):
+    """(q, 6) fused posterior by six separate fit_gp + predict calls.
+
+    The per-dimension clash loop and via-point GPs that `gplfd.policy._fuse`
+    replaced with one pass over shared via inputs, kept as its bit-for-bit
+    reference.
+    """
+    order = np.argsort(via_t, kind="stable")
+    t, y, s = via_t[order], via_y[order], via_s[order]
+    for d in range(6):
+        # Near-exact via-points of a dimension this close in time must
+        # agree there; poses whose gap overflows differ.
+        hard = s[:, d] < _HARD_STRENGTH
+        t_hard = t[hard]
+        with np.errstate(over="ignore"):
+            differ = np.abs(np.diff(y[hard, d])) > 1e-9
+        clash = (np.diff(t_hard) <= _SAME_TIME_TOL) & differ
+        if np.any(clash):
+            raise InconsistentConstraintError(
+                f"two near-exact via-points at t={t_hard[np.argmax(clash)]} "
+                "demand different poses")
+
+    demo_side = policy.demonstration_posterior(ts)
+    via_side = PosteriorPrediction(mean=np.empty_like(demo_side.mean),
+                                   var=np.empty_like(demo_side.var))
+    for d in range(6):
+        model = fit_gp(TrainingSet(via_t, via_y[:, d]),
+                       policy.dims[d].params, noise=via_s[:, d])
+        pred = model.predict(ts)
+        via_side.mean[:, d] = pred.mean
+        # Treat the constraint noise as a log-interpolated profile so the
+        # via side stays an observation-level posterior away from the knots.
+        strength = np.exp(np.interp(ts, t, np.log(s[:, d])))
+        via_side.var[:, d] = pred.var + strength
+    return gaussian_product(demo_side, via_side)

@@ -102,6 +102,21 @@ class TestFitPredict:
         with pytest.raises(InvalidInputError):
             fit_gp(train, params, noise=np.array([1e-3, 1e-3, 1e-3]))
 
+    def test_columns_equal_fit_gp_per_column(self, rng):
+        """predict_columns on shared inputs is fit_gp + predict per column."""
+        t = rng.uniform(0.0, 1.0, 12)
+        t[[3, 7]] = t[0]
+        y = rng.normal(0.0, 1.0, (12, 3))
+        noise = rng.uniform(1e-4, 1e-2, (12, 3))
+        params = [KernelParams(float(rng.uniform(0.05, 1.0)),
+                               float(rng.uniform(0.3, 2.0))) for _ in range(3)]
+        ts = np.linspace(-0.2, 1.2, 9)
+        out = gp.predict_columns(t, y, noise, params, ts)
+        for j, p in enumerate(params):
+            pred = fit_gp(TrainingSet(t, y[:, j]), p, noise=noise[:, j]).predict(ts)
+            assert np.array_equal(out.mean[:, j], pred.mean)
+            assert np.array_equal(out.var[:, j], pred.var)
+
     def test_training_set_validation(self):
         with pytest.raises(InvalidInputError):
             TrainingSet([0.0, 1.0], [0.0])
@@ -191,6 +206,24 @@ class TestSafetyPaths:
                         dense_lml(train.t, train.y, params.length_scale,
                                   params.signal_std, r_vec, model.jitter),
                         rtol=1e-9)
+
+    def test_columns_escalate_one_at_a_time(self, monkeypatch, rng):
+        """Only the column whose factorization failed carries more jitter."""
+        train, params, noise = random_instance(rng)
+        y = np.stack([train.y, train.y[::-1]], axis=1)
+        noise = np.full(y.shape, noise)
+        ts = np.linspace(-0.2, 1.2, 7)
+        calls = self.failing_cho_factor(monkeypatch, 2)
+        out = gp.predict_columns(train.t, y, noise, [params, params], ts)
+        assert len(calls) == 4
+        self.failing_cho_factor(monkeypatch, 2)
+        models = [fit_gp(TrainingSet(train.t, y[:, j]), params,
+                         noise=noise[:, j]) for j in range(2)]
+        assert models[0].jitter == 100.0 * models[1].jitter
+        for j, model in enumerate(models):
+            pred = model.predict(ts)
+            assert np.array_equal(out.mean[:, j], pred.mean)
+            assert np.array_equal(out.var[:, j], pred.var)
 
     def test_jitter_ceiling_raises(self, monkeypatch, rng):
         train, params, noise = random_instance(rng)

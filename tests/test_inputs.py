@@ -406,6 +406,75 @@ class TestMutatedFiles:
 
 
 # ---------------------------------------------------------------------------
+# Property: adapt on a mutated via-point file writes a finite table or exits
+# 1 with error:
+# ---------------------------------------------------------------------------
+
+VIA_CELLS = ["nan", "inf", "-inf", "1e999", "-1e999", "", "x", "0", "-1",
+             "1e-300", "2"]
+NON_POSITIVE = ["0", "-0.0", "-1e-4", "-inf"]
+VIA_MUTATIONS = st.one_of(
+    st.tuples(st.sampled_from(["drop", "dup"]), st.integers(0, 2),
+              st.integers(0, 9)),
+    st.tuples(st.just("set"), st.integers(0, 2), st.integers(0, 9),
+              st.sampled_from(VIA_CELLS)),
+    st.tuples(st.just("strength"), st.integers(0, 2), st.integers(8, 9),
+              st.sampled_from(NON_POSITIVE)),
+    st.tuples(st.just("clash"), st.integers(0, 2)),
+    st.tuples(st.just("bytes"), st.integers(0, 1000)))
+
+
+def _mutate_vias(text, mutation):
+    """(mutated bytes, must adapt refuse them?) of a via-point file."""
+    lines = text.splitlines()
+    header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    op = mutation[0]
+    if op == "bytes":
+        raw = text.encode()
+        pos = mutation[1] % len(raw)
+        return raw[:pos] + b"\xff\xfe" + raw[pos:], False
+    row = header + 1 + mutation[1]
+    cells = lines[row].split(",")
+    if op == "clash":
+        # A near-exact twin at the same time, 0.5 m away in x.
+        cells[8:] = ["1e-12", "1e-12"]
+        twin = [cells[0], repr(float(cells[1]) + 0.5), *cells[2:]]
+        lines[row + 1:row + 1] = [",".join(twin)]
+    elif op == "drop":
+        del cells[mutation[2]]
+    elif op == "dup":
+        cells.insert(mutation[2], cells[mutation[2]])
+    else:
+        cells[mutation[2]] = mutation[3]
+    lines[row] = ",".join(cells)
+    return "\n".join(lines).encode(), op != "set"
+
+
+class TestMutatedViaPoints:
+    @settings(PROPERTY, max_examples=100)
+    @given(VIA_MUTATIONS)
+    def test_adapt_or_refuse(self, policy_file, mutation):
+        with tempfile.TemporaryDirectory() as out:
+            rng = np.random.default_rng(3)
+            vias = [ViaPoint(t, np.r_[rng.normal(0.0, 0.1, 3),
+                                      rng.normal(0.0, 0.3, 3)], 1e-4)
+                    for t in (0.2, 0.5, 0.8)]
+            path = f"{out}/via.csv"
+            io.save_viapoints(path, vias)
+            with open(path) as handle:
+                raw, fails = _mutate_vias(handle.read(), mutation)
+            with open(path, "wb") as handle:
+                handle.write(raw)
+            code, err = run(["adapt", "--policy", policy_file, "--via", path,
+                             "--grid", "7", "--out-dir", out])
+            if code == 0:
+                _, _, table = io.read_table(f"{out}/adapted.csv")
+                assert table.shape == (7, 14) and np.all(np.isfinite(table))
+        assert code == 0 or (code == 1 and err.startswith("error:")), err
+        assert code == 1 or not fails, mutation
+
+
+# ---------------------------------------------------------------------------
 # Property: mutated policy files load or fail with a ToolkitError, and the
 # CLI then exits 1 with error:
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,10 +15,10 @@ from gplfd import (GPModel, HeteroGPModel, InconsistentConstraintError,
                    prediction_error, query, streaming_evaluation)
 from gplfd import gp
 from gplfd.config import config_from_dict, learn_config
-from gplfd.gp import JITTER_START_FRAC
-from gplfd.policy import MAX_GRID_SIZE
+from gplfd.gp import JITTER_START_FRAC, MAX_GP_INPUTS
+from gplfd.policy import MAX_GRID_SIZE, _fuse
 from gplfd.se3 import canonical_rotvecs
-from oracles import dense_posterior
+from oracles import dense_posterior, loop_fuse
 
 
 def posteriors_held(policy):
@@ -282,6 +283,111 @@ class TestAdaptation:
         o1, o2 = adapt_with_viapoints(door_policy, vias, [0.3, 0.7])
         assert abs(o1.mean[0] - t1.as_vector()[0]) < 1e-2
         assert abs(o2.mean[2] - t2.as_vector()[2]) < 1e-2
+
+
+class TestFuseMatchesLoop:
+    """One pass over the six dimensions equals the per-dimension loop."""
+
+    GRID = np.linspace(0.0, 1.0, 100)
+
+    @staticmethod
+    def outcome(fuse, policy, via_t, via_y, via_s, ts):
+        """(mean, var) of one fusion, or the message it was refused with."""
+        try:
+            out = fuse(policy, via_t, via_y, via_s, ts)
+        except InconsistentConstraintError as exc:
+            return str(exc)
+        return out.mean, out.var
+
+    def assert_same(self, policy, via_t, via_y, via_s, ts=GRID):
+        """Bit-equal posteriors or equal messages; True when refused."""
+        new = self.outcome(_fuse, policy, via_t, via_y, via_s, ts)
+        old = self.outcome(loop_fuse, policy, via_t, via_y, via_s, ts)
+        if isinstance(old, str):
+            assert new == old
+            return True
+        assert not isinstance(new, str), new
+        assert np.array_equal(new[0], old[0])
+        assert np.array_equal(new[1], old[1])
+        return False
+
+    @staticmethod
+    def near_policy(policy, via_t, rng, spread=0.02):
+        """Via poses scattered around the policy mean at ``via_t``."""
+        mean = policy.demonstration_posterior(np.asarray(via_t)).mean
+        return mean + rng.normal(0.0, spread, mean.shape)
+
+    def test_one_via_point(self, door_policy, rng):
+        via_t = np.array([0.4])
+        self.assert_same(door_policy, via_t,
+                         self.near_policy(door_policy, via_t, rng),
+                         np.full((1, 6), 1e-4))
+
+    def test_repeated_times_with_unequal_strengths(self, door_policy, rng):
+        via_t = np.array([0.6, 0.3, 0.3, 0.6, 0.3, 0.9])
+        via_s = rng.uniform(1e-5, 1e-2, (6, 6))
+        self.assert_same(door_policy, via_t,
+                         self.near_policy(door_policy, via_t, rng), via_s)
+
+    def test_hard_and_soft_mixed(self, door_policy, rng):
+        via_t = np.array([0.1, 0.5, 0.5, 0.5 + 1e-13, 0.7, 0.9])
+        via_y = self.near_policy(door_policy, via_t, rng)
+        # Rows 1 and 3 agree wherever both are hard; row 2 is soft there.
+        via_y[3] = via_y[1]
+        via_s = np.full((6, 6), 1e-4)
+        via_s[[0, 1, 3, 5], :3] = 1e-12
+        via_s[4, 3:] = 1e-11
+        assert not self.assert_same(door_policy, via_t, via_y, via_s)
+
+    def test_via_times_outside_the_grid(self, door_policy, rng):
+        via_t = np.array([1.4, -0.3, 0.5])
+        via_s = rng.uniform(1e-6, 1e-3, (3, 6))
+        self.assert_same(door_policy, via_t,
+                         self.near_policy(door_policy, via_t, rng), via_s,
+                         np.linspace(-0.5, 1.5, 41))
+
+    def test_clashes_report_the_same_time(self, door_policy, rng):
+        """Random near-exact clashes: same refusals, same messages."""
+        times = np.array([0.2, 0.5, 0.5 + 1e-13, 0.8, 0.8])
+        refused = 0
+        for _ in range(60):
+            k = int(rng.integers(2, 8))
+            via_t = rng.choice(times, k)
+            via_y = rng.choice([0.0, 0.1], (k, 6))
+            via_s = rng.choice([1e-12, 1e-4], (k, 6))
+            refused += self.assert_same(door_policy, via_t, via_y, via_s,
+                                        np.array([0.5]))
+        assert 10 < refused < 50
+
+    def test_every_streaming_prefix(self, door_policy):
+        (truth,) = generate_synthetic_door_set(seed=7, radii=(0.85,),
+                                               repeats=1, n_samples=240)
+        stamps, samples = truth.stamps, truth.samples
+        ts = (stamps - stamps[0]) / (stamps[-1] - stamps[0])
+        strength = np.r_[np.full(3, 1e-4), np.full(3, 1e-3)]
+        via_s = np.broadcast_to(strength, samples.shape)
+        for i in range(1, ts.size):
+            self.assert_same(door_policy, ts[:i], samples[:i], via_s[:i],
+                             ts[i:i + 1])
+
+    def test_memory_at_the_input_cap(self, door_policy, rng):
+        """Six GPs on MAX_GP_INPUTS via-points hold one system at a time.
+
+        A stack of six m x m systems would take ~400 MB here; the loop of
+        six separate models peaked at 128 MB.
+        """
+        via_t = np.linspace(0.0, 1.0, MAX_GP_INPUTS)
+        via_y = self.near_policy(door_policy, via_t, rng, spread=0.01)
+        via_s = np.full(via_y.shape, 1e-4)
+        ts = np.array([0.0, 1.0])
+        door_policy.demonstration_posterior(ts)
+        tracemalloc.start()
+        try:
+            _fuse(door_policy, via_t, via_y, via_s, ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 140e6
 
 
 class TestPredictionError:
