@@ -33,7 +33,7 @@ from functools import cached_property
 
 import numpy as np
 from numpy.linalg import LinAlgError
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtrs
+from scipy.linalg import lapack
 from scipy.optimize import minimize
 
 from .errors import (InsufficientDataError, InvalidInputError,
@@ -237,7 +237,7 @@ class _Reduced:
 
 def cho_factor(a):
     """Lower Cholesky factor by LAPACK dpotrf, in place for Fortran order."""
-    chol, info = dpotrf(a, lower=1, clean=0, overwrite_a=1)
+    chol, info = lapack.dpotrf(a, lower=1, clean=0, overwrite_a=1)
     if info > 0:
         raise LinAlgError(f"{info}-th leading minor is not positive definite")
     return chol
@@ -283,7 +283,7 @@ def _solve(red: _Reduced, params: KernelParams, add=0.0) -> _System:
             if jitter > ceiling * (1.0 + 1e-12):
                 raise NumericalConditioningError(
                     "Gram matrix stayed non-positive-definite at the jitter ceiling")
-    alpha = dpotrs(chol, ybar, lower=1)[0]
+    alpha = lapack.dpotrs(chol, ybar, lower=1)[0]
     log_det = 2.0 * float(np.log(np.diagonal(chol)).sum())
     lml = -0.5 * float(ybar @ alpha) - 0.5 * log_det - 0.5 * m * LOG_2PI + corr
     return _System(K=K, chol=chol, alpha=alpha, ybar=ybar, rbar=rbar,
@@ -306,7 +306,7 @@ def _lml_and_grad(red: _Reduced, params: KernelParams, noise_var=None):
     # dpotri leaves K^-1 in the lower triangle of a Fortran-ordered array:
     # the upper triangle of its C-ordered transpose, which the upper weights
     # pick out.
-    Kinv_t = dpotri(sol.chol, lower=1, overwrite_c=1)[0].T
+    Kinv_t = lapack.dpotri(sol.chol, lower=1, overwrite_c=1)[0].T
     Ku = sol.K * red.upper_weights
     Kl = sol.K * red.upper_sq_dist
     q, p, c = red.shift_terms(add + sol.jitter, sol.ybar, sol.rbar)
@@ -362,7 +362,7 @@ def _predict(u, chol, alpha, offset, params, ts):
             f"inputs exceed {MAX_PREDICT_CELLS} cells")
     Ks = rbf_kernel(ts, u, params)
     mean = offset + Ks @ alpha
-    v = dtrtrs(chol, Ks.T, lower=1)[0]
+    v = lapack.dtrtrs(chol, Ks.T, lower=1)[0]
     var = params.signal_std ** 2 - np.einsum("ij,ij->j", v, v)
     if np.any(var < -1e-8 * params.signal_std ** 2):
         warnings.warn("posterior variance dipped below the conditioning "
