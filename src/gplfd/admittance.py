@@ -181,7 +181,7 @@ class SimTrace:
 
 
 def _resolve_sigma(source, sigma, times, horizon, shared):
-    from .policy import TaskPolicy, query  # local import to avoid a cycle
+    from .policy import TaskPolicy  # local import to avoid a cycle
 
     if sigma is not None:
         if callable(sigma):
@@ -199,9 +199,7 @@ def _resolve_sigma(source, sigma, times, horizon, shared):
                 raise InvalidInputError(
                     "sigma array must be scalar, (steps,) or (steps, 6)")
     elif isinstance(source, TaskPolicy):
-        tau = times / horizon
-        dists = query(source, tau)
-        rows = np.sqrt(np.stack([d.var for d in dists]))
+        rows = np.sqrt(source.demonstration_posterior(times / horizon).var)
     else:
         raise InvalidInputError(
             "simulate needs a policy setpoint or an explicit sigma schedule")

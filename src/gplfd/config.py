@@ -140,7 +140,10 @@ def read_config_payload(path) -> dict:
     """Raw config dict from a config file or from a run manifest."""
     payload = read_json(path)
     if isinstance(payload, dict) and payload.get("format") == FORMAT_MANIFEST:
-        payload = payload.get("config", {})
+        payload, digest = payload.get("config"), payload.get("config_sha256")
+        if isinstance(payload, dict) and digest != canonical_sha256(payload):
+            raise InvalidInputError(f"{path}: manifest config_sha256 does "
+                                    "not match its config")
     if not isinstance(payload, dict):
         raise InvalidInputError(f"{path}: config must be a JSON object")
     return payload

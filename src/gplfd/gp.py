@@ -19,9 +19,10 @@ distinct input are then replaced by one: their precision-weighted mean,
 with noise variance 1 / sum(1 / s_k). A correction term carries the
 within-group scatter, so the reduced system has exactly the posterior and
 the log marginal likelihood of the full one, for equal or unequal noise
-(Rasmussen & Williams 2006, Alg. 2.1 and §5.4.1). Fitted models, the
-hyperparameter search and the gradient all factorize only the distinct
-inputs, and the search maximizes exactly the likelihood fit_gp reports.
+(Rasmussen & Williams 2006, Alg. 2.1 and §5.4.1). That factorized system,
+``_System``, is the one fitted representation: the search scores it, a
+``GPModel`` wraps it, predict reads it, and the search returns the
+``GPModel`` fitted at its best start, with the LML it maximized.
 """
 
 from __future__ import annotations
@@ -188,6 +189,11 @@ class _Reduced:
                     "Gram matrix")
         self.point_noise = np.zeros(n) + (0.0 if noise is None else noise)
 
+    def gram(self, params: KernelParams) -> np.ndarray:
+        """The RBF Gram matrix K(u, u)."""
+        return params.signal_std ** 2 * np.exp(
+            self.sq_dist * (-0.5 / params.length_scale ** 2))
+
     @cached_property
     def upper_weights(self):
         """Weights that sum a symmetric product from its upper triangle."""
@@ -245,9 +251,15 @@ def cho_factor(a):
 
 @dataclass
 class _System:
-    """A factorized reduced system: K_f, chol of K_f + diag(rbar), alpha."""
+    """A fitted GP: its reduced system over the distinct inputs ``u``.
 
-    K: np.ndarray
+    ``chol`` is the lower factor of K(u, u) + diag(rbar), the only m x m
+    array kept, and ``alpha`` solves it against the centered ``ybar``.
+    """
+
+    u: np.ndarray
+    offset: float
+    params: KernelParams
     chol: np.ndarray
     alpha: np.ndarray
     ybar: np.ndarray
@@ -255,16 +267,34 @@ class _System:
     jitter: float
     lml: float
 
+    def predict(self, ts) -> PosteriorPrediction:
+        """Latent posterior mean and variance at ``ts``."""
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        if not np.all(np.isfinite(ts)):
+            raise InvalidInputError("query inputs must be finite")
+        if ts.size * self.u.size > MAX_PREDICT_CELLS:
+            raise InvalidInputError(
+                f"{ts.size} query inputs against {self.u.size} training "
+                f"inputs exceed {MAX_PREDICT_CELLS} cells")
+        sf2 = self.params.signal_std ** 2
+        Ks = rbf_kernel(ts, self.u, self.params)
+        mean = self.offset + Ks @ self.alpha
+        v = lapack.dtrtrs(self.chol, Ks.T, lower=1)[0]
+        var = sf2 - np.einsum("ij,ij->j", v, v)
+        if np.any(var < -1e-8 * sf2):
+            warnings.warn("posterior variance dipped below the conditioning "
+                          "tolerance and was clamped to zero", RuntimeWarning)
+        return PosteriorPrediction(mean, np.maximum(var, 0.0))
 
-def _solve(red: _Reduced, params: KernelParams, add=0.0) -> _System:
-    """Factorize the reduced system; its LML is the full system's.
 
-    ``add`` is the searched noise variance, if any. The jitter is folded
-    into every observation's noise before collapsing, and escalated tenfold
-    while the factorization fails.
+def _solve(red: _Reduced, params: KernelParams, K, add=0.0) -> _System:
+    """Factorize the reduced system over the Gram matrix ``K``.
+
+    Its LML is the full system's. ``add`` is the searched noise variance,
+    if any. The jitter is folded into every observation's noise before
+    collapsing, and escalated tenfold while the factorization fails.
     """
     sf2 = params.signal_std ** 2
-    K = sf2 * np.exp(red.sq_dist * (-0.5 / params.length_scale ** 2))
     base = sf2 if sf2 > 0.0 else 1.0
     jitter = JITTER_START_FRAC * base
     ceiling = JITTER_MAX_FRAC * base
@@ -286,8 +316,8 @@ def _solve(red: _Reduced, params: KernelParams, add=0.0) -> _System:
     alpha = lapack.dpotrs(chol, ybar, lower=1)[0]
     log_det = 2.0 * float(np.log(np.diagonal(chol)).sum())
     lml = -0.5 * float(ybar @ alpha) - 0.5 * log_det - 0.5 * m * LOG_2PI + corr
-    return _System(K=K, chol=chol, alpha=alpha, ybar=ybar, rbar=rbar,
-                   jitter=jitter, lml=lml)
+    return _System(u=red.u, offset=red.offset, params=params, chol=chol,
+                   alpha=alpha, ybar=ybar, rbar=rbar, jitter=jitter, lml=lml)
 
 
 def _lml_and_grad(red: _Reduced, params: KernelParams, noise_var=None):
@@ -301,14 +331,15 @@ def _lml_and_grad(red: _Reduced, params: KernelParams, noise_var=None):
     signal_std component carries its share of the noise term.
     """
     add = 0.0 if noise_var is None else noise_var
-    sol = _solve(red, params, add)
+    K = red.gram(params)
+    sol = _solve(red, params, K, add)
     a = sol.alpha
     # dpotri leaves K^-1 in the lower triangle of a Fortran-ordered array:
     # the upper triangle of its C-ordered transpose, which the upper weights
     # pick out.
     Kinv_t = lapack.dpotri(sol.chol, lower=1, overwrite_c=1)[0].T
-    Ku = sol.K * red.upper_weights
-    Kl = sol.K * red.upper_sq_dist
+    Ku = K * red.upper_weights
+    Kl = K * red.upper_sq_dist
     q, p, c = red.shift_terms(add + sol.jitter, sol.ybar, sol.rbar)
     d_shift = 0.5 * (c + float(np.dot(q, a * a - np.diagonal(Kinv_t)))
                      + 2.0 * float(np.sum(p * a)))
@@ -323,51 +354,29 @@ def _lml_and_grad(red: _Reduced, params: KernelParams, noise_var=None):
 
 @dataclass(frozen=True)
 class GPModel:
-    """Fitted homoscedastic (or fixed per-point noise) GP; fit_gp builds it.
+    """Fitted homoscedastic (or fixed per-point noise) GP.
 
-    Carries the factorization of the reduced system over the distinct
-    inputs, which every predict call reuses.
+    fit_gp builds it and the search returns one. It wraps the factorized
+    reduced system, which every predict call reuses.
     """
 
     train: TrainingSet
-    params: KernelParams
     noise: float | np.ndarray
-    mean_offset: float
-    jitter: float
-    _u: np.ndarray = field(repr=False)
-    _chol: np.ndarray = field(repr=False)
-    _alpha: np.ndarray = field(repr=False)
-    _lml: float = field(repr=False)
+    system: _System = field(repr=False)
+
+    params = property(lambda self: self.system.params)
+    mean_offset = property(lambda self: self.system.offset)
+    jitter = property(lambda self: self.system.jitter)
 
     def predict(self, ts) -> PosteriorPrediction:
         """Posterior mean and variance of the latent function at ``ts``.
 
         The variance does not include observation noise at the query points.
         """
-        return PosteriorPrediction(*_predict(self._u, self._chol, self._alpha,
-                                             self.mean_offset, self.params, ts))
+        return self.system.predict(ts)
 
     def log_marginal_likelihood(self) -> float:
-        return self._lml
-
-
-def _predict(u, chol, alpha, offset, params, ts):
-    """Latent (mean, variance) at ``ts`` of a factorized reduced system."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    if not np.all(np.isfinite(ts)):
-        raise InvalidInputError("query inputs must be finite")
-    if ts.size * u.size > MAX_PREDICT_CELLS:
-        raise InvalidInputError(
-            f"{ts.size} query inputs against {u.size} training "
-            f"inputs exceed {MAX_PREDICT_CELLS} cells")
-    Ks = rbf_kernel(ts, u, params)
-    mean = offset + Ks @ alpha
-    v = lapack.dtrtrs(chol, Ks.T, lower=1)[0]
-    var = params.signal_std ** 2 - np.einsum("ij,ij->j", v, v)
-    if np.any(var < -1e-8 * params.signal_std ** 2):
-        warnings.warn("posterior variance dipped below the conditioning "
-                      "tolerance and was clamped to zero", RuntimeWarning)
-    return mean, np.maximum(var, 0.0)
+        return self.system.lml
 
 
 def fit_gp(train: TrainingSet, params: KernelParams, noise=0.0) -> GPModel:
@@ -377,10 +386,7 @@ def fit_gp(train: TrainingSet, params: KernelParams, noise=0.0) -> GPModel:
     centered by their mean; the offset is restored at prediction time.
     """
     red = _Reduced(train, noise)
-    sol = _solve(red, params)
-    return GPModel(train=train, params=params, noise=noise,
-                   mean_offset=red.offset, jitter=sol.jitter, _u=red.u,
-                   _chol=sol.chol, _alpha=sol.alpha, _lml=sol.lml)
+    return GPModel(train, noise, _solve(red, params, red.gram(params)))
 
 
 def predict_columns(t, y, noise, params, ts) -> PosteriorPrediction:
@@ -393,10 +399,8 @@ def predict_columns(t, y, noise, params, ts) -> PosteriorPrediction:
     out = PosteriorPrediction(*np.empty((2, np.size(ts), len(params))))
     for j, p in enumerate(params):
         red.set_targets(y[:, j], noise[:, j])
-        sol = _solve(red, p)
-        out.mean[:, j], out.var[:, j] = _predict(red.u, sol.chol, sol.alpha,
-                                                 red.offset, p, ts)
-        del sol  # frees this column's m x m matrices before the next
+        pred = _solve(red, p, red.gram(p)).predict(ts)
+        out.mean[:, j], out.var[:, j] = pred.mean, pred.var
     return out
 
 
@@ -450,23 +454,17 @@ class OptConfig:
                                         "(low, high) with 0 < low < high < inf")
 
 
-@dataclass(frozen=True)
-class OptResult:
-    params: KernelParams
-    noise: float | np.ndarray
-    lml: float
-
-
 def optimize_hyperparameters(train: TrainingSet, noise=None,
-                             config: OptConfig = OptConfig()) -> OptResult:
-    """Maximize the log marginal likelihood over kernel hyperparameters.
+                             config: OptConfig = OptConfig()) -> GPModel:
+    """The GP fitted at the kernel hyperparameters of largest LML found.
 
     ``noise`` fixes the observation noise (scalar or per-point variance
     vector) during the search; pass None to co-optimize a scalar noise
     variance alongside the kernel parameters. Starts are drawn log-uniformly
-    inside the box bounds and refined with L-BFGS-B on the analytic gradient;
-    the best final candidate is returned, so the result is never worse than
-    any start point.
+    inside the box bounds and refined with L-BFGS-B on the analytic gradient.
+    The result is fit_gp at the best final candidate, so its log marginal
+    likelihood is that start's objective and never worse than any start
+    point's.
     """
     if len(train) < 2:
         raise InsufficientDataError("hyperparameter search needs at least 2 points")
@@ -516,7 +514,7 @@ def optimize_hyperparameters(train: TrainingSet, noise=None,
 
     params = KernelParams(math.exp(best_theta[0]), math.exp(best_theta[1]))
     out_noise = (math.exp(2.0 * best_theta[2]) if optimize_noise else noise)
-    return OptResult(params=params, noise=out_noise, lml=float(best_lml))
+    return fit_gp(train, params, noise=out_noise)
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +546,15 @@ class HeteroConfig:
                 "smoothing window be >= 1")
 
 
+def _noise_variance(noise_gp: GPModel, ts) -> np.ndarray:
+    """exp of the noise GP posterior mean: positive, and finite or refused."""
+    with np.errstate(over="ignore"):
+        var = np.exp(noise_gp.predict(ts).mean)
+    if not np.all(np.isfinite(var)):
+        raise InvalidInputError("noise GP log variance overflows exp")
+    return var
+
+
 @dataclass(frozen=True)
 class HeteroGPModel:
     """Signal GP plus a log-noise GP evaluated wherever noise is needed."""
@@ -556,17 +563,11 @@ class HeteroGPModel:
     noise_gp: GPModel
     degenerate: bool = False
 
-    @property
-    def params(self) -> KernelParams:
-        return self.signal_gp.params
+    params = property(lambda self: self.signal_gp.params)
 
     def noise_variance(self, ts) -> np.ndarray:
-        """exp of the noise GP posterior mean: positive, and finite or refused."""
-        with np.errstate(over="ignore"):
-            var = np.exp(self.noise_gp.predict(ts).mean)
-        if not np.all(np.isfinite(var)):
-            raise InvalidInputError("noise GP log variance overflows exp")
-        return var
+        """exp of the noise GP posterior mean at ``ts``."""
+        return _noise_variance(self.noise_gp, ts)
 
     def predict(self, ts) -> PosteriorPrediction:
         """Posterior of a new observation: latent variance plus local noise."""
@@ -592,16 +593,15 @@ def fit_heteroscedastic(train: TrainingSet,
             f"heteroscedastic fit needs at least {HETERO_MIN_POINTS} points, "
             f"got {len(train)}")
 
-    floor = max(1e-10 * float(np.var(train.y)), 1e-12)
-
     # Residuals and noise are evaluated once per distinct input and
     # expanded by group index, so replicates share their noise exactly.
     u, index, counts = _group(train.t)
     noise_opt = OptConfig(n_starts=config.opt.n_starts,
                           seed=config.opt.seed + 1,
                           max_iter=config.opt.max_iter)
-    stage1 = optimize_hyperparameters(train, noise=None, config=config.opt)
-    signal = fit_gp(train, stage1.params, noise=stage1.noise)
+    # The search refuses targets that overflow before their variance does.
+    signal = optimize_hyperparameters(train, noise=None, config=config.opt)
+    floor = max(1e-10 * float(np.var(train.y)), 1e-12)
 
     for round_idx in range(config.iterations):
         resid = train.y - signal.predict(u).mean[index]
@@ -611,21 +611,18 @@ def fit_heteroscedastic(train: TrainingSet,
         z = np.log(np.maximum(smoothed, floor))
 
         if u.size >= 2 and not degenerate:
-            noise_fit = optimize_hyperparameters(TrainingSet(u, z), noise=None,
-                                                 config=noise_opt)
-            noise_model = fit_gp(TrainingSet(u, z), noise_fit.params,
-                                 noise=noise_fit.noise)
+            noise_model = optimize_hyperparameters(
+                TrainingSet(u, z), noise=None, config=noise_opt)
         else:
             # Variance profile flat at the floor: pin the noise GP to it.
             flat = KernelParams(length_scale=max(float(np.ptp(u)), 1e-3),
                                 signal_std=1e-6)
             noise_model = fit_gp(TrainingSet(u, z), flat, noise=1e-12)
 
-        r_train = np.exp(noise_model.predict(u).mean)[index]
+        r_train = _noise_variance(noise_model, u)[index]
         if round_idx == 0 and not degenerate:
-            refit = optimize_hyperparameters(train, noise=r_train,
-                                             config=config.opt)
-            signal = fit_gp(train, refit.params, noise=r_train)
+            signal = optimize_hyperparameters(train, noise=r_train,
+                                              config=config.opt)
         else:
             signal = fit_gp(train, signal.params, noise=r_train)
 

@@ -166,6 +166,21 @@ class TestSizeCaps:
         # query and simulation, 100 001 times.
         assert 100_001 * 100 <= MAX_PREDICT_CELLS
 
+    def test_fitted_model_keeps_one_matrix(self):
+        """The factor is the only m x m array a model keeps; K is dropped."""
+        t = np.linspace(0.0, 1.0, MAX_GP_INPUTS)
+        train = TrainingSet(t, np.sin(6.0 * t))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            model = fit_gp(train, KernelParams(0.1, 1.0), noise=1e-2)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        matrix = 8 * MAX_GP_INPUTS ** 2
+        assert model.system.chol.nbytes == matrix
+        assert matrix <= kept < 1.2 * matrix
+
 
 class TestSafetyPaths:
     """Jitter, search and variance guards, driven by a patched factorization.
@@ -260,7 +275,7 @@ class TestSafetyPaths:
         res = optimize_hyperparameters(TrainingSet(t, np.sin(3 * t)),
                                        config=OptConfig(n_starts=3))
         assert len(starts) == 3 and len(finished) == 2
-        assert res.lml == max(finished)
+        assert res.log_marginal_likelihood() == max(finished)
 
     def test_negative_variance_warns_and_clamps(self, monkeypatch):
         real = gp.cho_factor
@@ -479,7 +494,8 @@ class TestHyperparameterSearch:
         res = optimize_hyperparameters(TrainingSet(t, y),
                                        config=OptConfig(n_starts=4))
         full = fit_gp(TrainingSet(t, y), res.params, noise=res.noise)
-        assert_allclose(full.log_marginal_likelihood(), res.lml, rtol=1e-6)
+        assert_allclose(full.log_marginal_likelihood(),
+                        res.log_marginal_likelihood(), rtol=1e-6)
 
     def test_reported_lml_is_the_fit_lml_on_noise_free_replicates(self):
         """The jitter outweighs the searched noise here; the objective must
@@ -489,7 +505,8 @@ class TestHyperparameterSearch:
         res = optimize_hyperparameters(train, config=OptConfig(n_starts=4))
         full = fit_gp(train, res.params, noise=res.noise)
         assert full.jitter > res.noise
-        assert_allclose(full.log_marginal_likelihood(), res.lml, rtol=1e-6)
+        assert_allclose(full.log_marginal_likelihood(),
+                        res.log_marginal_likelihood(), rtol=1e-6)
 
     def test_fixed_noise_is_respected(self, rng):
         t = np.linspace(0.0, 1.0, 15)
@@ -537,6 +554,25 @@ class TestHyperparameterSearch:
             optimize_hyperparameters(
                 train, config=OptConfig(length_scale_bounds=(1.0, 0.5)))
 
+    @pytest.mark.parametrize("noise", ["searched", "scalar", "per-point"])
+    def test_returns_the_model_fit_gp_builds(self, rng, noise):
+        """Bit for bit: mean, variance, jitter and LML."""
+        t = np.repeat(np.linspace(0.0, 1.0, 10), 2)
+        y = np.sin(2 * np.pi * t) + rng.normal(0.0, 0.1, t.size)
+        fixed = {"searched": None, "scalar": 0.01,
+                 "per-point": rng.uniform(0.005, 0.02, t.size)}[noise]
+        model = optimize_hyperparameters(TrainingSet(t, y), noise=fixed,
+                                         config=OptConfig(n_starts=3))
+        refit = fit_gp(model.train, model.params, noise=model.noise)
+        ts = np.linspace(-0.1, 1.1, 13)
+        got, want = model.predict(ts), refit.predict(ts)
+        assert np.array_equal(got.mean, want.mean)
+        assert np.array_equal(got.var, want.var)
+        assert model.jitter == refit.jitter
+        assert (model.log_marginal_likelihood()
+                == refit.log_marginal_likelihood())
+        assert fixed is None or model.noise is fixed
+
 
 class TestHeteroscedastic:
     @pytest.mark.parametrize("kwargs", [{"iterations": 0},
@@ -548,6 +584,13 @@ class TestHeteroscedastic:
     def test_needs_enough_points(self):
         with pytest.raises(InsufficientDataError):
             fit_heteroscedastic(TrainingSet([0.0, 1.0], [0.0, 1.0]))
+
+    def test_overflowing_targets_refused(self):
+        """The refusal comes before the floor's variance overflows."""
+        t = np.linspace(0.0, 1.0, 12)
+        y = np.where(np.arange(t.size) % 2 == 0, 1e200, -1e200)
+        with pytest.raises(InvalidInputError, match="overflow"):
+            fit_heteroscedastic(TrainingSet(t, y))
 
     def test_degenerate_dispersion_flagged(self):
         # A single demonstration replicated has nothing to disperse.

@@ -23,7 +23,7 @@ from gplfd.cli import MAX_QUERY_POINTS, main
 from gplfd.config import apply_overrides, config_from_dict
 from gplfd.gp import MAX_GP_INPUTS
 from gplfd.policy import MAX_GRID_SIZE
-from gplfd.synthetic import MAX_DOOR_SAMPLES
+from gplfd.synthetic import MAX_DOOR_SAMPLES, generate_synthetic_door_set
 
 
 def run(argv):
@@ -470,6 +470,98 @@ class TestMutatedViaPoints:
             if code == 0:
                 _, _, table = io.read_table(f"{out}/adapted.csv")
                 assert table.shape == (7, 14) and np.all(np.isfinite(table))
+        assert code == 0 or (code == 1 and err.startswith("error:")), err
+        assert code == 1 or not fails, mutation
+
+
+# ---------------------------------------------------------------------------
+# Property: align, fit and eval on a mutated demonstration or truth file
+# write finite outputs or exit 1 with error:
+# ---------------------------------------------------------------------------
+
+# A fit on two short pulls then takes milliseconds.
+FIT_TINY = ["--set=policy.grid_size=10", "--set=policy.opt_starts=1",
+            "--set=policy.opt_max_iter=5", "--set=policy.hetero_iterations=1"]
+# MUTATIONS, plus a row that repeats the previous row's stamp.
+DEMO_MUTATIONS = st.one_of(MUTATIONS,
+                           st.tuples(st.just("stamp"), st.integers(1, 3)))
+
+
+@pytest.fixture(scope="module")
+def pull_texts():
+    """Texts of three short door pulls: two to fit on, one truth."""
+    texts = []
+    with tempfile.TemporaryDirectory() as out:
+        for k, demo in enumerate(generate_synthetic_door_set(
+                seed=0, radii=(0.7, 0.8, 0.9), repeats=1, n_samples=12)):
+            io.save_demonstration(f"{out}/pull_{k}.csv", demo)
+            with open(f"{out}/pull_{k}.csv") as handle:
+                texts.append(handle.read())
+    return texts
+
+
+def _mutate_demo(text, mutation):
+    """(mutated bytes, must loading refuse them?) of a demonstration file."""
+    if mutation[0] != "stamp":
+        raw, _, fails = _mutate(text, "demo", mutation)
+        return raw, fails
+    lines = text.splitlines()
+    row = next(i for i, line in enumerate(lines)
+               if not line.startswith("#")) + 1 + mutation[1]
+    cells = lines[row].split(",")
+    cells[0] = lines[row - 1].split(",")[0]
+    lines[row] = ",".join(cells)
+    return "\n".join(lines).encode(), True
+
+
+def _write_pulls(out, texts, mutation):
+    """Paths of the pulls, the first one mutated; must loading refuse it?"""
+    raw, fails = _mutate_demo(texts[0], mutation)
+    paths = [f"{out}/pull_{k}.csv" for k in range(len(texts))]
+    for path, data in zip(paths, [raw, *(t.encode() for t in texts[1:])]):
+        with open(path, "wb") as handle:
+            handle.write(data)
+    return paths, fails
+
+
+class TestMutatedDemonstrations:
+    @settings(PROPERTY, max_examples=40)
+    @given(DEMO_MUTATIONS)
+    def test_align(self, pull_texts, mutation):
+        with tempfile.TemporaryDirectory() as out:
+            paths, fails = _write_pulls(out, pull_texts[:2], mutation)
+            code, err = run(["align", *paths, "--out-dir", out])
+            if code == 0:
+                for k in (1, 2):
+                    # The loader refuses a non-finite or unordered row.
+                    io.load_demonstration(f"{out}/aligned_{k:02d}.csv")
+        assert code == 0 or (code == 1 and err.startswith("error:")), err
+        assert code == 1 or not fails, mutation
+
+    @settings(PROPERTY, max_examples=30)
+    @given(DEMO_MUTATIONS)
+    def test_fit(self, pull_texts, mutation):
+        with tempfile.TemporaryDirectory() as out:
+            paths, fails = _write_pulls(out, pull_texts[:2], mutation)
+            code, err = run(["fit", *paths, *FIT_TINY, "--out-dir", out])
+            if code == 0:
+                policy = io.load_policy(f"{out}/policy.json")
+                post = policy.demonstration_posterior(policy.grid)
+                assert np.all(np.isfinite(post.mean))
+                assert np.all(np.isfinite(post.var))
+        assert code == 0 or (code == 1 and err.startswith("error:")), err
+        assert code == 1 or not fails, mutation
+
+    @settings(PROPERTY, max_examples=40)
+    @given(DEMO_MUTATIONS)
+    def test_eval(self, policy_file, pull_texts, mutation):
+        with tempfile.TemporaryDirectory() as out:
+            (path,), fails = _write_pulls(out, pull_texts[2:], mutation)
+            code, err = run(["eval", "--policy", policy_file, "--truth", path,
+                             "--out-dir", out])
+            if code == 0:
+                _, _, table = io.read_table(f"{out}/eval.csv")
+                assert table.shape == (2, 8) and np.all(np.isfinite(table))
         assert code == 0 or (code == 1 and err.startswith("error:")), err
         assert code == 1 or not fails, mutation
 

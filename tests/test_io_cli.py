@@ -381,6 +381,25 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "no start point" in err
 
+    @pytest.mark.parametrize("edit", [
+        lambda manifest: manifest.pop("config"),
+        lambda manifest: manifest.update(config=[0]),
+        lambda manifest: manifest.update(config_sha256="0" * 64),
+        lambda manifest: manifest.pop("config_sha256"),
+        lambda manifest: manifest["config"].update(seed=1)],
+        ids=["no-config", "config-not-object", "wrong-hash", "no-hash",
+             "edited-config"])
+    def test_manifest_must_carry_its_config(self, tmp_path, capsys, edit):
+        path = tmp_path / "gen-data.manifest.json"
+        io.write_manifest(path, "gen-data", DEFAULTS.to_dict(), [], [])
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        assert main(["gen-data", "--config", str(path),
+                     "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_rerun_from_manifest_is_identical(self, tmp_path):
         first, second = tmp_path / "one", tmp_path / "two"
         assert main(["gen-data", *SMALL, "--out-dir", str(first)]) == 0
