@@ -121,6 +121,10 @@ def _cmd_fit(args) -> None:
     _write_manifest(args, "fit", config, args.demos, [path],
                     policy=str(path))
     print(f"fitted policy on {len(demos)} demonstrations -> {path}")
+    for name, dim in zip(DIM_NAMES, policy.dims):
+        print(f"  {name}: length_scale {dim.params.length_scale!r}, "
+              f"signal_std {dim.params.signal_std!r}, "
+              f"lml {dim.signal_gp.log_marginal_likelihood()!r}")
 
 
 def _cmd_query(args) -> None:
@@ -179,9 +183,13 @@ def _cmd_eval(args) -> None:
     truth = io.load_demonstration(args.truth)
     report = streaming_evaluation(policy, truth, via_strength(config))
     path = Path(args.out) if args.out else out / "eval.csv"
-    header = (["adaptive"] + [f"mse_{n}" for n in DIM_NAMES] + ["mse_mean"])
-    rows = [[0.0, *report.static_mse, float(np.mean(report.static_mse))],
-            [1.0, *report.adaptive_mse, float(np.mean(report.adaptive_mse))]]
+    header = (["adaptive"] + [f"mse_{n}" for n in DIM_NAMES] + ["mse_mean"]
+              + [f"within_2sd_{n}" for n in DIM_NAMES]
+              + [f"median_z_{n}" for n in DIM_NAMES])
+    rows = [[0.0, *report.static_mse, float(np.mean(report.static_mse)),
+             *report.static_within_2sd, *report.static_median_z],
+            [1.0, *report.adaptive_mse, float(np.mean(report.adaptive_mse)),
+             *report.adaptive_within_2sd, *report.adaptive_median_z]]
     io.write_table(path, header, rows)
     _write_manifest(args, "eval", config, [args.policy, args.truth],
                     [path])

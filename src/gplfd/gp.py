@@ -23,6 +23,11 @@ the log marginal likelihood of the full one, for equal or unequal noise
 ``_System``, is the one fitted representation: the search scores it, a
 ``GPModel`` wraps it, predict reads it, and the search returns the
 ``GPModel`` fitted at its best start, with the LML it maximized.
+
+The heteroscedastic loop (Kersting et al., ICML 2007) warm-starts its
+searches: the round-0 signal refit tries the stage-1 optimum before its
+random starts, and from round 1 on each noise-GP search is one L-BFGS-B run
+from the previous searched noise GP, clipped into the round's bounds.
 """
 
 from __future__ import annotations
@@ -410,13 +415,19 @@ def lml_gradient(model: GPModel) -> np.ndarray:
     Components are with respect to (log length_scale, log signal_std,
     log noise_std), so the model must carry a scalar positive noise variance.
     """
+    return _lml_and_grad(_Reduced(model.train), model.params,
+                         _scalar_noise(model))[1]
+
+
+def _scalar_noise(model: GPModel) -> float:
+    """The model's noise variance, which must be one positive value."""
     noise = np.asarray(model.noise, dtype=float)
     if np.ptp(noise) != 0.0:
-        raise InvalidInputError("gradient requires a scalar noise variance")
+        raise InvalidInputError("a scalar noise variance is required")
     sigma_n2 = float(noise.flat[0])
     if sigma_n2 <= 0.0:
-        raise InvalidInputError("gradient requires a positive noise variance")
-    return _lml_and_grad(_Reduced(model.train), model.params, sigma_n2)[1]
+        raise InvalidInputError("a positive noise variance is required")
+    return sigma_n2
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +466,8 @@ class OptConfig:
 
 
 def optimize_hyperparameters(train: TrainingSet, noise=None,
-                             config: OptConfig = OptConfig()) -> GPModel:
+                             config: OptConfig = OptConfig(),
+                             start: GPModel | None = None) -> GPModel:
     """The GP fitted at the kernel hyperparameters of largest LML found.
 
     ``noise`` fixes the observation noise (scalar or per-point variance
@@ -464,7 +476,15 @@ def optimize_hyperparameters(train: TrainingSet, noise=None,
     inside the box bounds and refined with L-BFGS-B on the analytic gradient.
     The result is fit_gp at the best final candidate, so its log marginal
     likelihood is that start's objective and never worse than any start
-    point's.
+    point's; the first of equal candidates wins.
+
+    ``start``, a fitted GPModel, warm-starts the search: its log
+    hyperparameters, clipped into the bounds, are refined first. With the
+    noise co-optimized, ``start`` must carry a positive scalar noise and
+    thus gives every searched component: its one run is the whole search,
+    and the random starts run only if it fails. With a fixed noise the
+    random starts follow it. They draw the same points with or without a
+    start.
     """
     if len(train) < 2:
         raise InsufficientDataError("hyperparameter search needs at least 2 points")
@@ -493,24 +513,33 @@ def optimize_hyperparameters(train: TrainingSet, noise=None,
             return np.inf, np.zeros(len(theta))
         return -lml, -grad
 
-    rng = np.random.default_rng(config.seed)
-    best_theta, best_lml = None, -np.inf
-    for _ in range(config.n_starts):
-        theta0 = np.array([rng.uniform(lo, hi) for lo, hi in log_bounds])
+    def refine(theta0):
+        """(LML, theta) of one L-BFGS-B run from theta0; None if it failed."""
         try:
             res = minimize(objective, theta0, jac=True, method="L-BFGS-B",
                            bounds=log_bounds,
                            options={"maxiter": config.max_iter})
         except (LinAlgError, ValueError):
-            continue
-        if not np.isfinite(res.fun):
-            continue
-        if -res.fun > best_lml:
-            best_lml = -res.fun
-            best_theta = res.x
-    if best_theta is None:
+            return None
+        return (-res.fun, res.x) if np.isfinite(res.fun) else None
+
+    found = []
+    if start is not None:
+        theta = [math.log(start.params.length_scale),
+                 math.log(start.params.signal_std)]
+        if optimize_noise:
+            theta.append(0.5 * math.log(_scalar_noise(start)))
+        found.append(refine(np.clip(theta, *np.transpose(log_bounds))))
+    if not (optimize_noise and found and found[0] is not None):
+        rng = np.random.default_rng(config.seed)
+        found += [refine(np.array([rng.uniform(lo, hi) for lo, hi in log_bounds]))
+                  for _ in range(config.n_starts)]
+    found = [f for f in found if f is not None]
+    if not found:
         raise OptimizationFailureError(
             "no start point of the hyperparameter search converged")
+    # max keeps the first of equal candidates.
+    best_theta = max(found, key=lambda f: f[0])[1]
 
     params = KernelParams(math.exp(best_theta[0]), math.exp(best_theta[1]))
     out_noise = (math.exp(2.0 * best_theta[2]) if optimize_noise else noise)
@@ -529,9 +558,13 @@ class HeteroConfig:
     (squared residuals pooled per distinct input, then a centered moving
     window over neighbors in time) and refits the signal GP with the
     predicted per-point noise. Signal hyperparameters are re-optimized once,
-    after the first noise injection, unless the variance profile is flat.
-    ``opt`` configures the signal searches; the noise GP's search takes its
-    starts and iterations, seed + 1 and bounds derived from its own data.
+    after the first noise injection, unless the variance profile is flat;
+    that search also tries the stage-1 optimum, first. ``opt`` configures
+    the signal searches; the noise GP's search takes its starts and
+    iterations, seed + 1 and bounds derived from its own data. Round 0
+    searches the noise GP from the random starts; each later round refines
+    the last searched noise GP alone, with one L-BFGS-B run from its
+    hyperparameters clipped into the round's bounds.
     """
 
     iterations: int = 3
@@ -602,6 +635,7 @@ def fit_heteroscedastic(train: TrainingSet,
     # The search refuses targets that overflow before their variance does.
     signal = optimize_hyperparameters(train, noise=None, config=config.opt)
     floor = max(1e-10 * float(np.var(train.y)), 1e-12)
+    searched = None  # the last searched noise GP: the next search's start
 
     for round_idx in range(config.iterations):
         resid = train.y - signal.predict(u).mean[index]
@@ -611,8 +645,9 @@ def fit_heteroscedastic(train: TrainingSet,
         z = np.log(np.maximum(smoothed, floor))
 
         if u.size >= 2 and not degenerate:
-            noise_model = optimize_hyperparameters(
-                TrainingSet(u, z), noise=None, config=noise_opt)
+            noise_model = searched = optimize_hyperparameters(
+                TrainingSet(u, z), noise=None, config=noise_opt,
+                start=searched)
         else:
             # Variance profile flat at the floor: pin the noise GP to it.
             flat = KernelParams(length_scale=max(float(np.ptp(u)), 1e-3),
@@ -622,7 +657,7 @@ def fit_heteroscedastic(train: TrainingSet,
         r_train = _noise_variance(noise_model, u)[index]
         if round_idx == 0 and not degenerate:
             signal = optimize_hyperparameters(train, noise=r_train,
-                                              config=config.opt)
+                                              config=config.opt, start=signal)
         else:
             signal = fit_gp(train, signal.params, noise=r_train)
 

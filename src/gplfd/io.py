@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -316,6 +317,22 @@ def file_sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+# Thread settings of the BLAS builds numpy and scipy may load; the thread
+# count can change a fit's last bits, and with them the outputs' hashes.
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                     "MKL_NUM_THREADS")
+
+
+def _blas_build(module) -> str | None:
+    """'name version' of the BLAS a module was built against, if it says."""
+    try:
+        deps = module.show_config(mode="dicts").get("Build Dependencies", {})
+    except TypeError:  # builds older than numpy 1.25 and scipy 1.11
+        return None
+    blas = deps.get("blas")
+    return f"{blas.get('name')} {blas.get('version')}" if blas else None
+
+
 def _versions() -> dict:
     import numpy
     import scipy
@@ -325,7 +342,10 @@ def _versions() -> dict:
     return {"python": sys.version.split()[0],
             "numpy": numpy.__version__,
             "scipy": scipy.__version__,
-            "gplfd": __version__}
+            "gplfd": __version__,
+            "blas": {m.__name__: _blas_build(m) for m in (numpy, scipy)},
+            "threads": {name: os.environ.get(name)
+                        for name in _THREAD_VARIABLES}}
 
 
 def write_manifest(path, command: str, config: dict, inputs, outputs,
@@ -335,6 +355,8 @@ def write_manifest(path, command: str, config: dict, inputs, outputs,
     ``arguments`` carries command-line extras that live outside the config
     (file names, query grids). No timestamps by design: two runs of the
     same command from the same manifest must produce identical manifests.
+    ``versions`` also records the BLAS builds and the BLAS thread settings
+    (null when unset), which can change a fit's last bits.
     """
     manifest = {
         "format": FORMAT_MANIFEST,

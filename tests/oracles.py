@@ -4,17 +4,20 @@ Everything here except the loop references deliberately avoids the
 library's code paths: kernels are rebuilt from the formula, solves use
 explicit inverses (or, for the extended-precision posterior, a hand-written
 Cholesky), and the DTW cost is found by enumerating every admissible path.
-The loop references (`loop_dtw`, `loop_fuse`) are the plain implementations
-that faster library code replaced, kept to pin it bit for bit.
+The loop references (`loop_dtw`, `loop_fuse`, `random_hetero`) are the plain
+implementations that faster library code replaced, kept to pin it bit for
+bit or to bound it from below.
 """
 
 import math
 
 import numpy as np
 
-from gplfd.errors import InconsistentConstraintError
-from gplfd.gp import (PosteriorPrediction, TrainingSet, fit_gp,
-                      gaussian_product)
+from gplfd.errors import InconsistentConstraintError, InsufficientDataError
+from gplfd.gp import (HETERO_MIN_POINTS, HeteroConfig, HeteroGPModel,
+                      KernelParams, OptConfig, PosteriorPrediction,
+                      TrainingSet, _group, _moving_average, _noise_variance,
+                      fit_gp, gaussian_product, optimize_hyperparameters)
 from gplfd.policy import _HARD_STRENGTH, _SAME_TIME_TOL
 
 
@@ -196,3 +199,53 @@ def loop_fuse(policy, via_t, via_y, via_s, ts):
         strength = np.exp(np.interp(ts, t, np.log(s[:, d])))
         via_side.var[:, d] = pred.var + strength
     return gaussian_product(demo_side, via_side)
+
+
+def random_hetero(train: TrainingSet,
+                  config: HeteroConfig = HeteroConfig()) -> HeteroGPModel:
+    """Heteroscedastic fit whose every search starts only at random points.
+
+    The loop of `gplfd.gp.fit_heteroscedastic` before its noise rounds were
+    warm-started from the previous optimum, kept as the reference those
+    rounds must not fall below.
+    """
+    if len(train) < HETERO_MIN_POINTS:
+        raise InsufficientDataError(
+            f"heteroscedastic fit needs at least {HETERO_MIN_POINTS} points, "
+            f"got {len(train)}")
+
+    # Residuals and noise are evaluated once per distinct input and
+    # expanded by group index, so replicates share their noise exactly.
+    u, index, counts = _group(train.t)
+    noise_opt = OptConfig(n_starts=config.opt.n_starts,
+                          seed=config.opt.seed + 1,
+                          max_iter=config.opt.max_iter)
+    # The search refuses targets that overflow before their variance does.
+    signal = optimize_hyperparameters(train, noise=None, config=config.opt)
+    floor = max(1e-10 * float(np.var(train.y)), 1e-12)
+
+    for round_idx in range(config.iterations):
+        resid = train.y - signal.predict(u).mean[index]
+        mean_sq = np.bincount(index, resid * resid) / counts
+        smoothed = _moving_average(mean_sq, config.smoothing_window)
+        degenerate = bool(np.max(smoothed) <= floor)
+        z = np.log(np.maximum(smoothed, floor))
+
+        if u.size >= 2 and not degenerate:
+            noise_model = optimize_hyperparameters(
+                TrainingSet(u, z), noise=None, config=noise_opt)
+        else:
+            # Variance profile flat at the floor: pin the noise GP to it.
+            flat = KernelParams(length_scale=max(float(np.ptp(u)), 1e-3),
+                                signal_std=1e-6)
+            noise_model = fit_gp(TrainingSet(u, z), flat, noise=1e-12)
+
+        r_train = _noise_variance(noise_model, u)[index]
+        if round_idx == 0 and not degenerate:
+            signal = optimize_hyperparameters(train, noise=r_train,
+                                              config=config.opt)
+        else:
+            signal = fit_gp(train, signal.params, noise=r_train)
+
+    return HeteroGPModel(signal_gp=signal, noise_gp=noise_model,
+                         degenerate=degenerate)

@@ -11,13 +11,15 @@ from gplfd import (HeteroConfig, InsufficientDataError, InvalidInputError,
                    KernelParams, NumericalConditioningError, OptConfig,
                    OptimizationFailureError, PosteriorPrediction, TrainingSet,
                    fit_gp, fit_heteroscedastic, gaussian_product,
-                   lml_gradient, optimize_hyperparameters, rbf_kernel)
-from gplfd import gp
+                   generate_synthetic_door_set, learn_policy, lml_gradient,
+                   optimize_hyperparameters, rbf_kernel)
+from gplfd import gp, policy
 from gplfd.gp import (JITTER_MAX_FRAC, JITTER_START_FRAC, MAX_GP_INPUTS,
                       MAX_OPT_STARTS, MAX_PREDICT_CELLS, HeteroGPModel,
                       _lml_and_grad, _Reduced)
 
-from oracles import dense_lml, dense_posterior, longdouble_posterior
+from oracles import (dense_lml, dense_posterior, longdouble_posterior,
+                     random_hetero)
 
 
 def random_instance(rng, vector_noise=False, allow_duplicates=False):
@@ -573,6 +575,71 @@ class TestHyperparameterSearch:
                 == refit.log_marginal_likelihood())
         assert fixed is None or model.noise is fixed
 
+    @pytest.mark.parametrize("fixed", [None, 0.01])
+    def test_start_outside_the_bounds_is_clipped(self, rng, monkeypatch,
+                                                 fixed):
+        """The start runs first from its clipped log hyperparameters; the
+        random starts follow it under a fixed noise and draw as without it.
+        The result never scores below the fit at the clipped start."""
+        bounds = {"length_scale_bounds": (0.05, 0.5),
+                  "signal_std_bounds": (0.1, 2.0),
+                  "noise_std_bounds": (1e-3, 0.3)}
+        seen = []
+
+        def record(fun, x0, **kwargs):
+            seen.append(np.array(x0))
+            return minimize(fun, x0, **kwargs)
+
+        monkeypatch.setattr(gp, "minimize", record)
+        t = np.linspace(0.0, 1.0, 20)
+        train = TrainingSet(t, np.sin(2 * np.pi * t)
+                            + rng.normal(0.0, 0.05, t.size))
+        start = fit_gp(train, KernelParams(5.0, 1e-3), noise=1.0)
+        config = OptConfig(n_starts=3, seed=4, **bounds)
+        model = optimize_hyperparameters(train, noise=fixed, config=config,
+                                         start=start)
+
+        clipped = [math.log(0.5), math.log(0.1), math.log(0.3)]
+        logs = [(math.log(lo), math.log(hi)) for lo, hi in bounds.values()]
+        if fixed is not None:
+            clipped, logs = clipped[:2], logs[:2]
+        draws = np.random.default_rng(4)
+        want = [[draws.uniform(lo, hi) for lo, hi in logs] for _ in range(3)]
+        assert np.array_equal(seen[0], clipped)
+        assert np.array_equal(np.array(seen[1:]).reshape(-1, len(logs)),
+                              want if fixed is not None else np.empty((0, 3)))
+        at_start = fit_gp(train, KernelParams(math.exp(clipped[0]),
+                                              math.exp(clipped[1])),
+                          noise=(math.exp(2.0 * clipped[2]) if fixed is None
+                                 else fixed))
+        assert (model.log_marginal_likelihood()
+                >= at_start.log_marginal_likelihood())
+
+    def test_failed_start_falls_back_to_random_starts(self, monkeypatch):
+        calls = []
+
+        def first_fails(fun, x0, **kwargs):
+            calls.append(x0)
+            if len(calls) == 1:
+                raise ValueError("the start's run failed")
+            return minimize(fun, x0, **kwargs)
+
+        monkeypatch.setattr(gp, "minimize", first_fails)
+        t = np.linspace(0.0, 1.0, 12)
+        train = TrainingSet(t, np.sin(2 * np.pi * t))
+        start = fit_gp(train, KernelParams(0.3, 1.0), noise=0.01)
+        optimize_hyperparameters(train, config=OptConfig(n_starts=4),
+                                 start=start)
+        assert len(calls) == 5
+
+    def test_searched_noise_needs_a_scalar_start(self):
+        t = np.linspace(0.0, 1.0, 12)
+        train = TrainingSet(t, np.sin(2 * np.pi * t))
+        start = fit_gp(train, KernelParams(0.3, 1.0),
+                       noise=np.linspace(0.01, 0.02, t.size))
+        with pytest.raises(InvalidInputError, match="scalar noise"):
+            optimize_hyperparameters(train, start=start)
+
 
 class TestHeteroscedastic:
     @pytest.mark.parametrize("kwargs", [{"iterations": 0},
@@ -591,6 +658,63 @@ class TestHeteroscedastic:
         y = np.where(np.arange(t.size) % 2 == 0, 1e200, -1e200)
         with pytest.raises(InvalidInputError, match="overflow"):
             fit_heteroscedastic(TrainingSet(t, y))
+
+    def test_warm_noise_rounds_make_one_minimize_call(self, rng,
+                                                     monkeypatch):
+        """Round 0 searches the noise GP from random starts; each later
+        round refines the previous optimum once. The round-0 signal refit
+        tries the stage-1 optimum before its random starts."""
+        t = np.repeat(np.linspace(0.0, 1.0, 25), 4)
+        y = np.sin(2 * np.pi * t) + rng.normal(0.0, 0.02 + 0.3 * t)
+        runs = []  # per search: [training points, L-BFGS-B runs]
+        search, local = gp.optimize_hyperparameters, gp.minimize
+
+        def count_search(train, noise=None, config=OptConfig(), start=None):
+            runs.append([len(train), 0])
+            return search(train, noise, config, start)
+
+        def count_minimize(*args, **kwargs):
+            runs[-1][1] += 1
+            return local(*args, **kwargs)
+
+        monkeypatch.setattr(gp, "optimize_hyperparameters", count_search)
+        monkeypatch.setattr(gp, "minimize", count_minimize)
+        model = fit_heteroscedastic(TrainingSet(t, y), HeteroConfig(iterations=4))
+        assert not model.degenerate
+        assert runs == [[100, 8], [25, 8], [100, 9], [25, 1], [25, 1], [25, 1]]
+
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_warm_rounds_never_fall_below_random_starts(self, seed,
+                                                        monkeypatch):
+        """Per door dimension against the all-random-starts loop: the
+        signal LML is no lower beyond 1e-7 relative, and a degenerate
+        dimension is bit for bit the same model."""
+        sets = []
+        fit = policy.fit_heteroscedastic
+
+        def record(train, config):
+            sets.append(train)
+            return fit(train, config)
+
+        monkeypatch.setattr(policy, "fit_heteroscedastic", record)
+        learned = learn_policy(generate_synthetic_door_set(seed=seed))
+        assert any(model.degenerate for model in learned.dims)
+        ts = np.linspace(0.0, 1.0, 11)
+        for train, warm in zip(sets, learned.dims):
+            cold = random_hetero(train)
+            got = warm.signal_gp.log_marginal_likelihood()
+            want = cold.signal_gp.log_marginal_likelihood()
+            assert got >= want - 1e-7 * abs(want)
+            assert warm.degenerate == cold.degenerate
+            if cold.degenerate:
+                assert got == want
+                for a, b in ((warm.signal_gp, cold.signal_gp),
+                             (warm.noise_gp, cold.noise_gp)):
+                    assert a.params == b.params
+                    assert np.array_equal(a.noise, b.noise)
+                got, want = warm.predict(ts), cold.predict(ts)
+                assert np.array_equal(got.mean, want.mean)
+                assert np.array_equal(got.var, want.var)
 
     def test_degenerate_dispersion_flagged(self):
         # A single demonstration replicated has nothing to disperse.

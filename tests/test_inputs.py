@@ -561,7 +561,7 @@ class TestMutatedDemonstrations:
                              "--out-dir", out])
             if code == 0:
                 _, _, table = io.read_table(f"{out}/eval.csv")
-                assert table.shape == (2, 8) and np.all(np.isfinite(table))
+                assert table.shape == (2, 20) and np.all(np.isfinite(table))
         assert code == 0 or (code == 1 and err.startswith("error:")), err
         assert code == 1 or not fails, mutation
 

@@ -11,6 +11,7 @@ from gplfd import (FormatError, InvalidInputError, ParseError, Pose,
 from gplfd import gp, io
 from gplfd.cli import main
 from gplfd.config import apply_overrides, config_from_dict
+from gplfd.policy import DIM_NAMES
 
 DEFAULTS = RunConfig()
 
@@ -243,6 +244,22 @@ class TestManifests:
         io.write_manifest(b, "fit", DEFAULTS.to_dict(), [], [])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_records_blas_build_and_threads(self, tmp_path, monkeypatch):
+        """Each BLAS build as 'name version'; an unset variable is null."""
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        path = tmp_path / "run.manifest.json"
+        io.write_manifest(path, "fit", DEFAULTS.to_dict(), [], [])
+        versions = io.read_manifest(path)["versions"]
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert versions["blas"]["numpy"] == f"{blas['name']} {blas['version']}"
+        assert set(versions["blas"]) == {"numpy", "scipy"}
+        assert isinstance(versions["blas"]["scipy"], str)
+        assert versions["threads"] == {"OPENBLAS_NUM_THREADS": "2",
+                                       "OMP_NUM_THREADS": "1",
+                                       "MKL_NUM_THREADS": None}
+
 
 class TestConfig:
     def test_defaults_round_trip(self, tmp_path):
@@ -336,6 +353,30 @@ class TestCommandLine:
                              "fit.manifest.json", "query.manifest.json",
                              "adapt.manifest.json", "simulate.manifest.json",
                              "eval.manifest.json"}
+
+    def test_fit_summary_and_eval_calibration(self, tmp_path, capsys):
+        """fit prints one line per dimension: its name, length scale,
+        signal std and signal-GP LML, each the exact double of the policy
+        file. eval adds per-dimension calibration columns to both rows."""
+        args = SMALL + ["--out-dir", str(tmp_path)]
+        assert main(["gen-data", *args]) == 0
+        demos = sorted(str(p) for p in tmp_path.glob("demo_*.csv"))
+        capsys.readouterr()
+        assert main(["fit", *demos, *args]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        fitted = io.load_policy(tmp_path / "policy.json")
+        assert lines == [f"  {name}: length_scale {dim.params.length_scale!r}, "
+                         f"signal_std {dim.params.signal_std!r}, "
+                         f"lml {dim.signal_gp.log_marginal_likelihood()!r}"
+                         for name, dim in zip(DIM_NAMES, fitted.dims)]
+
+        assert main(["eval", "--policy", str(tmp_path / "policy.json"),
+                     "--truth", demos[0], *args]) == 0
+        _, header, table = io.read_table(tmp_path / "eval.csv")
+        assert header[8:] == ([f"within_2sd_{n}" for n in DIM_NAMES]
+                              + [f"median_z_{n}" for n in DIM_NAMES])
+        assert np.all((table[:, 8:14] >= 0.0) & (table[:, 8:14] <= 1.0))
+        assert np.all(table[:, 14:] >= 0.0)
 
     def test_simulate_requires_a_schedule(self, tmp_path, capsys):
         assert main(["simulate", "--out-dir", str(tmp_path)]) == 1

@@ -16,7 +16,7 @@ from gplfd import (GPModel, HeteroGPModel, InconsistentConstraintError,
 from gplfd import gp
 from gplfd.config import config_from_dict, learn_config
 from gplfd.gp import JITTER_START_FRAC, MAX_GP_INPUTS
-from gplfd.policy import MAX_GRID_SIZE, _fuse
+from gplfd.policy import MAX_GRID_SIZE, _calibration, _fuse
 from gplfd.se3 import canonical_rotvecs
 from oracles import dense_posterior, loop_fuse
 
@@ -442,9 +442,9 @@ class TestNoiseSearch:
         searches = []
         search = gp.optimize_hyperparameters
 
-        def spy(train, noise=None, config=OptConfig()):
+        def spy(train, noise=None, config=OptConfig(), start=None):
             searches.append((len(train), config))
-            return search(train, noise, config)
+            return search(train, noise, config, start)
 
         monkeypatch.setattr(gp, "optimize_hyperparameters", spy)
         learn_policy(generate_synthetic_door_set(seed=5, n_samples=20),
@@ -490,3 +490,35 @@ class TestStreaming:
         assert np.array_equal(report.static_mse,
                               prediction_error(query(door_policy, ts[1:]),
                                                target))
+
+    def test_calibration_on_an_interpolating_holdout(self, door_policy):
+        """A pull at radius 0.85, between the training radii: x and z are
+        pinned, and every dimension matches z-scores computed here."""
+        (holdout,) = generate_synthetic_door_set(seed=7, radii=(0.85,),
+                                                 repeats=1)
+        report = streaming_evaluation(door_policy, holdout, 1e-4)
+        stamps = holdout.stamps
+        ts = (stamps - stamps[0]) / (stamps[-1] - stamps[0])
+        static = query(door_policy, ts[1:])
+        z = np.array([np.abs(holdout.samples[i + 1] - d.mean) / np.sqrt(d.var)
+                      for i, d in enumerate(static)])
+        z[np.abs(holdout.samples[1:] - [d.mean for d in static]) == 0] = 0.0
+        assert np.array_equal(report.static_within_2sd,
+                              np.count_nonzero(z <= 2.0, axis=0) / 59)
+        assert np.array_equal(report.static_median_z, np.median(z, axis=0))
+        # x and z, static then adaptive; 59 predicted samples.
+        assert_allclose(report.static_within_2sd[[0, 2]], [59 / 59, 56 / 59])
+        assert_allclose(report.adaptive_within_2sd[[0, 2]], [58 / 59, 56 / 59])
+        assert_allclose(report.static_median_z[[0, 2]],
+                        [0.6732034115754669, 0.7389193803047102], rtol=1e-5)
+        assert_allclose(report.adaptive_median_z[[0, 2]],
+                        [0.5410340210901827, 0.7909899732262193], rtol=1e-5)
+
+    def test_calibration_at_zero_variance(self):
+        """A hit scores z = 0; a miss has no finite z and is refused."""
+        mean, var = np.zeros((2, 6)), np.zeros((2, 6))
+        within, median = _calibration(mean, var, np.zeros((2, 6)))
+        assert np.array_equal(within, np.ones(6))
+        assert np.array_equal(median, np.zeros(6))
+        with pytest.raises(InvalidInputError, match="finite z-score"):
+            _calibration(mean, var, np.full((2, 6), 0.1))
