@@ -28,10 +28,20 @@ The heteroscedastic loop (Kersting et al., ICML 2007) warm-starts its
 searches: the round-0 signal refit tries the stage-1 optimum before its
 random starts, and from round 1 on each noise-GP search is one L-BFGS-B run
 from the previous searched noise GP, clipped into the round's bounds.
+
+Its two signal searches, stage 1 and the round-0 refit, stop early: they
+draw no more random starts once two random starts have ended at the best
+candidate so far (``stop_when_confirmed``). Most starts on a signal GP end
+at one optimum, and the rest in a lower "noise" reading of the data
+(Rasmussen & Williams 2006, Fig. 5.5), so the rule skips starts that would
+only find that optimum again. The round-0 noise-GP search keeps all its
+starts: its targets, log smoothed squared residuals, have several optima
+of different heights, and starts that agree there can still miss the best.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -63,8 +73,16 @@ MAX_OPT_STARTS = 1000
 MAX_OPT_ITER = 10_000
 # Most noise-refit rounds of one heteroscedastic fit.
 MAX_HETERO_ITERATIONS = 100
+# The stop_when_confirmed rule of optimize_hyperparameters: the random starts
+# that must confirm the best candidate, and how close to it each must end, in
+# every log hyperparameter and in relative LML.
+CONFIRMATIONS = 2
+CONFIRM_THETA_TOL = 1e-3
+CONFIRM_LML_RTOL = 1e-6
 
 LOG_2PI = math.log(2.0 * math.pi)
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -442,6 +460,10 @@ class OptConfig:
     [1e-3, 10 * range(t)], signal std within [1e-3, 10] * std(y), noise std
     within [1e-6, 3] * std(y). Bounds are (low, high) in the natural scale,
     finite with 0 < low < high; derived bounds always satisfy this.
+
+    ``n_starts`` is the most random starts a search draws; one called with
+    ``stop_when_confirmed`` may stop after fewer, as
+    ``optimize_hyperparameters`` describes.
     """
 
     n_starts: int = 8
@@ -467,7 +489,8 @@ class OptConfig:
 
 def optimize_hyperparameters(train: TrainingSet, noise=None,
                              config: OptConfig = OptConfig(),
-                             start: GPModel | None = None) -> GPModel:
+                             start: GPModel | None = None, *,
+                             stop_when_confirmed: bool = False) -> GPModel:
     """The GP fitted at the kernel hyperparameters of largest LML found.
 
     ``noise`` fixes the observation noise (scalar or per-point variance
@@ -485,6 +508,19 @@ def optimize_hyperparameters(train: TrainingSet, noise=None,
     and the random starts run only if it fails. With a fixed noise the
     random starts follow it. They draw the same points with or without a
     start.
+
+    ``stop_when_confirmed`` draws no more random starts once CONFIRMATIONS
+    (two) random starts have ended at the best candidate found so far:
+    within CONFIRM_THETA_TOL in every log hyperparameter and within
+    CONFIRM_LML_RTOL relative in LML. The starts that run are the first of
+    those drawn without it. The warm start can be that best candidate but
+    never counts as a confirmation; a failed run neither counts nor resets
+    the count. A best candidate with its length scale on the lower bound
+    (the data read as white noise, where starts pile up whatever the
+    likelihood's maximum) is never confirmed. Off by default: every start
+    runs. Each search logs one DEBUG record on this module's logger: the
+    random starts run out of ``n_starts``, the failed runs, whether it
+    stopped on a confirmation, and the best LML.
     """
     if len(train) < 2:
         raise InsufficientDataError("hyperparameter search needs at least 2 points")
@@ -523,27 +559,60 @@ def optimize_hyperparameters(train: TrainingSet, noise=None,
             return None
         return (-res.fun, res.x) if np.isfinite(res.fun) else None
 
-    found = []
+    found = []  # (LML, theta) per run in run order, None where it failed
     if start is not None:
         theta = [math.log(start.params.length_scale),
                  math.log(start.params.signal_std)]
         if optimize_noise:
             theta.append(0.5 * math.log(_scalar_noise(start)))
         found.append(refine(np.clip(theta, *np.transpose(log_bounds))))
+    n_warm = len(found)
+    confirmed = False
     if not (optimize_noise and found and found[0] is not None):
         rng = np.random.default_rng(config.seed)
-        found += [refine(np.array([rng.uniform(lo, hi) for lo, hi in log_bounds]))
-                  for _ in range(config.n_starts)]
-    found = [f for f in found if f is not None]
-    if not found:
+        for _ in range(config.n_starts):
+            found.append(refine(np.array([rng.uniform(lo, hi)
+                                          for lo, hi in log_bounds])))
+            if stop_when_confirmed and found[-1] is not None:
+                confirmed = (_confirmations(found, n_warm, log_bounds[0][0])
+                             >= CONFIRMATIONS)
+                if confirmed:
+                    break
+    converged = [f for f in found if f is not None]
+    best = _best(converged)
+    logger.debug("search over %d points: %d of %d random starts run, "
+                 "%d failed, stopped on confirmation: %s, best LML %r",
+                 len(train), len(found) - n_warm, config.n_starts,
+                 len(found) - len(converged), confirmed,
+                 None if best is None else best[0])
+    if best is None:
         raise OptimizationFailureError(
             "no start point of the hyperparameter search converged")
-    # max keeps the first of equal candidates.
-    best_theta = max(found, key=lambda f: f[0])[1]
+    best_theta = best[1]
 
     params = KernelParams(math.exp(best_theta[0]), math.exp(best_theta[1]))
     out_noise = (math.exp(2.0 * best_theta[2]) if optimize_noise else noise)
     return fit_gp(train, params, noise=out_noise)
+
+
+def _best(candidates):
+    """The (LML, theta) of largest LML, the first of equal ones; None if none."""
+    return max(candidates, key=lambda f: f[0], default=None)
+
+
+def _confirmations(found, n_warm, log_length_floor):
+    """How many random runs, ``found[n_warm:]``, ended at the best candidate.
+
+    The best candidate may be the warm start, ``found[:n_warm]``, which
+    itself never counts. None count when the best candidate's log length
+    scale is within CONFIRM_THETA_TOL of ``log_length_floor``.
+    """
+    lml, theta = _best([f for f in found if f is not None])
+    if theta[0] - log_length_floor <= CONFIRM_THETA_TOL:
+        return 0
+    return sum(f is not None and abs(f[0] - lml) <= CONFIRM_LML_RTOL * abs(lml)
+               and bool(np.all(np.abs(f[1] - theta) <= CONFIRM_THETA_TOL))
+               for f in found[n_warm:])
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +633,12 @@ class HeteroConfig:
     iterations, seed + 1 and bounds derived from its own data. Round 0
     searches the noise GP from the random starts; each later round refines
     the last searched noise GP alone, with one L-BFGS-B run from its
-    hyperparameters clipped into the round's bounds.
+    hyperparameters clipped into the round's bounds. The two signal
+    searches stop once two random starts confirm their best optimum (the
+    ``stop_when_confirmed`` rule of ``optimize_hyperparameters``); the round-0
+    noise-GP search runs every start, because its optima are several and
+    agreeing starts there can miss the best. ``smoothing_window`` must be
+    odd: the window is centered, ``window // 2`` neighbors on each side.
     """
 
     iterations: int = 3
@@ -573,10 +647,10 @@ class HeteroConfig:
 
     def __post_init__(self):
         if (not 1 <= self.iterations <= MAX_HETERO_ITERATIONS
-                or self.smoothing_window < 1):
+                or self.smoothing_window < 1 or self.smoothing_window % 2 == 0):
             raise InvalidInputError(
                 f"iterations must lie in [1, {MAX_HETERO_ITERATIONS}] and the "
-                "smoothing window be >= 1")
+                "smoothing window be odd and >= 1")
 
 
 def _noise_variance(noise_gp: GPModel, ts) -> np.ndarray:
@@ -633,7 +707,8 @@ def fit_heteroscedastic(train: TrainingSet,
                           seed=config.opt.seed + 1,
                           max_iter=config.opt.max_iter)
     # The search refuses targets that overflow before their variance does.
-    signal = optimize_hyperparameters(train, noise=None, config=config.opt)
+    signal = optimize_hyperparameters(train, noise=None, config=config.opt,
+                                      stop_when_confirmed=True)
     floor = max(1e-10 * float(np.var(train.y)), 1e-12)
     searched = None  # the last searched noise GP: the next search's start
 
@@ -657,7 +732,8 @@ def fit_heteroscedastic(train: TrainingSet,
         r_train = _noise_variance(noise_model, u)[index]
         if round_idx == 0 and not degenerate:
             signal = optimize_hyperparameters(train, noise=r_train,
-                                              config=config.opt, start=signal)
+                                              config=config.opt, start=signal,
+                                              stop_when_confirmed=True)
         else:
             signal = fit_gp(train, signal.params, noise=r_train)
 

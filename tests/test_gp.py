@@ -1,3 +1,4 @@
+import logging
 import math
 import tracemalloc
 
@@ -8,9 +9,9 @@ from numpy.testing import assert_allclose
 from scipy.optimize import minimize
 
 from gplfd import (HeteroConfig, InsufficientDataError, InvalidInputError,
-                   KernelParams, NumericalConditioningError, OptConfig,
-                   OptimizationFailureError, PosteriorPrediction, TrainingSet,
-                   fit_gp, fit_heteroscedastic, gaussian_product,
+                   KernelParams, LearnConfig, NumericalConditioningError,
+                   OptConfig, OptimizationFailureError, PosteriorPrediction,
+                   TrainingSet, fit_gp, fit_heteroscedastic, gaussian_product,
                    generate_synthetic_door_set, learn_policy, lml_gradient,
                    optimize_hyperparameters, rbf_kernel)
 from gplfd import gp, policy
@@ -641,9 +642,136 @@ class TestHyperparameterSearch:
             optimize_hyperparameters(train, start=start)
 
 
+def record_runs(monkeypatch, fail=()):
+    """Spy on gp.minimize: (LML, theta) per L-BFGS-B run in order, or None
+    for a run whose number (from 1) is in ``fail``, which raises instead."""
+    runs = []
+
+    def run(fun, x0, **kwargs):
+        if len(runs) + 1 in fail:
+            runs.append(None)
+            raise ValueError("this run failed")
+        res = minimize(fun, x0, **kwargs)
+        runs.append((-res.fun, res.x))
+        return res
+
+    monkeypatch.setattr(gp, "minimize", run)
+    return runs
+
+
+def at_optimum(runs):
+    """Numbers (from 1) of the runs that end at the best run's optimum."""
+    lml, theta = max(runs, key=lambda r: r[0])
+    return [k for k, (value, x) in enumerate(runs, start=1)
+            if abs(value - lml) <= 1e-6 * abs(lml)
+            and np.all(np.abs(x - theta) <= 1e-3)]
+
+
+class TestConfirmedSearch:
+    """``stop_when_confirmed``: a search draws no more random starts once two
+    random starts have ended at its best candidate. With the noise fixed at
+    NOISE, some random starts on SINE end at its best optimum and the
+    others at a lower one."""
+
+    SINE = TrainingSet(np.linspace(0.0, 1.0, 20),
+                       np.sin(2 * np.pi * np.linspace(0.0, 1.0, 20))
+                       + np.random.default_rng(0).normal(0.0, 0.1, 20))
+    NOISE = 0.01
+
+    @pytest.mark.parametrize("seed", [0, 2, 4])
+    def test_stops_at_the_second_start_at_the_optimum(self, seed,
+                                                      monkeypatch):
+        config = OptConfig(seed=seed)
+        runs = record_runs(monkeypatch)
+        optimize_hyperparameters(self.SINE, self.NOISE, config)
+        assert len(runs) == config.n_starts  # without the flag, every start
+        every = list(runs)
+        stop = at_optimum(every)[1]
+        assert stop < config.n_starts
+
+        runs.clear()
+        model = optimize_hyperparameters(self.SINE, self.NOISE, config,
+                                         stop_when_confirmed=True)
+        assert [r[0] for r in runs] == [r[0] for r in every[:stop]]
+        lml, theta = max(runs, key=lambda r: r[0])
+        assert model.log_marginal_likelihood() == lml
+        assert model.params == KernelParams(math.exp(theta[0]),
+                                            math.exp(theta[1]))
+
+    def test_warm_start_at_the_optimum_is_no_confirmation(self, monkeypatch):
+        """It precedes the random starts, which still need two of their own
+        at its optimum; they draw as without it."""
+        config = OptConfig(seed=0)
+        runs = record_runs(monkeypatch)
+        optimum = optimize_hyperparameters(self.SINE, self.NOISE, config)
+        first, second = at_optimum(runs)[:2]
+        assert first < second < config.n_starts
+
+        runs.clear()
+        model = optimize_hyperparameters(self.SINE, self.NOISE, config,
+                                         start=optimum,
+                                         stop_when_confirmed=True)
+        assert len(runs) == 1 + second
+        assert at_optimum(runs)[0] == 1
+        assert (model.log_marginal_likelihood()
+                >= optimum.log_marginal_likelihood())
+
+    @pytest.mark.parametrize("failed", [1, 2, 3])
+    def test_failed_run_neither_confirms_nor_resets(self, failed,
+                                                    monkeypatch):
+        config = OptConfig(seed=2)
+        runs = record_runs(monkeypatch)
+        optimize_hyperparameters(self.SINE, self.NOISE, config)
+        confirming = [k for k in at_optimum(runs) if k != failed]
+
+        runs = record_runs(monkeypatch, fail={failed})
+        optimize_hyperparameters(self.SINE, self.NOISE, config,
+                                 stop_when_confirmed=True)
+        assert len(runs) == confirming[1] < config.n_starts
+
+    def test_white_noise_corner_is_never_confirmed(self, monkeypatch):
+        """Starts that agree at the length scale's lower bound do not stop
+        the search: all 8 starts run, and the interior optimum wins."""
+        rng = np.random.default_rng(12345)
+        t = np.repeat(np.linspace(0.0, 1.0, 25), 4)
+        train = TrainingSet(t, np.sin(2 * np.pi * t)
+                            + rng.normal(0.0, 0.02 + 0.3 * t))
+        runs = record_runs(monkeypatch)
+        every = optimize_hyperparameters(train)
+        corner = [k for k, (_, x) in enumerate(runs, start=1)
+                  if x[0] <= math.log(1e-3) + 1e-3]
+        assert len(corner) >= 2 and corner[1] < at_optimum(runs)[0]
+
+        runs.clear()
+        model = optimize_hyperparameters(train, stop_when_confirmed=True)
+        assert len(runs) == 8
+        assert (model.log_marginal_likelihood()
+                == every.log_marginal_likelihood())
+
+    def test_each_search_logs_one_debug_record(self, monkeypatch, caplog):
+        config = OptConfig(seed=2)
+        with caplog.at_level(logging.DEBUG, logger="gplfd.gp"):
+            record_runs(monkeypatch, fail={2})
+            stopped = optimize_hyperparameters(self.SINE, self.NOISE, config,
+                                               stop_when_confirmed=True)
+            record_runs(monkeypatch)
+            every = optimize_hyperparameters(self.SINE, self.NOISE, config)
+        records = [r for r in caplog.records if r.name == "gplfd.gp"]
+        assert [r.levelno for r in records] == [logging.DEBUG] * 2
+        assert records[0].getMessage() == (
+            "search over 20 points: 3 of 8 random starts run, 1 failed, "
+            "stopped on confirmation: True, best LML "
+            f"{stopped.log_marginal_likelihood()!r}")
+        assert records[1].getMessage() == (
+            "search over 20 points: 8 of 8 random starts run, 0 failed, "
+            "stopped on confirmation: False, best LML "
+            f"{every.log_marginal_likelihood()!r}")
+
+
 class TestHeteroscedastic:
     @pytest.mark.parametrize("kwargs", [{"iterations": 0},
-                                        {"smoothing_window": 0}])
+                                        {"smoothing_window": 0},
+                                        {"smoothing_window": 4}])
     def test_config_ranges_refused(self, kwargs):
         with pytest.raises(InvalidInputError):
             HeteroConfig(**kwargs)
@@ -669,9 +797,10 @@ class TestHeteroscedastic:
         runs = []  # per search: [training points, L-BFGS-B runs]
         search, local = gp.optimize_hyperparameters, gp.minimize
 
-        def count_search(train, noise=None, config=OptConfig(), start=None):
+        def count_search(train, noise=None, config=OptConfig(), start=None,
+                         **kwargs):
             runs.append([len(train), 0])
-            return search(train, noise, config, start)
+            return search(train, noise, config, start, **kwargs)
 
         def count_minimize(*args, **kwargs):
             runs[-1][1] += 1
@@ -681,14 +810,37 @@ class TestHeteroscedastic:
         monkeypatch.setattr(gp, "minimize", count_minimize)
         model = fit_heteroscedastic(TrainingSet(t, y), HeteroConfig(iterations=4))
         assert not model.degenerate
-        assert runs == [[100, 8], [25, 8], [100, 9], [25, 1], [25, 1], [25, 1]]
+        assert runs == [[100, 8], [25, 8], [100, 6], [25, 1], [25, 1], [25, 1]]
 
-    @pytest.mark.parametrize("seed", [0, 1, 3])
-    def test_warm_rounds_never_fall_below_random_starts(self, seed,
+    def test_only_signal_searches_stop_when_confirmed(self, rng,
+                                                      monkeypatch):
+        """Stage 1 and the round-0 refit stop once confirmed; every
+        noise-GP search keeps all its starts."""
+        t = np.repeat(np.linspace(0.0, 1.0, 25), 4)
+        y = np.sin(2 * np.pi * t) + rng.normal(0.0, 0.02 + 0.3 * t)
+        calls = []  # per search: [training points, warm, stops when confirmed]
+        search = gp.optimize_hyperparameters
+
+        def spy(train, noise=None, config=OptConfig(), start=None, **kwargs):
+            calls.append([len(train), start is not None,
+                          kwargs.get("stop_when_confirmed", False)])
+            return search(train, noise, config, start, **kwargs)
+
+        monkeypatch.setattr(gp, "optimize_hyperparameters", spy)
+        fit_heteroscedastic(TrainingSet(t, y), HeteroConfig(iterations=3))
+        assert calls == [[100, False, True], [25, False, False],
+                         [100, True, True], [25, True, False],
+                         [25, True, False]]
+
+    @pytest.mark.parametrize("seed, samples", [
+        (0, None), (1, None), (3, None), (0, 1000)],
+        ids=["0", "1", "3", "0-1000-samples"])
+    def test_warm_rounds_never_fall_below_random_starts(self, seed, samples,
                                                         monkeypatch):
         """Per door dimension against the all-random-starts loop: the
         signal LML is no lower beyond 1e-7 relative, and a degenerate
-        dimension is bit for bit the same model."""
+        dimension is bit for bit the same model. A 1000-sample set is
+        fitted on a 50-point grid."""
         sets = []
         fit = policy.fit_heteroscedastic
 
@@ -697,7 +849,12 @@ class TestHeteroscedastic:
             return fit(train, config)
 
         monkeypatch.setattr(policy, "fit_heteroscedastic", record)
-        learned = learn_policy(generate_synthetic_door_set(seed=seed))
+        if samples is None:
+            demos, config = generate_synthetic_door_set(seed=seed), LearnConfig()
+        else:
+            demos = generate_synthetic_door_set(seed=seed, n_samples=samples)
+            config = LearnConfig(grid_size=50)
+        learned = learn_policy(demos, config)
         assert any(model.degenerate for model in learned.dims)
         ts = np.linspace(0.0, 1.0, 11)
         for train, warm in zip(sets, learned.dims):

@@ -422,6 +422,19 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "no start point" in err
 
+    def test_even_smoothing_window_fails_cleanly(self, tmp_path, capsys,
+                                                 door_demos):
+        """An even window is not centered, so it is refused, not rounded."""
+        paths = []
+        for k, demo in enumerate(door_demos[:2]):
+            paths.append(str(tmp_path / f"demo_{k}.csv"))
+            io.save_demonstration(paths[-1], demo)
+        assert main(["fit", *paths, "--set", "policy.smoothing_window=4",
+                     "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "odd" in err
+        assert not (tmp_path / "policy.json").exists()
+
     @pytest.mark.parametrize("edit", [
         lambda manifest: manifest.pop("config"),
         lambda manifest: manifest.update(config=[0]),

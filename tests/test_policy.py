@@ -442,9 +442,9 @@ class TestNoiseSearch:
         searches = []
         search = gp.optimize_hyperparameters
 
-        def spy(train, noise=None, config=OptConfig(), start=None):
+        def spy(train, noise=None, config=OptConfig(), start=None, **kwargs):
             searches.append((len(train), config))
-            return search(train, noise, config, start)
+            return search(train, noise, config, start, **kwargs)
 
         monkeypatch.setattr(gp, "optimize_hyperparameters", spy)
         learn_policy(generate_synthetic_door_set(seed=5, n_samples=20),
