@@ -11,7 +11,7 @@ from .admittance import (ControllerParams, SimTrace, StabilityReport,
                          check_stability, constant_force, damping_from_ratio,
                          simulate, stiffness_profile, stiffness_rate,
                          stiffness_rate_bound, zero_force)
-from .alignment import (AlignmentWarning, TCIProfile, Trajectory, WarpPath,
+from .alignment import (AlignmentWarning, Trajectory, WarpPath,
                         align_demonstrations, dtw_align, path_length,
                         resample, tci_profile)
 from .config import RunConfig, config_sha256, load_config, save_config
@@ -31,6 +31,6 @@ from .policy import (DIM_NAMES, LearnConfig, PoseDistribution, StreamingReport,
                      TaskPolicy, ViaPoint, adapt_with_viapoints, learn_policy,
                      prediction_error, query, streaming_evaluation)
 from .se3 import DistanceWeights, Pose
-from .synthetic import generate_synthetic_door_set
+from .synthetic import DoorSet, generate_synthetic_door_set
 
 __version__ = "0.1.0"

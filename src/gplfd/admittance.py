@@ -236,6 +236,10 @@ def simulate(setpoint=None, force=None,
     explicit ``sigma``. The default integrator is semi-implicit Euler, which
     respects the energy diagnostic; "rk4" is available when comparing
     against closed-form solutions.
+
+    A force law is a function of (t, e, v) returning a 6-vector. The
+    semi-implicit integrator calls it once a step, steps + 1 times in all;
+    rk4 also calls it at each of its four stages.
     """
     steps = simulation_steps(dt, horizon, integrator)
     times = np.arange(steps + 1) * dt
@@ -260,23 +264,20 @@ def simulate(setpoint=None, force=None,
     err[0], rate[0] = e, v
     frc[0] = force(0.0, e, v)
 
-    def accel(t_val, e_val, v_val, kp_val, d_val):
-        return (force(t_val, e_val, v_val) - d_val * v_val - kp_val * e_val) / m
+    def deriv(t_val, state, kp_val, d_val):
+        e_val, v_val = state
+        a = (force(t_val, e_val, v_val) - d_val * v_val - kp_val * e_val) / m
+        return np.stack([v_val, a])
 
     for k in range(steps):
         if integrator == "semi_implicit":
-            a = accel(times[k], e, v, kp[k], dmp[k])
-            v = v + dt * a
+            # frc[k] is force(times[k], e, v), stored by the previous step.
+            v = v + dt * ((frc[k] - dmp[k] * v - kp[k] * e) / m)
             e = e + dt * v
         else:
             kp_mid = 0.5 * (kp[k] + kp[k + 1])
             d_mid = 0.5 * (dmp[k] + dmp[k + 1])
             t0 = times[k]
-
-            def deriv(t_val, state, kp_val, d_val):
-                e_val, v_val = state
-                return np.stack([v_val, accel(t_val, e_val, v_val, kp_val, d_val)])
-
             s0 = np.stack([e, v])
             k1 = deriv(t0, s0, kp[k], dmp[k])
             k2 = deriv(t0 + 0.5 * dt, s0 + 0.5 * dt * k1, kp_mid, d_mid)

@@ -69,18 +69,6 @@ class Trajectory:
         return tuple(Pose.from_vector(row) for row in self.samples)
 
 
-@dataclass(frozen=True)
-class TCIProfile:
-    """Monotone completion fractions, 0 at the start and 1 at the end."""
-
-    zeta: np.ndarray
-
-    def __post_init__(self):
-        z = np.asarray(self.zeta, dtype=float)
-        object.__setattr__(self, "zeta", z)
-        z.setflags(write=False)
-
-
 def path_length(traj: Trajectory,
                 weights: DistanceWeights = DistanceWeights()) -> float:
     """Total SE(3) arc length under the weighted pose distance."""
@@ -89,8 +77,11 @@ def path_length(traj: Trajectory,
 
 
 def tci_profile(traj: Trajectory,
-                weights: DistanceWeights = DistanceWeights()) -> TCIProfile:
-    """Cumulative fraction of path length covered at each sample."""
+                weights: DistanceWeights = DistanceWeights()) -> np.ndarray:
+    """Cumulative fraction of path length covered at each sample.
+
+    A read-only (n,) array, monotone from 0 at the start to 1 at the end.
+    """
     steps = pose_distances(traj.samples[:-1], traj.samples[1:], weights)
     total = float(np.sum(steps))
     if total <= 0.0:
@@ -98,7 +89,8 @@ def tci_profile(traj: Trajectory,
             "zero path length: completion fractions are undefined")
     zeta = np.concatenate([[0.0], np.cumsum(steps) / total])
     zeta[-1] = 1.0
-    return TCIProfile(zeta=zeta)
+    zeta.setflags(write=False)
+    return zeta
 
 
 @dataclass(frozen=True)
@@ -131,8 +123,8 @@ def _cost_matrix(a: Trajectory, b: Trajectory, weights: DistanceWeights,
     D[0, 0] = 0.0
     C = D[1:, 1:]
     if measure == "tci":
-        za = tci_profile(a, weights).zeta
-        zb = tci_profile(b, weights).zeta
+        za = tci_profile(a, weights)
+        zb = tci_profile(b, weights)
         np.abs(np.subtract(za[:, None], zb[None, :], out=C), out=C)
     else:
         step = max(1, _COST_BLOCK_CELLS // len(b))

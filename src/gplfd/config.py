@@ -11,7 +11,6 @@ config source.
 from __future__ import annotations
 
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
@@ -24,7 +23,7 @@ from .gp import HeteroConfig, OptConfig
 from .io import FORMAT_MANIFEST, canonical_sha256, read_json
 from .policy import LearnConfig, strength_vector
 from .se3 import DistanceWeights
-from .synthetic import check_door_set
+from .synthetic import DoorSet
 
 
 @dataclass(frozen=True)
@@ -57,22 +56,13 @@ class SimulationSection:
 
 
 @dataclass(frozen=True)
-class DataSection:
-    radii: tuple = (0.7, 0.8, 0.9)
-    repeats: int = 2
-    noise: float = 0.005
-    n_samples: int = 60
-    max_angle: float = math.pi / 2
-
-
-@dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
     alignment: AlignmentSection = AlignmentSection()
     policy: PolicySection = PolicySection()
     controller: ControllerParams = ControllerParams()
     simulation: SimulationSection = SimulationSection()
-    data: DataSection = DataSection()
+    data: DoorSet = DoorSet()
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -130,7 +120,6 @@ def config_from_dict(payload: dict) -> RunConfig:
     # Build what the sections feed: each range check runs where it lives.
     learn_config(config)
     via_strength(config)
-    check_door_set(**asdict(config.data))
     sim = config.simulation
     simulation_steps(sim.dt, sim.horizon, sim.integrator)
     return config

@@ -34,17 +34,13 @@ _VIA_HEADER = _DEMO_HEADER + ["position_strength", "rotation_strength"]
 _QUAT_ORDERS = ("wxyz", "xyzw")
 
 
-def _fmt(value) -> str:
-    return repr(float(value))
-
-
 def _write_columnar(path, fmt_tag, metadata, header, rows):
     lines = [f"# format: {fmt_tag}"]
     for key, value in metadata.items():
         lines.append(f"# {key}: {value}")
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    for row in np.asarray(rows, dtype=float).tolist():
+        lines.append(",".join(map(repr, row)))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -171,8 +167,14 @@ def load_demonstrations(paths) -> list:
 # ---------------------------------------------------------------------------
 
 def save_viapoints(path, vias) -> None:
-    rows = [[via.time, *via.pose[:3], *quaternions_of(via.pose[3:]),
-             via.strength[0], via.strength[3]] for via in vias]
+    rows = []
+    for k, via in enumerate(vias):
+        # The file has one position and one rotation strength column.
+        if np.ptp(via.strength[:3]) or np.ptp(via.strength[3:]):
+            raise InvalidInputError(f"via-point {k} at t={via.time!r} has "
+                                    "unequal per-axis strengths")
+        rows.append([via.time, *via.pose[:3], *quaternions_of(via.pose[3:]),
+                     via.strength[0], via.strength[3]])
     _write_columnar(path, FORMAT_VIA, {"quaternion": "wxyz"},
                     _VIA_HEADER, rows)
 
@@ -216,7 +218,7 @@ def save_trace(path, trace) -> None:
     for tag, _ in blocks:
         header.extend(f"{tag}_{name}" for name in DIM_NAMES)
     rows = np.hstack([trace.times[:, None]] + [arr for _, arr in blocks])
-    write_table(path, header, rows, {"inertia": _fmt(trace.inertia)})
+    write_table(path, header, rows, {"inertia": repr(float(trace.inertia))})
 
 
 # ---------------------------------------------------------------------------

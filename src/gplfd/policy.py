@@ -132,10 +132,9 @@ def _as_times(ts) -> np.ndarray:
 
 def learn_policy(demos, config: LearnConfig = LearnConfig()) -> TaskPolicy:
     """Align, resample and fit one heteroscedastic GP per pose dimension."""
-    demos = list(demos)
-    if len(demos) < 2:
-        raise InsufficientDataError("policy learning needs at least 2 demonstrations")
     aligned = align_demonstrations(demos, config.weights, config.measure)
+    if len(aligned) < 2:
+        raise InsufficientDataError("policy learning needs at least 2 demonstrations")
     grid = np.linspace(0.0, 1.0, config.grid_size)
     pooled = np.concatenate([resample(traj, grid).samples for traj in aligned])
     t_pool = np.tile(grid, len(aligned))

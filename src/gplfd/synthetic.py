@@ -9,6 +9,7 @@ has work to do, plus optional per-sample position noise.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,46 +35,54 @@ def door_pull_arc(radius: float, angles: np.ndarray) -> np.ndarray:
                      radius * (1.0 - np.cos(angles))], axis=1)
 
 
-def check_door_set(radii, repeats, noise, n_samples, max_angle) -> tuple:
-    """Check door-set arguments; returns the radii as a tuple of floats."""
-    radii = tuple(float(r) for r in radii)
-    if not radii or not all(0.0 < r < math.inf for r in radii):
-        raise InvalidInputError("door radii must be positive and finite")
-    if repeats < 1 or n_samples < 2:
-        raise InvalidInputError("need repeats >= 1 and n_samples >= 2")
-    if not 0.0 <= noise < math.inf:
-        raise InvalidInputError("noise must be finite and >= 0")
-    if len(radii) * repeats * n_samples > MAX_DOOR_SAMPLES:
-        raise InvalidInputError(f"a door set holds at most {MAX_DOOR_SAMPLES} "
-                                "samples (radii x repeats x n_samples)")
-    if not 0.0 < max_angle <= math.pi:
-        raise InvalidInputError("max door angle must lie in (0, pi]")
-    return radii
+@dataclass(frozen=True)
+class DoorSet:
+    """Door-set parameters, checked on construction: ``repeats`` pulls per
+    door radius, each with ``n_samples`` hinge angles up to ``max_angle`` and
+    position noise of std ``noise``. ``radii`` becomes a tuple of floats."""
+
+    radii: tuple = (0.7, 0.8, 0.9)
+    repeats: int = 2
+    noise: float = 0.005
+    n_samples: int = 60
+    max_angle: float = math.pi / 2
+
+    def __post_init__(self):
+        radii = tuple(float(r) for r in self.radii)
+        object.__setattr__(self, "radii", radii)
+        if not radii or not all(0.0 < r < math.inf for r in radii):
+            raise InvalidInputError("door radii must be positive and finite")
+        if self.repeats < 1 or self.n_samples < 2:
+            raise InvalidInputError("need repeats >= 1 and n_samples >= 2")
+        if not 0.0 <= self.noise < math.inf:
+            raise InvalidInputError("noise must be finite and >= 0")
+        if len(radii) * self.repeats * self.n_samples > MAX_DOOR_SAMPLES:
+            raise InvalidInputError(f"a door set holds at most {MAX_DOOR_SAMPLES} "
+                                    "samples (radii x repeats x n_samples)")
+        if not 0.0 < self.max_angle <= math.pi:
+            raise InvalidInputError("max door angle must lie in (0, pi]")
 
 
-def generate_synthetic_door_set(seed: int = 0,
-                                radii=(0.7, 0.8, 0.9),
-                                repeats: int = 2,
-                                noise: float = 0.005,
-                                n_samples: int = 60,
-                                max_angle: float = math.pi / 2):
+def generate_synthetic_door_set(seed: int = 0, **door):
     """Generate ``len(radii) * repeats`` door-pull trajectories.
 
-    All demonstrations sample the same hinge-angle grid, so with noise=0 the
+    ``door`` holds `DoorSet` fields; omitted ones keep their defaults. All
+    demonstrations sample the same hinge-angle grid, so with noise=0 the
     repeats of one radius differ only in their time stamps. Rotation is
     about the hinge axis (y), proportional to the door angle. Deterministic
     for a given seed.
     """
-    radii = check_door_set(radii, repeats, noise, n_samples, max_angle)
+    door = DoorSet(**door)
+    n_samples = door.n_samples
     rng = np.random.default_rng(seed)
-    angles = np.linspace(0.0, max_angle, n_samples)
+    angles = np.linspace(0.0, door.max_angle, n_samples)
     demos = []
-    for radius in radii:
-        for _ in range(repeats):
+    for radius in door.radii:
+        for _ in range(door.repeats):
             stamps = _warped_stamps(rng, n_samples)
             positions = door_pull_arc(radius, angles)
             samples = np.zeros((n_samples, 6))
-            samples[:, :3] = positions + noise * rng.standard_normal(
+            samples[:, :3] = positions + door.noise * rng.standard_normal(
                 positions.shape)
             samples[:, 4] = angles
             demos.append(Trajectory(stamps, samples))

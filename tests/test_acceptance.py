@@ -150,13 +150,13 @@ def test_criterion_04_completion_alignment_beats_euclidean_pairing():
     # The euclidean warp drags the high demos' mid-completion samples deep
     # into the reference's final third; completion matching does not.
     ref = low[0]
-    zeta_ref = tci_profile(ref).zeta
+    zeta_ref = tci_profile(ref)
     for measure, check in (("euclidean-pose", lambda w: w >= 2.0 / 3.0),
                            ("tci", lambda w: w < 2.0 / 3.0)):
         worst = 0.0
         for b in high:
             warp = dtw_align(ref, b, measure=measure)
-            zeta_b = tci_profile(b).zeta
+            zeta_b = tci_profile(b)
             worst = max(worst, max(zeta_ref[i] for i, j in warp.pairs
                                    if 0.4 <= zeta_b[j] <= 0.6))
         assert check(worst)

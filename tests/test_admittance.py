@@ -48,6 +48,12 @@ class TestStiffnessProfile:
             ControllerParams(stiffness_min=500.0, stiffness_max=100.0)
         with pytest.raises(InvalidInputError):
             ControllerParams(inertia=0.0)
+        with pytest.raises(InvalidInputError, match="damping ratio"):
+            ControllerParams(damping_ratio=0.0)
+        with pytest.raises(InvalidInputError, match="steepness"):
+            ControllerParams(steepness=math.inf)
+        with pytest.raises(InvalidInputError, match="uncertainty offset"):
+            ControllerParams(uncertainty_offset=math.nan)
 
 
 class TestStiffnessRate:
@@ -168,6 +174,37 @@ class TestSimulate:
     def test_bad_sigma_shape_rejected(self):
         with pytest.raises(InvalidInputError):
             simulate(sigma=np.zeros((3, 2)), dt=1e-2, horizon=0.1)
+
+    @pytest.mark.parametrize("sigma", [-0.01, math.nan, math.inf,
+                                       lambda t: -t],
+                             ids=["negative", "nan", "inf", "negative-callable"])
+    def test_bad_sigma_values_rejected(self, sigma):
+        with pytest.raises(InvalidInputError, match="finite and >= 0"):
+            simulate(sigma=sigma, dt=1e-2, horizon=0.1)
+
+    @pytest.mark.parametrize("initial", [{"initial_error": np.zeros(3)},
+                                         {"initial_rate": np.zeros((6, 1))}],
+                             ids=["error-3", "rate-6x1"])
+    def test_initial_state_must_be_6_vectors(self, initial):
+        with pytest.raises(InvalidInputError, match="6-vectors"):
+            simulate(sigma=0.05, dt=1e-2, horizon=0.1, **initial)
+
+    def test_semi_implicit_calls_force_once_a_step(self):
+        """steps + 1 calls, each at the state the trace records."""
+        calls = []
+
+        def spring(t, e, v):
+            calls.append((t, e.copy(), v.copy()))
+            return -20.0 * e - v
+
+        trace = simulate(sigma=0.05, force=spring, dt=1e-2, horizon=0.5,
+                         initial_error=np.full(6, 0.1))
+        assert len(calls) == trace.times.size == 51
+        for k, (t, e, v) in enumerate(calls):
+            assert t == trace.times[k]
+            assert np.array_equal(e, trace.error[k])
+            assert np.array_equal(v, trace.rate[k])
+        assert np.array_equal(trace.force, -20.0 * trace.error - trace.rate)
 
     def test_unknown_integrator_rejected(self):
         with pytest.raises(InvalidInputError):

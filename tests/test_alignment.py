@@ -40,6 +40,8 @@ class TestTrajectory:
         p = Pose(np.zeros(3), (0, 0, 0))
         with pytest.raises(InvalidInputError):
             Trajectory([0.0, 0.0], (p, p))
+        with pytest.raises(InvalidInputError, match="at least two samples"):
+            Trajectory([0.0], (p,))
 
     def test_matrix_layout(self):
         traj = line_trajectory([0.0, 1.0], [0, 0, 0], [2, 0, 0])
@@ -75,25 +77,29 @@ class TestTrajectory:
 class TestCompletionIndex:
     def test_endpoints(self, rng):
         traj = random_trajectory(rng, n=8)
-        zeta = tci_profile(traj).zeta
+        zeta = tci_profile(traj)
         assert zeta[0] == 0.0 and zeta[-1] == 1.0
         assert np.all(np.diff(zeta) >= 0.0)
 
+    def test_profile_is_a_read_only_array(self, rng):
+        zeta = tci_profile(random_trajectory(rng, n=8))
+        assert zeta.shape == (8,) and not zeta.flags.writeable
+
     def test_straight_line_is_linear(self):
         traj = line_trajectory([0.0, 1.0, 2.0, 3.0], [0, 0, 0], [3, 0, 0])
-        assert_allclose(tci_profile(traj).zeta, [0.0, 1 / 3, 2 / 3, 1.0])
+        assert_allclose(tci_profile(traj), [0.0, 1 / 3, 2 / 3, 1.0])
 
     def test_timestamp_free(self, rng):
         """Arbitrary re-stamping leaves the completion profile untouched."""
         traj = random_trajectory(rng, n=8)
         warped = Trajectory(np.cumsum(rng.uniform(0.01, 5.0, len(traj))),
                             traj.poses)
-        assert_allclose(tci_profile(warped).zeta, tci_profile(traj).zeta)
+        assert_allclose(tci_profile(warped), tci_profile(traj))
 
     def test_translation_scale_invariant(self):
         a = line_trajectory([0, 1, 2, 4], [0, 0, 0], [1, 0, 0])
         b = line_trajectory([0, 1, 2, 4], [0, 0, 0], [100, 0, 0])
-        assert_allclose(tci_profile(a).zeta, tci_profile(b).zeta)
+        assert_allclose(tci_profile(a), tci_profile(b))
 
     def test_degenerate_rejected(self):
         p = Pose(np.zeros(3), (0, 0, 0))
@@ -164,7 +170,7 @@ class TestDTW:
         a, b = generate_synthetic_door_set(seed=3, radii=(0.7, 0.9), repeats=1,
                                            n_samples=300)
         if measure == "tci":
-            C = np.abs(tci_profile(a).zeta[:, None] - tci_profile(b).zeta[None, :])
+            C = np.abs(tci_profile(a)[:, None] - tci_profile(b)[None, :])
         else:
             C = pose_distances(a.samples[:, None, :], b.samples[None, :, :])
         loop_D, loop_pairs = loop_dtw(C)
@@ -237,6 +243,8 @@ class TestDTW:
             WarpPath(pairs=np.array([[0, 0], [2, 1]]), cost=0.0)
         with pytest.raises(InvalidInputError):
             WarpPath(pairs=np.array([[0, 0], [0, 0]]), cost=0.0)
+        with pytest.raises(InvalidInputError, match="index array"):
+            WarpPath(pairs=np.array([0, 1]), cost=0.0)
 
 
 class TestAlignDemonstrations:
@@ -375,3 +383,5 @@ class TestResample:
             resample(traj, np.array([traj.stamps[0], traj.stamps[0]]))
         with pytest.raises(InvalidInputError):
             resample(traj, np.array([traj.stamps[0] - 1.0, traj.stamps[-1]]))
+        with pytest.raises(InvalidInputError, match="at least two points"):
+            resample(traj, traj.stamps[:1])

@@ -125,6 +125,18 @@ class TestFitPredict:
             TrainingSet([0.0, 1.0], [0.0])
         with pytest.raises(InvalidInputError):
             TrainingSet([0.0, np.inf], [0.0, 1.0])
+        with pytest.raises(InvalidInputError, match="1-d"):
+            TrainingSet(np.zeros((2, 2)), np.zeros((2, 2)))
+        with pytest.raises(InvalidInputError, match="at least one point"):
+            TrainingSet([], [])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        model = fit_gp(TrainingSet([0.0, 1.0], [0.0, 1.0]),
+                       KernelParams(length_scale=0.5, signal_std=1.0),
+                       noise=1e-3)
+        with pytest.raises(InvalidInputError, match="query inputs"):
+            model.predict([0.5, bad])
 
 
 def traced_peak(call):
@@ -341,6 +353,8 @@ class TestLogMarginalLikelihood:
         params = KernelParams(length_scale=0.3, signal_std=1.0)
         with pytest.raises(InvalidInputError):
             lml_gradient(fit_gp(train, params, noise=np.array([0.1, 0.2, 0.1])))
+        with pytest.raises(InvalidInputError, match="positive noise"):
+            lml_gradient(fit_gp(train, params, noise=0.0))
 
 
 def replicated_instance(rng, noise_kind):

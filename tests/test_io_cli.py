@@ -6,8 +6,9 @@ import pytest
 from numpy.linalg import LinAlgError
 from numpy.testing import assert_allclose
 
-from gplfd import (FormatError, InvalidInputError, ParseError, Pose,
-                   RunConfig, Trajectory, ViaPoint, config_sha256, load_config, query, save_config, simulate)
+from gplfd import (AlignmentWarning, FormatError, InvalidInputError,
+                   ParseError, Pose, RunConfig, Trajectory, ViaPoint,
+                   config_sha256, load_config, query, save_config, simulate)
 from gplfd import gp, io
 from gplfd.cli import main
 from gplfd.config import apply_overrides, config_from_dict
@@ -115,6 +116,9 @@ class TestDemonstrationFiles:
         path.write_text("# format: gplfd-table v1\nt,x\n0.0,1.0\n")
         with pytest.raises(FormatError):
             io.load_demonstration(path)
+        path.write_text("# format: gplfd-demo v1\n# quaternion: wxyz\n")
+        with pytest.raises(FormatError, match="no header row"):
+            io.load_demonstration(path)
 
 
 class TestViaPointFiles:
@@ -133,6 +137,17 @@ class TestViaPointFiles:
             assert ours.time == orig.time
             assert_allclose(ours.pose, orig.pose, atol=1e-12)
             assert np.array_equal(ours.strength, orig.strength)
+
+    @pytest.mark.parametrize("strength", [[1e-2, 1e-4, 1e-6] + [1e-3] * 3,
+                                          [1e-4] * 3 + [1e-3, 1e-3, 1e-2]],
+                             ids=["position", "rotation"])
+    def test_unequal_axis_strengths_refused(self, tmp_path, strength):
+        pose = Pose(np.array([0.1, 0.2, 0.3]), (0, 0.4, 0))
+        vias = [ViaPoint(0.25, pose, 1e-4), ViaPoint(0.75, pose, strength)]
+        path = tmp_path / "via.csv"
+        with pytest.raises(InvalidInputError, match="via-point 1 "):
+            io.save_viapoints(path, vias)
+        assert not path.exists()
 
 
 class TestTablesAndTraces:
@@ -293,6 +308,8 @@ class TestConfig:
     def test_bad_override_rejected(self):
         with pytest.raises(InvalidInputError):
             apply_overrides({}, ["no_equals_sign"])
+        with pytest.raises(InvalidInputError, match="non-object"):
+            apply_overrides({"seed": 0}, ["seed.x=1"])
 
     def test_manifest_accepted_as_config(self, tmp_path):
         manifest = tmp_path / "run.manifest.json"
@@ -406,6 +423,19 @@ class TestCommandLine:
         io.save_demonstration(demo, wiggly_trajectory(rng, n=6))
         assert main(["fit", str(demo), "--out-dir", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_fit_one_usable_demo_fails_cleanly(self, tmp_path, capsys, rng):
+        """A flat demo is skipped by alignment and does not count."""
+        demo, flat = tmp_path / "demo.csv", tmp_path / "flat.csv"
+        io.save_demonstration(demo, wiggly_trajectory(rng, n=6))
+        pose = Pose(np.zeros(3), (0, 0, 0))
+        io.save_demonstration(flat, Trajectory(np.arange(30.0), [pose] * 30))
+        with pytest.warns(AlignmentWarning):
+            code = main(["fit", str(demo), str(flat),
+                         "--out-dir", str(tmp_path)])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "policy.json").exists()
 
     def test_fit_whose_every_start_fails_fails_cleanly(
             self, tmp_path, capsys, monkeypatch, door_demos):

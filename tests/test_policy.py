@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from gplfd import (GPModel, HeteroGPModel, InconsistentConstraintError,
-                   InsufficientDataError, InvalidInputError, KernelParams,
-                   LearnConfig, OptConfig, Pose, PoseDistribution,
-                   PosteriorPrediction, TaskPolicy, Trajectory, TrainingSet,
-                   ViaPoint, adapt_with_viapoints, fit_gp,
-                   generate_synthetic_door_set, learn_policy,
+from gplfd import (AlignmentWarning, GPModel, HeteroGPModel,
+                   InconsistentConstraintError, InsufficientDataError,
+                   InvalidInputError, KernelParams, LearnConfig, OptConfig,
+                   Pose, PoseDistribution, PosteriorPrediction, TaskPolicy,
+                   Trajectory, TrainingSet, ViaPoint, adapt_with_viapoints,
+                   fit_gp, generate_synthetic_door_set, learn_policy,
                    prediction_error, query, streaming_evaluation)
 from gplfd import gp
 from gplfd.config import config_from_dict, learn_config
@@ -54,6 +54,8 @@ class TestViaPoint:
             ViaPoint(0.5, pose, 0.0)
         with pytest.raises(InvalidInputError):
             ViaPoint(0.5, pose, np.array([1e-4] * 5 + [-1e-4]))
+        with pytest.raises(InvalidInputError, match="scalar or length 6"):
+            ViaPoint(0.5, pose, [1e-4] * 3)
 
     def test_pose_or_row_give_one_read_only_row(self):
         raw = np.array([0.1, 0.2, 0.3, 0.0, 0.0, 1.5 * math.pi])
@@ -75,8 +77,13 @@ class TestViaPoint:
 
 class TestLearnAndQuery:
     def test_needs_two_demos(self, door_demos):
+        flat = Trajectory([0.0, 1.0, 2.0], [door_demos[0].samples[0]] * 3)
         with pytest.raises(InsufficientDataError):
             learn_policy(door_demos[:1])
+        # Alignment skips the flat demo, which leaves one.
+        with pytest.warns(AlignmentWarning), \
+                pytest.raises(InsufficientDataError):
+            learn_policy([door_demos[0], flat])
 
     def test_grid_size_validated(self):
         with pytest.raises(InvalidInputError):
@@ -91,6 +98,10 @@ class TestLearnAndQuery:
     def test_grid_validated(self, door_policy, grid):
         with pytest.raises(InvalidInputError, match="grid"):
             TaskPolicy(dims=door_policy.dims, grid=np.array(grid))
+
+    def test_needs_six_models(self, door_policy):
+        with pytest.raises(InvalidInputError, match="exactly 6 models"):
+            TaskPolicy(dims=door_policy.dims[:5], grid=door_policy.grid)
 
     def test_measure_validated(self):
         with pytest.raises(InvalidInputError):

@@ -157,6 +157,8 @@ class TestPoseDistance:
             DistanceWeights(rotation=0.7, translation=0.7)
         with pytest.raises(InvalidInputError):
             DistanceWeights(rotation=-0.1, translation=1.1)
+        with pytest.raises(InvalidInputError, match="finite"):
+            DistanceWeights(rotation=math.nan, translation=0.5)
 
 
 # ---------------------------------------------------------------------------

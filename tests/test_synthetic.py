@@ -5,7 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gplfd import InvalidInputError, generate_synthetic_door_set
-from gplfd.synthetic import MAX_DOOR_SAMPLES
+from gplfd.config import RunConfig
+from gplfd.synthetic import MAX_DOOR_SAMPLES, DoorSet
 
 
 def test_demo_count_and_shape():
@@ -80,3 +81,13 @@ def test_parameter_validation():
     # Refused before a single pose is built.
     with pytest.raises(InvalidInputError, match="at most"):
         generate_synthetic_door_set(repeats=MAX_DOOR_SAMPLES)
+
+
+def test_door_set_is_the_config_data_section():
+    door = DoorSet(radii=[1, 0.5], repeats=1)
+    assert door.radii == (1.0, 0.5) and type(door.radii[0]) is float
+    assert RunConfig().data == DoorSet()
+    a = generate_synthetic_door_set(seed=2, radii=[1, 0.5], repeats=1)
+    b = generate_synthetic_door_set(seed=2, radii=(1.0, 0.5), repeats=1)
+    for da, db in zip(a, b, strict=True):
+        assert np.array_equal(da.samples, db.samples)
