@@ -19,7 +19,7 @@ from .errors import (DegenerateTrajectoryError, DivergenceError, FormatError,
                      InconsistentConstraintError, InsufficientDataError,
                      InvalidInputError, NumericalConditioningError,
                      OptimizationFailureError, ParseError, ToolkitError)
-from .gp import (GPModel, HeteroConfig, HeteroGPModel, KernelParams,
+from .gp import (GPModel, HeteroGPModel, KernelParams,
                  OptConfig, PosteriorPrediction, TrainingSet, fit_gp,
                  fit_heteroscedastic, gaussian_product, lml_gradient,
                  optimize_hyperparameters, rbf_kernel)

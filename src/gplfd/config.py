@@ -19,7 +19,7 @@ import numpy as np
 
 from .admittance import ControllerParams, simulation_steps
 from .errors import InvalidInputError
-from .gp import HeteroConfig, OptConfig
+from .gp import OptConfig
 from .io import FORMAT_MANIFEST, canonical_sha256, read_json
 from .policy import LearnConfig, strength_vector
 from .se3 import DistanceWeights
@@ -36,8 +36,6 @@ class AlignmentSection:
 @dataclass(frozen=True)
 class PolicySection:
     grid_size: int = 100
-    hetero_iterations: int = 3
-    smoothing_window: int = 5
     opt_starts: int = 8
     opt_max_iter: int = 60
     length_scale_bounds: tuple | None = None
@@ -193,11 +191,9 @@ def learn_config(config: RunConfig) -> LearnConfig:
                     length_scale_bounds=p.length_scale_bounds,
                     signal_std_bounds=p.signal_std_bounds,
                     noise_std_bounds=p.noise_std_bounds)
-    hetero = HeteroConfig(iterations=p.hetero_iterations,
-                          smoothing_window=p.smoothing_window, opt=opt)
     return LearnConfig(weights=distance_weights(config),
                        measure=config.alignment.measure,
-                       grid_size=p.grid_size, hetero=hetero)
+                       grid_size=p.grid_size, opt=opt)
 
 
 def via_strength(config: RunConfig) -> np.ndarray:

@@ -1,9 +1,8 @@
 """Single-output Gaussian-process regression with an RBF kernel.
 
 Provides exact posterior inference with fixed or per-point observation noise,
-marginal-likelihood hyperparameter search, a two-stage heteroscedastic noise
-model (a second GP regresses the log of an empirical variance estimate and
-feeds it back as per-point noise), and elementwise Gaussian fusion.
+marginal-likelihood hyperparameter search, a heteroscedastic model and
+elementwise Gaussian fusion.
 
 Conventions
 -----------
@@ -11,32 +10,30 @@ Noise arguments are variances, not standard deviations. Targets are centered
 by their mean at fit time and the offset is restored at prediction, so the
 prior mean is the constant data mean.
 
-A jitter proportional to the mean kernel diagonal is added to every
-observation's own noise variance, s_k = r_k + jitter, before the
-observations are grouped; it is escalated tenfold while the Cholesky
-factorization fails, up to a hard ceiling. The observations at each
-distinct input are then replaced by one: their precision-weighted mean,
-with noise variance 1 / sum(1 / s_k). A correction term carries the
-within-group scatter, so the reduced system has exactly the posterior and
-the log marginal likelihood of the full one, for equal or unequal noise
-(Rasmussen & Williams 2006, Alg. 2.1 and §5.4.1). That factorized system,
-``_System``, is the one fitted representation: the search scores it, a
-``GPModel`` wraps it, predict reads it, and the search returns the
-``GPModel`` fitted at its best start, with the LML it maximized.
+A jitter of JITTER_FRAC times the signal variance is added to every
+observation's own noise variance, s_k = r_k + jitter; a Gram matrix that
+still fails to factorize is refused with NumericalConditioningError, which a
+search scores as a failed point. The observations at each distinct input
+are then replaced by their precision-weighted mean, with noise variance
+1 / sum(1 / s_k), plus a correction term for the within-group scatter, so
+the reduced system has exactly the posterior and the log marginal
+likelihood of the full one (Rasmussen & Williams 2006, Alg. 2.1 and
+§5.4.1). That factorized system, ``_System``, is the one fitted
+representation: the search scores it, a ``GPModel`` wraps it and predict
+reads it. Every noise derivative (of a searched scalar noise, of the jitter,
+of the heteroscedastic knots) is built from one per-group term: dLML by a
+variance added to the noise of every observation at one input.
 
-The heteroscedastic loop (Kersting et al., ICML 2007) warm-starts its
-searches: the round-0 signal refit tries the stage-1 optimum before its
-random starts, and from round 1 on each noise-GP search is one L-BFGS-B run
-from the previous searched noise GP, clipped into the round's bounds.
+The heteroscedastic model (the parametric form of Goldberg, Williams &
+Bishop, NIPS 1998) has r(t) = exp(c(t)), c piecewise linear between at most
+NOISE_KNOTS knots. One L-BFGS-B run from the homoscedastic optimum searches
+(log length_scale, log signal_std, c) under the exact LML.
 
-Its two signal searches, stage 1 and the round-0 refit, stop early: they
-draw no more random starts once two random starts have ended at the best
-candidate so far (``stop_when_confirmed``). Most starts on a signal GP end
-at one optimum, and the rest in a lower "noise" reading of the data
-(Rasmussen & Williams 2006, Fig. 5.5), so the rule skips starts that would
-only find that optimum again. The round-0 noise-GP search keeps all its
-starts: its targets, log smoothed squared residuals, have several optima
-of different heights, and starts that agree there can still miss the best.
+The homoscedastic search stops early when asked (``stop_when_confirmed``):
+once two random starts (three in the heteroscedastic fit, whose only global
+search it is) have ended at the best candidate so far. Most starts on a
+signal GP end at one optimum, the rest in a lower "noise" reading of the
+data (Rasmussen & Williams 2006, Fig. 5.5).
 """
 
 from __future__ import annotations
@@ -55,9 +52,8 @@ from scipy.optimize import minimize
 from .errors import (InsufficientDataError, InvalidInputError,
                      NumericalConditioningError, OptimizationFailureError)
 
-# Jitter added to every observation's noise, as fractions of mean(diag K).
-JITTER_START_FRAC = 1e-10
-JITTER_MAX_FRAC = 1e-4
+# Jitter added to every observation's noise, as a fraction of mean(diag K).
+JITTER_FRAC = 1e-10
 
 # Most distinct inputs of one GP: a fit holds a few m x m float matrices,
 # about 100 MB at this size.
@@ -71,12 +67,14 @@ HETERO_MIN_POINTS = 10
 MAX_OPT_STARTS = 1000
 # Most L-BFGS-B iterations of one start.
 MAX_OPT_ITER = 10_000
-# Most noise-refit rounds of one heteroscedastic fit.
-MAX_HETERO_ITERATIONS = 100
+# Most knots of a heteroscedastic fit's log-noise profile.
+NOISE_KNOTS = 32
 # The stop_when_confirmed rule of optimize_hyperparameters: the random starts
 # that must confirm the best candidate, and how close to it each must end, in
-# every log hyperparameter and in relative LML.
+# every log hyperparameter and in relative LML. The heteroscedastic fit's
+# homoscedastic search is its only global one, so it asks for one more.
 CONFIRMATIONS = 2
+HETERO_CONFIRMATIONS = 3
 CONFIRM_THETA_TOL = 1e-3
 CONFIRM_LML_RTOL = 1e-6
 
@@ -243,13 +241,18 @@ class _Reduced:
         return ybar, 1.0 / total, corr
 
     def shift_terms(self, add, ybar, rbar):
-        """Pieces of dLML/d(add), for a shift common to every noise variance.
+        """Pieces of dLML/d(shift_g), for a variance shift_g added to the
+        noise of every observation in group g.
 
-        Returns (q, p, c) with dLML/d(add) = 0.5 * (c + sum(q * (alpha^2 -
-        diag(K^-1))) + 2 * sum(p * alpha)), where q = d rbar / d(add) and
-        ``ybar``, ``rbar`` and alpha, K^-1 are the reduced system's. This is
-        0.5 * tr(alpha_full alpha_full^T - K_full^-1) of the full system,
-        rewritten with Woodbury over the input groups.
+        ``add`` is the variance on top of the fixed noise, as in
+        ``collapse``. Returns per-group (q, p, c) with dLML/d(shift_g) =
+        0.5 * (c + q * (alpha^2 - diag(K^-1)) + 2 * p * alpha), where
+        q = d rbar / d(shift_g) and ``ybar``, ``rbar`` and alpha, K^-1 are
+        the reduced system's. This is 0.5 * tr(alpha_full alpha_full^T -
+        K_full^-1) of the full system over the group's rows, rewritten with
+        Woodbury. With equal noise s_g inside a group it reduces to
+        q = 1 / n_g, p = 0 and c = S_g / s_g^2 - (n_g - 1) / s_g, S_g being
+        the group's scatter about its mean.
         """
         m = self.u.size
         w = 1.0 / (self.point_noise + add)
@@ -259,8 +262,8 @@ class _Reduced:
         b = np.bincount(self.index, w2, m)
         total = np.bincount(self.index, w, m)
         p = np.bincount(self.index, w2d, m) * rbar
-        # sum(b * rbar) - sum(w), grouped so that singletons cancel exactly.
-        c = float(w2d @ d) + float(((b - total * total) / total).sum())
+        # b * rbar - total per group, written so that singletons cancel exactly.
+        c = np.bincount(self.index, w2d * d, m) + (b - total * total) / total
         return b * (rbar * rbar), p, c
 
 
@@ -314,28 +317,23 @@ def _solve(red: _Reduced, params: KernelParams, K, add=0.0) -> _System:
     """Factorize the reduced system over the Gram matrix ``K``.
 
     Its LML is the full system's. ``add`` is the searched noise variance,
-    if any. The jitter is folded into every observation's noise before
-    collapsing, and escalated tenfold while the factorization fails.
+    if any: a float, or one value per observation. The jitter is folded into
+    every observation's noise before collapsing; a system that does not
+    factorize then is refused.
     """
-    sf2 = params.signal_std ** 2
-    base = sf2 if sf2 > 0.0 else 1.0
-    jitter = JITTER_START_FRAC * base
-    ceiling = JITTER_MAX_FRAC * base
+    jitter = JITTER_FRAC * params.signal_std ** 2
     m = red.u.size
-    while True:
-        ybar, rbar, corr = red.collapse(add + jitter)
-        Ky = K.copy()
-        Ky.flat[::m + 1] += rbar
-        try:
-            # Ky is symmetric, so its transpose is the Fortran-ordered array
-            # LAPACK factorizes in place.
-            chol = cho_factor(Ky.T)
-            break
-        except LinAlgError:
-            jitter *= 10.0
-            if jitter > ceiling * (1.0 + 1e-12):
-                raise NumericalConditioningError(
-                    "Gram matrix stayed non-positive-definite at the jitter ceiling")
+    ybar, rbar, corr = red.collapse(add + jitter)
+    Ky = K.copy()
+    Ky.flat[::m + 1] += rbar
+    try:
+        # Ky is symmetric, so its transpose is the Fortran-ordered array
+        # LAPACK factorizes in place.
+        chol = cho_factor(Ky.T)
+    except LinAlgError:
+        raise NumericalConditioningError(
+            "Gram matrix is not positive definite with the jitter added"
+        ) from None
     alpha = lapack.dpotrs(chol, ybar, lower=1)[0]
     log_det = 2.0 * float(np.log(np.diagonal(chol)).sum())
     lml = -0.5 * float(ybar @ alpha) - 0.5 * log_det - 0.5 * m * LOG_2PI + corr
@@ -343,17 +341,15 @@ def _solve(red: _Reduced, params: KernelParams, K, add=0.0) -> _System:
                    alpha=alpha, ybar=ybar, rbar=rbar, jitter=jitter, lml=lml)
 
 
-def _lml_and_grad(red: _Reduced, params: KernelParams, noise_var=None):
-    """Log marginal likelihood and its gradient, from the reduced system.
+def _lml_parts(red: _Reduced, params: KernelParams, add=0.0):
+    """LML, its gradient in (log length_scale, log signal_std), and
+    dLML/d(shift_g) for a variance added to every observation of group g.
 
-    Components are with respect to (log length_scale, log signal_std) and,
-    when ``noise_var`` gives a searched noise variance (added to every
-    observation's own), log noise_std. Uses
-    dLML/dtheta = 0.5 tr((alpha alpha^T - K^-1) dK/dtheta). The jitter scales
-    with signal_std^2 and sits in every observation's noise, so the
-    signal_std component carries its share of the noise term.
+    ``add`` is the searched noise variance, as in ``_solve``. Uses
+    dLML/dtheta = 0.5 tr((alpha alpha^T - K^-1) dK/dtheta). The jitter
+    scales with signal_std^2 and sits in every observation's noise, so the
+    signal_std component carries its share of the per-group terms.
     """
-    add = 0.0 if noise_var is None else noise_var
     K = red.gram(params)
     sol = _solve(red, params, K, add)
     a = sol.alpha
@@ -364,15 +360,26 @@ def _lml_and_grad(red: _Reduced, params: KernelParams, noise_var=None):
     Ku = K * red.upper_weights
     Kl = K * red.upper_sq_dist
     q, p, c = red.shift_terms(add + sol.jitter, sol.ybar, sol.rbar)
-    d_shift = 0.5 * (c + float(np.dot(q, a * a - np.diagonal(Kinv_t)))
-                     + 2.0 * float(np.sum(p * a)))
-    grad = [0.5 / params.length_scale ** 2
-            * (float(a @ (Kl @ a)) - float(np.vdot(Kinv_t, Kl))),
-            float(a @ (Ku @ a)) - float(np.vdot(Kinv_t, Ku))
-            + 2.0 * sol.jitter * d_shift]
-    if noise_var is not None:
-        grad.append(2.0 * noise_var * d_shift)
-    return sol.lml, np.array(grad)
+    d_shift = 0.5 * (c + q * (a * a - np.diagonal(Kinv_t)) + 2.0 * p * a)
+    grad = np.array([
+        0.5 / params.length_scale ** 2
+        * (float(a @ (Kl @ a)) - float(np.vdot(Kinv_t, Kl))),
+        float(a @ (Ku @ a)) - float(np.vdot(Kinv_t, Ku))
+        + 2.0 * sol.jitter * float(d_shift.sum())])
+    return sol.lml, grad, d_shift
+
+
+def _lml_and_grad(red: _Reduced, params: KernelParams, noise_var=None):
+    """Log marginal likelihood and its gradient, from the reduced system.
+
+    Components are with respect to (log length_scale, log signal_std) and,
+    when ``noise_var`` gives a searched noise variance (added to every
+    observation's own), log noise_std.
+    """
+    if noise_var is None:
+        return _lml_parts(red, params)[:2]
+    lml, grad, d_shift = _lml_parts(red, params, noise_var)
+    return lml, np.append(grad, 2.0 * noise_var * float(d_shift.sum()))
 
 
 @dataclass(frozen=True)
@@ -433,19 +440,13 @@ def lml_gradient(model: GPModel) -> np.ndarray:
     Components are with respect to (log length_scale, log signal_std,
     log noise_std), so the model must carry a scalar positive noise variance.
     """
-    return _lml_and_grad(_Reduced(model.train), model.params,
-                         _scalar_noise(model))[1]
-
-
-def _scalar_noise(model: GPModel) -> float:
-    """The model's noise variance, which must be one positive value."""
     noise = np.asarray(model.noise, dtype=float)
     if np.ptp(noise) != 0.0:
         raise InvalidInputError("a scalar noise variance is required")
-    sigma_n2 = float(noise.flat[0])
-    if sigma_n2 <= 0.0:
+    if noise.flat[0] <= 0.0:
         raise InvalidInputError("a positive noise variance is required")
-    return sigma_n2
+    return _lml_and_grad(_Reduced(model.train), model.params,
+                         float(noise.flat[0]))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -457,13 +458,16 @@ class OptConfig:
     """Multi-start L-BFGS-B search over log hyperparameters.
 
     Bounds left as None are derived from the data: length scale within
-    [1e-3, 10 * range(t)], signal std within [1e-3, 10] * std(y), noise std
-    within [1e-6, 3] * std(y). Bounds are (low, high) in the natural scale,
-    finite with 0 < low < high; derived bounds always satisfy this.
+    [gap, 10 * range(t)], where gap is the smallest distance between two
+    distinct inputs but at least 1e-3, signal std within [1e-3, 10] *
+    std(y), noise std within [1e-6, 3] * std(y). Bounds are (low, high) in
+    the natural scale, finite with 0 < low < high; derived bounds always
+    satisfy this.
 
     ``n_starts`` is the most random starts a search draws; one called with
     ``stop_when_confirmed`` may stop after fewer, as
-    ``optimize_hyperparameters`` describes.
+    ``optimize_hyperparameters`` describes. ``max_iter`` caps the
+    iterations of each L-BFGS-B run.
     """
 
     n_starts: int = 8
@@ -487,10 +491,25 @@ class OptConfig:
                                         "(low, high) with 0 < low < high < inf")
 
 
+def _kernel_log_bounds(red: _Reduced, config: OptConfig):
+    """Log (length_scale, signal_std) bounds, the config's or derived; a
+    length scale below the smallest input gap only interpolates the means."""
+    gap = float(np.min(np.diff(red.u))) if red.u.size > 1 else 0.0
+    scale_t = max(float(np.ptp(red.u)), 1e-3)
+    sd = _target_sd(red)
+    lb = config.length_scale_bounds or (max(gap, 1e-3), 10.0 * scale_t)
+    sb = config.signal_std_bounds or (1e-3 * sd, 10.0 * sd)
+    return [tuple(map(math.log, lb)), tuple(map(math.log, sb))]
+
+
+def _target_sd(red: _Reduced) -> float:
+    return max(float(np.std(red.resid)), 1e-8)
+
+
 def optimize_hyperparameters(train: TrainingSet, noise=None,
-                             config: OptConfig = OptConfig(),
-                             start: GPModel | None = None, *,
-                             stop_when_confirmed: bool = False) -> GPModel:
+                             config: OptConfig = OptConfig(), *,
+                             stop_when_confirmed: bool = False,
+                             confirmations: int = CONFIRMATIONS) -> GPModel:
     """The GP fitted at the kernel hyperparameters of largest LML found.
 
     ``noise`` fixes the observation noise (scalar or per-point variance
@@ -501,43 +520,27 @@ def optimize_hyperparameters(train: TrainingSet, noise=None,
     likelihood is that start's objective and never worse than any start
     point's; the first of equal candidates wins.
 
-    ``start``, a fitted GPModel, warm-starts the search: its log
-    hyperparameters, clipped into the bounds, are refined first. With the
-    noise co-optimized, ``start`` must carry a positive scalar noise and
-    thus gives every searched component: its one run is the whole search,
-    and the random starts run only if it fails. With a fixed noise the
-    random starts follow it. They draw the same points with or without a
-    start.
-
-    ``stop_when_confirmed`` draws no more random starts once CONFIRMATIONS
-    (two) random starts have ended at the best candidate found so far:
-    within CONFIRM_THETA_TOL in every log hyperparameter and within
-    CONFIRM_LML_RTOL relative in LML. The starts that run are the first of
-    those drawn without it. The warm start can be that best candidate but
-    never counts as a confirmation; a failed run neither counts nor resets
-    the count. A best candidate with its length scale on the lower bound
-    (the data read as white noise, where starts pile up whatever the
-    likelihood's maximum) is never confirmed. Off by default: every start
-    runs. Each search logs one DEBUG record on this module's logger: the
-    random starts run out of ``n_starts``, the failed runs, whether it
-    stopped on a confirmation, and the best LML.
+    ``stop_when_confirmed`` draws no more random starts once
+    ``confirmations`` (by default CONFIRMATIONS, two) starts have ended at
+    the best candidate found so far: within CONFIRM_THETA_TOL in every log
+    hyperparameter and within CONFIRM_LML_RTOL relative in LML. The starts that run are the first of
+    those drawn without it. A failed run neither counts nor resets the
+    count. A best candidate with its length scale on the lower bound (the
+    data read as white noise, where starts pile up whatever the likelihood's
+    maximum) is never confirmed. Off by default: every start runs. Each
+    search logs one DEBUG record on this module's logger: the random starts
+    run out of ``n_starts``, the failed runs, whether it stopped on a
+    confirmation, and the best LML.
     """
     if len(train) < 2:
         raise InsufficientDataError("hyperparameter search needs at least 2 points")
 
     optimize_noise = noise is None
     red = _Reduced(train, noise)
-
-    t_range = float(np.ptp(train.t))
-    scale_t = max(t_range, 1e-3)
-    sd = max(float(np.std(red.resid)), 1e-8)
-
-    lb = config.length_scale_bounds or (1e-3, 10.0 * scale_t)
-    sb = config.signal_std_bounds or (1e-3 * sd, 10.0 * sd)
-    nb = config.noise_std_bounds or (1e-6 * sd, 3.0 * sd)
-    log_bounds = [(math.log(lb[0]), math.log(lb[1])),
-                  (math.log(sb[0]), math.log(sb[1]))]
+    log_bounds = _kernel_log_bounds(red, config)
     if optimize_noise:
+        sd = _target_sd(red)
+        nb = config.noise_std_bounds or (1e-6 * sd, 3.0 * sd)
         log_bounds.append((math.log(nb[0]), math.log(nb[1])))
 
     def objective(theta):
@@ -549,40 +552,23 @@ def optimize_hyperparameters(train: TrainingSet, noise=None,
             return np.inf, np.zeros(len(theta))
         return -lml, -grad
 
-    def refine(theta0):
-        """(LML, theta) of one L-BFGS-B run from theta0; None if it failed."""
-        try:
-            res = minimize(objective, theta0, jac=True, method="L-BFGS-B",
-                           bounds=log_bounds,
-                           options={"maxiter": config.max_iter})
-        except (LinAlgError, ValueError):
-            return None
-        return (-res.fun, res.x) if np.isfinite(res.fun) else None
-
     found = []  # (LML, theta) per run in run order, None where it failed
-    if start is not None:
-        theta = [math.log(start.params.length_scale),
-                 math.log(start.params.signal_std)]
-        if optimize_noise:
-            theta.append(0.5 * math.log(_scalar_noise(start)))
-        found.append(refine(np.clip(theta, *np.transpose(log_bounds))))
-    n_warm = len(found)
     confirmed = False
-    if not (optimize_noise and found and found[0] is not None):
-        rng = np.random.default_rng(config.seed)
-        for _ in range(config.n_starts):
-            found.append(refine(np.array([rng.uniform(lo, hi)
-                                          for lo, hi in log_bounds])))
-            if stop_when_confirmed and found[-1] is not None:
-                confirmed = (_confirmations(found, n_warm, log_bounds[0][0])
-                             >= CONFIRMATIONS)
-                if confirmed:
-                    break
+    rng = np.random.default_rng(config.seed)
+    for _ in range(config.n_starts):
+        theta0 = np.array([rng.uniform(lo, hi) for lo, hi in log_bounds])
+        res = _lbfgs(objective, theta0, log_bounds, config.max_iter)
+        found.append(None if res is None else (-res.fun, res.x))
+        if stop_when_confirmed and res is not None:
+            confirmed = (_confirmations(found, log_bounds[0][0])
+                         >= confirmations)
+            if confirmed:
+                break
     converged = [f for f in found if f is not None]
     best = _best(converged)
     logger.debug("search over %d points: %d of %d random starts run, "
                  "%d failed, stopped on confirmation: %s, best LML %r",
-                 len(train), len(found) - n_warm, config.n_starts,
+                 len(train), len(found), config.n_starts,
                  len(found) - len(converged), confirmed,
                  None if best is None else best[0])
     if best is None:
@@ -595,24 +581,33 @@ def optimize_hyperparameters(train: TrainingSet, noise=None,
     return fit_gp(train, params, noise=out_noise)
 
 
+def _lbfgs(objective, theta0, log_bounds, max_iter):
+    """One L-BFGS-B run from theta0; None if it raised or ended non-finite."""
+    try:
+        res = minimize(objective, theta0, jac=True, method="L-BFGS-B",
+                       bounds=log_bounds, options={"maxiter": max_iter})
+    except (LinAlgError, ValueError):
+        return None
+    return res if np.isfinite(res.fun) else None
+
+
 def _best(candidates):
     """The (LML, theta) of largest LML, the first of equal ones; None if none."""
     return max(candidates, key=lambda f: f[0], default=None)
 
 
-def _confirmations(found, n_warm, log_length_floor):
-    """How many random runs, ``found[n_warm:]``, ended at the best candidate.
+def _confirmations(found, log_length_floor):
+    """How many runs in ``found`` ended at the best candidate.
 
-    The best candidate may be the warm start, ``found[:n_warm]``, which
-    itself never counts. None count when the best candidate's log length
-    scale is within CONFIRM_THETA_TOL of ``log_length_floor``.
+    None count when the best candidate's log length scale is within
+    CONFIRM_THETA_TOL of ``log_length_floor``.
     """
     lml, theta = _best([f for f in found if f is not None])
     if theta[0] - log_length_floor <= CONFIRM_THETA_TOL:
         return 0
     return sum(f is not None and abs(f[0] - lml) <= CONFIRM_LML_RTOL * abs(lml)
                and bool(np.all(np.abs(f[1] - theta) <= CONFIRM_THETA_TOL))
-               for f in found[n_warm:])
+               for f in found)
 
 
 # ---------------------------------------------------------------------------
@@ -620,61 +615,42 @@ def _confirmations(found, n_warm, log_length_floor):
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class HeteroConfig:
-    """Two-stage heteroscedastic fit settings.
+class HeteroGPModel:
+    """Signal GP plus a log-noise profile, piecewise linear between knots.
 
-    Each round regresses the log of a smoothed empirical variance estimate
-    (squared residuals pooled per distinct input, then a centered moving
-    window over neighbors in time) and refits the signal GP with the
-    predicted per-point noise. Signal hyperparameters are re-optimized once,
-    after the first noise injection, unless the variance profile is flat;
-    that search also tries the stage-1 optimum, first. ``opt`` configures
-    the signal searches; the noise GP's search takes its starts and
-    iterations, seed + 1 and bounds derived from its own data. Round 0
-    searches the noise GP from the random starts; each later round refines
-    the last searched noise GP alone, with one L-BFGS-B run from its
-    hyperparameters clipped into the round's bounds. The two signal
-    searches stop once two random starts confirm their best optimum (the
-    ``stop_when_confirmed`` rule of ``optimize_hyperparameters``); the round-0
-    noise-GP search runs every start, because its optima are several and
-    agreeing starts there can miss the best. ``smoothing_window`` must be
-    odd: the window is centered, ``window // 2`` neighbors on each side.
+    ``fit`` builds one, fitting the signal GP with exactly
+    ``noise_variance(train.t)``: data, kernel and knots fix it bit for bit.
     """
 
-    iterations: int = 3
-    smoothing_window: int = 5
-    opt: OptConfig = OptConfig()
-
-    def __post_init__(self):
-        if (not 1 <= self.iterations <= MAX_HETERO_ITERATIONS
-                or self.smoothing_window < 1 or self.smoothing_window % 2 == 0):
-            raise InvalidInputError(
-                f"iterations must lie in [1, {MAX_HETERO_ITERATIONS}] and the "
-                "smoothing window be odd and >= 1")
-
-
-def _noise_variance(noise_gp: GPModel, ts) -> np.ndarray:
-    """exp of the noise GP posterior mean: positive, and finite or refused."""
-    with np.errstate(over="ignore"):
-        var = np.exp(noise_gp.predict(ts).mean)
-    if not np.all(np.isfinite(var)):
-        raise InvalidInputError("noise GP log variance overflows exp")
-    return var
-
-
-@dataclass(frozen=True)
-class HeteroGPModel:
-    """Signal GP plus a log-noise GP evaluated wherever noise is needed."""
-
     signal_gp: GPModel
-    noise_gp: GPModel
-    degenerate: bool = False
+    knots: np.ndarray
+    log_variance: np.ndarray
 
     params = property(lambda self: self.signal_gp.params)
 
+    @classmethod
+    def fit(cls, train: TrainingSet, params: KernelParams, knots,
+            log_variance) -> HeteroGPModel:
+        """The model of that noise profile and kernel on ``train``."""
+        knots = np.array(knots, dtype=float)
+        log_variance = np.array(log_variance, dtype=float)
+        # exp of a log variance must neither overflow nor vanish.
+        if (knots.ndim != 1 or knots.size < 1
+                or log_variance.shape != knots.shape
+                or not np.all(np.isfinite(knots)) or np.any(np.diff(knots) <= 0)
+                or not np.all(np.abs(log_variance) < 700.0)):
+            raise InvalidInputError(
+                "noise knots must be finite and strictly increasing, each "
+                "with a log variance in (-700, 700)")
+        knots.setflags(write=False)
+        log_variance.setflags(write=False)
+        noise = np.exp(np.interp(train.t, knots, log_variance))
+        return cls(fit_gp(train, params, noise=noise), knots, log_variance)
+
     def noise_variance(self, ts) -> np.ndarray:
-        """exp of the noise GP posterior mean at ``ts``."""
-        return _noise_variance(self.noise_gp, ts)
+        """exp of the piecewise-linear log variance at ``ts``, constant
+        beyond the end knots."""
+        return np.exp(np.interp(ts, self.knots, self.log_variance))
 
     def predict(self, ts) -> PosteriorPrediction:
         """Posterior of a new observation: latent variance plus local noise."""
@@ -683,62 +659,83 @@ class HeteroGPModel:
         return out
 
 
-def _moving_average(v, window):
-    half = window // 2
-    out = np.empty_like(v)
-    for i in range(v.size):
-        a, b = max(0, i - half), min(v.size, i + half + 1)
-        out[i] = np.mean(v[a:b])
-    return out
+def _hats(u, knots) -> np.ndarray:
+    """(m, K) values at ``u`` of each knot's hat function: the weights of
+    np.interp(u, knots, c) in c."""
+    return np.stack([np.interp(u, knots, e) for e in np.eye(knots.size)],
+                    axis=1)
+
+
+def _profile_lml_and_grad(red: _Reduced, knots, hats, theta):
+    """LML and its gradient in theta = (log length_scale, log signal_std,
+    c_1..c_K), with exp(interp(t, knots, c)) as every observation's noise.
+
+    dLML/dc_j = sum_g dLML/d(shift_g) r_g phi_j(u_g), phi_j being the hat
+    function of knot j (``hats`` is ``_hats(red.u, knots)``): the per-group
+    terms through the chain rule.
+    """
+    params = KernelParams(math.exp(theta[0]), math.exp(theta[1]))
+    r = np.exp(np.interp(red.u, knots, theta[2:]))
+    lml, grad, d_shift = _lml_parts(red, params, r[red.index])
+    return lml, np.concatenate([grad, (d_shift * r) @ hats])
 
 
 def fit_heteroscedastic(train: TrainingSet,
-                        config: HeteroConfig = HeteroConfig()) -> HeteroGPModel:
-    """Fit a GP whose observation noise varies over the input domain."""
+                        config: OptConfig = OptConfig()) -> HeteroGPModel:
+    """Fit a GP whose observation noise varies over the input domain.
+
+    Stage 1 is the homoscedastic search (``config``, stopping once
+    HETERO_CONFIRMATIONS starts confirm its best candidate). From its
+    optimum, with every knot at its noise variance, one L-BFGS-B run of at
+    most ``config.max_iter`` iterations searches (log length_scale, log
+    signal_std, c_1..c_K) under the exact LML, with r(t) =
+    exp(interp(t, knots, c)) as every observation's noise variance, in
+    stage 1's kernel bounds. The K = min(NOISE_KNOTS, m) knots are uniform
+    over the m distinct inputs; each c_j lies within [log floor,
+    max(log (3 sd)^2, log 10 floor)], floor = max(1e-10 var(y), 1e-12).
+    The run logs one DEBUG record on this module's logger: its evaluations,
+    iterations and message, the knots on each bound and whether the length
+    scale ends on its floor.
+    """
     if len(train) < HETERO_MIN_POINTS:
         raise InsufficientDataError(
             f"heteroscedastic fit needs at least {HETERO_MIN_POINTS} points, "
             f"got {len(train)}")
-
-    # Residuals and noise are evaluated once per distinct input and
-    # expanded by group index, so replicates share their noise exactly.
-    u, index, counts = _group(train.t)
-    noise_opt = OptConfig(n_starts=config.opt.n_starts,
-                          seed=config.opt.seed + 1,
-                          max_iter=config.opt.max_iter)
     # The search refuses targets that overflow before their variance does.
-    signal = optimize_hyperparameters(train, noise=None, config=config.opt,
-                                      stop_when_confirmed=True)
+    stage1 = optimize_hyperparameters(train, None, config, stop_when_confirmed=True,
+                                      confirmations=HETERO_CONFIRMATIONS)
+    red = _Reduced(train)
+    knots = np.linspace(red.u[0], red.u[-1], min(NOISE_KNOTS, red.u.size))
     floor = max(1e-10 * float(np.var(train.y)), 1e-12)
-    searched = None  # the last searched noise GP: the next search's start
+    noise_bounds = (math.log(floor), max(2.0 * math.log(3.0 * _target_sd(red)),
+                                         math.log(10.0 * floor)))
+    log_bounds = _kernel_log_bounds(red, config) + [noise_bounds] * knots.size
+    hats = _hats(red.u, knots)
 
-    for round_idx in range(config.iterations):
-        resid = train.y - signal.predict(u).mean[index]
-        mean_sq = np.bincount(index, resid * resid) / counts
-        smoothed = _moving_average(mean_sq, config.smoothing_window)
-        degenerate = bool(np.max(smoothed) <= floor)
-        z = np.log(np.maximum(smoothed, floor))
+    def objective(theta):
+        try:
+            lml, grad = _profile_lml_and_grad(red, knots, hats, theta)
+        except NumericalConditioningError:
+            return np.inf, np.zeros(theta.size)
+        return -lml, -grad
 
-        if u.size >= 2 and not degenerate:
-            noise_model = searched = optimize_hyperparameters(
-                TrainingSet(u, z), noise=None, config=noise_opt,
-                start=searched)
-        else:
-            # Variance profile flat at the floor: pin the noise GP to it.
-            flat = KernelParams(length_scale=max(float(np.ptp(u)), 1e-3),
-                                signal_std=1e-6)
-            noise_model = fit_gp(TrainingSet(u, z), flat, noise=1e-12)
-
-        r_train = _noise_variance(noise_model, u)[index]
-        if round_idx == 0 and not degenerate:
-            signal = optimize_hyperparameters(train, noise=r_train,
-                                              config=config.opt, start=signal,
-                                              stop_when_confirmed=True)
-        else:
-            signal = fit_gp(train, signal.params, noise=r_train)
-
-    return HeteroGPModel(signal_gp=signal, noise_gp=noise_model,
-                         degenerate=degenerate)
+    theta0 = np.concatenate([
+        np.log([stage1.params.length_scale, stage1.params.signal_std]),
+        np.full(knots.size, math.log(stage1.noise))])
+    lo, hi = np.transpose(log_bounds)
+    res = _lbfgs(objective, np.clip(theta0, lo, hi), log_bounds,
+                 config.max_iter)
+    if res is None:
+        raise OptimizationFailureError(
+            "the heteroscedastic noise search did not converge")
+    c = res.x[2:]
+    logger.debug("noise search over %d points with %d knots: %d evaluations, "
+                 "%d iterations, %s; knots on the lower / upper bound: %d / "
+                 "%d, length scale on its floor: %s", len(train), knots.size,
+                 res.nfev, res.nit, res.message, int(np.sum(c <= lo[2])),
+                 int(np.sum(c >= hi[2])), bool(res.x[0] <= lo[0]))
+    params = KernelParams(math.exp(res.x[0]), math.exp(res.x[1]))
+    return HeteroGPModel.fit(train, params, knots, c)
 
 
 # ---------------------------------------------------------------------------

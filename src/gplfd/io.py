@@ -19,14 +19,15 @@ import numpy as np
 
 from .alignment import Trajectory
 from .errors import FormatError, InvalidInputError, ParseError
-from .gp import HeteroGPModel, KernelParams, TrainingSet, fit_gp
+# fit_gp is imported for the benchmark's tracer, which wraps it here.
+from .gp import HeteroGPModel, KernelParams, TrainingSet, fit_gp  # noqa: F401
 from .policy import DIM_NAMES, TaskPolicy, ViaPoint
 from .se3 import pose_rows, quaternions_of, rotvecs_from_quaternions
 
 FORMAT_DEMO = "gplfd-demo v1"
 FORMAT_VIA = "gplfd-via v1"
 FORMAT_TABLE = "gplfd-table v1"
-FORMAT_POLICY = "gplfd-policy v1"
+FORMAT_POLICY = "gplfd-policy v2"
 FORMAT_MANIFEST = "gplfd-manifest v1"
 
 _DEMO_HEADER = ["t", "x", "y", "z", "qw", "qx", "qy", "qz"]
@@ -225,17 +226,6 @@ def save_trace(path, trace) -> None:
 # Policies
 # ---------------------------------------------------------------------------
 
-def _gp_payload(model):
-    noise = model.noise
-    return {
-        "t": model.train.t.tolist(),
-        "y": model.train.y.tolist(),
-        "length_scale": float(model.params.length_scale),
-        "signal_std": float(model.params.signal_std),
-        "noise": noise.tolist() if isinstance(noise, np.ndarray) else float(noise),
-    }
-
-
 def _numbers(value, where) -> np.ndarray:
     """A JSON list of numbers as a float array (bools and strings refused)."""
     if not (isinstance(value, list)
@@ -262,26 +252,34 @@ def _fields(payload, keys, where) -> dict:
     return payload
 
 
-def _gp_restore(payload, where):
-    payload = _fields(payload, ("t", "y", "length_scale", "signal_std", "noise"),
-                      where)
-    train = TrainingSet(_numbers(payload["t"], f"{where}.t"),
-                        _numbers(payload["y"], f"{where}.y"))
-    params = KernelParams(_number(payload["length_scale"], f"{where}.length_scale"),
-                          _number(payload["signal_std"], f"{where}.signal_std"))
-    noise = payload["noise"]
-    noise = (_numbers(noise, f"{where}.noise") if isinstance(noise, list)
-             else _number(noise, f"{where}.noise"))
-    return fit_gp(train, params, noise=noise)
+def _dim_restore(entry, where) -> HeteroGPModel:
+    entry = _fields(entry, ("signal", "noise"), where)
+    signal = _fields(entry["signal"], ("t", "y", "length_scale", "signal_std"),
+                     f"{where}.signal")
+    noise = _fields(entry["noise"], ("knots", "log_variance"), f"{where}.noise")
+    train = TrainingSet(_numbers(signal["t"], f"{where}.signal.t"),
+                        _numbers(signal["y"], f"{where}.signal.y"))
+    params = KernelParams(
+        _number(signal["length_scale"], f"{where}.signal.length_scale"),
+        _number(signal["signal_std"], f"{where}.signal.signal_std"))
+    return HeteroGPModel.fit(
+        train, params, _numbers(noise["knots"], f"{where}.noise.knots"),
+        _numbers(noise["log_variance"], f"{where}.noise.log_variance"))
 
 
 def save_policy(path, policy: TaskPolicy) -> None:
+    """Write a policy: per dimension its training set, kernel and noise
+    knots; loading recomputes the per-point noise from the knots."""
     dims = []
     for name, dim in zip(DIM_NAMES, policy.dims):
+        signal = dim.signal_gp
         dims.append({"name": name,
-                     "degenerate": bool(dim.degenerate),
-                     "signal": _gp_payload(dim.signal_gp),
-                     "noise": _gp_payload(dim.noise_gp)})
+                     "signal": {"t": signal.train.t.tolist(),
+                                "y": signal.train.y.tolist(),
+                                "length_scale": float(dim.params.length_scale),
+                                "signal_std": float(dim.params.signal_std)},
+                     "noise": {"knots": dim.knots.tolist(),
+                               "log_variance": dim.log_variance.tolist()}})
     payload = {"format": FORMAT_POLICY,
                "grid": policy.grid.tolist(),
                "dims": dims}
@@ -291,22 +289,18 @@ def save_policy(path, policy: TaskPolicy) -> None:
 def load_policy(path) -> TaskPolicy:
     """Read a policy file, refusing a malformed one with FormatError."""
     payload = read_json(path)
-    if not isinstance(payload, dict) or payload.get("format") != FORMAT_POLICY:
+    found = payload.get("format") if isinstance(payload, dict) else None
+    if found == "gplfd-policy v1":
+        raise FormatError(f"{path}: a gplfd-policy v1 file, whose noise "
+                          "model is gone; refit the policy with 'gplfd fit'")
+    if found != FORMAT_POLICY:
         raise FormatError(f"{path}: not a {FORMAT_POLICY} file")
     _fields(payload, ("grid", "dims"), str(path))
     entries = payload["dims"]
     if not isinstance(entries, list) or len(entries) != len(DIM_NAMES):
         raise FormatError(f"{path}: dims must list {len(DIM_NAMES)} models")
-    dims = []
-    for name, entry in zip(DIM_NAMES, entries):
-        where = f"{path}: dims.{name}"
-        entry = _fields(entry, ("signal", "noise", "degenerate"), where)
-        if not isinstance(entry["degenerate"], bool):
-            raise FormatError(f"{where}.degenerate must be true or false")
-        dims.append(HeteroGPModel(
-            signal_gp=_gp_restore(entry["signal"], f"{where}.signal"),
-            noise_gp=_gp_restore(entry["noise"], f"{where}.noise"),
-            degenerate=entry["degenerate"]))
+    dims = [_dim_restore(entry, f"{path}: dims.{name}")
+            for name, entry in zip(DIM_NAMES, entries)]
     return TaskPolicy(dims=tuple(dims),
                       grid=_numbers(payload["grid"], f"{path}: grid"))
 

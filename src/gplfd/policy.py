@@ -1,11 +1,12 @@
 """Trajectory policies learned from aligned demonstrations.
 
 A policy is six independent heteroscedastic GPs over normalized time, one per
-pose dimension (x, y, z, then the rotation vector components). Via-point
-adaptation fuses the demonstration posterior with a second GP built from the
-via-points, one Gaussian product per dimension and query time. The
-demonstration-side posterior of the last query grid is kept, so repeated
-adaptation calls on one grid only pay for the via-point side.
+pose dimension (x, y, z, then the rotation vector components), each with a
+piecewise-linear log-noise profile. Via-point adaptation fuses the
+demonstration posterior with a second GP built from the via-points, one
+Gaussian product per dimension and query time. The demonstration-side
+posterior of the last query grid is kept, so repeated adaptation calls on
+one grid only pay for the via-point side.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .alignment import MEASURES, Trajectory, align_demonstrations, resample
 from .errors import (InconsistentConstraintError, InsufficientDataError,
                      InvalidInputError)
-from .gp import (MAX_GP_INPUTS, HeteroConfig, PosteriorPrediction,
+from .gp import (MAX_GP_INPUTS, OptConfig, PosteriorPrediction,
                  TrainingSet, fit_gp,  # noqa: F401 (tracers wrap it here)
                  fit_heteroscedastic, gaussian_product, predict_columns)
 from .se3 import DistanceWeights, pose_rows
@@ -38,7 +39,7 @@ class LearnConfig:
     weights: DistanceWeights = DistanceWeights()
     measure: str = "tci"
     grid_size: int = 100
-    hetero: HeteroConfig = HeteroConfig()
+    opt: OptConfig = OptConfig()
 
     def __post_init__(self):
         if self.measure not in MEASURES:
@@ -139,7 +140,7 @@ def learn_policy(demos, config: LearnConfig = LearnConfig()) -> TaskPolicy:
     pooled = np.concatenate([resample(traj, grid).samples for traj in aligned])
     t_pool = np.tile(grid, len(aligned))
     models = [fit_heteroscedastic(TrainingSet(t_pool, pooled[:, d].copy()),
-                                  config.hetero) for d in range(6)]
+                                  config.opt) for d in range(6)]
     return TaskPolicy(dims=models, grid=grid)
 
 
@@ -162,14 +163,13 @@ def query(policy: TaskPolicy, ts) -> list:
     return _distributions(policy, ts, policy.demonstration_posterior(ts))
 
 
-def _fuse(policy: TaskPolicy, via_t, via_y, via_s, ts) -> PosteriorPrediction:
-    """(q, 6) posterior of the policy fused with via-points at ``ts``.
+def _via_side(policy: TaskPolicy, via_t, via_y, via_s, ts) -> PosteriorPrediction:
+    """(q, 6) via-point posterior at ``ts``, observation-level.
 
     Via-point k has time via_t[k], pose row via_y[k] and strengths
     via_s[k]. Each dimension gets a via-point GP sharing the policy's kernel
     hyperparameters, with the strengths as observation noise; its predictive
-    variance includes the locally interpolated strength, and the result is
-    fused with the demonstration posterior by a Gaussian product.
+    variance includes the locally interpolated strength.
     """
     order = np.argsort(via_t, kind="stable")
     t, y, s = via_t[order], via_y[order], via_s[order]
@@ -187,14 +187,19 @@ def _fuse(policy: TaskPolicy, via_t, via_y, via_s, ts) -> PosteriorPrediction:
         raise InconsistentConstraintError(
             f"two near-exact via-points at t={t[first]} demand different poses")
 
-    demo_side = policy.demonstration_posterior(ts)
     via_side = predict_columns(via_t, via_y, via_s,
                                [model.params for model in policy.dims], ts)
     for d in range(6):
         # Treat the constraint noise as a log-interpolated profile so the
         # via side stays an observation-level posterior away from the knots.
         via_side.var[:, d] += np.exp(np.interp(ts, t, np.log(s[:, d])))
-    return gaussian_product(demo_side, via_side)
+    return via_side
+
+
+def _fuse(policy: TaskPolicy, via_t, via_y, via_s, ts) -> PosteriorPrediction:
+    """(q, 6) posterior of the policy fused with via-points at ``ts``."""
+    via_side = _via_side(policy, via_t, via_y, via_s, ts)
+    return gaussian_product(policy.demonstration_posterior(ts), via_side)
 
 
 def adapt_with_viapoints(policy: TaskPolicy, via, ts) -> list:
@@ -291,11 +296,15 @@ def streaming_evaluation(policy: TaskPolicy, truth: Trajectory,
     ts = (stamps - stamps[0]) / (stamps[-1] - stamps[0])
     via_s = np.broadcast_to(strength_vector(strength), samples.shape)
 
-    steps = [_fuse(policy, ts[:i], samples[:i], via_s[:i], ts[i:i + 1])
+    # Step i fuses its via-point posterior at ts[i] with row i - 1 of the
+    # one demonstration posterior the static side scores.
+    steps = [_via_side(policy, ts[:i], samples[:i], via_s[:i], ts[i:i + 1])
              for i in range(1, ts.size)]
-    adapted = (np.concatenate([p.mean for p in steps]),
-               np.concatenate([p.var for p in steps]), samples[1:])
     demo = policy.demonstration_posterior(ts[1:])
+    fused = gaussian_product(demo, PosteriorPrediction(
+        np.concatenate([p.mean for p in steps]),
+        np.concatenate([p.var for p in steps])))
+    adapted = (fused.mean, fused.var, samples[1:])
     static = (demo.mean, demo.var, samples[1:])
     adaptive_mse = _expected_sq_error(*adapted)
     static_mse = _expected_sq_error(*static)

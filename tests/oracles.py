@@ -10,14 +10,14 @@ bit or to bound it from below.
 """
 
 import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from gplfd.errors import InconsistentConstraintError, InsufficientDataError
-from gplfd.gp import (HETERO_MIN_POINTS, HeteroConfig, HeteroGPModel,
-                      KernelParams, OptConfig, PosteriorPrediction,
-                      TrainingSet, _group, _moving_average, _noise_variance,
-                      fit_gp, gaussian_product, optimize_hyperparameters)
+from gplfd.gp import (HETERO_MIN_POINTS, GPModel, KernelParams, OptConfig,
+                      PosteriorPrediction, TrainingSet, _group, fit_gp,
+                      gaussian_product, optimize_hyperparameters)
 from gplfd.policy import _HARD_STRENGTH, _SAME_TIME_TOL
 
 
@@ -201,13 +201,44 @@ def loop_fuse(policy, via_t, via_y, via_s, ts):
     return gaussian_product(demo_side, via_side)
 
 
-def random_hetero(train: TrainingSet,
-                  config: HeteroConfig = HeteroConfig()) -> HeteroGPModel:
-    """Heteroscedastic fit whose every search starts only at random points.
+@dataclass(frozen=True)
+class KerstingModel:
+    """What `random_hetero` returns: a signal GP and a GP on log noise."""
 
-    The loop of `gplfd.gp.fit_heteroscedastic` before its noise rounds were
-    warm-started from the previous optimum, kept as the reference those
-    rounds must not fall below.
+    signal_gp: GPModel
+    noise_gp: GPModel
+    degenerate: bool
+
+
+def _moving_average(v, window):
+    half = window // 2
+    out = np.empty_like(v)
+    for i in range(v.size):
+        a, b = max(0, i - half), min(v.size, i + half + 1)
+        out[i] = np.mean(v[a:b])
+    return out
+
+
+def _old_bounds(train, config):
+    """The search with the length-scale floor the loop had: 1e-3."""
+    if config.length_scale_bounds is not None:
+        return config
+    scale_t = max(float(np.ptp(train.t)), 1e-3)
+    return replace(config, length_scale_bounds=(1e-3, 10.0 * scale_t))
+
+
+def random_hetero(train: TrainingSet, config: OptConfig = OptConfig(),
+                  iterations: int = 3, window: int = 5) -> KerstingModel:
+    """Kersting et al.'s heteroscedastic loop with random-start searches.
+
+    The noise model `gplfd.gp.fit_heteroscedastic` had before its log noise
+    became knots searched under the signal GP's own likelihood: each round
+    smooths the squared residuals per distinct input, regresses their log
+    with a second GP (searched from random starts with seed + 1) and refits
+    the signal GP under exp of that GP's mean; the signal hyperparameters
+    are searched again once, in round 0. Every search starts only at random
+    points and has the 1e-3 length-scale floor of that time. Kept as the
+    reference the knot fit must not fall below.
     """
     if len(train) < HETERO_MIN_POINTS:
         raise InsufficientDataError(
@@ -217,17 +248,17 @@ def random_hetero(train: TrainingSet,
     # Residuals and noise are evaluated once per distinct input and
     # expanded by group index, so replicates share their noise exactly.
     u, index, counts = _group(train.t)
-    noise_opt = OptConfig(n_starts=config.opt.n_starts,
-                          seed=config.opt.seed + 1,
-                          max_iter=config.opt.max_iter)
-    # The search refuses targets that overflow before their variance does.
-    signal = optimize_hyperparameters(train, noise=None, config=config.opt)
+    noise_opt = _old_bounds(TrainingSet(u, u), OptConfig(
+        n_starts=config.n_starts, seed=config.seed + 1,
+        max_iter=config.max_iter))
+    config = _old_bounds(train, config)
+    signal = optimize_hyperparameters(train, noise=None, config=config)
     floor = max(1e-10 * float(np.var(train.y)), 1e-12)
 
-    for round_idx in range(config.iterations):
+    for round_idx in range(iterations):
         resid = train.y - signal.predict(u).mean[index]
         mean_sq = np.bincount(index, resid * resid) / counts
-        smoothed = _moving_average(mean_sq, config.smoothing_window)
+        smoothed = _moving_average(mean_sq, window)
         degenerate = bool(np.max(smoothed) <= floor)
         z = np.log(np.maximum(smoothed, floor))
 
@@ -240,12 +271,12 @@ def random_hetero(train: TrainingSet,
                                 signal_std=1e-6)
             noise_model = fit_gp(TrainingSet(u, z), flat, noise=1e-12)
 
-        r_train = _noise_variance(noise_model, u)[index]
+        r_train = np.exp(noise_model.predict(u).mean)[index]
         if round_idx == 0 and not degenerate:
             signal = optimize_hyperparameters(train, noise=r_train,
-                                              config=config.opt)
+                                              config=config)
         else:
             signal = fit_gp(train, signal.params, noise=r_train)
 
-    return HeteroGPModel(signal_gp=signal, noise_gp=noise_model,
+    return KerstingModel(signal_gp=signal, noise_gp=noise_model,
                          degenerate=degenerate)

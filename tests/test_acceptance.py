@@ -50,27 +50,22 @@ def test_criterion_01_posterior_matches_dense_oracle():
         assert np.max(np.abs(pred.var - ov)) < 1e-8 * scale
 
     # Same oracle for the input-dependent-noise model: latent posterior from
-    # the per-point noise vector, plus exp of the log-noise GP's dense mean.
+    # the per-point noise r = exp(interp(t, knots, c)), plus r at the query.
     for _ in range(20):
         train, params, _ = random_instance(rng)
-        log_r = rng.normal(-3.0, 0.5, len(train))
-        noise_params = KernelParams(length_scale=0.5, signal_std=1.0)
-        noise_gp = fit_gp(TrainingSet(train.t, log_r), noise_params,
-                          noise=0.05)
-        r_vec = np.exp(noise_gp.predict(train.t).mean)
-        model = HeteroGPModel(signal_gp=fit_gp(train, params, noise=r_vec),
-                              noise_gp=noise_gp)
+        knots = np.sort(rng.uniform(0.0, 1.0, int(rng.integers(1, 8))))
+        log_r = rng.normal(-3.0, 0.5, knots.size)
+        model = HeteroGPModel.fit(train, params, knots, log_r)
+        r_vec = np.exp(np.interp(train.t, knots, log_r))
         ts = np.sort(rng.uniform(0.0, 1.0, 9))
         pred = model.predict(ts)
         om, ov = dense_posterior(train.t, train.y, params.length_scale,
                                  params.signal_std, r_vec,
                                  model.signal_gp.jitter, ts)
-        nm, _ = dense_posterior(train.t, log_r, 0.5, 1.0,
-                                np.full(len(train), 0.05),
-                                noise_gp.jitter, ts)
+        r_ts = np.exp(np.interp(ts, knots, log_r))
         scale = max(params.signal_std ** 2, float(np.max(np.abs(om))), 1.0)
         assert np.max(np.abs(pred.mean - om)) < 1e-8 * scale
-        assert np.max(np.abs(pred.var - (ov + np.exp(nm)))) < 1e-8 * scale
+        assert np.max(np.abs(pred.var - (ov + r_ts))) < 1e-8 * scale
     assert time.perf_counter() - start < 5.0
 
 

@@ -8,16 +8,18 @@ from numpy.linalg import LinAlgError
 from numpy.testing import assert_allclose
 from scipy.optimize import minimize
 
-from gplfd import (HeteroConfig, InsufficientDataError, InvalidInputError,
+from gplfd import (InsufficientDataError, InvalidInputError,
                    KernelParams, LearnConfig, NumericalConditioningError,
                    OptConfig, OptimizationFailureError, PosteriorPrediction,
                    TrainingSet, fit_gp, fit_heteroscedastic, gaussian_product,
                    generate_synthetic_door_set, learn_policy, lml_gradient,
                    optimize_hyperparameters, rbf_kernel)
 from gplfd import gp, policy
-from gplfd.gp import (JITTER_MAX_FRAC, JITTER_START_FRAC, MAX_GP_INPUTS,
-                      MAX_OPT_STARTS, MAX_PREDICT_CELLS, HeteroGPModel,
-                      _lml_and_grad, _Reduced)
+from gplfd import io as gio
+from gplfd.cli import main
+from gplfd.gp import (JITTER_FRAC, MAX_GP_INPUTS, MAX_OPT_STARTS,
+                      MAX_PREDICT_CELLS, HeteroGPModel, _lml_and_grad,
+                      _hats, _profile_lml_and_grad, _Reduced)
 
 from oracles import (dense_lml, dense_posterior, longdouble_posterior,
                      random_hetero)
@@ -198,10 +200,11 @@ class TestSizeCaps:
 
 
 class TestSafetyPaths:
-    """Jitter, search and variance guards, driven by a patched factorization.
+    """Factorization, search and variance guards, driven by a patched
+    factorization.
 
-    No well-posed input found reaches them: the jitter's first rung already
-    factorizes near-identical inputs and noise-free dense grids.
+    No well-posed input found reaches them: the jitter already factorizes
+    near-identical inputs and noise-free dense grids.
     """
 
     @staticmethod
@@ -218,51 +221,54 @@ class TestSafetyPaths:
         monkeypatch.setattr(gp, "cho_factor", flaky)
         return calls
 
-    def test_jitter_escalates_tenfold(self, monkeypatch, rng):
-        train, params, noise = random_instance(rng)
-        calls = self.failing_cho_factor(monkeypatch, 2)
-        model = fit_gp(train, params, noise=noise)
-        assert len(calls) == 3
-        assert model.jitter == JITTER_START_FRAC * params.signal_std ** 2 * 100.0
-        # The escalated jitter is the one the posterior and LML carry.
-        ts = np.linspace(-0.2, 1.2, 7)
-        r_vec = np.full(train.t.shape, noise)
-        mean, var = dense_posterior(train.t, train.y, params.length_scale,
-                                    params.signal_std, r_vec, model.jitter, ts)
-        pred = model.predict(ts)
-        assert_allclose(pred.mean, mean, atol=1e-9)
-        assert_allclose(pred.var, var, atol=1e-9)
-        assert_allclose(model.log_marginal_likelihood(),
-                        dense_lml(train.t, train.y, params.length_scale,
-                                  params.signal_std, r_vec, model.jitter),
-                        rtol=1e-9)
+    def test_failed_factorization_exits_1(self, monkeypatch, tmp_path,
+                                          capsys, rng):
+        """Loading a policy refits its GPs; one that does not factorize
+        ends the command with exit 1 and an error line."""
+        t = np.repeat(np.linspace(0.0, 1.0, 6), 2)
+        params = KernelParams(0.3, 1.0)
+        dims = [HeteroGPModel.fit(TrainingSet(t, rng.normal(0.0, 0.1, t.size)),
+                                  params, [0.0, 1.0], [-5.0, -4.0])
+                for _ in range(6)]
+        path = tmp_path / "policy.json"
+        gio.save_policy(path, policy.TaskPolicy(dims=dims,
+                                                grid=np.linspace(0, 1, 6)))
+        self.failing_cho_factor(monkeypatch, 3)
+        assert main(["query", "--policy", str(path), "--grid", "5",
+                     "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "positive definite" in err
+        assert not (tmp_path / "query.csv").exists()
 
-    def test_columns_escalate_one_at_a_time(self, monkeypatch, rng):
-        """Only the column whose factorization failed carries more jitter."""
+    def test_failed_column_is_refused(self, monkeypatch, rng):
+        """A column that does not factorize is refused at once, with no
+        retry: predict_columns stops at the second column."""
         train, params, noise = random_instance(rng)
         y = np.stack([train.y, train.y[::-1]], axis=1)
         noise = np.full(y.shape, noise)
-        ts = np.linspace(-0.2, 1.2, 7)
-        calls = self.failing_cho_factor(monkeypatch, 2)
-        out = gp.predict_columns(train.t, y, noise, [params, params], ts)
-        assert len(calls) == 4
-        self.failing_cho_factor(monkeypatch, 2)
-        models = [fit_gp(TrainingSet(train.t, y[:, j]), params,
-                         noise=noise[:, j]) for j in range(2)]
-        assert models[0].jitter == 100.0 * models[1].jitter
-        for j, model in enumerate(models):
-            pred = model.predict(ts)
-            assert np.array_equal(out.mean[:, j], pred.mean)
-            assert np.array_equal(out.var[:, j], pred.var)
+        real, calls = gp.cho_factor, []
+
+        def second_fails(a):
+            calls.append(a.shape[0])
+            if len(calls) == 2:
+                raise LinAlgError("not positive definite")
+            return real(a)
+
+        monkeypatch.setattr(gp, "cho_factor", second_fails)
+        with pytest.raises(NumericalConditioningError,
+                           match="not positive definite"):
+            gp.predict_columns(train.t, y, noise, [params, params], [0.5])
+        assert len(calls) == 2
 
     def test_jitter_ceiling_raises(self, monkeypatch, rng):
+        """The starting jitter is the only one tried: a Gram matrix that
+        does not factorize with it is refused after one attempt."""
         train, params, noise = random_instance(rng)
         calls = self.failing_cho_factor(monkeypatch, math.inf)
-        with pytest.raises(NumericalConditioningError, match="ceiling"):
+        with pytest.raises(NumericalConditioningError,
+                           match="not positive definite"):
             fit_gp(train, params, noise=noise)
-        # Every tenfold rung from the start to the ceiling, both included.
-        rungs = round(math.log10(JITTER_MAX_FRAC / JITTER_START_FRAC)) + 1
-        assert len(calls) == rungs
+        assert len(calls) == 1
 
     def test_search_fails_when_no_start_factorizes(self, monkeypatch):
         """The objective answers +inf, and every start is then skipped."""
@@ -388,7 +394,7 @@ class TestReducedCore:
                 r = r + np.exp(2.0 * theta[2])
             return dense_lml(train.t, train.y, l, sf,
                              np.broadcast_to(r, train.t.shape),
-                             JITTER_START_FRAC * sf ** 2)
+                             JITTER_FRAC * sf ** 2)
 
         for _ in range(10):
             train, noise = replicated_instance(rng, noise_kind)
@@ -436,6 +442,75 @@ class TestReducedCore:
                        / (2 * h) for e in np.eye(theta.size)])
         assert abs(fd[1]) > 1.0
         assert np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-6)) < 1e-4
+
+    @pytest.mark.parametrize("n_knots", [1, 2, 5])
+    def test_knot_gradient_matches_finite_differences(self, rng, n_knots):
+        """Noise exp(interp(t, knots, c)) on replicated groups of unequal
+        sizes with scatter, against the dense LML with its jitter."""
+        h = 1e-5
+        for _ in range(5):
+            train, _ = replicated_instance(rng, "searched")
+            red = _Reduced(train)
+            knots = np.linspace(red.u[0], red.u[-1], n_knots)
+            hats = _hats(red.u, knots)
+            theta = np.concatenate([
+                np.log([rng.uniform(0.05, 1.0), rng.uniform(0.3, 2.0)]),
+                rng.uniform(-6.0, -1.0, n_knots)])
+
+            def dense(theta):
+                l, sf = np.exp(theta[:2])
+                r = np.exp(np.interp(train.t, knots, theta[2:]))
+                return dense_lml(train.t, train.y, l, sf, r,
+                                 JITTER_FRAC * sf ** 2)
+
+            lml, grad = _profile_lml_and_grad(red, knots, hats, theta)
+            assert_allclose(lml, dense(theta), rtol=1e-9)
+            fd = np.array([(dense(theta + h * e) - dense(theta - h * e))
+                           / (2 * h) for e in np.eye(theta.size)])
+            assert np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-6)) < 1e-4
+
+    def test_knot_gradient_tracks_the_jitter(self, rng):
+        """Knot noise the size of the jitter on unequal replicate groups:
+        the signal_std component must carry the jitter's share."""
+        reps = rng.integers(1, 7, 40)
+        t = np.repeat(np.linspace(0.0, 1.0, 40), reps)
+        y = np.sin(2 * np.pi * t) + rng.normal(0.0, 1e-6, t.size)
+        red = _Reduced(TrainingSet(t, y))
+        knots = np.linspace(0.0, 1.0, 6)
+        hats = _hats(red.u, knots)
+        theta = np.concatenate([np.log([0.05, 0.3]),
+                                rng.uniform(-25.0, -22.0, 6)])
+        h = 1e-5
+        lml, grad = _profile_lml_and_grad(red, knots, hats, theta)
+
+        def lml_at(x):
+            return _profile_lml_and_grad(red, knots, hats, x)[0]
+
+        fd = np.array([(lml_at(theta + h * e) - lml_at(theta - h * e))
+                       / (2 * h) for e in np.eye(theta.size)])
+        sol_jitter = JITTER_FRAC * 0.3 ** 2
+        r = np.exp(np.interp(red.u, knots, theta[2:]))
+        assert np.min(r) < 10.0 * sol_jitter
+        assert abs(fd[1]) > 1.0
+        assert np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-6)) < 1e-4
+
+    def test_one_knot_is_the_scalar_noise(self, rng):
+        """With one knot the profile is one noise variance r = exp(c): the
+        LML and kernel gradient are the scalar search's, and d/dc is half
+        of d/d(log noise_std)."""
+        for _ in range(5):
+            train, _ = replicated_instance(rng, "searched")
+            red = _Reduced(train)
+            theta = np.log([rng.uniform(0.05, 1.0), rng.uniform(0.3, 2.0),
+                            rng.uniform(0.03, 0.4)])
+            lml, grad = _lml_and_grad(red, KernelParams(*np.exp(theta[:2])),
+                                      math.exp(2.0 * theta[2]))
+            knot_lml, knot_grad = _profile_lml_and_grad(
+                red, red.u[:1], _hats(red.u, red.u[:1]),
+                np.array([*theta[:2], 2.0 * theta[2]]))
+            assert_allclose(knot_lml, lml, rtol=1e-12)
+            assert_allclose(knot_grad, grad * [1.0, 1.0, 0.5], rtol=1e-9,
+                            atol=1e-9)
 
     @pytest.mark.parametrize("noise_kind", ["scalar", "per group", "per point"])
     def test_fit_matches_dense_oracle(self, rng, noise_kind):
@@ -565,6 +640,27 @@ class TestHyperparameterSearch:
         want = [[draws.uniform(lo, hi) for lo, hi in logs] for _ in range(5)]
         assert np.array_equal(np.array(seen), np.array(want))
 
+    def test_length_scale_floor_is_the_smallest_input_gap(self, monkeypatch):
+        """Derived bounds keep the length scale at or above the smallest gap
+        between distinct inputs (at least 1e-3); user bounds still win."""
+        seen = []
+
+        def record(fun, x0, **kwargs):
+            seen.append(kwargs["bounds"][0])
+            return minimize(fun, x0, **kwargs)
+
+        monkeypatch.setattr(gp, "minimize", record)
+        t = np.repeat([0.0, 0.1, 0.25, 0.5, 1.0], 2)
+        train = TrainingSet(t, np.sin(2 * np.pi * t))
+        optimize_hyperparameters(train, config=OptConfig(n_starts=1))
+        dense = TrainingSet(np.linspace(0.0, 1e-3, 5), np.arange(5.0))
+        optimize_hyperparameters(dense, config=OptConfig(n_starts=1))
+        optimize_hyperparameters(train, config=OptConfig(
+            n_starts=1, length_scale_bounds=(1e-4, 1.0)))
+        assert seen == [(math.log(0.1), math.log(10.0)),
+                        (math.log(1e-3), math.log(1e-2)),
+                        (math.log(1e-4), math.log(1.0))]
+
     def test_bad_bounds_rejected(self):
         train = TrainingSet([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
         with pytest.raises(InvalidInputError):
@@ -590,70 +686,41 @@ class TestHyperparameterSearch:
                 == refit.log_marginal_likelihood())
         assert fixed is None or model.noise is fixed
 
-    @pytest.mark.parametrize("fixed", [None, 0.01])
+    @pytest.mark.parametrize("noise", [None, 0.01])
     def test_start_outside_the_bounds_is_clipped(self, rng, monkeypatch,
-                                                 fixed):
-        """The start runs first from its clipped log hyperparameters; the
-        random starts follow it under a fixed noise and draw as without it.
-        The result never scores below the fit at the clipped start."""
-        bounds = {"length_scale_bounds": (0.05, 0.5),
-                  "signal_std_bounds": (0.1, 2.0),
-                  "noise_std_bounds": (1e-3, 0.3)}
+                                                 noise):
+        """The heteroscedastic knot run starts at the stage-1 optimum: its
+        length scale and signal std, and every knot at its noise variance
+        clipped into the knot bounds, within stage 1's kernel bounds.
+        Noise-free targets (None) put that variance below the knots'
+        floor. The fit scores no lower than that start, and its LML is the
+        run's objective bit for bit."""
         seen = []
 
         def record(fun, x0, **kwargs):
-            seen.append(np.array(x0))
-            return minimize(fun, x0, **kwargs)
+            res = minimize(fun, x0, **kwargs)
+            seen.append((np.array(x0), kwargs["bounds"], res, fun(x0)[0]))
+            return res
 
         monkeypatch.setattr(gp, "minimize", record)
-        t = np.linspace(0.0, 1.0, 20)
-        train = TrainingSet(t, np.sin(2 * np.pi * t)
-                            + rng.normal(0.0, 0.05, t.size))
-        start = fit_gp(train, KernelParams(5.0, 1e-3), noise=1.0)
-        config = OptConfig(n_starts=3, seed=4, **bounds)
-        model = optimize_hyperparameters(train, noise=fixed, config=config,
-                                         start=start)
+        t = np.repeat(np.linspace(0.0, 1.0, 20), 3)
+        y = np.sin(2 * np.pi * t)
+        if noise is not None:
+            y = y + rng.normal(0.0, noise, t.size)
+        model = fit_heteroscedastic(TrainingSet(t, y))
 
-        clipped = [math.log(0.5), math.log(0.1), math.log(0.3)]
-        logs = [(math.log(lo), math.log(hi)) for lo, hi in bounds.values()]
-        if fixed is not None:
-            clipped, logs = clipped[:2], logs[:2]
-        draws = np.random.default_rng(4)
-        want = [[draws.uniform(lo, hi) for lo, hi in logs] for _ in range(3)]
-        assert np.array_equal(seen[0], clipped)
-        assert np.array_equal(np.array(seen[1:]).reshape(-1, len(logs)),
-                              want if fixed is not None else np.empty((0, 3)))
-        at_start = fit_gp(train, KernelParams(math.exp(clipped[0]),
-                                              math.exp(clipped[1])),
-                          noise=(math.exp(2.0 * clipped[2]) if fixed is None
-                                 else fixed))
-        assert (model.log_marginal_likelihood()
-                >= at_start.log_marginal_likelihood())
-
-    def test_failed_start_falls_back_to_random_starts(self, monkeypatch):
-        calls = []
-
-        def first_fails(fun, x0, **kwargs):
-            calls.append(x0)
-            if len(calls) == 1:
-                raise ValueError("the start's run failed")
-            return minimize(fun, x0, **kwargs)
-
-        monkeypatch.setattr(gp, "minimize", first_fails)
-        t = np.linspace(0.0, 1.0, 12)
-        train = TrainingSet(t, np.sin(2 * np.pi * t))
-        start = fit_gp(train, KernelParams(0.3, 1.0), noise=0.01)
-        optimize_hyperparameters(train, config=OptConfig(n_starts=4),
-                                 start=start)
-        assert len(calls) == 5
-
-    def test_searched_noise_needs_a_scalar_start(self):
-        t = np.linspace(0.0, 1.0, 12)
-        train = TrainingSet(t, np.sin(2 * np.pi * t))
-        start = fit_gp(train, KernelParams(0.3, 1.0),
-                       noise=np.linspace(0.01, 0.02, t.size))
-        with pytest.raises(InvalidInputError, match="scalar noise"):
-            optimize_hyperparameters(train, start=start)
+        *stage1, (x0, bounds, res, at_start) = seen
+        best = max((s[2] for s in stage1), key=lambda r: -r.fun)
+        lo, hi = np.transpose(bounds)
+        assert bounds[:2] == stage1[0][1][:2]
+        assert np.array_equal(x0[:2], np.log([math.exp(best.x[0]),
+                                              math.exp(best.x[1])]))
+        start_noise = math.log(math.exp(2.0 * best.x[2]))
+        assert np.array_equal(x0[2:], np.clip(np.full(20, start_noise),
+                                              lo[2:], hi[2:]))
+        assert (start_noise < lo[2]) == (noise is None)
+        assert -res.fun >= -at_start
+        assert model.signal_gp.log_marginal_likelihood() == -res.fun
 
 
 def record_runs(monkeypatch, fail=()):
@@ -685,17 +752,20 @@ class TestConfirmedSearch:
     """``stop_when_confirmed``: a search draws no more random starts once two
     random starts have ended at its best candidate. With the noise fixed at
     NOISE, some random starts on SINE end at its best optimum and the
-    others at a lower one."""
+    others at a lower one, whose length scale lies below the inputs' gap:
+    the searches here set the length scale's lower bound to 1e-3, under
+    the derived floor, to keep it in the box."""
 
     SINE = TrainingSet(np.linspace(0.0, 1.0, 20),
                        np.sin(2 * np.pi * np.linspace(0.0, 1.0, 20))
                        + np.random.default_rng(0).normal(0.0, 0.1, 20))
     NOISE = 0.01
+    BOUNDS = {"length_scale_bounds": (1e-3, 10.0)}
 
     @pytest.mark.parametrize("seed", [0, 2, 4])
     def test_stops_at_the_second_start_at_the_optimum(self, seed,
                                                       monkeypatch):
-        config = OptConfig(seed=seed)
+        config = OptConfig(seed=seed, **self.BOUNDS)
         runs = record_runs(monkeypatch)
         optimize_hyperparameters(self.SINE, self.NOISE, config)
         assert len(runs) == config.n_starts  # without the flag, every start
@@ -712,28 +782,10 @@ class TestConfirmedSearch:
         assert model.params == KernelParams(math.exp(theta[0]),
                                             math.exp(theta[1]))
 
-    def test_warm_start_at_the_optimum_is_no_confirmation(self, monkeypatch):
-        """It precedes the random starts, which still need two of their own
-        at its optimum; they draw as without it."""
-        config = OptConfig(seed=0)
-        runs = record_runs(monkeypatch)
-        optimum = optimize_hyperparameters(self.SINE, self.NOISE, config)
-        first, second = at_optimum(runs)[:2]
-        assert first < second < config.n_starts
-
-        runs.clear()
-        model = optimize_hyperparameters(self.SINE, self.NOISE, config,
-                                         start=optimum,
-                                         stop_when_confirmed=True)
-        assert len(runs) == 1 + second
-        assert at_optimum(runs)[0] == 1
-        assert (model.log_marginal_likelihood()
-                >= optimum.log_marginal_likelihood())
-
     @pytest.mark.parametrize("failed", [1, 2, 3])
     def test_failed_run_neither_confirms_nor_resets(self, failed,
                                                     monkeypatch):
-        config = OptConfig(seed=2)
+        config = OptConfig(seed=2, **self.BOUNDS)
         runs = record_runs(monkeypatch)
         optimize_hyperparameters(self.SINE, self.NOISE, config)
         confirming = [k for k in at_optimum(runs) if k != failed]
@@ -745,25 +797,43 @@ class TestConfirmedSearch:
 
     def test_white_noise_corner_is_never_confirmed(self, monkeypatch):
         """Starts that agree at the length scale's lower bound do not stop
-        the search: all 8 starts run, and the interior optimum wins."""
+        the search: all 8 starts run, and the interior optimum wins. The
+        bound is 1e-3, below the inputs' smallest gap, where such starts
+        pile up."""
         rng = np.random.default_rng(12345)
         t = np.repeat(np.linspace(0.0, 1.0, 25), 4)
         train = TrainingSet(t, np.sin(2 * np.pi * t)
                             + rng.normal(0.0, 0.02 + 0.3 * t))
+        config = OptConfig(length_scale_bounds=(1e-3, 10.0))
         runs = record_runs(monkeypatch)
-        every = optimize_hyperparameters(train)
+        every = optimize_hyperparameters(train, config=config)
         corner = [k for k, (_, x) in enumerate(runs, start=1)
                   if x[0] <= math.log(1e-3) + 1e-3]
         assert len(corner) >= 2 and corner[1] < at_optimum(runs)[0]
 
         runs.clear()
-        model = optimize_hyperparameters(train, stop_when_confirmed=True)
+        model = optimize_hyperparameters(train, config=config,
+                                         stop_when_confirmed=True)
         assert len(runs) == 8
         assert (model.log_marginal_likelihood()
                 == every.log_marginal_likelihood())
 
+    def test_confirmations_sets_the_count(self, monkeypatch):
+        """Three confirmations, as the heteroscedastic fit asks: the search
+        stops at the third start at the optimum."""
+        config = OptConfig(seed=2, **self.BOUNDS)
+        runs = record_runs(monkeypatch)
+        optimize_hyperparameters(self.SINE, self.NOISE, config)
+        third = at_optimum(runs)[2]
+        assert at_optimum(runs)[1] < third < config.n_starts
+
+        runs.clear()
+        optimize_hyperparameters(self.SINE, self.NOISE, config,
+                                 stop_when_confirmed=True, confirmations=3)
+        assert len(runs) == third
+
     def test_each_search_logs_one_debug_record(self, monkeypatch, caplog):
-        config = OptConfig(seed=2)
+        config = OptConfig(seed=2, **self.BOUNDS)
         with caplog.at_level(logging.DEBUG, logger="gplfd.gp"):
             record_runs(monkeypatch, fail={2})
             stopped = optimize_hyperparameters(self.SINE, self.NOISE, config,
@@ -783,12 +853,17 @@ class TestConfirmedSearch:
 
 
 class TestHeteroscedastic:
-    @pytest.mark.parametrize("kwargs", [{"iterations": 0},
-                                        {"smoothing_window": 0},
-                                        {"smoothing_window": 4}])
+    @pytest.mark.parametrize("kwargs", [{"knots": [0.0, 0.5, 0.5]},
+                                        {"log_variance": [-3.0, -2.0]},
+                                        {"log_variance": [-3.0, 800.0, -2.0]}])
     def test_config_ranges_refused(self, kwargs):
-        with pytest.raises(InvalidInputError):
-            HeteroConfig(**kwargs)
+        """A noise profile needs strictly increasing knots with one log
+        variance each, whose exp neither overflows nor vanishes."""
+        profile = {"knots": [0.0, 0.5, 1.0], "log_variance": [-3.0, -2.0, -3.0],
+                   **kwargs}
+        train = TrainingSet(np.linspace(0.0, 1.0, 5), np.zeros(5))
+        with pytest.raises(InvalidInputError, match="noise"):
+            HeteroGPModel.fit(train, KernelParams(0.3, 1.0), **profile)
 
     def test_needs_enough_points(self):
         with pytest.raises(InsufficientDataError):
@@ -803,58 +878,59 @@ class TestHeteroscedastic:
 
     def test_warm_noise_rounds_make_one_minimize_call(self, rng,
                                                      monkeypatch):
-        """Round 0 searches the noise GP from random starts; each later
-        round refines the previous optimum once. The round-0 signal refit
-        tries the stage-1 optimum before its random starts."""
+        """After the stage-1 search, one L-BFGS-B run outside any search
+        fits the kernel and the 25 knots of 25 distinct inputs."""
         t = np.repeat(np.linspace(0.0, 1.0, 25), 4)
         y = np.sin(2 * np.pi * t) + rng.normal(0.0, 0.02 + 0.3 * t)
-        runs = []  # per search: [training points, L-BFGS-B runs]
+        inside, runs = [], []  # per run: (inside a search, searched values)
         search, local = gp.optimize_hyperparameters, gp.minimize
 
-        def count_search(train, noise=None, config=OptConfig(), start=None,
-                         **kwargs):
-            runs.append([len(train), 0])
-            return search(train, noise, config, start, **kwargs)
+        def count_search(*args, **kwargs):
+            inside.append(True)
+            try:
+                return search(*args, **kwargs)
+            finally:
+                inside.pop()
 
-        def count_minimize(*args, **kwargs):
-            runs[-1][1] += 1
-            return local(*args, **kwargs)
+        def count_minimize(fun, x0, **kwargs):
+            runs.append((bool(inside), len(x0)))
+            return local(fun, x0, **kwargs)
 
         monkeypatch.setattr(gp, "optimize_hyperparameters", count_search)
         monkeypatch.setattr(gp, "minimize", count_minimize)
-        model = fit_heteroscedastic(TrainingSet(t, y), HeteroConfig(iterations=4))
-        assert not model.degenerate
-        assert runs == [[100, 8], [25, 8], [100, 6], [25, 1], [25, 1], [25, 1]]
+        model = fit_heteroscedastic(TrainingSet(t, y))
+        assert model.knots.size == 25
+        assert runs[-1] == (False, 27)
+        assert gp.HETERO_CONFIRMATIONS <= len(runs) - 1 <= 8
+        assert set(runs[:-1]) == {(True, 3)}
 
     def test_only_signal_searches_stop_when_confirmed(self, rng,
                                                       monkeypatch):
-        """Stage 1 and the round-0 refit stop once confirmed; every
-        noise-GP search keeps all its starts."""
+        """The one search is stage 1's, and it stops once confirmed."""
         t = np.repeat(np.linspace(0.0, 1.0, 25), 4)
         y = np.sin(2 * np.pi * t) + rng.normal(0.0, 0.02 + 0.3 * t)
-        calls = []  # per search: [training points, warm, stops when confirmed]
+        calls = []  # per search: [points, noise, stops when confirmed, by]
         search = gp.optimize_hyperparameters
 
-        def spy(train, noise=None, config=OptConfig(), start=None, **kwargs):
-            calls.append([len(train), start is not None,
-                          kwargs.get("stop_when_confirmed", False)])
-            return search(train, noise, config, start, **kwargs)
+        def spy(train, noise=None, config=OptConfig(), **kwargs):
+            calls.append([len(train), noise,
+                          kwargs.get("stop_when_confirmed", False),
+                          kwargs.get("confirmations")])
+            return search(train, noise, config, **kwargs)
 
         monkeypatch.setattr(gp, "optimize_hyperparameters", spy)
-        fit_heteroscedastic(TrainingSet(t, y), HeteroConfig(iterations=3))
-        assert calls == [[100, False, True], [25, False, False],
-                         [100, True, True], [25, True, False],
-                         [25, True, False]]
+        fit_heteroscedastic(TrainingSet(t, y))
+        assert calls == [[100, None, True, gp.HETERO_CONFIRMATIONS]]
 
     @pytest.mark.parametrize("seed, samples", [
         (0, None), (1, None), (3, None), (0, 1000)],
         ids=["0", "1", "3", "0-1000-samples"])
     def test_warm_rounds_never_fall_below_random_starts(self, seed, samples,
                                                         monkeypatch):
-        """Per door dimension against the all-random-starts loop: the
-        signal LML is no lower beyond 1e-7 relative, and a degenerate
-        dimension is bit for bit the same model. A 1000-sample set is
-        fitted on a 50-point grid."""
+        """Per door dimension against Kersting's loop with random starts
+        (`oracles.random_hetero`): the signal LML of the knot fit is no
+        lower beyond 1e-7 relative. A 1000-sample set is fitted on a
+        50-point grid."""
         sets = []
         fit = policy.fit_heteroscedastic
 
@@ -869,31 +945,58 @@ class TestHeteroscedastic:
             demos = generate_synthetic_door_set(seed=seed, n_samples=samples)
             config = LearnConfig(grid_size=50)
         learned = learn_policy(demos, config)
-        assert any(model.degenerate for model in learned.dims)
-        ts = np.linspace(0.0, 1.0, 11)
-        for train, warm in zip(sets, learned.dims):
-            cold = random_hetero(train)
-            got = warm.signal_gp.log_marginal_likelihood()
-            want = cold.signal_gp.log_marginal_likelihood()
+        for train, model in zip(sets, learned.dims):
+            got = model.signal_gp.log_marginal_likelihood()
+            want = random_hetero(train).signal_gp.log_marginal_likelihood()
             assert got >= want - 1e-7 * abs(want)
-            assert warm.degenerate == cold.degenerate
-            if cold.degenerate:
-                assert got == want
-                for a, b in ((warm.signal_gp, cold.signal_gp),
-                             (warm.noise_gp, cold.noise_gp)):
-                    assert a.params == b.params
-                    assert np.array_equal(a.noise, b.noise)
-                got, want = warm.predict(ts), cold.predict(ts)
-                assert np.array_equal(got.mean, want.mean)
-                assert np.array_equal(got.var, want.var)
 
-    def test_degenerate_dispersion_flagged(self):
-        # A single demonstration replicated has nothing to disperse.
+    def test_door_ry_searched_at_its_own_noise(self):
+        """The door set's hinge dimension, flat at the noise floor, scores
+        at least the 5689.3 its kernel reached before the floor was put
+        under a noise searched elsewhere."""
+        learned = learn_policy(generate_synthetic_door_set(seed=0))
+        assert learned.dims[4].signal_gp.log_marginal_likelihood() >= 5689.3
+
+    def test_degenerate_dispersion_flagged(self, caplog):
+        """A single demonstration replicated has nothing to disperse: every
+        knot ends on the floor, and the fit's record says so."""
         t = np.repeat(np.linspace(0.0, 1.0, 20), 2)
         y = np.sin(2 * np.pi * t)
-        model = fit_heteroscedastic(TrainingSet(t, y))
-        assert model.degenerate
+        with caplog.at_level(logging.DEBUG, logger="gplfd.gp"):
+            model = fit_heteroscedastic(TrainingSet(t, y))
+        floor = max(1e-10 * float(np.var(y)), 1e-12)
+        assert np.array_equal(model.log_variance,
+                              np.full(20, math.log(floor)))
         assert np.all(model.noise_variance(np.linspace(0, 1, 9)) < 1e-8)
+        assert "knots on the lower / upper bound: 20 / 0" in caplog.text
+
+    def test_fit_logs_one_debug_record(self, rng, monkeypatch, caplog):
+        """One record per fit on gplfd.gp after stage 1's: the knot run's
+        evaluations, iterations and message, the knots on each bound and
+        whether the length scale ends on its floor."""
+        runs = []
+
+        def record(fun, x0, **kwargs):
+            runs.append((minimize(fun, x0, **kwargs), kwargs["bounds"]))
+            return runs[-1][0]
+
+        monkeypatch.setattr(gp, "minimize", record)
+        t = np.repeat(np.linspace(0.0, 1.0, 25), 4)
+        y = np.sin(2 * np.pi * t) + rng.normal(0.0, 0.02 + 0.3 * t)
+        with caplog.at_level(logging.DEBUG, logger="gplfd.gp"):
+            model = fit_heteroscedastic(TrainingSet(t, y))
+        records = [r.getMessage() for r in caplog.records
+                   if r.name == "gplfd.gp"]
+        assert len(records) == 2 and records[0].startswith("search over")
+        res, bounds = runs[-1]
+        lo, hi = bounds[2]
+        c = model.log_variance
+        assert records[1] == (
+            f"noise search over 100 points with 25 knots: {res.nfev} "
+            f"evaluations, {res.nit} iterations, {res.message}; knots on "
+            f"the lower / upper bound: {np.sum(c <= lo)} / {np.sum(c >= hi)}, "
+            f"length scale on its floor: {bool(res.x[0] <= bounds[0][0])}")
+        assert res.x[0] > bounds[0][0]
 
     def test_predictive_var_adds_local_noise(self, rng):
         t = np.repeat(np.linspace(0.0, 1.0, 15), 4)
@@ -907,18 +1010,17 @@ class TestHeteroscedastic:
         assert_allclose(full.mean, latent.mean, rtol=1e-12)
 
     def test_manual_model_offset_is_exact(self):
-        """Adding a known r(t*) lifts the observation variance by exactly it."""
+        """Adding a known r(t*) lifts the observation variance by exactly
+        it, and the signal GP carries the same r at its inputs."""
         train = TrainingSet(np.linspace(0.0, 1.0, 6),
                             np.array([0.0, 0.3, 0.9, 0.7, 0.2, -0.1]))
         params = KernelParams(length_scale=0.3, signal_std=1.0)
-        signal = fit_gp(train, params, noise=0.05)
-        flat = fit_gp(TrainingSet([0.0, 1.0], np.log([0.2, 0.2])),
-                      KernelParams(length_scale=1.0, signal_std=1e-6),
-                      noise=1e-12)
-        model = HeteroGPModel(signal_gp=signal, noise_gp=flat)
+        model = HeteroGPModel.fit(train, params, [0.0, 1.0], np.log([0.2, 0.2]))
         ts = np.array([0.25, 0.8])
-        assert_allclose(model.noise_variance(ts), [0.2, 0.2], rtol=1e-5)
-        assert_allclose(model.predict(ts).var - signal.predict(ts).var,
+        assert_allclose(model.noise_variance(ts), [0.2, 0.2], rtol=1e-15)
+        assert np.array_equal(model.signal_gp.noise,
+                              model.noise_variance(train.t))
+        assert_allclose(model.predict(ts).var - model.signal_gp.predict(ts).var,
                         model.noise_variance(ts), rtol=1e-12)
 
 

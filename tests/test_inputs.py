@@ -79,7 +79,7 @@ class TestConfigValues:
     def test_defaults_and_hash_unchanged(self):
         # Pinned: manifests written before the typed loader must replay.
         assert config_sha256(RunConfig()) == (
-            "61314de05b399c4f75af9d694a24266d878d1759f37db61605e0870a5ab730b4")
+            "f1327c3df260794aad1e02d07120c3c21f4a6eba4465b4bfdc0459221d3f1241")
         assert config_from_dict(RunConfig().to_dict()) == RunConfig()
 
     def test_lists_become_float_tuples(self):
@@ -173,18 +173,20 @@ class TestFiles:
 
 
 def gp_entry(n):
-    """One GP of a policy file, with ``n`` distinct inputs."""
+    """One signal GP of a policy file, with ``n`` distinct inputs."""
     t = np.linspace(0.0, 1.0, n)
     return {"t": t.tolist(), "y": np.sin(3.0 * t).tolist(),
-            "length_scale": 0.3, "signal_std": 1.0, "noise": 1e-4}
+            "length_scale": 0.3, "signal_std": 1.0}
 
 
 def policy_payload(n_inputs=4):
-    """A hand-written policy whose x signal GP has ``n_inputs`` inputs."""
-    dims = [{"name": name, "degenerate": False,
-             "signal": gp_entry(n_inputs if k == 0 else 4),
-             "noise": gp_entry(4)} for k, name in enumerate(DIM_NAMES)]
-    return {"format": "gplfd-policy v1", "grid": [0.0, 0.5, 1.0],
+    """A hand-written policy whose x signal GP has ``n_inputs`` inputs and
+    whose noise profiles are 1e-4 at three knots."""
+    dims = [{"name": name, "signal": gp_entry(n_inputs if k == 0 else 4),
+             "noise": {"knots": [0.0, 0.5, 1.0],
+                       "log_variance": [math.log(1e-4)] * 3}}
+            for k, name in enumerate(DIM_NAMES)]
+    return {"format": "gplfd-policy v2", "grid": [0.0, 0.5, 1.0],
             "dims": dims}
 
 
@@ -481,7 +483,7 @@ class TestMutatedViaPoints:
 
 # A fit on two short pulls then takes milliseconds.
 FIT_TINY = ["--set=policy.grid_size=10", "--set=policy.opt_starts=1",
-            "--set=policy.opt_max_iter=5", "--set=policy.hetero_iterations=1"]
+            "--set=policy.opt_max_iter=5"]
 # MUTATIONS, plus a row that repeats the previous row's stamp.
 DEMO_MUTATIONS = st.one_of(MUTATIONS,
                            st.tuples(st.just("stamp"), st.integers(1, 3)))
@@ -577,9 +579,9 @@ POLICY_VALUES = [math.nan, math.inf, OVERFLOW, -1.0, 0.0, 1e-200, 1e-9, 1e308,
                  10 ** 400, True, None, "x", [], ["a"], [0.5], {}]
 # A key inside the file, by the object that holds it.
 POLICY_KEYS = ([("file", k) for k in ("format", "grid", "dims")]
-               + [("dim", k) for k in ("signal", "noise", "degenerate")]
+               + [("dim", k) for k in ("signal", "noise")]
                + [("gp", k) for k in ("t", "y", "length_scale", "signal_std",
-                                      "noise")])
+                                      "knots", "log_variance")])
 POLICY_MUTATIONS = st.tuples(
     st.sampled_from(["drop", "dup", "set", "item", "cut", "noise", "big",
                      "overflow"]),
@@ -588,32 +590,40 @@ POLICY_MUTATIONS = st.tuples(
 
 
 def _mutate_policy(mutation):
-    """The text of the hand-written policy with one mutation applied."""
+    """The text of the hand-written policy with one mutation applied.
+
+    A "gp" key names a field of the ``side`` object, the signal GP or the
+    noise profile; one the side lacks is added by "set" and "dup" and is
+    left alone by "drop" and "item".
+    """
     op, (level, key), dim, side, value = mutation
     payload = policy_payload()
     gp = payload["dims"][dim][side]
     node = {"file": payload, "dim": payload["dims"][dim], "gp": gp}[level]
+    # The side's own list fields: (inputs, values).
+    own = ("t", "y") if side == "signal" else ("knots", "log_variance")
     if op == "drop":
-        del node[key]
+        node.pop(key, None)
     elif op == "dup":
         # Written after the original, so the duplicate's value wins.
         node[key + "\0dup"] = value
     elif op == "set":
         node[key] = value
-    elif op == "item" and isinstance(node[key], list) and node[key]:
+    elif op == "item" and isinstance(node.get(key), list) and node[key]:
         node[key][0] = value
     elif op == "cut":
-        gp[key if key in ("t", "y") else "y"].pop()
+        gp[key if key in own else own[1]].pop()
     elif op == "noise":
-        # A per-point noise vector: negative, non-finite or mistyped.
-        gp["noise"] = [value] * len(gp["t"])
+        # A noise profile: negative, non-finite or mistyped log variances.
+        noise = payload["dims"][dim]["noise"]
+        noise["log_variance"] = [value] * len(noise["knots"])
     elif op == "big":
-        gp.update(gp_entry(MAX_GP_INPUTS + 1))
+        payload["dims"][dim]["signal"].update(gp_entry(MAX_GP_INPUTS + 1))
     elif op == "overflow":
-        # Targets whose sum or squares overflow, or whose exp does.
+        # Values whose sum or squares overflow, or whose exp does.
         pattern = [[1e308, 1e308, -1e308, 1e308], [1e200, -1e200],
                    [800.0]][dim % 3]
-        gp["y"] = (pattern * len(gp["t"]))[:len(gp["t"])]
+        gp[own[1]] = (pattern * len(gp[own[0]]))[:len(gp[own[0]])]
     text = json.dumps(payload)
     return (text.replace(json.dumps(key + "\0dup"), json.dumps(key))
             .replace(json.dumps(OVERFLOW), "1e999"))
@@ -650,5 +660,6 @@ class TestMutatedPolicies:
     @pytest.mark.parametrize("dim", [0, 1, 2])
     def test_overflow_refused(self, dim, side):
         code = self.load_and_query(("overflow", ("gp", "y"), dim, side, None))
-        # Targets of 800 are ordinary signal values; only their exp overflows.
+        # Targets of 800 are ordinary signal values; only a log variance's
+        # exp overflows.
         assert code == (0 if (dim, side) == (2, "signal") else 1)

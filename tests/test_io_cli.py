@@ -182,11 +182,30 @@ class TestPolicyFiles:
         io.save_policy(path, door_policy)
         back = io.load_policy(path)
         ts = np.linspace(0.0, 1.0, 17)
+        for a, b in zip(back.dims, door_policy.dims):
+            assert a.params == b.params
+            assert np.array_equal(a.signal_gp.noise, b.signal_gp.noise)
+            assert (a.signal_gp.log_marginal_likelihood()
+                    == b.signal_gp.log_marginal_likelihood())
         ours = query(back, ts)
         orig = query(door_policy, ts)
         for a, b in zip(ours, orig):
             assert np.array_equal(a.mean, b.mean)
             assert np.array_equal(a.var, b.var)
+
+    def test_v1_file_asks_for_a_refit(self, tmp_path, capsys, door_policy):
+        """A v1 file held the noise GP this version no longer has."""
+        path = tmp_path / "policy.json"
+        io.save_policy(path, door_policy)
+        payload = json.loads(path.read_text())
+        payload["format"] = "gplfd-policy v1"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match="refit"):
+            io.load_policy(path)
+        assert main(["query", "--policy", str(path),
+                     "--out-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "gplfd fit" in err
 
     def test_format_tag_checked(self, tmp_path):
         path = tmp_path / "policy.json"
@@ -320,7 +339,6 @@ class TestConfig:
 SMALL = ["--set", "data.n_samples=14", "--set", "data.repeats=1",
          "--set", "data.noise=0.004",
          "--set", "policy.grid_size=20", "--set", "policy.opt_starts=2",
-         "--set", "policy.hetero_iterations=2",
          "--set", "simulation.dt=0.01"]
 
 
@@ -454,16 +472,20 @@ class TestCommandLine:
 
     def test_even_smoothing_window_fails_cleanly(self, tmp_path, capsys,
                                                  door_demos):
-        """An even window is not centered, so it is refused, not rounded."""
+        """The noise loop's keys went with it: a smoothing window (here an
+        even one) or a round count is an unknown field, refused before any
+        fit."""
         paths = []
         for k, demo in enumerate(door_demos[:2]):
             paths.append(str(tmp_path / f"demo_{k}.csv"))
             io.save_demonstration(paths[-1], demo)
-        assert main(["fit", *paths, "--set", "policy.smoothing_window=4",
-                     "--out-dir", str(tmp_path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "odd" in err
-        assert not (tmp_path / "policy.json").exists()
+        for key in ("policy.smoothing_window=4", "policy.hetero_iterations=2"):
+            assert main(["fit", *paths, "--set", key,
+                         "--out-dir", str(tmp_path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "unknown" in err
+            assert key.split(".")[1].split("=")[0] in err
+            assert not (tmp_path / "policy.json").exists()
 
     @pytest.mark.parametrize("edit", [
         lambda manifest: manifest.pop("config"),

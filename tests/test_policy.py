@@ -14,8 +14,9 @@ from gplfd import (AlignmentWarning, GPModel, HeteroGPModel,
                    fit_gp, generate_synthetic_door_set, learn_policy,
                    prediction_error, query, streaming_evaluation)
 from gplfd import gp
+from gplfd import policy as policy_module
 from gplfd.config import config_from_dict, learn_config
-from gplfd.gp import JITTER_START_FRAC, MAX_GP_INPUTS
+from gplfd.gp import JITTER_FRAC, MAX_GP_INPUTS
 from gplfd.policy import MAX_GRID_SIZE, _calibration, _fuse
 from gplfd.se3 import canonical_rotvecs
 from oracles import dense_posterior, loop_fuse
@@ -206,23 +207,21 @@ class TestAdaptation:
         monkeypatch.setattr(GPModel, "predict", counted)
         policy.demonstration_posterior(grids[-1])
         assert calls == []
-        # The first grid was dropped: its 6 signal and 6 noise GPs predict.
+        # The first grid was dropped: its 6 signal GPs predict.
         policy.demonstration_posterior(grids[0])
-        assert calls == [20] * 12
+        assert calls == [20] * 6
 
     def test_fused_posterior_matches_dense_oracle(self, rng):
         """Each dimension rebuilt from explicit inverses and fused by hand."""
         dims = []
+        knots = np.linspace(0.0, 1.0, 4)
         for _ in range(6):
             t = np.sort(rng.uniform(0.0, 1.0, 10))
-            noise_gp = fit_gp(TrainingSet(t, rng.normal(-4.0, 0.5, 10)),
-                              KernelParams(0.4, 1.0), noise=0.05)
-            signal_gp = fit_gp(
+            dims.append(HeteroGPModel.fit(
                 TrainingSet(t, np.sin(3.0 * t) + rng.normal(0.0, 0.1, 10)),
                 KernelParams(float(rng.uniform(0.2, 0.5)),
                              float(rng.uniform(0.5, 1.5))),
-                noise=np.exp(noise_gp.predict(t).mean))
-            dims.append(HeteroGPModel(signal_gp=signal_gp, noise_gp=noise_gp))
+                knots, rng.normal(-4.0, 0.5, knots.size)))
         policy = TaskPolicy(dims=dims, grid=np.linspace(0.0, 1.0, 10))
         via_t = np.array([0.5, 0.15, 0.8])
         via_y = rng.normal(0.0, 0.5, (3, 6))
@@ -233,20 +232,17 @@ class TestAdaptation:
 
         order = np.argsort(via_t)
         for d, model in enumerate(dims):
-            sig, noi = model.signal_gp, model.noise_gp
+            sig = model.signal_gp
+            r = np.exp(np.interp(sig.train.t, knots, model.log_variance))
             ma, va = dense_posterior(sig.train.t, sig.train.y,
                                      sig.params.length_scale,
-                                     sig.params.signal_std, sig.noise,
+                                     sig.params.signal_std, r,
                                      sig.jitter, ts)
-            log_r, _ = dense_posterior(noi.train.t, noi.train.y, 0.4, 1.0,
-                                       np.full(10, 0.05), noi.jitter, ts)
-            va = va + np.exp(log_r)
-            # The via-point GP is well conditioned, so its jitter stays at
-            # the starting fraction of signal_std^2.
+            va = va + np.exp(np.interp(ts, knots, model.log_variance))
             mb, vb = dense_posterior(via_t, via_y[:, d],
                                      sig.params.length_scale,
                                      sig.params.signal_std, via_s[:, d],
-                                     JITTER_START_FRAC
+                                     JITTER_FRAC
                                      * sig.params.signal_std ** 2, ts)
             vb = vb + np.exp(np.interp(ts, via_t[order],
                                        np.log(via_s[order, d])))
@@ -446,27 +442,33 @@ class TestPredictionError:
 
 class TestNoiseSearch:
     def test_noise_gp_searches_with_the_signal_budget(self, monkeypatch):
-        """Starts and iterations of ``opt``, seed + 1, no user bounds."""
+        """The noise knots are searched in one L-BFGS-B run after stage 1,
+        capped at ``opt``'s iterations, inside stage 1's kernel bounds (the
+        user's length-scale bounds)."""
         config = config_from_dict({"seed": 5, "policy": {
             "grid_size": 20, "opt_starts": 2, "opt_max_iter": 7,
-            "hetero_iterations": 2, "length_scale_bounds": [0.01, 1.0]}})
-        searches = []
-        search = gp.optimize_hyperparameters
+            "length_scale_bounds": [0.01, 1.0]}})
+        searches, runs = [], []
+        search, local = gp.optimize_hyperparameters, gp.minimize
 
-        def spy(train, noise=None, config=OptConfig(), start=None, **kwargs):
+        def spy(train, noise=None, config=OptConfig(), **kwargs):
             searches.append((len(train), config))
-            return search(train, noise, config, start, **kwargs)
+            return search(train, noise, config, **kwargs)
+
+        def run(fun, x0, **kwargs):
+            runs.append((len(x0), kwargs["bounds"][0],
+                         kwargs["options"]["maxiter"]))
+            return local(fun, x0, **kwargs)
 
         monkeypatch.setattr(gp, "optimize_hyperparameters", spy)
+        monkeypatch.setattr(gp, "minimize", run)
         learn_policy(generate_synthetic_door_set(seed=5, n_samples=20),
                      learn_config(config))
-        # The noise GP regresses one value per grid time, the signal GP
-        # the six pooled demonstrations.
-        noise = [opt for n, opt in searches if n == 20]
-        signal = [opt for n, opt in searches if n == 120]
-        assert noise and len(noise) + len(signal) == len(searches)
-        assert set(noise) == {OptConfig(n_starts=2, seed=6, max_iter=7)}
-        assert set(signal) == {learn_config(config).hetero.opt}
+        # One stage-1 search per dimension, on the six pooled demonstrations.
+        assert searches == [(120, learn_config(config).opt)] * 6
+        ls_bounds = (math.log(0.01), math.log(1.0))
+        assert set(runs) == {(3, ls_bounds, 7), (2 + 20, ls_bounds, 7)}
+        assert sum(n == 22 for n, _, _ in runs) == 6
 
 
 class TestStreaming:
@@ -486,7 +488,9 @@ class TestStreaming:
 
     def test_matches_the_per_step_public_path(self, door_policy,
                                               door_holdout):
-        """Bit for bit: one adapt_with_viapoints per step, then the errors."""
+        """One adapt_with_viapoints per step, then the errors: the static
+        side bit for bit, the adaptive side to 1e-9 relative, since each
+        public step predicts its own one-point demonstration posterior."""
         strength = np.r_[np.full(3, 1e-4), np.full(3, 1e-3)]
         report = streaming_evaluation(door_policy, door_holdout, strength)
         stamps = door_holdout.stamps
@@ -496,11 +500,52 @@ class TestStreaming:
         adaptive = [adapt_with_viapoints(door_policy, vias[:i], ts[i])[0]
                     for i in range(1, ts.size)]
         target = Trajectory(ts[1:], door_holdout.samples[1:])
-        assert np.array_equal(report.adaptive_mse,
-                              prediction_error(adaptive, target))
+        assert_allclose(report.adaptive_mse,
+                        prediction_error(adaptive, target), rtol=1e-9)
         assert np.array_equal(report.static_mse,
                               prediction_error(query(door_policy, ts[1:]),
                                                target))
+
+    def test_adaptive_rows_fuse_the_static_posterior(self, door_policy,
+                                                     door_holdout,
+                                                     monkeypatch):
+        """One batched demonstration posterior serves both rows: it is the
+        static row, and the adaptive row fuses each step's via-point side
+        with it, within 1e-12 of a loop over _fuse."""
+        strength = np.r_[np.full(3, 1e-4), np.full(3, 1e-3)]
+        stamps, samples = door_holdout.stamps, door_holdout.samples
+        ts = (stamps - stamps[0]) / (stamps[-1] - stamps[0])
+        products, predicted, real = [], [], policy_module.gaussian_product
+
+        def spy(a, b):
+            products.append((a, real(a, b)))
+            return products[-1][1]
+
+        predict = GPModel.predict
+
+        def counted(model, ts):
+            predicted.append(np.size(ts))
+            return predict(model, ts)
+
+        monkeypatch.setattr(policy_module, "gaussian_product", spy)
+        monkeypatch.setattr(GPModel, "predict", counted)
+        fresh = TaskPolicy(dims=door_policy.dims, grid=door_policy.grid)
+        streaming_evaluation(fresh, door_holdout, strength)
+        monkeypatch.undo()
+
+        (demo, fused), = products
+        # The demonstration GPs predict once, over every streamed stamp.
+        assert predicted.count(ts.size - 1) == 6
+        static = door_policy.demonstration_posterior(ts[1:])
+        assert np.array_equal(demo.mean, static.mean)
+        assert np.array_equal(demo.var, static.var)
+        via_s = np.broadcast_to(strength, samples.shape)
+        loop = [_fuse(door_policy, ts[:i], samples[:i], via_s[:i],
+                      ts[i:i + 1]) for i in range(1, ts.size)]
+        assert_allclose(fused.mean, np.concatenate([p.mean for p in loop]),
+                        rtol=0.0, atol=1e-12)
+        assert_allclose(fused.var, np.concatenate([p.var for p in loop]),
+                        rtol=0.0, atol=1e-12)
 
     def test_calibration_on_an_interpolating_holdout(self, door_policy):
         """A pull at radius 0.85, between the training radii: x and z are
@@ -521,9 +566,9 @@ class TestStreaming:
         assert_allclose(report.static_within_2sd[[0, 2]], [59 / 59, 56 / 59])
         assert_allclose(report.adaptive_within_2sd[[0, 2]], [58 / 59, 56 / 59])
         assert_allclose(report.static_median_z[[0, 2]],
-                        [0.6732034115754669, 0.7389193803047102], rtol=1e-5)
+                        [0.6807343501797213, 0.7340709463963421], rtol=1e-5)
         assert_allclose(report.adaptive_median_z[[0, 2]],
-                        [0.5410340210901827, 0.7909899732262193], rtol=1e-5)
+                        [0.5894698478275586, 0.7785380358352325], rtol=1e-5)
 
     def test_calibration_at_zero_variance(self):
         """A hit scores z = 0; a miss has no finite z and is refused."""
