@@ -27,13 +27,13 @@ variance added to the noise of every observation at one input.
 The heteroscedastic model (the parametric form of Goldberg, Williams &
 Bishop, NIPS 1998) has r(t) = exp(c(t)), c piecewise linear between at most
 NOISE_KNOTS knots. One L-BFGS-B run from the homoscedastic optimum searches
-(log length_scale, log signal_std, c) under the exact LML.
+(log length_scale, log signal_std, c) under the exact LML and a random-walk
+prior on c.
 
 The homoscedastic search stops early when asked (``stop_when_confirmed``):
-once two random starts (three in the heteroscedastic fit, whose only global
-search it is) have ended at the best candidate so far. Most starts on a
-signal GP end at one optimum, the rest in a lower "noise" reading of the
-data (Rasmussen & Williams 2006, Fig. 5.5).
+once three random starts have ended at the best candidate so far. Most
+starts on a signal GP end at one optimum, the rest in a lower "noise"
+reading of the data (Rasmussen & Williams 2006, Fig. 5.5).
 """
 
 from __future__ import annotations
@@ -67,14 +67,15 @@ HETERO_MIN_POINTS = 10
 MAX_OPT_STARTS = 1000
 # Most L-BFGS-B iterations of one start.
 MAX_OPT_ITER = 10_000
-# Most knots of a heteroscedastic fit's log-noise profile.
+# Most knots of a heteroscedastic fit's log-noise profile, its knot run's
+# iterations per parameter, and the precision of its random-walk prior.
 NOISE_KNOTS = 32
+NOISE_ITER_PER_PARAM = 10
+NOISE_SMOOTHING = 0.1
 # The stop_when_confirmed rule of optimize_hyperparameters: the random starts
 # that must confirm the best candidate, and how close to it each must end, in
-# every log hyperparameter and in relative LML. The heteroscedastic fit's
-# homoscedastic search is its only global one, so it asks for one more.
-CONFIRMATIONS = 2
-HETERO_CONFIRMATIONS = 3
+# every log hyperparameter and in relative LML.
+CONFIRMATIONS = 3
 CONFIRM_THETA_TOL = 1e-3
 CONFIRM_LML_RTOL = 1e-6
 
@@ -508,8 +509,7 @@ def _target_sd(red: _Reduced) -> float:
 
 def optimize_hyperparameters(train: TrainingSet, noise=None,
                              config: OptConfig = OptConfig(), *,
-                             stop_when_confirmed: bool = False,
-                             confirmations: int = CONFIRMATIONS) -> GPModel:
+                             stop_when_confirmed: bool = False) -> GPModel:
     """The GP fitted at the kernel hyperparameters of largest LML found.
 
     ``noise`` fixes the observation noise (scalar or per-point variance
@@ -520,10 +520,10 @@ def optimize_hyperparameters(train: TrainingSet, noise=None,
     likelihood is that start's objective and never worse than any start
     point's; the first of equal candidates wins.
 
-    ``stop_when_confirmed`` draws no more random starts once
-    ``confirmations`` (by default CONFIRMATIONS, two) starts have ended at
-    the best candidate found so far: within CONFIRM_THETA_TOL in every log
-    hyperparameter and within CONFIRM_LML_RTOL relative in LML. The starts that run are the first of
+    ``stop_when_confirmed`` draws no more random starts once CONFIRMATIONS
+    (three) starts have ended at the best candidate found so far: within
+    CONFIRM_THETA_TOL in every log hyperparameter and within
+    CONFIRM_LML_RTOL relative in LML. The starts that run are the first of
     those drawn without it. A failed run neither counts nor resets the
     count. A best candidate with its length scale on the lower bound (the
     data read as white noise, where starts pile up whatever the likelihood's
@@ -561,7 +561,7 @@ def optimize_hyperparameters(train: TrainingSet, noise=None,
         found.append(None if res is None else (-res.fun, res.x))
         if stop_when_confirmed and res is not None:
             confirmed = (_confirmations(found, log_bounds[0][0])
-                         >= confirmations)
+                         >= CONFIRMATIONS)
             if confirmed:
                 break
     converged = [f for f in found if f is not None]
@@ -685,25 +685,26 @@ def fit_heteroscedastic(train: TrainingSet,
     """Fit a GP whose observation noise varies over the input domain.
 
     Stage 1 is the homoscedastic search (``config``, stopping once
-    HETERO_CONFIRMATIONS starts confirm its best candidate). From its
-    optimum, with every knot at its noise variance, one L-BFGS-B run of at
-    most ``config.max_iter`` iterations searches (log length_scale, log
-    signal_std, c_1..c_K) under the exact LML, with r(t) =
-    exp(interp(t, knots, c)) as every observation's noise variance, in
-    stage 1's kernel bounds. The K = min(NOISE_KNOTS, m) knots are uniform
-    over the m distinct inputs; each c_j lies within [log floor,
-    max(log (3 sd)^2, log 10 floor)], floor = max(1e-10 var(y), 1e-12).
-    The run logs one DEBUG record on this module's logger: its evaluations,
-    iterations and message, the knots on each bound and whether the length
-    scale ends on its floor.
+    confirmed). From its optimum, with every knot at its noise variance,
+    one L-BFGS-B run of at most NOISE_ITER_PER_PARAM iterations per
+    parameter searches (log length_scale, log signal_std, c_1..c_K) in
+    stage 1's kernel bounds. It maximizes the exact LML, with r(t) =
+    exp(interp(t, knots, c)) as every observation's noise variance, less
+    NOISE_SMOOTHING / 2 * sum((c_{j+1} - c_j)^2), a random-walk prior that
+    damps knot-to-knot swings at the edges of a noisy stretch. The K =
+    min(NOISE_KNOTS, m) knots are uniform over the m distinct inputs; each
+    c_j lies within [log floor, max(log (3 sd)^2, log 10 floor)], floor =
+    max(1e-10 var(y), 1e-12). The run logs one DEBUG record on this
+    module's logger: its evaluations, iterations and message, the knots on
+    each bound and whether the length scale ends on its floor.
     """
     if len(train) < HETERO_MIN_POINTS:
         raise InsufficientDataError(
             f"heteroscedastic fit needs at least {HETERO_MIN_POINTS} points, "
             f"got {len(train)}")
     # The search refuses targets that overflow before their variance does.
-    stage1 = optimize_hyperparameters(train, None, config, stop_when_confirmed=True,
-                                      confirmations=HETERO_CONFIRMATIONS)
+    stage1 = optimize_hyperparameters(train, None, config,
+                                      stop_when_confirmed=True)
     red = _Reduced(train)
     knots = np.linspace(red.u[0], red.u[-1], min(NOISE_KNOTS, red.u.size))
     floor = max(1e-10 * float(np.var(train.y)), 1e-12)
@@ -717,14 +718,16 @@ def fit_heteroscedastic(train: TrainingSet,
             lml, grad = _profile_lml_and_grad(red, knots, hats, theta)
         except NumericalConditioningError:
             return np.inf, np.zeros(theta.size)
-        return -lml, -grad
+        step = np.diff(theta[2:])
+        grad[2:] += NOISE_SMOOTHING * (np.r_[step, 0.0] - np.r_[0.0, step])
+        return 0.5 * NOISE_SMOOTHING * (step @ step) - lml, -grad
 
     theta0 = np.concatenate([
         np.log([stage1.params.length_scale, stage1.params.signal_std]),
         np.full(knots.size, math.log(stage1.noise))])
     lo, hi = np.transpose(log_bounds)
     res = _lbfgs(objective, np.clip(theta0, lo, hi), log_bounds,
-                 config.max_iter)
+                 NOISE_ITER_PER_PARAM * theta0.size)
     if res is None:
         raise OptimizationFailureError(
             "the heteroscedastic noise search did not converge")

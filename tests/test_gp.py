@@ -694,7 +694,7 @@ class TestHyperparameterSearch:
         clipped into the knot bounds, within stage 1's kernel bounds.
         Noise-free targets (None) put that variance below the knots'
         floor. The fit scores no lower than that start, and its LML is the
-        run's objective bit for bit."""
+        run's objective less the knots' random-walk prior."""
         seen = []
 
         def record(fun, x0, **kwargs):
@@ -720,7 +720,10 @@ class TestHyperparameterSearch:
                                               lo[2:], hi[2:]))
         assert (start_noise < lo[2]) == (noise is None)
         assert -res.fun >= -at_start
-        assert model.signal_gp.log_marginal_likelihood() == -res.fun
+        step = np.diff(res.x[2:])
+        assert_allclose(model.signal_gp.log_marginal_likelihood(),
+                        0.5 * gp.NOISE_SMOOTHING * (step @ step) - res.fun,
+                        rtol=1e-12)
 
 
 def record_runs(monkeypatch, fail=()):
@@ -749,12 +752,12 @@ def at_optimum(runs):
 
 
 class TestConfirmedSearch:
-    """``stop_when_confirmed``: a search draws no more random starts once two
-    random starts have ended at its best candidate. With the noise fixed at
-    NOISE, some random starts on SINE end at its best optimum and the
-    others at a lower one, whose length scale lies below the inputs' gap:
-    the searches here set the length scale's lower bound to 1e-3, under
-    the derived floor, to keep it in the box."""
+    """``stop_when_confirmed``: a search draws no more random starts once
+    three random starts (CONFIRMATIONS) have ended at its best candidate.
+    With the noise fixed at NOISE, some random starts on SINE end at its
+    best optimum and the others at a lower one, whose length scale lies
+    below the inputs' gap: the searches here set the length scale's lower
+    bound to 1e-3, under the derived floor, to keep it in the box."""
 
     SINE = TrainingSet(np.linspace(0.0, 1.0, 20),
                        np.sin(2 * np.pi * np.linspace(0.0, 1.0, 20))
@@ -765,12 +768,15 @@ class TestConfirmedSearch:
     @pytest.mark.parametrize("seed", [0, 2, 4])
     def test_stops_at_the_second_start_at_the_optimum(self, seed,
                                                       monkeypatch):
-        config = OptConfig(seed=seed, **self.BOUNDS)
+        """The second confirmation after the first start at the optimum:
+        the search stops at the third start that ends there, out of 12
+        (seed 0 and 4 reach it at the eighth)."""
+        config = OptConfig(seed=seed, n_starts=12, **self.BOUNDS)
         runs = record_runs(monkeypatch)
         optimize_hyperparameters(self.SINE, self.NOISE, config)
         assert len(runs) == config.n_starts  # without the flag, every start
         every = list(runs)
-        stop = at_optimum(every)[1]
+        stop = at_optimum(every)[gp.CONFIRMATIONS - 1]
         assert stop < config.n_starts
 
         runs.clear()
@@ -793,7 +799,7 @@ class TestConfirmedSearch:
         runs = record_runs(monkeypatch, fail={failed})
         optimize_hyperparameters(self.SINE, self.NOISE, config,
                                  stop_when_confirmed=True)
-        assert len(runs) == confirming[1] < config.n_starts
+        assert len(runs) == confirming[2] < config.n_starts
 
     def test_white_noise_corner_is_never_confirmed(self, monkeypatch):
         """Starts that agree at the length scale's lower bound do not stop
@@ -818,20 +824,6 @@ class TestConfirmedSearch:
         assert (model.log_marginal_likelihood()
                 == every.log_marginal_likelihood())
 
-    def test_confirmations_sets_the_count(self, monkeypatch):
-        """Three confirmations, as the heteroscedastic fit asks: the search
-        stops at the third start at the optimum."""
-        config = OptConfig(seed=2, **self.BOUNDS)
-        runs = record_runs(monkeypatch)
-        optimize_hyperparameters(self.SINE, self.NOISE, config)
-        third = at_optimum(runs)[2]
-        assert at_optimum(runs)[1] < third < config.n_starts
-
-        runs.clear()
-        optimize_hyperparameters(self.SINE, self.NOISE, config,
-                                 stop_when_confirmed=True, confirmations=3)
-        assert len(runs) == third
-
     def test_each_search_logs_one_debug_record(self, monkeypatch, caplog):
         config = OptConfig(seed=2, **self.BOUNDS)
         with caplog.at_level(logging.DEBUG, logger="gplfd.gp"):
@@ -843,7 +835,7 @@ class TestConfirmedSearch:
         records = [r for r in caplog.records if r.name == "gplfd.gp"]
         assert [r.levelno for r in records] == [logging.DEBUG] * 2
         assert records[0].getMessage() == (
-            "search over 20 points: 3 of 8 random starts run, 1 failed, "
+            "search over 20 points: 5 of 8 random starts run, 1 failed, "
             "stopped on confirmation: True, best LML "
             f"{stopped.log_marginal_likelihood()!r}")
         assert records[1].getMessage() == (
@@ -901,7 +893,7 @@ class TestHeteroscedastic:
         model = fit_heteroscedastic(TrainingSet(t, y))
         assert model.knots.size == 25
         assert runs[-1] == (False, 27)
-        assert gp.HETERO_CONFIRMATIONS <= len(runs) - 1 <= 8
+        assert gp.CONFIRMATIONS <= len(runs) - 1 <= 8
         assert set(runs[:-1]) == {(True, 3)}
 
     def test_only_signal_searches_stop_when_confirmed(self, rng,
@@ -909,18 +901,17 @@ class TestHeteroscedastic:
         """The one search is stage 1's, and it stops once confirmed."""
         t = np.repeat(np.linspace(0.0, 1.0, 25), 4)
         y = np.sin(2 * np.pi * t) + rng.normal(0.0, 0.02 + 0.3 * t)
-        calls = []  # per search: [points, noise, stops when confirmed, by]
+        calls = []  # per search: [points, noise, stops when confirmed]
         search = gp.optimize_hyperparameters
 
         def spy(train, noise=None, config=OptConfig(), **kwargs):
             calls.append([len(train), noise,
-                          kwargs.get("stop_when_confirmed", False),
-                          kwargs.get("confirmations")])
+                          kwargs.get("stop_when_confirmed", False)])
             return search(train, noise, config, **kwargs)
 
         monkeypatch.setattr(gp, "optimize_hyperparameters", spy)
         fit_heteroscedastic(TrainingSet(t, y))
-        assert calls == [[100, None, True, gp.HETERO_CONFIRMATIONS]]
+        assert calls == [[100, None, True]]
 
     @pytest.mark.parametrize("seed, samples", [
         (0, None), (1, None), (3, None), (0, 1000)],
@@ -956,6 +947,49 @@ class TestHeteroscedastic:
         under a noise searched elsewhere."""
         learned = learn_policy(generate_synthetic_door_set(seed=0))
         assert learned.dims[4].signal_gp.log_marginal_likelihood() >= 5689.3
+
+    @pytest.mark.parametrize("seed, config_seed",
+                             [(0, 0), (1, 0), (1, 1), (104729, 104729)])
+    def test_door_knot_runs_end_before_the_iteration_cap(self, seed,
+                                                         config_seed, caplog):
+        """Every dimension's knot run on the door set converges: none stops
+        on its NOISE_ITER_PER_PARAM cap, as the hinge dimension did at 60
+        iterations on door seeds 1 and 104729."""
+        config = LearnConfig(opt=OptConfig(seed=config_seed))
+        with caplog.at_level(logging.DEBUG, logger="gplfd.gp"):
+            learn_policy(generate_synthetic_door_set(seed=seed), config)
+        runs = [r.getMessage() for r in caplog.records
+                if r.getMessage().startswith("noise search")]
+        assert len(runs) == 6
+        assert not [m for m in runs if "LIMIT" in m]
+
+    def test_knot_prior_enters_the_objective(self, rng, monkeypatch):
+        """The knot run's objective is the profile LML less
+        NOISE_SMOOTHING / 2 * sum of squared knot steps, and its gradient
+        matches finite differences."""
+        seen = []
+
+        def record(fun, x0, **kwargs):
+            seen.append(fun)
+            return minimize(fun, x0, **kwargs)
+
+        monkeypatch.setattr(gp, "minimize", record)
+        t = np.repeat(np.linspace(0.0, 1.0, 25), 4)
+        y = np.sin(2 * np.pi * t) + rng.normal(0.0, 0.02 + 0.3 * t)
+        fit_heteroscedastic(TrainingSet(t, y))
+        red = _Reduced(TrainingSet(t, y))
+        knots = np.linspace(0.0, 1.0, 25)
+        theta = np.concatenate([np.log([0.2, 1.0]),
+                                rng.uniform(-6.0, -1.0, 25)])
+        value, grad = seen[-1](theta)
+        lml = _profile_lml_and_grad(red, knots, _hats(red.u, knots), theta)[0]
+        step = np.diff(theta[2:])
+        assert_allclose(value, 0.5 * gp.NOISE_SMOOTHING * (step @ step) - lml,
+                        rtol=1e-12)
+        h = 1e-5
+        fd = np.array([(seen[-1](theta + h * e)[0] - seen[-1](theta - h * e)[0])
+                       / (2 * h) for e in np.eye(theta.size)])
+        assert np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-6)) < 1e-4
 
     def test_degenerate_dispersion_flagged(self, caplog):
         """A single demonstration replicated has nothing to disperse: every
