@@ -120,7 +120,9 @@ def _cmd_fit(args) -> None:
     io.save_policy(path, policy)
     _write_manifest(args, "fit", config, args.demos, [path],
                     policy=str(path))
-    print(f"fitted policy on {len(demos)} demonstrations -> {path}")
+    # Alignment skips flat demonstrations; each fitted one adds a grid.
+    fitted = len(policy.dims[0].signal_gp.train) // policy.grid.size
+    print(f"fitted policy on {fitted} demonstrations -> {path}")
     for name, dim in zip(DIM_NAMES, policy.dims):
         print(f"  {name}: length_scale {dim.params.length_scale!r}, "
               f"signal_std {dim.params.signal_std!r}, "

@@ -30,6 +30,15 @@ NOISE_KNOTS knots. One L-BFGS-B run from the homoscedastic optimum searches
 (log length_scale, log signal_std, c) under the exact LML and a random-walk
 prior on c.
 
+Kernel values below exp(-KERNEL_CUT) times the signal variance are exact
+zeros. Below that an RBF Gram matrix on a short length scale underflows into
+subnormal numbers, which slow every LAPACK call on it several times over.
+With KERNEL_CUT = 230 a product of two kept entries is still a normal double
+for any signal_std above about 1e-27, and a cut entry lies about 84 orders
+of magnitude below the resolution of the diagonal, so no solve changes at
+double precision. A query farther than sqrt(2 KERNEL_CUT) length scales from
+every input gets exactly the prior: the data mean and signal_std^2.
+
 The homoscedastic search stops early when asked (``stop_when_confirmed``):
 once three random starts have ended at the best candidate so far. Most
 starts on a signal GP end at one optimum, the rest in a lower "noise"
@@ -54,6 +63,8 @@ from .errors import (InsufficientDataError, InvalidInputError,
 
 # Jitter added to every observation's noise, as a fraction of mean(diag K).
 JITTER_FRAC = 1e-10
+# Kernel values below exp(-KERNEL_CUT) * signal_std^2 are cut to zero.
+KERNEL_CUT = 230.0
 
 # Most distinct inputs of one GP: a fit holds a few m x m float matrices,
 # about 100 MB at this size.
@@ -139,21 +150,56 @@ def rbf_kernel(ta, tb, params: KernelParams) -> np.ndarray:
     """Gram matrix of the RBF kernel between two input vectors."""
     ta = np.atleast_1d(np.asarray(ta, dtype=float))
     tb = np.atleast_1d(np.asarray(tb, dtype=float))
-    d = (ta[:, None] - tb[None, :]) / params.length_scale
-    return params.signal_std ** 2 * np.exp(-0.5 * d * d)
+    return _lag_kernel(ta[:, None] - tb[None, :], _max_lag(ta, tb), params)
 
 
-def _as_noise(noise, n):
-    """Validate a noise variance: a float, or a vector of length n."""
+def _max_lag(ta, tb) -> float:
+    """The largest |a - b| over a in ``ta`` and b in ``tb``, as rounded in
+    their lag matrix."""
+    if ta.size == 0 or tb.size == 0:
+        return 0.0
+    return max(float(ta.max() - tb.min()), float(tb.max() - ta.min()))
+
+
+def _lag_kernel(lag, max_lag, params: KernelParams) -> np.ndarray:
+    """The RBF kernel at the lags ``lag``, whose largest magnitude is
+    ``max_lag``."""
+    d = lag / params.length_scale
+    d_max = max_lag / params.length_scale
+    arg = -0.5 * d
+    arg *= d
+    return _cut_exp(arg, -0.5 * d_max * d_max, params)
+
+
+def _cut_exp(arg, lowest, params: KernelParams) -> np.ndarray:
+    """signal_std^2 * exp(arg), with exact zeros where arg < -KERNEL_CUT.
+
+    ``arg`` is a fresh exponent array, overwritten; ``lowest`` is its
+    smallest entry, so the cut is masked only where it bites.
+    """
+    if lowest < -KERNEL_CUT:
+        cut = arg < -KERNEL_CUT
+        # exp is several times slower at arguments far below the cut.
+        np.maximum(arg, -KERNEL_CUT, out=arg)
+        k = np.exp(arg, out=arg)
+        np.copyto(k, 0.0, where=cut)
+    else:
+        k = np.exp(arg, out=arg)
+    k *= params.signal_std ** 2
+    return k
+
+
+def _as_noise(noise, shape):
+    """Validate a noise variance: a float, or an array of ``shape``."""
     if np.isscalar(noise) or getattr(noise, "ndim", None) == 0:
         val = float(noise)
         if not (val >= 0.0 and math.isfinite(val)):
             raise InvalidInputError("noise variance must be finite and >= 0")
         return val
     vec = np.asarray(noise, dtype=float)
-    if vec.shape != (n,):
+    if vec.shape != shape:
         raise InvalidInputError("noise vector length must match the training set")
-    if not np.all(np.isfinite(vec)) or np.any(vec < 0.0):
+    if not np.isfinite(vec).all() or (vec < 0.0).any():
         raise InvalidInputError("noise variances must be finite and >= 0")
     return vec
 
@@ -177,8 +223,8 @@ class _Reduced:
     or None for none; ``collapse`` adds a common variance on top of it (the
     jitter, plus the noise variance when one is searched), so each collapse
     precision-weights the points anew. What does not depend on the kernel
-    hyperparameters is computed here, once per fit or search;
-    ``set_targets`` swaps in other targets on the same inputs.
+    hyperparameters is computed here, once per fit or search; ``use``
+    swaps in other targets on the same inputs.
     """
 
     def __init__(self, train: TrainingSet, noise=None):
@@ -186,35 +232,53 @@ class _Reduced:
         if self.u.size > MAX_GP_INPUTS:
             raise InvalidInputError(f"a GP takes at most {MAX_GP_INPUTS} "
                                     f"distinct inputs, got {self.u.size}")
-        self.set_targets(train.y, noise)
+        if noise is not None:
+            noise = np.reshape(_as_noise(noise, train.y.shape), (-1, 1))
+        self.use(*self.columns(train.y[:, None], noise), 0)
         self.sq_dist = np.subtract.outer(self.u, self.u) ** 2
 
-    def set_targets(self, y, noise=None):
-        """Center the targets ``y``, one per point; ``noise`` as above."""
-        n, m = y.size, self.u.size
-        noise = None if noise is None else _as_noise(noise, n)
+    def columns(self, y, noise=None):
+        """Check c target columns on these inputs, each a GP of its own.
+
+        ``y`` is (n, c) and ``noise`` None or a checked noise variance that
+        broadcasts to it. Returns the column means, the centered targets and
+        the noise as an (n, c) array.
+        """
+        n, m = y.shape[0], self.u.size
         # Targets whose mean or spread overflows would give NaN weights.
         with np.errstate(over="ignore", invalid="ignore"):
-            self.offset = float(y.mean())
-            self.resid = y - self.offset
-            spread = float(self.resid @ self.resid)
-        if not math.isfinite(spread):
+            # The rows of a C-ordered copy of y.T take the pairwise sum
+            # each column's own mean() takes, so each offset is that mean.
+            offset = np.add.reduce(y.T.copy(), axis=1) / n
+            resid = y - offset
+            spread = np.einsum("ij,ij->j", resid, resid)
+        if not np.isfinite(spread).all():
             raise InvalidInputError("training targets overflow in float64")
+        point_noise = np.zeros(y.shape) + (0.0 if noise is None else noise)
         if noise is not None and m < n:
             # Exact duplicates with zero noise make the Gram matrix singular
             # in exact arithmetic; refuse them instead of letting jitter
             # paper over it.
-            zero = np.broadcast_to(np.asarray(noise) == 0.0, (n,))
-            if np.any(np.bincount(self.index, zero, m) > 1):
+            zero = np.zeros((m, y.shape[1]), dtype=np.intp)
+            np.add.at(zero, self.index, point_noise == 0.0)
+            if (zero > 1).any():
                 raise NumericalConditioningError(
                     "duplicate timestamps with zero noise produce a singular "
                     "Gram matrix")
-        self.point_noise = np.zeros(n) + (0.0 if noise is None else noise)
+        return offset, resid, point_noise
+
+    def use(self, offset, resid, point_noise, j):
+        """Take column ``j`` of checked ``columns`` as the targets."""
+        self.offset = float(offset[j])
+        self.resid = resid[:, j]
+        self.point_noise = point_noise[:, j]
 
     def gram(self, params: KernelParams) -> np.ndarray:
-        """The RBF Gram matrix K(u, u)."""
-        return params.signal_std ** 2 * np.exp(
-            self.sq_dist * (-0.5 / params.length_scale ** 2))
+        """The RBF Gram matrix K(u, u); u is sorted, so the corner holds
+        the largest squared distance."""
+        scale = -0.5 / params.length_scale ** 2
+        return _cut_exp(self.sq_dist * scale, self.sq_dist[0, -1] * scale,
+                        params)
 
     @cached_property
     def upper_weights(self):
@@ -225,17 +289,19 @@ class _Reduced:
     def upper_sq_dist(self):
         return self.upper_weights * self.sq_dist
 
-    def collapse(self, add):
+    def collapse(self, add, lml=True):
         """Group means, group noise and the log-likelihood correction.
 
         ``add`` is added to every observation's noise variance. The
         correction is the full system's log marginal likelihood minus the
-        reduced system's.
+        reduced system's; None unless ``lml``.
         """
         m = self.u.size
         w = 1.0 / (self.point_noise + add)
         total = np.bincount(self.index, w, m)
         ybar = np.bincount(self.index, w * self.resid, m) / total
+        if not lml:
+            return ybar, 1.0 / total, None
         d = self.resid - ybar[self.index]
         corr = -0.5 * ((w.size - m) * LOG_2PI - float(np.log(w).sum())
                        + float(np.log(total).sum()) + float(w @ (d * d)))
@@ -292,52 +358,66 @@ class _System:
     ybar: np.ndarray
     rbar: np.ndarray
     jitter: float
-    lml: float
+    lml: float | None
 
     def predict(self, ts) -> PosteriorPrediction:
         """Latent posterior mean and variance at ``ts``."""
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        if not np.all(np.isfinite(ts)):
-            raise InvalidInputError("query inputs must be finite")
-        if ts.size * self.u.size > MAX_PREDICT_CELLS:
-            raise InvalidInputError(
-                f"{ts.size} query inputs against {self.u.size} training "
-                f"inputs exceed {MAX_PREDICT_CELLS} cells")
+        return self.predict_lags(*_query_lags(ts, self.u))
+
+    def predict_lags(self, lags, max_lag) -> PosteriorPrediction:
+        """``predict`` at the checked lags of ``_query_lags``."""
         sf2 = self.params.signal_std ** 2
-        Ks = rbf_kernel(ts, self.u, self.params)
+        Ks = _lag_kernel(lags, max_lag, self.params)
         mean = self.offset + Ks @ self.alpha
-        v = lapack.dtrtrs(self.chol, Ks.T, lower=1)[0]
+        v = lapack.dtrtrs(self.chol, Ks.T, lower=1, overwrite_b=1)[0]
         var = sf2 - np.einsum("ij,ij->j", v, v)
-        if np.any(var < -1e-8 * sf2):
+        if (var < -1e-8 * sf2).any():
             warnings.warn("posterior variance dipped below the conditioning "
                           "tolerance and was clamped to zero", RuntimeWarning)
         return PosteriorPrediction(mean, np.maximum(var, 0.0))
 
 
-def _solve(red: _Reduced, params: KernelParams, K, add=0.0) -> _System:
-    """Factorize the reduced system over the Gram matrix ``K``.
+def _query_lags(ts, u):
+    """The (q, m) lags ts - u of the checked query inputs ``ts``, and their
+    largest magnitude."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    if not np.isfinite(ts).all():
+        raise InvalidInputError("query inputs must be finite")
+    if ts.size * u.size > MAX_PREDICT_CELLS:
+        raise InvalidInputError(
+            f"{ts.size} query inputs against {u.size} training "
+            f"inputs exceed {MAX_PREDICT_CELLS} cells")
+    return ts[:, None] - u[None, :], _max_lag(ts, u)
 
-    Its LML is the full system's. ``add`` is the searched noise variance,
-    if any: a float, or one value per observation. The jitter is folded into
-    every observation's noise before collapsing; a system that does not
-    factorize then is refused.
+
+def _solve(red: _Reduced, params: KernelParams, K, add=0.0,
+           lml=True) -> _System:
+    """Factorize the reduced system over the Gram matrix ``K``, in place.
+
+    Its LML is the full system's, or None unless ``lml``. ``add`` is the
+    searched noise variance, if any: a float, or one value per observation.
+    The jitter is folded into every observation's noise before collapsing;
+    a system that does not factorize then is refused.
     """
     jitter = JITTER_FRAC * params.signal_std ** 2
     m = red.u.size
-    ybar, rbar, corr = red.collapse(add + jitter)
-    Ky = K.copy()
-    Ky.flat[::m + 1] += rbar
+    ybar, rbar, corr = red.collapse(add + jitter, lml)
+    K.flat[::m + 1] += rbar
     try:
-        # Ky is symmetric, so its transpose is the Fortran-ordered array
+        # K is symmetric, so its transpose is the Fortran-ordered array
         # LAPACK factorizes in place.
-        chol = cho_factor(Ky.T)
+        chol = cho_factor(K.T)
     except LinAlgError:
         raise NumericalConditioningError(
             "Gram matrix is not positive definite with the jitter added"
         ) from None
     alpha = lapack.dpotrs(chol, ybar, lower=1)[0]
-    log_det = 2.0 * float(np.log(np.diagonal(chol)).sum())
-    lml = -0.5 * float(ybar @ alpha) - 0.5 * log_det - 0.5 * m * LOG_2PI + corr
+    if lml:
+        log_det = 2.0 * float(np.log(np.diagonal(chol)).sum())
+        lml = (-0.5 * float(ybar @ alpha) - 0.5 * log_det
+               - 0.5 * m * LOG_2PI + corr)
+    else:
+        lml = None
     return _System(u=red.u, offset=red.offset, params=params, chol=chol,
                    alpha=alpha, ybar=ybar, rbar=rbar, jitter=jitter, lml=lml)
 
@@ -352,7 +432,7 @@ def _lml_parts(red: _Reduced, params: KernelParams, add=0.0):
     signal_std component carries its share of the per-group terms.
     """
     K = red.gram(params)
-    sol = _solve(red, params, K, add)
+    sol = _solve(red, params, K.copy(), add)
     a = sol.alpha
     # dpotri leaves K^-1 in the lower triangle of a Fortran-ordered array:
     # the upper triangle of its C-ordered transpose, which the upper weights
@@ -424,13 +504,17 @@ def predict_columns(t, y, noise, params, ts) -> PosteriorPrediction:
     """(q, c) latent posteriors at ``ts`` of c GPs on the shared inputs ``t``.
 
     Column j is fit_gp(TrainingSet(t, y[:, j]), params[j], noise[:, j])
-    .predict(ts) bit for bit; one column's system is held at a time.
+    .predict(ts) bit for bit; one column's system is held at a time. The
+    inputs, targets, noise and queries are checked once, for all columns.
     """
     red = _Reduced(TrainingSet(t, y[:, 0]))
-    out = PosteriorPrediction(*np.empty((2, np.size(ts), len(params))))
+    columns = red.columns(y, _as_noise(noise, y.shape))
+    lags, max_lag = _query_lags(ts, red.u)
+    out = PosteriorPrediction(*np.empty((2, lags.shape[0], len(params))))
     for j, p in enumerate(params):
-        red.set_targets(y[:, j], noise[:, j])
-        pred = _solve(red, p, red.gram(p)).predict(ts)
+        red.use(*columns, j)
+        sol = _solve(red, p, red.gram(p), lml=False)
+        pred = sol.predict_lags(lags, max_lag)
         out.mean[:, j], out.var[:, j] = pred.mean, pred.var
     return out
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.linalg import LinAlgError
 from numpy.testing import assert_allclose
+from scipy.linalg import lapack
 from scipy.optimize import minimize
 
 from gplfd import (InsufficientDataError, InvalidInputError,
@@ -13,7 +14,8 @@ from gplfd import (InsufficientDataError, InvalidInputError,
                    OptConfig, OptimizationFailureError, PosteriorPrediction,
                    TrainingSet, fit_gp, fit_heteroscedastic, gaussian_product,
                    generate_synthetic_door_set, learn_policy, lml_gradient,
-                   optimize_hyperparameters, rbf_kernel)
+                   optimize_hyperparameters, query, rbf_kernel,
+                   streaming_evaluation)
 from gplfd import gp, policy
 from gplfd import io as gio
 from gplfd.cli import main
@@ -61,6 +63,82 @@ class TestKernel:
                                          (1.0, 1e-200), (1.0, 1e200)]:
             with pytest.raises(InvalidInputError, match="square"):
                 KernelParams(length_scale=length_scale, signal_std=signal_std)
+
+
+def subnormal(a):
+    """Where ``a`` holds a nonzero value below the smallest normal double."""
+    return (a != 0.0) & (np.abs(a) < np.finfo(float).tiny)
+
+
+class TestKernelCut:
+    """Kernel values below exp(-KERNEL_CUT) signal_std^2 are exact zeros."""
+
+    # The y dimension's fitted kernel on the default door set.
+    DOOR_Y = KernelParams(length_scale=0.0175, signal_std=9.5e-4)
+
+    def test_no_subnormal_reaches_a_factorization(self, door_policy,
+                                                  monkeypatch):
+        """On the door grid at y's kernel, both Gram matrices hold only
+        exact zeros and values >= exp(-KERNEL_CUT) signal_std^2; the
+        Cholesky factor and dpotri's inverse hold no subnormal. Without the
+        cut the same Gram matrix holds subnormals."""
+        p, grid = self.DOOR_Y, door_policy.grid
+        model = door_policy.dims[1].signal_gp
+        red = _Reduced(model.train)
+        floor = math.exp(-gp.KERNEL_CUT) * p.signal_std ** 2
+        for K in (rbf_kernel(grid, grid, p), red.gram(p)):
+            assert np.all((K == 0.0) | (K >= floor))
+            assert np.any(K == 0.0)
+        chol = fit_gp(model.train, p, model.noise).system.chol
+        inverse = lapack.dpotri(chol, lower=1)[0]
+        assert not subnormal(chol).any() and not subnormal(inverse).any()
+        monkeypatch.setattr(gp, "KERNEL_CUT", math.inf)
+        assert subnormal(red.gram(p)).any()
+
+    def test_cut_changes_nothing_at_double_precision(
+            self, door_demos, door_policy, door_holdout, monkeypatch):
+        """The LML parts, a predict and the default door policy with its
+        query and streaming evaluation are bit for bit those without the
+        cut (KERNEL_CUT = inf)."""
+        p, model = self.DOOR_Y, door_policy.dims[1].signal_gp
+        ts = np.linspace(-0.1, 1.1, 61)
+
+        def outputs(learned):
+            red = _Reduced(model.train)
+            lml, grad, d_shift = gp._lml_parts(red, p, model.noise)
+            pred = fit_gp(model.train, p, model.noise).predict(ts)
+            dists = query(learned, ts)
+            report = streaming_evaluation(learned, door_holdout, 1e-4)
+            return ([lml, grad, d_shift, pred.mean, pred.var]
+                    + [d.signal_gp.log_marginal_likelihood()
+                       for d in learned.dims]
+                    + [d.log_variance for d in learned.dims]
+                    + [np.stack([d.mean for d in dists]),
+                       np.stack([d.var for d in dists])]
+                    + list(vars(report).values()))
+
+        cut = outputs(door_policy)
+        monkeypatch.setattr(gp, "KERNEL_CUT", math.inf)
+        uncut = outputs(learn_policy(door_demos))
+        assert len(cut) == len(uncut)
+        for a, b in zip(cut, uncut):
+            assert np.array_equal(a, b)
+
+    def test_far_query_gets_exactly_the_prior(self):
+        """A query farther than sqrt(2 KERNEL_CUT) length scales from every
+        input has each of its kernel values cut, so its posterior is exactly
+        the prior: the data mean and signal_std^2."""
+        train = TrainingSet([0.0, 0.1], [1.0, 3.0])
+        p = KernelParams(length_scale=0.05, signal_std=1.5)
+        far = 1.001 * math.sqrt(2.0 * gp.KERNEL_CUT) * p.length_scale
+        ts = [0.1 + far, -far]
+        pred = fit_gp(train, p, noise=1e-4).predict(ts)
+        assert np.array_equal(pred.mean, [2.0, 2.0])
+        assert np.array_equal(pred.var, [2.25, 2.25])
+        cols = gp.predict_columns(train.t, np.c_[train.y, -train.y],
+                                  np.full((2, 2), 1e-4), [p, p], ts)
+        assert np.array_equal(cols.mean, [[2.0, -2.0]] * 2)
+        assert np.array_equal(cols.var, [[2.25, 2.25]] * 2)
 
 
 class TestFitPredict:
@@ -121,6 +199,45 @@ class TestFitPredict:
             pred = fit_gp(TrainingSet(t, y[:, j]), p, noise=noise[:, j]).predict(ts)
             assert np.array_equal(out.mean[:, j], pred.mean)
             assert np.array_equal(out.var[:, j], pred.var)
+
+    @pytest.mark.parametrize("case", [
+        "nan-query", "inf-query", "cells", "negative-noise", "nan-noise",
+        "inf-noise", "zero-noise-duplicates", "overflowing-targets"])
+    def test_columns_refuse_before_any_factorization(self, case, rng,
+                                                     monkeypatch):
+        """predict_columns checks its inputs and queries once, for all
+        columns: each case fit_gp + predict refuses on one column is
+        refused with the same error before any column is factorized."""
+        t = np.linspace(0.0, 1.0, 500)
+        y = rng.normal(0.0, 1.0, (t.size, 3))
+        noise = np.full(y.shape, 1e-3)
+        ts = np.array([0.25, 0.5])
+        error, bad = InvalidInputError, 2
+        if case.endswith("query"):
+            ts[1], match = float(case[:3]), "query inputs"
+        elif case == "cells":
+            ts = np.linspace(0.0, 1.0, MAX_PREDICT_CELLS // t.size + 1)
+            match = "cells"
+        elif case.endswith("-noise"):
+            noise[7, bad] = {"negative": -1e-3, "nan": np.nan,
+                             "inf": np.inf}[case.split("-")[0]]
+            match = "finite and >= 0"
+        elif case == "zero-noise-duplicates":
+            t[4], noise[[3, 4], bad] = t[3], 0.0
+            error, match = NumericalConditioningError, "duplicate"
+        else:
+            y[:, bad] = np.where(np.arange(t.size) % 2 == 0, 1e200, -1e200)
+            match = "overflow"
+        params = [KernelParams(0.3, 1.0)] * 3
+        with pytest.raises(error, match=match):
+            fit_gp(TrainingSet(t, y[:, bad]), params[bad],
+                   noise[:, bad]).predict(ts)
+        real, calls = gp.cho_factor, []
+        monkeypatch.setattr(gp, "cho_factor",
+                            lambda a: calls.append(a.shape) or real(a))
+        with pytest.raises(error, match=match):
+            gp.predict_columns(t, y, noise, params, ts)
+        assert not calls
 
     def test_training_set_validation(self):
         with pytest.raises(InvalidInputError):
@@ -868,8 +985,7 @@ class TestHeteroscedastic:
         with pytest.raises(InvalidInputError, match="overflow"):
             fit_heteroscedastic(TrainingSet(t, y))
 
-    def test_warm_noise_rounds_make_one_minimize_call(self, rng,
-                                                     monkeypatch):
+    def test_stage_one_runs_then_one_knot_run(self, rng, monkeypatch):
         """After the stage-1 search, one L-BFGS-B run outside any search
         fits the kernel and the 25 knots of 25 distinct inputs."""
         t = np.repeat(np.linspace(0.0, 1.0, 25), 4)
@@ -991,7 +1107,8 @@ class TestHeteroscedastic:
                        / (2 * h) for e in np.eye(theta.size)])
         assert np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-6)) < 1e-4
 
-    def test_degenerate_dispersion_flagged(self, caplog):
+    def test_replicated_demonstration_puts_every_knot_on_the_floor(
+            self, caplog):
         """A single demonstration replicated has nothing to disperse: every
         knot ends on the floor, and the fit's record says so."""
         t = np.repeat(np.linspace(0.0, 1.0, 20), 2)

@@ -455,6 +455,23 @@ class TestCommandLine:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "policy.json").exists()
 
+    def test_fit_counts_only_the_demonstrations_it_fitted(self, tmp_path,
+                                                          capsys):
+        """A flat demonstration is skipped by alignment: fit reports the
+        three it fitted, not the four it read."""
+        args = SMALL + ["--out-dir", str(tmp_path)]
+        assert main(["gen-data", *args]) == 0
+        demos = sorted(str(p) for p in tmp_path.glob("demo_*.csv"))
+        flat = tmp_path / "flat.csv"
+        pose = Pose(np.zeros(3), (0, 0, 0))
+        io.save_demonstration(flat, Trajectory(np.arange(30.0), [pose] * 30))
+        capsys.readouterr()
+        with pytest.warns(AlignmentWarning, match="zero path length"):
+            assert main(["fit", *demos, str(flat), *args]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert len(demos) == 3
+        assert first.startswith("fitted policy on 3 demonstrations -> ")
+
     def test_fit_whose_every_start_fails_fails_cleanly(
             self, tmp_path, capsys, monkeypatch, door_demos):
         paths = []
@@ -470,8 +487,8 @@ class TestCommandLine:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "no start point" in err
 
-    def test_even_smoothing_window_fails_cleanly(self, tmp_path, capsys,
-                                                 door_demos):
+    def test_removed_noise_loop_keys_fail_cleanly(self, tmp_path, capsys,
+                                                  door_demos):
         """The noise loop's keys went with it: a smoothing window (here an
         even one) or a round count is an unknown field, refused before any
         fit."""

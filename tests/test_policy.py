@@ -441,7 +441,7 @@ class TestPredictionError:
 
 
 class TestNoiseSearch:
-    def test_noise_gp_searches_with_the_signal_budget(self, monkeypatch):
+    def test_knot_run_searches_with_its_own_budget(self, monkeypatch):
         """The noise knots are searched in one L-BFGS-B run after stage 1,
         inside stage 1's kernel bounds (the user's length-scale bounds).
         Stage 1 is capped at ``opt``'s iterations, the knot run at
