@@ -285,7 +285,7 @@ def simulate(setpoint=None, force=None,
             k4 = deriv(t0 + dt, s0 + dt * k3, kp[k + 1], dmp[k + 1])
             s1 = s0 + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             e, v = s1[0], s1[1]
-        if not (np.all(np.isfinite(e)) and np.all(np.isfinite(v))):
+        if not (np.isfinite(e).all() and np.isfinite(v).all()):
             raise DivergenceError("simulated state left the finite range",
                                   step=k + 1)
         err[k + 1], rate[k + 1] = e, v

@@ -27,7 +27,7 @@ from .policy import (DIM_NAMES, adapt_with_viapoints, learn_policy, query,
                      streaming_evaluation)
 from .synthetic import generate_synthetic_door_set
 
-# Largest --grid: each query time becomes a pose distribution and a table row.
+# Largest --grid: each query time becomes one table row.
 MAX_QUERY_POINTS = 100_000
 
 
@@ -61,19 +61,18 @@ def _numbers(text: str, flag: str) -> np.ndarray:
 
 
 def _query_times(args) -> np.ndarray:
-    if args.times:
+    if args.times is not None:
         return _numbers(args.times, "--times")
     if not 1 <= args.grid <= MAX_QUERY_POINTS:
         raise InvalidInputError(f"--grid must lie in [1, {MAX_QUERY_POINTS}]")
     return np.linspace(0.0, 1.0, args.grid)
 
 
-def _distribution_table(path, ts, dists) -> None:
+def _distribution_table(path, ts, post) -> None:
     header = (["t"] + [f"mean_{n}" for n in DIM_NAMES]
               + [f"var_{n}" for n in DIM_NAMES] + ["extrapolated"])
-    rows = [[t, *d.mean, *d.var, float(d.extrapolated)]
-            for t, d in zip(ts, dists)]
-    io.write_table(path, header, rows)
+    io.write_table(path, header, np.column_stack(
+        [ts, post.mean, post.var, post.extrapolated]))
 
 
 # ---------------------------------------------------------------------------

@@ -49,12 +49,23 @@ class LearnConfig:
 
 
 @dataclass
-class PoseDistribution:
-    """Componentwise Gaussian over a pose vector at one query time."""
+class PoseDistribution(PosteriorPrediction):
+    """Componentwise Gaussian over pose vectors at q query times, or at one.
 
-    mean: np.ndarray
-    var: np.ndarray
-    extrapolated: bool = False
+    ``query`` and ``adapt_with_viapoints`` return (q, 6) ``mean`` and ``var``
+    and a (q,) bool ``extrapolated`` mask. Indexing, iteration and unpacking
+    give row i, (6,) views and a bool; len and [] on a row raise TypeError.
+    """
+
+    extrapolated: bool | np.ndarray = False
+
+    def __len__(self) -> int:
+        return len(self.extrapolated)
+
+    def __getitem__(self, i) -> PoseDistribution:
+        flag = self.extrapolated[i]
+        return PoseDistribution(self.mean[i], self.var[i],
+                                flag if np.ndim(flag) else bool(flag))
 
 
 def strength_vector(strength) -> np.ndarray:
@@ -124,11 +135,12 @@ class TaskPolicy:
         return PosteriorPrediction(mean=kept.mean.copy(), var=kept.var.copy())
 
 
-def _as_times(ts) -> np.ndarray:
+def _as_times(policy: TaskPolicy, ts):
+    """Checked query times, and the mask of those off the policy grid."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if ts.ndim != 1 or ts.size == 0 or not np.all(np.isfinite(ts)):
         raise InvalidInputError("query times must be a finite 1-d array")
-    return ts
+    return ts, (ts < policy.grid[0]) | (ts > policy.grid[-1])
 
 
 def learn_policy(demos, config: LearnConfig = LearnConfig()) -> TaskPolicy:
@@ -144,23 +156,11 @@ def learn_policy(demos, config: LearnConfig = LearnConfig()) -> TaskPolicy:
     return TaskPolicy(dims=models, grid=grid)
 
 
-def _distributions(policy: TaskPolicy, ts, post: PosteriorPrediction) -> list:
-    """One PoseDistribution per query time from a (q, 6) posterior.
-
-    Times outside the policy grid are flagged as extrapolation.
-    """
-    outside = ((ts < policy.grid[0]) | (ts > policy.grid[-1])).tolist()
-    return [PoseDistribution(mean=mean, var=var, extrapolated=flag)
-            for mean, var, flag in zip(post.mean, post.var, outside)]
-
-
-def query(policy: TaskPolicy, ts) -> list:
-    """Policy posterior at each query time.
-
-    Times outside [0, 1] are allowed but flagged as extrapolation.
-    """
-    ts = _as_times(ts)
-    return _distributions(policy, ts, policy.demonstration_posterior(ts))
+def query(policy: TaskPolicy, ts) -> PoseDistribution:
+    """(q, 6) policy posterior at the query times, any finite ones."""
+    ts, outside = _as_times(policy, ts)
+    post = policy.demonstration_posterior(ts)
+    return PoseDistribution(post.mean, post.var, outside)
 
 
 def _via_side(policy: TaskPolicy, via_t, via_y, via_s, ts) -> PosteriorPrediction:
@@ -202,18 +202,18 @@ def _fuse(policy: TaskPolicy, via_t, via_y, via_s, ts) -> PosteriorPrediction:
     return gaussian_product(policy.demonstration_posterior(ts), via_side)
 
 
-def adapt_with_viapoints(policy: TaskPolicy, via, ts) -> list:
-    """Fuse the policy with via-point constraints at the query times."""
+def adapt_with_viapoints(policy: TaskPolicy, via, ts) -> PoseDistribution:
+    """(q, 6) policy posterior fused with via-points at the query times."""
     via = list(via)
     if not via:
         raise InvalidInputError("via-point adaptation needs at least one via-point")
     if not all(isinstance(v, ViaPoint) for v in via):
         raise InvalidInputError("via must contain ViaPoint instances")
-    ts = _as_times(ts)
+    ts, outside = _as_times(policy, ts)
     fused = _fuse(policy, np.array([v.time for v in via]),
                   np.stack([v.pose for v in via]),
                   np.stack([v.strength for v in via]), ts)
-    return _distributions(policy, ts, fused)
+    return PoseDistribution(fused.mean, fused.var, outside)
 
 
 def _expected_sq_error(mean, var, target) -> np.ndarray:

@@ -92,9 +92,9 @@ def rotvecs_from_quaternions(q) -> np.ndarray:
     q = _finite_rows(q, 4, "quaternion")
     norm = np.linalg.norm(q, axis=-1, keepdims=True)
     bad = np.abs(norm - 1.0) > 1e-6
-    first = np.ravel(norm)[np.argmax(np.ravel(bad))]
-    _refuse_rows(bad, f"quaternion is not unit length: norm {first:.8f} "
-                      "deviates from 1 by more than 1e-6")
+    if bad.any():
+        _refuse_rows(bad, "quaternion is not unit length: norm "
+                     f"{norm[bad][0]:.8f} deviates from 1 by more than 1e-6")
     q = q / norm
     q = np.where(q[..., :1] < 0.0, -q, q)
     vec_norm = np.linalg.norm(q[..., 1:], axis=-1, keepdims=True)

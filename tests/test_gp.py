@@ -883,8 +883,8 @@ class TestConfirmedSearch:
     BOUNDS = {"length_scale_bounds": (1e-3, 10.0)}
 
     @pytest.mark.parametrize("seed", [0, 2, 4])
-    def test_stops_at_the_second_start_at_the_optimum(self, seed,
-                                                      monkeypatch):
+    def test_stops_at_the_third_start_at_the_optimum(self, seed,
+                                                     monkeypatch):
         """The second confirmation after the first start at the optimum:
         the search stops at the third start that ends there, out of 12
         (seed 0 and 4 reach it at the eighth)."""
@@ -1032,8 +1032,9 @@ class TestHeteroscedastic:
     @pytest.mark.parametrize("seed, samples", [
         (0, None), (1, None), (3, None), (0, 1000)],
         ids=["0", "1", "3", "0-1000-samples"])
-    def test_warm_rounds_never_fall_below_random_starts(self, seed, samples,
-                                                        monkeypatch):
+    def test_knot_fit_never_falls_below_the_noise_gp_loop(self, seed,
+                                                          samples,
+                                                          monkeypatch):
         """Per door dimension against Kersting's loop with random starts
         (`oracles.random_hetero`): the signal LML of the knot fit is no
         lower beyond 1e-7 relative. A 1000-sample set is fitted on a

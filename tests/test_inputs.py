@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gplfd import (DIM_NAMES, FormatError, ParseError, Pose, RunConfig,
@@ -103,7 +103,8 @@ class TestConfigValues:
 class TestArguments:
     @pytest.mark.parametrize("extra", [
         ["--times", "a,b"], ["--times", "0.5,,1"], ["--grid", "-1"],
-        ["--grid", "0"], ["--grid", str(MAX_QUERY_POINTS + 1)]])
+        ["--grid", "0"], ["--grid", str(MAX_QUERY_POINTS + 1)],
+        ["--times", ""]])
     def test_query_times(self, tmp_path, policy_file, extra):
         code, err = run(["query", "--policy", policy_file, *extra,
                          "--out-dir", str(tmp_path)])
@@ -162,6 +163,28 @@ class TestFiles:
             argv = ["eval", "--policy", policy_file, "--truth", str(path)]
         code, err = run([*argv, "--out-dir", str(tmp_path)])
         assert code == 1 and err.startswith("error:") and "overflow" in err
+
+    @pytest.mark.parametrize("command, message", [
+        ("fit", "trajectory needs at least two samples"),
+        ("eval", "trajectory needs at least two samples"),
+        ("adapt", "needs at least one via-point")],
+        ids=["fit", "eval", "adapt"])
+    def test_header_without_rows_refused(self, tmp_path, policy_file, command,
+                                         message):
+        header = {"fit": "t,x,y,z,qw,qx,qy,qz",
+                  "eval": "t,x,y,z,qw,qx,qy,qz",
+                  "adapt": "t,x,y,z,qw,qx,qy,qz,position_strength,"
+                           "rotation_strength"}[command]
+        tag = "via" if command == "adapt" else "demo"
+        path = tmp_path / "rows.csv"
+        path.write_text(f"# format: gplfd-{tag} v1\n# quaternion: wxyz\n"
+                        f"{header}\n")
+        argv = {"fit": ["fit", str(path), str(path)],
+                "eval": ["eval", "--policy", policy_file, "--truth", str(path)],
+                "adapt": ["adapt", "--policy", policy_file, "--via",
+                          str(path)]}[command]
+        code, err = run([*argv, "--out-dir", str(tmp_path)])
+        assert code == 1 and err.startswith("error:") and message in err
 
     @pytest.mark.parametrize("payload", [b"[1, 2]", b"\xff", b"[" * 100000],
                              ids=["list", "not-utf-8", "nested-too-deep"])
@@ -338,6 +361,8 @@ CELLS = ["nan", "inf", "-inf", "1e999", "", "x", "0", "2", "-1", "1.5"]
 METADATA = ["# format: gplfd-table v1", "# format: gplfd-via v1",
             "# quaternion: xyzw", "# quaternion: zyxw", "# quaternion",
             "#", "", "t,x,y"]
+# Keeps the metadata and the header and drops every row.
+EMPTY = ("empty",)
 MUTATIONS = st.one_of(
     st.tuples(st.sampled_from(["drop", "dup"]), st.integers(0, 3),
               st.integers(0, 9)),
@@ -346,7 +371,8 @@ MUTATIONS = st.one_of(
     st.tuples(st.just("scale"), st.integers(0, 3),
               st.sampled_from([0.0, 0.5, 1.001, -1.0, 3.0])),
     st.tuples(st.just("meta"), st.integers(0, 2), st.sampled_from(METADATA)),
-    st.tuples(st.just("bytes"), st.integers(0, 1000)))
+    st.tuples(st.just("bytes"), st.integers(0, 1000)),
+    st.just(EMPTY))
 
 
 def _mutate(text, kind, mutation):
@@ -354,6 +380,10 @@ def _mutate(text, kind, mutation):
     lines = text.splitlines()
     header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
     op = mutation[0]
+    if op == "empty":
+        # Via-point files and tables may hold no rows. A demonstration
+        # without them is refused for too few samples, not as a parse error.
+        return "\n".join(lines[:header + 1]).encode(), None, False
     if op in ("meta", "bytes"):
         if op == "meta":
             lines[min(mutation[1], header)] = mutation[2]
@@ -387,6 +417,10 @@ def _mutate(text, kind, mutation):
 class TestMutatedFiles:
     @settings(PROPERTY, max_examples=150)
     @given(st.sampled_from(sorted(LOADERS)), MUTATIONS)
+    @example("demo", EMPTY)
+    @example("demos", EMPTY)
+    @example("via", EMPTY)
+    @example("table", EMPTY)
     def test_load_or_refuse(self, which, mutation):
         kind = "demo" if which == "demos" else which
         with tempfile.TemporaryDirectory() as out:
@@ -506,7 +540,8 @@ def _mutate_demo(text, mutation):
     """(mutated bytes, must loading refuse them?) of a demonstration file."""
     if mutation[0] != "stamp":
         raw, _, fails = _mutate(text, "demo", mutation)
-        return raw, fails
+        # A trajectory needs two samples.
+        return raw, fails or mutation == EMPTY
     lines = text.splitlines()
     row = next(i for i, line in enumerate(lines)
                if not line.startswith("#")) + 1 + mutation[1]
@@ -529,6 +564,7 @@ def _write_pulls(out, texts, mutation):
 class TestMutatedDemonstrations:
     @settings(PROPERTY, max_examples=40)
     @given(DEMO_MUTATIONS)
+    @example(EMPTY)
     def test_align(self, pull_texts, mutation):
         with tempfile.TemporaryDirectory() as out:
             paths, fails = _write_pulls(out, pull_texts[:2], mutation)
@@ -542,6 +578,7 @@ class TestMutatedDemonstrations:
 
     @settings(PROPERTY, max_examples=30)
     @given(DEMO_MUTATIONS)
+    @example(EMPTY)
     def test_fit(self, pull_texts, mutation):
         with tempfile.TemporaryDirectory() as out:
             paths, fails = _write_pulls(out, pull_texts[:2], mutation)
@@ -556,6 +593,7 @@ class TestMutatedDemonstrations:
 
     @settings(PROPERTY, max_examples=40)
     @given(DEMO_MUTATIONS)
+    @example(EMPTY)
     def test_eval(self, policy_file, pull_texts, mutation):
         with tempfile.TemporaryDirectory() as out:
             (path,), fails = _write_pulls(out, pull_texts[2:], mutation)

@@ -292,6 +292,61 @@ class TestAdaptation:
         assert abs(o2.mean[2] - t2.as_vector()[2]) < 1e-2
 
 
+class TestPosteriorValue:
+    """query and adapt_with_viapoints return one (q, 6) PoseDistribution;
+    its rows are views into it, built on demand."""
+
+    TIMES = np.array([-0.1, 0.0, 0.5, 1.0, 1.2])
+    OUTSIDE = [True, False, False, False, True]
+
+    def check(self, dist, ref):
+        """``dist`` holds ``ref``'s arrays; each row is row i of them."""
+        assert type(dist) is PoseDistribution
+        assert dist.mean.shape == dist.var.shape == (self.TIMES.size, 6)
+        assert len(dist) == self.TIMES.size
+        assert dist.extrapolated.tolist() == self.OUTSIDE
+        assert np.array_equal(dist.mean, ref.mean)
+        assert np.array_equal(dist.var, ref.var)
+        rows = list(dist)
+        assert len(rows) == len(dist)
+        for i, row in enumerate(rows):
+            for got in (row, dist[i], dist[i - len(dist)]):
+                assert got.mean.tobytes() == ref.mean[i].tobytes()
+                assert got.var.tobytes() == ref.var[i].tobytes()
+                assert np.shares_memory(got.mean, dist.mean)
+                assert np.shares_memory(got.var, dist.var)
+                assert type(got.extrapolated) is bool
+                assert got.extrapolated == self.OUTSIDE[i]
+            # A row is not a sequence.
+            with pytest.raises(TypeError):
+                len(row)
+            with pytest.raises(TypeError):
+                row[0]
+            with pytest.raises(TypeError):
+                list(row)
+        with pytest.raises(IndexError):
+            dist[len(dist)]
+
+    def test_query_wraps_the_demonstration_posterior(self, door_policy):
+        self.check(query(door_policy, self.TIMES),
+                   door_policy.demonstration_posterior(self.TIMES))
+        [mid] = query(door_policy, [0.5])
+        assert mid.mean.shape == (6,) and mid.extrapolated is False
+
+    def test_adapt_wraps_the_fused_posterior(self, door_policy, rng):
+        via_t = np.array([0.25, 0.5, 0.75])
+        via_y = door_policy.demonstration_posterior(via_t).mean
+        via_y = via_y + rng.normal(0.0, 0.01, via_y.shape)
+        via_s = np.full((3, 6), 1e-4)
+        vias = [ViaPoint(t, y, s) for t, y, s in zip(via_t, via_y, via_s)]
+        # ViaPoint canonicalizes the rotation; fuse the rows it holds.
+        via_y = np.stack([v.pose for v in vias])
+        self.check(adapt_with_viapoints(door_policy, vias, self.TIMES),
+                   _fuse(door_policy, via_t, via_y, via_s, self.TIMES))
+        first, second = adapt_with_viapoints(door_policy, vias, [0.3, 0.7])
+        assert first.mean.shape == second.var.shape == (6,)
+
+
 class TestFuseMatchesLoop:
     """One pass over the six dimensions equals the per-dimension loop."""
 
