@@ -4,7 +4,8 @@ Every command takes one declarative JSON config (``--config``, optionally a
 run manifest) with ``--set section.field=value`` overrides, and drops a
 manifest next to its outputs recording the resolved config, input hashes
 and output hashes. Re-running a command with its manifest as the config
-reproduces the outputs byte for byte.
+reproduces the outputs byte for byte. ``main`` resolves the config and
+creates the output directory; each ``_cmd_*`` then does only its own work.
 """
 
 from __future__ import annotations
@@ -44,11 +45,23 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_manifest(args, command: str, config: RunConfig,
+def _write_manifest(args, config: RunConfig, out: Path,
                     inputs, outputs, **arguments) -> None:
-    path = _out_dir(args) / f"{command}.manifest.json"
-    io.write_manifest(path, command, config.to_dict(), inputs, outputs,
-                      arguments=arguments)
+    io.write_manifest(out / f"{args.command}.manifest.json", args.command,
+                      config.to_dict(), inputs, outputs, arguments=arguments)
+
+
+def _output(args, out: Path, name: str) -> Path:
+    """The ``--out`` path, or ``name`` in the output directory."""
+    return Path(args.out) if args.out else out / name
+
+
+def _save_demos(out: Path, prefix: str, demos) -> list:
+    """Write ``<prefix>_01.csv``, ``<prefix>_02.csv``, ... in demo order."""
+    paths = [out / f"{prefix}_{i:02d}.csv" for i in range(1, len(demos) + 1)]
+    for path, demo in zip(paths, demos):
+        io.save_demonstration(path, demo)
+    return paths
 
 
 def _numbers(text: str, flag: str) -> np.ndarray:
@@ -79,46 +92,29 @@ def _distribution_table(path, ts, post) -> None:
 # Commands
 # ---------------------------------------------------------------------------
 
-def _cmd_gen_data(args) -> None:
-    config = _resolve_config(args)
-    out = _out_dir(args)
+def _cmd_gen_data(args, config, out) -> None:
     demos = generate_synthetic_door_set(seed=config.seed,
                                         **asdict(config.data))
-    outputs = []
-    for i, demo in enumerate(demos, start=1):
-        path = out / f"{args.prefix}_{i:02d}.csv"
-        io.save_demonstration(path, demo)
-        outputs.append(path)
-    _write_manifest(args, "gen-data", config, [], outputs,
-                    prefix=args.prefix)
+    outputs = _save_demos(out, args.prefix, demos)
+    _write_manifest(args, config, out, [], outputs, prefix=args.prefix)
     print(f"wrote {len(outputs)} demonstrations to {out}")
 
 
-def _cmd_align(args) -> None:
-    config = _resolve_config(args)
-    out = _out_dir(args)
+def _cmd_align(args, config, out) -> None:
     demos = io.load_demonstrations(args.demos)
     aligned = align_demonstrations(demos, weights=distance_weights(config),
                                    measure=config.alignment.measure)
-    outputs = []
-    for i, demo in enumerate(aligned, start=1):
-        path = out / f"{args.prefix}_{i:02d}.csv"
-        io.save_demonstration(path, demo)
-        outputs.append(path)
-    _write_manifest(args, "align", config, args.demos, outputs,
-                    prefix=args.prefix)
+    outputs = _save_demos(out, args.prefix, aligned)
+    _write_manifest(args, config, out, args.demos, outputs, prefix=args.prefix)
     print(f"aligned {len(aligned)} demonstrations onto a common time grid")
 
 
-def _cmd_fit(args) -> None:
-    config = _resolve_config(args)
-    out = _out_dir(args)
+def _cmd_fit(args, config, out) -> None:
     demos = io.load_demonstrations(args.demos)
     policy = learn_policy(demos, learn_config(config))
     path = Path(args.policy) if args.policy else out / "policy.json"
     io.save_policy(path, policy)
-    _write_manifest(args, "fit", config, args.demos, [path],
-                    policy=str(path))
+    _write_manifest(args, config, out, args.demos, [path], policy=str(path))
     # Alignment skips flat demonstrations; each fitted one adds a grid.
     fitted = len(policy.dims[0].signal_gp.train) // policy.grid.size
     print(f"fitted policy on {fitted} demonstrations -> {path}")
@@ -128,34 +124,28 @@ def _cmd_fit(args) -> None:
               f"lml {dim.signal_gp.log_marginal_likelihood()!r}")
 
 
-def _cmd_query(args) -> None:
-    config = _resolve_config(args)
-    out = _out_dir(args)
+def _cmd_query(args, config, out) -> None:
     policy = io.load_policy(args.policy)
     ts = _query_times(args)
-    path = Path(args.out) if args.out else out / "query.csv"
+    path = _output(args, out, "query.csv")
     _distribution_table(path, ts, query(policy, ts))
-    _write_manifest(args, "query", config, [args.policy], [path],
+    _write_manifest(args, config, out, [args.policy], [path],
                     grid=args.grid, times=args.times)
     print(f"queried policy at {ts.size} times -> {path}")
 
 
-def _cmd_adapt(args) -> None:
-    config = _resolve_config(args)
-    out = _out_dir(args)
+def _cmd_adapt(args, config, out) -> None:
     policy = io.load_policy(args.policy)
     vias = io.load_viapoints(args.via)
     ts = _query_times(args)
-    path = Path(args.out) if args.out else out / "adapted.csv"
+    path = _output(args, out, "adapted.csv")
     _distribution_table(path, ts, adapt_with_viapoints(policy, vias, ts))
-    _write_manifest(args, "adapt", config, [args.policy, args.via],
-                    [path], grid=args.grid, times=args.times)
+    _write_manifest(args, config, out, [args.policy, args.via], [path],
+                    grid=args.grid, times=args.times)
     print(f"adapted policy with {len(vias)} via-points -> {path}")
 
 
-def _cmd_simulate(args) -> None:
-    config = _resolve_config(args)
-    out = _out_dir(args)
+def _cmd_simulate(args, config, out) -> None:
     sim, ctrl = config.simulation, config.controller
     # A policy wins over --sigma; simulate refuses a run with neither.
     setpoint = io.load_policy(args.policy) if args.policy else None
@@ -166,9 +156,9 @@ def _cmd_simulate(args) -> None:
     trace = simulate(setpoint, force, ctrl, dt=sim.dt, horizon=sim.horizon,
                      sigma=sigma, shared_sigma=sim.shared_sigma,
                      integrator=sim.integrator)
-    path = Path(args.out) if args.out else out / "trace.csv"
+    path = _output(args, out, "trace.csv")
     io.save_trace(path, trace)
-    _write_manifest(args, "simulate", config, inputs, [path],
+    _write_manifest(args, config, out, inputs, [path],
                     sigma=args.sigma, force=args.force)
     report = check_stability(ctrl, trace.max_sigma_rate())
     state = "ok" if report.satisfied else "violated"
@@ -177,13 +167,11 @@ def _cmd_simulate(args) -> None:
           f"bound = {report.sigma_rate_bound:.6g} ({state})")
 
 
-def _cmd_eval(args) -> None:
-    config = _resolve_config(args)
-    out = _out_dir(args)
+def _cmd_eval(args, config, out) -> None:
     policy = io.load_policy(args.policy)
     truth = io.load_demonstration(args.truth)
     report = streaming_evaluation(policy, truth, via_strength(config))
-    path = Path(args.out) if args.out else out / "eval.csv"
+    path = _output(args, out, "eval.csv")
     header = (["adaptive"] + [f"mse_{n}" for n in DIM_NAMES] + ["mse_mean"]
               + [f"within_2sd_{n}" for n in DIM_NAMES]
               + [f"median_z_{n}" for n in DIM_NAMES])
@@ -192,8 +180,7 @@ def _cmd_eval(args) -> None:
             [1.0, *report.adaptive_mse, float(np.mean(report.adaptive_mse)),
              *report.adaptive_within_2sd, *report.adaptive_median_z]]
     io.write_table(path, header, rows)
-    _write_manifest(args, "eval", config, [args.policy, args.truth],
-                    [path])
+    _write_manifest(args, config, out, [args.policy, args.truth], [path])
     print(f"streaming evaluation -> {path}")
     for name, static, adaptive in zip(DIM_NAMES, report.static_mse,
                                       report.adaptive_mse):
@@ -204,12 +191,17 @@ def _cmd_eval(args) -> None:
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub) -> None:
+def _add_command(subs, name: str, func, text: str):
+    """The subcommand ``name``, running ``func``, with the options every
+    command takes."""
+    sub = subs.add_parser(name, help=text)
+    sub.set_defaults(func=func)
     sub.add_argument("--config", help="JSON config file or run manifest")
     sub.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                      help="override a config field, e.g. data.noise=0.01")
     sub.add_argument("--out-dir", default=".",
                      help="directory for outputs and the run manifest")
+    return sub
 
 
 def _add_times(sub) -> None:
@@ -226,59 +218,49 @@ def build_parser() -> argparse.ArgumentParser:
                     "pose policies with variable-stiffness execution.")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("gen-data", help="generate synthetic door pulls")
-    _add_common(sub)
+    sub = _add_command(subs, "gen-data", _cmd_gen_data,
+                       "generate synthetic door pulls")
     sub.add_argument("--prefix", default="demo", help="output file prefix")
-    sub.set_defaults(func=_cmd_gen_data)
 
-    sub = subs.add_parser("align", help="time-align demonstration files")
-    _add_common(sub)
+    sub = _add_command(subs, "align", _cmd_align,
+                       "time-align demonstration files")
     sub.add_argument("demos", nargs="+", help="demonstration CSV files")
     sub.add_argument("--prefix", default="aligned", help="output file prefix")
-    sub.set_defaults(func=_cmd_align)
 
-    sub = subs.add_parser("fit", help="learn a policy from demonstrations")
-    _add_common(sub)
+    sub = _add_command(subs, "fit", _cmd_fit,
+                       "learn a policy from demonstrations")
     sub.add_argument("demos", nargs="+", help="demonstration CSV files")
     sub.add_argument("--policy", help="output policy path (policy.json)")
-    sub.set_defaults(func=_cmd_fit)
 
-    sub = subs.add_parser("query", help="evaluate the policy posterior")
-    _add_common(sub)
+    sub = _add_command(subs, "query", _cmd_query,
+                       "evaluate the policy posterior")
     sub.add_argument("--policy", required=True, help="fitted policy file")
     sub.add_argument("--out", help="output table path")
     _add_times(sub)
-    sub.set_defaults(func=_cmd_query)
 
-    sub = subs.add_parser("adapt", help="fuse the policy with via-points")
-    _add_common(sub)
+    sub = _add_command(subs, "adapt", _cmd_adapt,
+                       "fuse the policy with via-points")
     sub.add_argument("--policy", required=True, help="fitted policy file")
     sub.add_argument("--via", required=True, help="via-point CSV file")
     sub.add_argument("--out", help="output table path")
     _add_times(sub)
-    sub.set_defaults(func=_cmd_adapt)
 
-    sub = subs.add_parser("simulate",
-                          help="run the variable-stiffness error dynamics")
-    _add_common(sub)
+    sub = _add_command(subs, "simulate", _cmd_simulate,
+                       "run the variable-stiffness error dynamics")
     sub.add_argument("--policy", help="drive stiffness from this policy")
     sub.add_argument("--sigma", type=float,
                      help="constant uncertainty instead of a policy")
     sub.add_argument("--force", help="constant external force, 6 comma-"
                                      "separated values")
     sub.add_argument("--out", help="output trace path")
-    sub.set_defaults(func=_cmd_simulate)
 
-    sub = subs.add_parser("eval",
-                          help="streaming via-point evaluation on a "
-                               "measured trajectory")
-    _add_common(sub)
+    sub = _add_command(subs, "eval", _cmd_eval, "streaming via-point "
+                       "evaluation on a measured trajectory")
     sub.add_argument("--policy", required=True, help="fitted policy file")
     sub.add_argument("--truth", required=True,
                      help="measured trajectory CSV used as the observation "
                           "stream and ground truth")
     sub.add_argument("--out", help="output table path")
-    sub.set_defaults(func=_cmd_eval)
 
     return parser
 
@@ -286,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        # Resolved first: a bad config exits before the directory exists.
+        args.func(args, _resolve_config(args), _out_dir(args))
     # OSError covers missing or unreadable files: user input, not an
     # internal fault.
     except (ToolkitError, OSError) as exc:

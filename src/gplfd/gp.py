@@ -47,6 +47,7 @@ reading of the data (Rasmussen & Williams 2006, Fig. 5.5).
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
 import warnings
@@ -158,17 +159,23 @@ def _max_lag(ta, tb) -> float:
     their lag matrix."""
     if ta.size == 0 or tb.size == 0:
         return 0.0
-    return max(float(ta.max() - tb.min()), float(tb.max() - ta.min()))
+    # Python floats: a difference past the largest float is inf, unwarned.
+    return max(float(ta.max()) - float(tb.min()),
+               float(tb.max()) - float(ta.min()))
 
 
 def _lag_kernel(lag, max_lag, params: KernelParams) -> np.ndarray:
     """The RBF kernel at the lags ``lag``, whose largest magnitude is
-    ``max_lag``."""
-    d = lag / params.length_scale
-    d_max = max_lag / params.length_scale
-    arg = -0.5 * d
-    arg *= d
-    return _cut_exp(arg, -0.5 * d_max * d_max, params)
+    ``max_lag``. Lags too far to square overflow to -inf exponents, which
+    the cut maps to exact zeros; numpy's warning is silenced only then, as
+    np.errstate costs more than a small kernel."""
+    d_max = max_lag / float(params.length_scale)
+    with (np.errstate(over="ignore") if d_max > 1e150
+          else contextlib.nullcontext()):
+        d = lag / params.length_scale
+        arg = -0.5 * d
+        arg *= d
+        return _cut_exp(arg, -0.5 * d_max * d_max, params)
 
 
 def _cut_exp(arg, lowest, params: KernelParams) -> np.ndarray:
@@ -545,14 +552,16 @@ class OptConfig:
     Bounds left as None are derived from the data: length scale within
     [gap, 10 * range(t)], where gap is the smallest distance between two
     distinct inputs but at least 1e-3, signal std within [1e-3, 10] *
-    std(y), noise std within [1e-6, 3] * std(y). Bounds are (low, high) in
-    the natural scale, finite with 0 < low < high; derived bounds always
-    satisfy this.
+    std(y), noise std within [1e-6, 3] * std(y); ``fit_heteroscedastic``
+    derives its knots' own box unless ``noise_std_bounds`` is set. Bounds
+    are (low, high) in the natural scale, finite with 0 < low < high;
+    derived bounds always satisfy this.
 
     ``n_starts`` is the most random starts a search draws; one called with
     ``stop_when_confirmed`` may stop after fewer, as
     ``optimize_hyperparameters`` describes. ``max_iter`` caps the
-    iterations of each L-BFGS-B run.
+    iterations of each of its L-BFGS-B runs; in ``fit_heteroscedastic`` that
+    is stage 1 only, and NOISE_ITER_PER_PARAM caps the knot run.
     """
 
     n_starts: int = 8
@@ -777,10 +786,11 @@ def fit_heteroscedastic(train: TrainingSet,
     NOISE_SMOOTHING / 2 * sum((c_{j+1} - c_j)^2), a random-walk prior that
     damps knot-to-knot swings at the edges of a noisy stretch. The K =
     min(NOISE_KNOTS, m) knots are uniform over the m distinct inputs; each
-    c_j lies within [log floor, max(log (3 sd)^2, log 10 floor)], floor =
-    max(1e-10 var(y), 1e-12). The run logs one DEBUG record on this
-    module's logger: its evaluations, iterations and message, the knots on
-    each bound and whether the length scale ends on its floor.
+    c_j lies within 2 log ``config.noise_std_bounds`` when set, else within
+    [log floor, max(log (3 sd)^2, log 10 floor)], floor = max(1e-10 var(y),
+    1e-12). The run logs one DEBUG record on this module's logger: its
+    evaluations, iterations and message, the knots on each bound and
+    whether the length scale ends on its floor.
     """
     if len(train) < HETERO_MIN_POINTS:
         raise InsufficientDataError(
@@ -792,8 +802,10 @@ def fit_heteroscedastic(train: TrainingSet,
     red = _Reduced(train)
     knots = np.linspace(red.u[0], red.u[-1], min(NOISE_KNOTS, red.u.size))
     floor = max(1e-10 * float(np.var(train.y)), 1e-12)
-    noise_bounds = (math.log(floor), max(2.0 * math.log(3.0 * _target_sd(red)),
-                                         math.log(10.0 * floor)))
+    noise_bounds = (tuple(2.0 * math.log(b) for b in config.noise_std_bounds)
+                    if config.noise_std_bounds else
+                    (math.log(floor), max(2.0 * math.log(3.0 * _target_sd(red)),
+                                          math.log(10.0 * floor))))
     log_bounds = _kernel_log_bounds(red, config) + [noise_bounds] * knots.size
     hats = _hats(red.u, knots)
 

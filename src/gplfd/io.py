@@ -252,8 +252,11 @@ def _fields(payload, keys, where) -> dict:
     return payload
 
 
-def _dim_restore(entry, where) -> HeteroGPModel:
-    entry = _fields(entry, ("signal", "noise"), where)
+def _dim_restore(entry, name, path) -> HeteroGPModel:
+    where = f"{path}: dims.{name}"
+    entry = _fields(entry, ("name", "signal", "noise"), where)
+    if entry["name"] != name:
+        raise FormatError(f"{where}.name must be {name!r}")
     signal = _fields(entry["signal"], ("t", "y", "length_scale", "signal_std"),
                      f"{where}.signal")
     noise = _fields(entry["noise"], ("knots", "log_variance"), f"{where}.noise")
@@ -299,7 +302,7 @@ def load_policy(path) -> TaskPolicy:
     entries = payload["dims"]
     if not isinstance(entries, list) or len(entries) != len(DIM_NAMES):
         raise FormatError(f"{path}: dims must list {len(DIM_NAMES)} models")
-    dims = [_dim_restore(entry, f"{path}: dims.{name}")
+    dims = [_dim_restore(entry, name, path)
             for name, entry in zip(DIM_NAMES, entries)]
     return TaskPolicy(dims=tuple(dims),
                       grid=_numbers(payload["grid"], f"{path}: grid"))

@@ -131,14 +131,14 @@ class TestKernelCut:
         train = TrainingSet([0.0, 0.1], [1.0, 3.0])
         p = KernelParams(length_scale=0.05, signal_std=1.5)
         far = 1.001 * math.sqrt(2.0 * gp.KERNEL_CUT) * p.length_scale
-        ts = [0.1 + far, -far]
+        ts = [0.1 + far, -far, 1e200]
         pred = fit_gp(train, p, noise=1e-4).predict(ts)
-        assert np.array_equal(pred.mean, [2.0, 2.0])
-        assert np.array_equal(pred.var, [2.25, 2.25])
+        assert np.array_equal(pred.mean, [2.0, 2.0, 2.0])
+        assert np.array_equal(pred.var, [2.25, 2.25, 2.25])
         cols = gp.predict_columns(train.t, np.c_[train.y, -train.y],
                                   np.full((2, 2), 1e-4), [p, p], ts)
-        assert np.array_equal(cols.mean, [[2.0, -2.0]] * 2)
-        assert np.array_equal(cols.var, [[2.25, 2.25]] * 2)
+        assert np.array_equal(cols.mean, [[2.0, -2.0]] * 3)
+        assert np.array_equal(cols.var, [[2.25, 2.25]] * 3)
 
 
 class TestFitPredict:
@@ -178,6 +178,13 @@ class TestFitPredict:
             fit_gp(train, params, noise=0.0)
         # The same inputs are fine once observation noise separates them.
         fit_gp(train, params, noise=1e-3)
+
+    @pytest.mark.parametrize("noise", [-1.0, math.nan, math.inf])
+    def test_bad_scalar_noise_refused(self, noise):
+        train = TrainingSet([0.0, 1.0], [0.0, 1.0])
+        params = KernelParams(length_scale=0.3, signal_std=1.0)
+        with pytest.raises(InvalidInputError):
+            fit_gp(train, params, noise=noise)
 
     def test_noise_vector_length_checked(self):
         train = TrainingSet([0.0, 1.0], [0.0, 1.0])
@@ -1079,6 +1086,17 @@ class TestHeteroscedastic:
                 if r.getMessage().startswith("noise search")]
         assert len(runs) == 6
         assert not [m for m in runs if "LIMIT" in m]
+
+    def test_noise_std_bounds_bound_every_knot(self):
+        """A set ``noise_std_bounds`` bounds the knot run too, not only
+        stage 1's scalar noise: every knot's log variance lies within twice
+        the log of the bounds."""
+        low, high = 1e-3, 2e-3
+        config = LearnConfig(opt=OptConfig(noise_std_bounds=(low, high)))
+        learned = learn_policy(generate_synthetic_door_set(seed=0), config)
+        for dim in learned.dims:
+            assert np.all(dim.log_variance >= 2.0 * math.log(low))
+            assert np.all(dim.log_variance <= 2.0 * math.log(high))
 
     def test_knot_prior_enters_the_objective(self, rng, monkeypatch):
         """The knot run's objective is the profile LML less

@@ -617,7 +617,7 @@ POLICY_VALUES = [math.nan, math.inf, OVERFLOW, -1.0, 0.0, 1e-200, 1e-9, 1e308,
                  10 ** 400, True, None, "x", [], ["a"], [0.5], {}]
 # A key inside the file, by the object that holds it.
 POLICY_KEYS = ([("file", k) for k in ("format", "grid", "dims")]
-               + [("dim", k) for k in ("signal", "noise")]
+               + [("dim", k) for k in ("name", "signal", "noise")]
                + [("gp", k) for k in ("t", "y", "length_scale", "signal_std",
                                       "knots", "log_variance")])
 POLICY_MUTATIONS = st.tuples(
@@ -691,6 +691,8 @@ class TestMutatedPolicies:
 
     @settings(PROPERTY, max_examples=150)
     @given(POLICY_MUTATIONS)
+    # An integer too large for a float.
+    @example(("item", ("gp", "y"), 0, "signal", 10 ** 400))
     def test_load_or_refuse(self, mutation):
         self.load_and_query(mutation)
 

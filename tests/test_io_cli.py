@@ -215,6 +215,7 @@ class TestPolicyFiles:
 
     @pytest.mark.parametrize("probe", ["no dims", "t not numbers",
                                        "t holds a string", "no length_scale",
+                                       "names swapped", "no name",
                                        "not utf-8"])
     def test_malformed_policy_fails_cleanly(self, tmp_path, capsys,
                                             door_policy, probe):
@@ -229,6 +230,11 @@ class TestPolicyFiles:
             payload["dims"][0]["signal"]["t"][0] = "abc"
         elif probe == "no length_scale":
             del payload["dims"][0]["signal"]["length_scale"]
+        elif probe == "names swapped":
+            dims = payload["dims"]
+            dims[0], dims[1] = dims[1], dims[0]
+        elif probe == "no name":
+            del payload["dims"][2]["name"]
         path.write_text(json.dumps(payload))
         if probe == "not utf-8":
             path.write_bytes(b"\xff\xfe\x00{")
