@@ -186,8 +186,7 @@ def distance_weights(config: RunConfig) -> DistanceWeights:
 
 def learn_config(config: RunConfig) -> LearnConfig:
     p = config.policy
-    opt = OptConfig(n_starts=p.opt_starts, seed=config.seed,
-                    max_iter=p.opt_max_iter,
+    opt = OptConfig(n_starts=p.opt_starts, max_iter=p.opt_max_iter,
                     length_scale_bounds=p.length_scale_bounds,
                     signal_std_bounds=p.signal_std_bounds,
                     noise_std_bounds=p.noise_std_bounds)

@@ -39,10 +39,11 @@ of magnitude below the resolution of the diagonal, so no solve changes at
 double precision. A query farther than sqrt(2 KERNEL_CUT) length scales from
 every input gets exactly the prior: the data mean and signal_std^2.
 
-The homoscedastic search stops early when asked (``stop_when_confirmed``):
-once three random starts have ended at the best candidate so far. Most
-starts on a signal GP end at one optimum, the rest in a lower "noise"
-reading of the data (Rasmussen & Williams 2006, Fig. 5.5).
+The homoscedastic search is deterministic: it polishes the local maxima of
+a fixed log grid over its box with L-BFGS-B. With a searched noise the
+signal variance is profiled out (the "concentrated likelihood" of Jones,
+Schonlau & Welch, J. Global Optim. 1998), so one eigendecomposition per
+length scale scores a whole axis of noise ratios in closed form.
 """
 
 from __future__ import annotations
@@ -84,12 +85,11 @@ MAX_OPT_ITER = 10_000
 NOISE_KNOTS = 32
 NOISE_ITER_PER_PARAM = 10
 NOISE_SMOOTHING = 0.1
-# The stop_when_confirmed rule of optimize_hyperparameters: the random starts
-# that must confirm the best candidate, and how close to it each must end, in
-# every log hyperparameter and in relative LML.
-CONFIRMATIONS = 3
-CONFIRM_THETA_TOL = 1e-3
-CONFIRM_LML_RTOL = 1e-6
+# The search's scan: log-spaced length scales, each with log-spaced noise
+# ratios (a searched noise) or as many signal stds (a fixed noise). One m x m
+# eigendecomposition per length scale dominates a scan's cost.
+SCAN_LENGTHS = 16
+SCAN_RATIOS = 128
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -547,25 +547,23 @@ def lml_gradient(model: GPModel) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OptConfig:
-    """Multi-start L-BFGS-B search over log hyperparameters.
+    """Scan-and-polish L-BFGS-B search over log hyperparameters.
 
     Bounds left as None are derived from the data: length scale within
     [gap, 10 * range(t)], where gap is the smallest distance between two
     distinct inputs but at least 1e-3, signal std within [1e-3, 10] *
     std(y), noise std within [1e-6, 3] * std(y); ``fit_heteroscedastic``
     derives its knots' own box unless ``noise_std_bounds`` is set. Bounds
-    are (low, high) in the natural scale, finite with 0 < low < high;
-    derived bounds always satisfy this.
+    are (low, high), 0 < low < high, with squares that neither overflow nor
+    vanish; derived bounds always satisfy this.
 
-    ``n_starts`` is the most random starts a search draws; one called with
-    ``stop_when_confirmed`` may stop after fewer, as
-    ``optimize_hyperparameters`` describes. ``max_iter`` caps the
-    iterations of each of its L-BFGS-B runs; in ``fit_heteroscedastic`` that
-    is stage 1 only, and NOISE_ITER_PER_PARAM caps the knot run.
+    ``n_starts`` caps the local maxima of the scan a search polishes and
+    ``max_iter`` the iterations of each polishing run; in
+    ``fit_heteroscedastic`` both act on stage 1 only, and
+    NOISE_ITER_PER_PARAM caps the knot run.
     """
 
     n_starts: int = 8
-    seed: int = 0
     max_iter: int = 60
     length_scale_bounds: tuple[float, float] | None = None
     signal_std_bounds: tuple[float, float] | None = None
@@ -579,10 +577,14 @@ class OptConfig:
                 f"iterations in [1, {MAX_OPT_ITER}]")
         for bounds in (self.length_scale_bounds, self.signal_std_bounds,
                        self.noise_std_bounds):
+            # The search squares both ends, as KernelParams does.
             if bounds is not None and not (
-                    len(bounds) == 2 and 0.0 < bounds[0] < bounds[1] < math.inf):
-                raise InvalidInputError(f"search bounds {bounds} are not "
-                                        "(low, high) with 0 < low < high < inf")
+                    len(bounds) == 2 and 0.0 < bounds[0] < bounds[1]
+                    and 0.0 < bounds[0] * bounds[0] < bounds[1] * bounds[1]
+                    < math.inf):
+                raise InvalidInputError(
+                    f"search bounds {bounds} are not (low, high) with 0 < "
+                    "low < high and squares that neither vanish nor overflow")
 
 
 def _kernel_log_bounds(red: _Reduced, config: OptConfig):
@@ -601,29 +603,19 @@ def _target_sd(red: _Reduced) -> float:
 
 
 def optimize_hyperparameters(train: TrainingSet, noise=None,
-                             config: OptConfig = OptConfig(), *,
-                             stop_when_confirmed: bool = False) -> GPModel:
+                             config: OptConfig = OptConfig()) -> GPModel:
     """The GP fitted at the kernel hyperparameters of largest LML found.
 
     ``noise`` fixes the observation noise (scalar or per-point variance
     vector) during the search; pass None to co-optimize a scalar noise
-    variance alongside the kernel parameters. Starts are drawn log-uniformly
-    inside the box bounds and refined with L-BFGS-B on the analytic gradient.
-    The result is fit_gp at the best final candidate, so its log marginal
-    likelihood is that start's objective and never worse than any start
-    point's; the first of equal candidates wins.
-
-    ``stop_when_confirmed`` draws no more random starts once CONFIRMATIONS
-    (three) starts have ended at the best candidate found so far: within
-    CONFIRM_THETA_TOL in every log hyperparameter and within
-    CONFIRM_LML_RTOL relative in LML. The starts that run are the first of
-    those drawn without it. A failed run neither counts nor resets the
-    count. A best candidate with its length scale on the lower bound (the
-    data read as white noise, where starts pile up whatever the likelihood's
-    maximum) is never confirmed. Off by default: every start runs. Each
-    search logs one DEBUG record on this module's logger: the random starts
-    run out of ``n_starts``, the failed runs, whether it stopped on a
-    confirmation, and the best LML.
+    variance alongside the kernel parameters. A fixed log grid of the box
+    is scored (``_scan_ratios``, or ``_scan_signals`` for a fixed noise);
+    its local maxima, best first and at most ``config.n_starts``, are each
+    polished by one L-BFGS-B run on the analytic gradient. The result is
+    fit_gp at the best run's end (the first of equal ones), so its LML is
+    that run's objective. Each search logs one DEBUG record on this
+    module's logger: the cells scanned, the maxima found and polished, the
+    failed runs, the best LML and the hyperparameters that end on a bound.
     """
     if len(train) < 2:
         raise InsufficientDataError("hyperparameter search needs at least 2 points")
@@ -645,33 +637,105 @@ def optimize_hyperparameters(train: TrainingSet, noise=None,
             return np.inf, np.zeros(len(theta))
         return -lml, -grad
 
-    found = []  # (LML, theta) per run in run order, None where it failed
-    confirmed = False
-    rng = np.random.default_rng(config.seed)
-    for _ in range(config.n_starts):
-        theta0 = np.array([rng.uniform(lo, hi) for lo, hi in log_bounds])
-        res = _lbfgs(objective, theta0, log_bounds, config.max_iter)
-        found.append(None if res is None else (-res.fun, res.x))
-        if stop_when_confirmed and res is not None:
-            confirmed = (_confirmations(found, log_bounds[0][0])
-                         >= CONFIRMATIONS)
-            if confirmed:
-                break
-    converged = [f for f in found if f is not None]
-    best = _best(converged)
-    logger.debug("search over %d points: %d of %d random starts run, "
-                 "%d failed, stopped on confirmation: %s, best LML %r",
-                 len(train), len(found), config.n_starts,
-                 len(found) - len(converged), confirmed,
-                 None if best is None else best[0])
+    cells, lml = (_scan_ratios if optimize_noise else _scan_signals)(
+        red, log_bounds)
+    peaks = _peaks(cells, lml)
+    runs = [_lbfgs(objective, theta0, log_bounds, config.max_iter)
+            for theta0 in peaks[:config.n_starts]]
+    found = [res for res in runs if res is not None]
+    best = min(found, key=lambda res: res.fun, default=None)
+    on_bound = [name for name, x, (lo, hi) in zip(
+        ("length_scale", "signal_std", "noise_std"),
+        [] if best is None else best.x, log_bounds) if x <= lo or x >= hi]
+    logger.debug("search over %d points: %d cells scanned, %d maxima found, "
+                 "%d polished, %d failed, best LML %r, on a bound: %s",
+                 len(train), lml.size, len(peaks), len(runs),
+                 len(runs) - len(found), None if best is None else -best.fun,
+                 ", ".join(on_bound) or "none")
     if best is None:
         raise OptimizationFailureError(
             "no start point of the hyperparameter search converged")
-    best_theta = best[1]
-
-    params = KernelParams(math.exp(best_theta[0]), math.exp(best_theta[1]))
-    out_noise = (math.exp(2.0 * best_theta[2]) if optimize_noise else noise)
+    params = KernelParams(math.exp(best.x[0]), math.exp(best.x[1]))
+    out_noise = math.exp(2.0 * best.x[2]) if optimize_noise else noise
     return fit_gp(train, params, noise=out_noise)
+
+
+def _scan_ratios(red: _Reduced, log_bounds):
+    """Cells (log length_scale, log signal_std, log noise_std) of an
+    (SCAN_LENGTHS, SCAN_RATIOS) log grid, and the LML of each.
+
+    With v = signal_std^2 and lam = noise_std^2 / v + JITTER_FRAC, the
+    reduced system is v N^-1/2 (A + lam I) N^-1/2 for the group sizes N and
+    A = N^1/2 C N^1/2 = U diag(e) U^T, C the unit-signal Gram matrix. So the
+    LML is -0.5 (F / v + n log v + sum log(e + lam) + (n - m) log lam +
+    n log 2 pi), F = sum (U^T N^1/2 ybar)^2 / (e + lam) + S / lam with S the
+    scatter about the group means, and v = F / n maximizes it. A cell clips
+    that v into its box, then its noise std into its own, and scores there.
+    """
+    n, m = red.resid.size, red.u.size
+    sizes = np.bincount(red.index, minlength=m)
+    ybar = np.bincount(red.index, red.resid, m) / sizes
+    d = red.resid - ybar[red.index]
+    scatter, root = float(d @ d), np.sqrt(sizes)
+    (l_lo, l_hi), (s_lo, s_hi), (n_lo, n_hi) = log_bounds
+    log_ratio = np.linspace(2.0 * (n_lo - s_hi), 2.0 * (n_hi - s_lo),
+                            SCAN_RATIOS)[:, None]
+    cells, lml = [], []
+    # A ratio past the float range scores -inf or NaN: never a maximum.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for log_l in np.linspace(l_lo, l_hi, SCAN_LENGTHS):
+            unit = red.gram(KernelParams(math.exp(log_l), 1.0))
+            e, U = np.linalg.eigh(root[:, None] * unit * root)
+            e = np.maximum(e, 0.0)  # A is positive semidefinite
+            z2 = (U.T @ (root * ybar)) ** 2
+
+            def fit_term(lam):  # F, per ratio
+                return (z2 / (e + lam)).sum(axis=1, keepdims=True) + scatter / lam
+
+            lam = np.exp(log_ratio) + JITTER_FRAC
+            log_sf = np.clip(0.5 * np.log(fit_term(lam) / n), s_lo, s_hi)
+            log_sn = np.clip(0.5 * log_ratio + log_sf, n_lo, n_hi)
+            lam = np.exp(2.0 * (log_sn - log_sf)) + JITTER_FRAC
+            lml.append(-0.5 * (fit_term(lam) * np.exp(-2.0 * log_sf)
+                               + 2.0 * n * log_sf + (n - m) * np.log(lam)
+                               + np.log(e + lam).sum(axis=1, keepdims=True)
+                               + n * LOG_2PI)[:, 0])
+            cells.append(np.column_stack([np.full(SCAN_RATIOS, log_l),
+                                          log_sf, log_sn]))
+    return np.array(cells), np.array(lml)
+
+
+def _scan_signals(red: _Reduced, log_bounds):
+    """Cells (log length_scale, log signal_std) of an SCAN_LENGTHS^2 log
+    grid, and the LML of each by ``_solve``, -inf where it fails."""
+    cells = np.stack(np.meshgrid(*(np.linspace(lo, hi, SCAN_LENGTHS)
+                                   for lo, hi in log_bounds), indexing="ij"),
+                     axis=-1)
+
+    def lml(theta):
+        params = KernelParams(math.exp(theta[0]), math.exp(theta[1]))
+        with contextlib.suppress(NumericalConditioningError):
+            return _solve(red, params, red.gram(params)).lml
+        return -np.inf
+
+    return cells, np.apply_along_axis(lml, -1, cells)
+
+
+def _peaks(cells, lml):
+    """The scan's local maxima, best first: the cells no lower than any of
+    their up to eight grid neighbours. Of equal neighbours only the first in
+    grid order counts, so a plateau (clipping maps several grid points to
+    one cell) gives one maximum."""
+    lml = np.where(np.isnan(lml), -np.inf, lml)
+    rows, cols = lml.shape
+    pad = np.pad(lml, 1, constant_values=-np.inf)
+    top = np.isfinite(lml)
+    for i, j in np.ndindex(3, 3):
+        near = pad[i:i + rows, j:j + cols]
+        top &= lml > near if (i, j) < (1, 1) else lml >= near
+    order = np.flatnonzero(top)
+    order = order[np.argsort(-lml.flat[order], kind="stable")]
+    return cells.reshape(lml.size, -1)[order]
 
 
 def _lbfgs(objective, theta0, log_bounds, max_iter):
@@ -682,25 +746,6 @@ def _lbfgs(objective, theta0, log_bounds, max_iter):
     except (LinAlgError, ValueError):
         return None
     return res if np.isfinite(res.fun) else None
-
-
-def _best(candidates):
-    """The (LML, theta) of largest LML, the first of equal ones; None if none."""
-    return max(candidates, key=lambda f: f[0], default=None)
-
-
-def _confirmations(found, log_length_floor):
-    """How many runs in ``found`` ended at the best candidate.
-
-    None count when the best candidate's log length scale is within
-    CONFIRM_THETA_TOL of ``log_length_floor``.
-    """
-    lml, theta = _best([f for f in found if f is not None])
-    if theta[0] - log_length_floor <= CONFIRM_THETA_TOL:
-        return 0
-    return sum(f is not None and abs(f[0] - lml) <= CONFIRM_LML_RTOL * abs(lml)
-               and bool(np.all(np.abs(f[1] - theta) <= CONFIRM_THETA_TOL))
-               for f in found)
 
 
 # ---------------------------------------------------------------------------
@@ -777,8 +822,8 @@ def fit_heteroscedastic(train: TrainingSet,
                         config: OptConfig = OptConfig()) -> HeteroGPModel:
     """Fit a GP whose observation noise varies over the input domain.
 
-    Stage 1 is the homoscedastic search (``config``, stopping once
-    confirmed). From its optimum, with every knot at its noise variance,
+    Stage 1 is the homoscedastic search (``config``, a scan and its
+    polish). From its optimum, with every knot at its noise variance,
     one L-BFGS-B run of at most NOISE_ITER_PER_PARAM iterations per
     parameter searches (log length_scale, log signal_std, c_1..c_K) in
     stage 1's kernel bounds. It maximizes the exact LML, with r(t) =
@@ -797,8 +842,7 @@ def fit_heteroscedastic(train: TrainingSet,
             f"heteroscedastic fit needs at least {HETERO_MIN_POINTS} points, "
             f"got {len(train)}")
     # The search refuses targets that overflow before their variance does.
-    stage1 = optimize_hyperparameters(train, None, config,
-                                      stop_when_confirmed=True)
+    stage1 = optimize_hyperparameters(train, None, config)
     red = _Reduced(train)
     knots = np.linspace(red.u[0], red.u[-1], min(NOISE_KNOTS, red.u.size))
     floor = max(1e-10 * float(np.var(train.y)), 1e-12)

@@ -4,9 +4,9 @@ Everything here except the loop references deliberately avoids the
 library's code paths: kernels are rebuilt from the formula, solves use
 explicit inverses (or, for the extended-precision posterior, a hand-written
 Cholesky), and the DTW cost is found by enumerating every admissible path.
-The loop references (`loop_dtw`, `loop_fuse`, `random_hetero`) are the plain
-implementations that faster library code replaced, kept to pin it bit for
-bit or to bound it from below.
+The loop references (`loop_dtw`, `loop_fuse`, `random_hetero` with its
+`random_search`) are the plain implementations that faster or simpler
+library code replaced, kept to pin it bit for bit or to bound it from below.
 """
 
 import math
@@ -14,10 +14,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from gplfd.errors import InconsistentConstraintError, InsufficientDataError
+from gplfd.errors import (InconsistentConstraintError, InsufficientDataError,
+                          NumericalConditioningError, OptimizationFailureError)
 from gplfd.gp import (HETERO_MIN_POINTS, GPModel, KernelParams, OptConfig,
-                      PosteriorPrediction, TrainingSet, _group, fit_gp,
-                      gaussian_product, optimize_hyperparameters)
+                      PosteriorPrediction, TrainingSet, _group,
+                      _kernel_log_bounds, _lbfgs, _lml_and_grad, _Reduced,
+                      _target_sd, fit_gp, gaussian_product)
 from gplfd.policy import _HARD_STRENGTH, _SAME_TIME_TOL
 
 
@@ -227,18 +229,57 @@ def _old_bounds(train, config):
     return replace(config, length_scale_bounds=(1e-3, 10.0 * scale_t))
 
 
+def random_search(train: TrainingSet, noise, config: OptConfig,
+                  seed: int) -> GPModel:
+    """The hyperparameter search before the scan: every one of
+    ``config.n_starts`` L-BFGS-B runs starts at a point drawn log-uniformly
+    in the box from ``np.random.default_rng(seed)``, and the best final
+    candidate wins, the first of equal ones."""
+    optimize_noise = noise is None
+    red = _Reduced(train, noise)
+    log_bounds = _kernel_log_bounds(red, config)
+    if optimize_noise:
+        sd = _target_sd(red)
+        nb = config.noise_std_bounds or (1e-6 * sd, 3.0 * sd)
+        log_bounds.append((math.log(nb[0]), math.log(nb[1])))
+
+    def objective(theta):
+        params = KernelParams(math.exp(theta[0]), math.exp(theta[1]))
+        noise_var = math.exp(2.0 * theta[2]) if optimize_noise else None
+        try:
+            lml, grad = _lml_and_grad(red, params, noise_var)
+        except NumericalConditioningError:
+            return np.inf, np.zeros(len(theta))
+        return -lml, -grad
+
+    found = []
+    rng = np.random.default_rng(seed)
+    for _ in range(config.n_starts):
+        theta0 = np.array([rng.uniform(lo, hi) for lo, hi in log_bounds])
+        res = _lbfgs(objective, theta0, log_bounds, config.max_iter)
+        if res is not None:
+            found.append((-res.fun, res.x))
+    best = max(found, key=lambda f: f[0], default=None)
+    if best is None:
+        raise OptimizationFailureError("no random start converged")
+    params = KernelParams(math.exp(best[1][0]), math.exp(best[1][1]))
+    return fit_gp(train, params, noise=(math.exp(2.0 * best[1][2])
+                                        if optimize_noise else noise))
+
+
 def random_hetero(train: TrainingSet, config: OptConfig = OptConfig(),
-                  iterations: int = 3, window: int = 5) -> KerstingModel:
+                  seed: int = 0, iterations: int = 3,
+                  window: int = 5) -> KerstingModel:
     """Kersting et al.'s heteroscedastic loop with random-start searches.
 
     The noise model `gplfd.gp.fit_heteroscedastic` had before its log noise
     became knots searched under the signal GP's own likelihood: each round
     smooths the squared residuals per distinct input, regresses their log
-    with a second GP (searched from random starts with seed + 1) and refits
-    the signal GP under exp of that GP's mean; the signal hyperparameters
-    are searched again once, in round 0. Every search starts only at random
-    points and has the 1e-3 length-scale floor of that time. Kept as the
-    reference the knot fit must not fall below.
+    with a second GP and refits the signal GP under exp of that GP's mean;
+    the signal hyperparameters are searched again once, in round 0. Every
+    search is `random_search`, from ``seed`` for the signal GP and seed + 1
+    for the noise GP, with the 1e-3 length-scale floor of that time. Kept
+    as the reference the knot fit must not fall below.
     """
     if len(train) < HETERO_MIN_POINTS:
         raise InsufficientDataError(
@@ -249,10 +290,9 @@ def random_hetero(train: TrainingSet, config: OptConfig = OptConfig(),
     # expanded by group index, so replicates share their noise exactly.
     u, index, counts = _group(train.t)
     noise_opt = _old_bounds(TrainingSet(u, u), OptConfig(
-        n_starts=config.n_starts, seed=config.seed + 1,
-        max_iter=config.max_iter))
+        n_starts=config.n_starts, max_iter=config.max_iter))
     config = _old_bounds(train, config)
-    signal = optimize_hyperparameters(train, noise=None, config=config)
+    signal = random_search(train, None, config, seed)
     floor = max(1e-10 * float(np.var(train.y)), 1e-12)
 
     for round_idx in range(iterations):
@@ -263,8 +303,8 @@ def random_hetero(train: TrainingSet, config: OptConfig = OptConfig(),
         z = np.log(np.maximum(smoothed, floor))
 
         if u.size >= 2 and not degenerate:
-            noise_model = optimize_hyperparameters(
-                TrainingSet(u, z), noise=None, config=noise_opt)
+            noise_model = random_search(TrainingSet(u, z), None, noise_opt,
+                                        seed + 1)
         else:
             # Variance profile flat at the floor: pin the noise GP to it.
             flat = KernelParams(length_scale=max(float(np.ptp(u)), 1e-3),
@@ -273,8 +313,7 @@ def random_hetero(train: TrainingSet, config: OptConfig = OptConfig(),
 
         r_train = np.exp(noise_model.predict(u).mean)[index]
         if round_idx == 0 and not degenerate:
-            signal = optimize_hyperparameters(train, noise=r_train,
-                                              config=config)
+            signal = random_search(train, r_train, config, seed)
         else:
             signal = fit_gp(train, signal.params, noise=r_train)
 

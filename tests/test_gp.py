@@ -416,8 +416,8 @@ class TestSafetyPaths:
             return res
 
         monkeypatch.setattr(gp, "minimize", first_start_raises)
-        t = np.linspace(0.0, 1.0, 12)
-        res = optimize_hyperparameters(TrainingSet(t, np.sin(3 * t)),
+        # Its scan has more than three maxima, so three runs start.
+        res = optimize_hyperparameters(TestScanSearch.SINE,
                                        config=OptConfig(n_starts=3))
         assert len(starts) == 3 and len(finished) == 2
         assert res.log_marginal_likelihood() == max(finished)
@@ -740,29 +740,16 @@ class TestHyperparameterSearch:
         {"n_starts": 0}, {"max_iter": 0},
         {"length_scale_bounds": (0.1, 0.1)}, {"signal_std_bounds": (0.0, 1.0)},
         {"noise_std_bounds": (1e-3, math.inf)}, {"noise_std_bounds": (1.0,)},
-        {"n_starts": MAX_OPT_STARTS + 1}])
+        {"n_starts": MAX_OPT_STARTS + 1},
+        {"noise_std_bounds": (1e-300, 1e300)},
+        {"noise_std_bounds": (1e-200, 1e-199)},
+        {"signal_std_bounds": (1e-200, 1e-199)},
+        {"length_scale_bounds": (1.0, 1e200)}])
     def test_config_ranges_refused(self, kwargs):
+        """Bounds must be (low, high), 0 < low < high, with squares that
+        neither overflow nor vanish."""
         with pytest.raises(InvalidInputError):
             OptConfig(**kwargs)
-
-    def test_starts_drawn_in_seed_order(self, rng, monkeypatch):
-        bounds = {"length_scale_bounds": (0.01, 2.0),
-                  "signal_std_bounds": (0.1, 5.0),
-                  "noise_std_bounds": (1e-4, 1.0)}
-        seen = []
-
-        def record(fun, x0, **kwargs):
-            seen.append(np.array(x0))
-            return minimize(fun, x0, **kwargs)
-
-        monkeypatch.setattr(gp, "minimize", record)
-        t = np.linspace(0.0, 1.0, 12)
-        optimize_hyperparameters(TrainingSet(t, np.sin(t)),
-                                 config=OptConfig(n_starts=5, seed=3, **bounds))
-        draws = np.random.default_rng(3)
-        logs = [(math.log(lo), math.log(hi)) for lo, hi in bounds.values()]
-        want = [[draws.uniform(lo, hi) for lo, hi in logs] for _ in range(5)]
-        assert np.array_equal(np.array(seen), np.array(want))
 
     def test_length_scale_floor_is_the_smallest_input_gap(self, monkeypatch):
         """Derived bounds keep the length scale at or above the smallest gap
@@ -850,122 +837,139 @@ class TestHyperparameterSearch:
                         rtol=1e-12)
 
 
-def record_runs(monkeypatch, fail=()):
-    """Spy on gp.minimize: (LML, theta) per L-BFGS-B run in order, or None
-    for a run whose number (from 1) is in ``fail``, which raises instead."""
-    runs = []
-
-    def run(fun, x0, **kwargs):
-        if len(runs) + 1 in fail:
-            runs.append(None)
-            raise ValueError("this run failed")
-        res = minimize(fun, x0, **kwargs)
-        runs.append((-res.fun, res.x))
-        return res
-
-    monkeypatch.setattr(gp, "minimize", run)
-    return runs
+# Largest LML of the random-start search the scan replaced (every start
+# run), over seeds 0-4 with 8 and 12 starts: SINE at fixed noise NOISE, and
+# WHITE with a searched noise, both with the BOUNDS of TestScanSearch.
+RANDOM_START_SINE = 7.128651312927644
+RANDOM_START_WHITE = 26.556673302478078
+# L-BFGS-B's default relative tolerance on the objective (ftol): how close
+# two runs into one optimum agree.
+LBFGS_FTOL = 2.220446049250313e-09
 
 
-def at_optimum(runs):
-    """Numbers (from 1) of the runs that end at the best run's optimum."""
-    lml, theta = max(runs, key=lambda r: r[0])
-    return [k for k, (value, x) in enumerate(runs, start=1)
-            if abs(value - lml) <= 1e-6 * abs(lml)
-            and np.all(np.abs(x - theta) <= 1e-3)]
-
-
-class TestConfirmedSearch:
-    """``stop_when_confirmed``: a search draws no more random starts once
-    three random starts (CONFIRMATIONS) have ended at its best candidate.
-    With the noise fixed at NOISE, some random starts on SINE end at its
-    best optimum and the others at a lower one, whose length scale lies
-    below the inputs' gap: the searches here set the length scale's lower
-    bound to 1e-3, under the derived floor, to keep it in the box."""
+class TestScanSearch:
+    """The search starts its L-BFGS-B runs at the local maxima of a fixed
+    log grid over its box, best first. SINE is a noisy sine; WHITE's noise
+    grows along its inputs, and with the length scale's lower bound at
+    1e-3 (BOUNDS), below the inputs' gap, its scan also peaks in the
+    white-noise corner."""
 
     SINE = TrainingSet(np.linspace(0.0, 1.0, 20),
                        np.sin(2 * np.pi * np.linspace(0.0, 1.0, 20))
                        + np.random.default_rng(0).normal(0.0, 0.1, 20))
     NOISE = 0.01
+    T = np.repeat(np.linspace(0.0, 1.0, 25), 4)
+    WHITE = TrainingSet(T, np.sin(2 * np.pi * T)
+                        + np.random.default_rng(12345).normal(0.0,
+                                                              0.02 + 0.3 * T))
     BOUNDS = {"length_scale_bounds": (1e-3, 10.0)}
 
-    @pytest.mark.parametrize("seed", [0, 2, 4])
-    def test_stops_at_the_third_start_at_the_optimum(self, seed,
-                                                     monkeypatch):
-        """The second confirmation after the first start at the optimum:
-        the search stops at the third start that ends there, out of 12
-        (seed 0 and 4 reach it at the eighth)."""
-        config = OptConfig(seed=seed, n_starts=12, **self.BOUNDS)
-        runs = record_runs(monkeypatch)
-        optimize_hyperparameters(self.SINE, self.NOISE, config)
-        assert len(runs) == config.n_starts  # without the flag, every start
-        every = list(runs)
-        stop = at_optimum(every)[gp.CONFIRMATIONS - 1]
-        assert stop < config.n_starts
+    @pytest.mark.parametrize("sizes", ["equal", "unequal", "constant"])
+    def test_scan_lml_is_the_solved_lml(self, sizes):
+        """The closed-form LML of a scan cell equals the factorized
+        system's at the cell's hyperparameters within 1e-9 relative, at
+        every local maximum (the cells that rank the runs): for groups of
+        equal and of unequal size, and for constant targets."""
+        rng = np.random.default_rng(7)
+        reps = {"equal": np.full(30, 4), "unequal": rng.integers(1, 7, 30),
+                "constant": np.full(30, 3)}[sizes]
+        t = np.repeat(np.linspace(0.0, 1.0, 30), reps)
+        y = (np.full(t.size, 0.25) if sizes == "constant"
+             else np.sin(2 * np.pi * t) + rng.normal(0.0, 0.1, t.size))
+        red = _Reduced(TrainingSet(t, y))
+        sd = gp._target_sd(red)
+        bounds = gp._kernel_log_bounds(red, OptConfig()) + [
+            (math.log(1e-6 * sd), math.log(3.0 * sd))]
+        cells, lml = gp._scan_ratios(red, bounds)
+        flat = cells.reshape(lml.size, -1)
+        for theta in gp._peaks(cells, lml):
+            k = np.flatnonzero((flat == theta).all(axis=1))[0]
+            params = KernelParams(*np.exp(theta[:2]))
+            want = gp._solve(red, params, red.gram(params),
+                             math.exp(2.0 * theta[2])).lml
+            assert_allclose(lml.flat[k], want, rtol=1e-9)
 
-        runs.clear()
-        model = optimize_hyperparameters(self.SINE, self.NOISE, config,
-                                         stop_when_confirmed=True)
-        assert [r[0] for r in runs] == [r[0] for r in every[:stop]]
-        lml, theta = max(runs, key=lambda r: r[0])
-        assert model.log_marginal_likelihood() == lml
-        assert model.params == KernelParams(math.exp(theta[0]),
-                                            math.exp(theta[1]))
+    def test_peaks_best_first_one_per_plateau(self):
+        """A maximum is no lower than any of its eight neighbours; a NaN
+        neighbour counts as lower, and of a plateau only its first cell in
+        grid order counts."""
+        lml = np.array([[0.0, 1.0, 0.0, 0.0, 0.0],
+                        [0.0, 0.0, 0.0, 5.0, 5.0],
+                        [2.0, 0.0, 0.0, 5.0, 5.0],
+                        [np.nan, 0.0, 0.0, 0.0, 0.0]])
+        cells = np.arange(lml.size, dtype=float).reshape(4, 5, 1)
+        assert gp._peaks(cells, lml)[:, 0].tolist() == [8.0, 10.0, 1.0]
 
-    @pytest.mark.parametrize("failed", [1, 2, 3])
-    def test_failed_run_neither_confirms_nor_resets(self, failed,
-                                                    monkeypatch):
-        config = OptConfig(seed=2, **self.BOUNDS)
-        runs = record_runs(monkeypatch)
-        optimize_hyperparameters(self.SINE, self.NOISE, config)
-        confirming = [k for k in at_optimum(runs) if k != failed]
+    def test_runs_start_at_the_scan_maxima_best_first(self, monkeypatch):
+        """At most n_starts runs, each from the next maximum; a noise-free
+        sine's scan has one maximum, and its search makes one run."""
+        starts, peaks = [], []
+        real = gp._peaks
 
-        runs = record_runs(monkeypatch, fail={failed})
-        optimize_hyperparameters(self.SINE, self.NOISE, config,
-                                 stop_when_confirmed=True)
-        assert len(runs) == confirming[2] < config.n_starts
+        def record(fun, x0, **kwargs):
+            starts.append(np.array(x0))
+            return minimize(fun, x0, **kwargs)
 
-    def test_white_noise_corner_is_never_confirmed(self, monkeypatch):
-        """Starts that agree at the length scale's lower bound do not stop
-        the search: all 8 starts run, and the interior optimum wins. The
-        bound is 1e-3, below the inputs' smallest gap, where such starts
-        pile up."""
-        rng = np.random.default_rng(12345)
-        t = np.repeat(np.linspace(0.0, 1.0, 25), 4)
-        train = TrainingSet(t, np.sin(2 * np.pi * t)
-                            + rng.normal(0.0, 0.02 + 0.3 * t))
-        config = OptConfig(length_scale_bounds=(1e-3, 10.0))
-        runs = record_runs(monkeypatch)
-        every = optimize_hyperparameters(train, config=config)
-        corner = [k for k, (_, x) in enumerate(runs, start=1)
-                  if x[0] <= math.log(1e-3) + 1e-3]
-        assert len(corner) >= 2 and corner[1] < at_optimum(runs)[0]
+        monkeypatch.setattr(gp, "minimize", record)
+        monkeypatch.setattr(gp, "_peaks",
+                            lambda *args: peaks.append(real(*args)) or peaks[-1])
+        optimize_hyperparameters(self.WHITE,
+                                 config=OptConfig(n_starts=2, **self.BOUNDS))
+        assert len(peaks[0]) > 2
+        assert np.array_equal(starts, peaks[0][:2])
 
-        runs.clear()
-        model = optimize_hyperparameters(train, config=config,
-                                         stop_when_confirmed=True)
-        assert len(runs) == 8
+        starts.clear()
+        t = np.linspace(0.0, 1.0, 12)
+        optimize_hyperparameters(TrainingSet(t, np.sin(3 * t)))
+        assert len(peaks[1]) == len(starts) == 1
+
+    def test_fixed_noise_reaches_the_random_start_optimum(self):
+        model = optimize_hyperparameters(self.SINE, self.NOISE,
+                                         OptConfig(**self.BOUNDS))
         assert (model.log_marginal_likelihood()
-                == every.log_marginal_likelihood())
+                >= RANDOM_START_SINE * (1.0 - LBFGS_FTOL))
+
+    def test_white_noise_corner_reaches_the_random_start_optimum(self):
+        model = optimize_hyperparameters(self.WHITE,
+                                         config=OptConfig(**self.BOUNDS))
+        assert (model.log_marginal_likelihood()
+                >= RANDOM_START_WHITE * (1.0 - LBFGS_FTOL))
+        assert model.params.length_scale > 0.1
 
     def test_each_search_logs_one_debug_record(self, monkeypatch, caplog):
-        config = OptConfig(seed=2, **self.BOUNDS)
+        """The cells scanned, the maxima found and polished, the failed
+        runs, the best LML and the hyperparameters on a bound."""
+        peaks, runs = [], []
+        real_peaks, real_minimize = gp._peaks, gp.minimize
+
+        def second_run_fails(fun, x0, **kwargs):
+            runs.append(x0)
+            if len(runs) == 2:
+                raise ValueError("this run failed")
+            return real_minimize(fun, x0, **kwargs)
+
+        monkeypatch.setattr(gp, "minimize", second_run_fails)
+        monkeypatch.setattr(gp, "_peaks",
+                            lambda *args: peaks.append(real_peaks(*args))
+                            or peaks[-1])
+        flat = TrainingSet(np.linspace(0.0, 1.0, 12), np.full(12, 3.0))
         with caplog.at_level(logging.DEBUG, logger="gplfd.gp"):
-            record_runs(monkeypatch, fail={2})
-            stopped = optimize_hyperparameters(self.SINE, self.NOISE, config,
-                                               stop_when_confirmed=True)
-            record_runs(monkeypatch)
-            every = optimize_hyperparameters(self.SINE, self.NOISE, config)
+            white = optimize_hyperparameters(self.WHITE,
+                                             config=OptConfig(**self.BOUNDS))
+            constant = optimize_hyperparameters(flat, 0.01)
         records = [r for r in caplog.records if r.name == "gplfd.gp"]
         assert [r.levelno for r in records] == [logging.DEBUG] * 2
+        polished = min(len(peaks[0]), OptConfig().n_starts)
         assert records[0].getMessage() == (
-            "search over 20 points: 5 of 8 random starts run, 1 failed, "
-            "stopped on confirmation: True, best LML "
-            f"{stopped.log_marginal_likelihood()!r}")
+            f"search over 100 points: {gp.SCAN_LENGTHS * gp.SCAN_RATIOS} "
+            f"cells scanned, {len(peaks[0])} maxima found, {polished} "
+            "polished, 1 failed, best LML "
+            f"{white.log_marginal_likelihood()!r}, on a bound: none")
         assert records[1].getMessage() == (
-            "search over 20 points: 8 of 8 random starts run, 0 failed, "
-            "stopped on confirmation: False, best LML "
-            f"{every.log_marginal_likelihood()!r}")
+            f"search over 12 points: {gp.SCAN_LENGTHS ** 2} cells scanned, "
+            f"{len(peaks[1])} maxima found, {len(peaks[1])} polished, "
+            f"0 failed, best LML {constant.log_marginal_likelihood()!r}, "
+            "on a bound: length_scale, signal_std")
 
 
 class TestHeteroscedastic:
@@ -1016,25 +1020,8 @@ class TestHeteroscedastic:
         model = fit_heteroscedastic(TrainingSet(t, y))
         assert model.knots.size == 25
         assert runs[-1] == (False, 27)
-        assert gp.CONFIRMATIONS <= len(runs) - 1 <= 8
+        assert 1 <= len(runs) - 1 <= OptConfig().n_starts
         assert set(runs[:-1]) == {(True, 3)}
-
-    def test_only_signal_searches_stop_when_confirmed(self, rng,
-                                                      monkeypatch):
-        """The one search is stage 1's, and it stops once confirmed."""
-        t = np.repeat(np.linspace(0.0, 1.0, 25), 4)
-        y = np.sin(2 * np.pi * t) + rng.normal(0.0, 0.02 + 0.3 * t)
-        calls = []  # per search: [points, noise, stops when confirmed]
-        search = gp.optimize_hyperparameters
-
-        def spy(train, noise=None, config=OptConfig(), **kwargs):
-            calls.append([len(train), noise,
-                          kwargs.get("stop_when_confirmed", False)])
-            return search(train, noise, config, **kwargs)
-
-        monkeypatch.setattr(gp, "optimize_hyperparameters", spy)
-        fit_heteroscedastic(TrainingSet(t, y))
-        assert calls == [[100, None, True]]
 
     @pytest.mark.parametrize("seed, samples", [
         (0, None), (1, None), (3, None), (0, 1000)],
@@ -1072,20 +1059,33 @@ class TestHeteroscedastic:
         learned = learn_policy(generate_synthetic_door_set(seed=0))
         assert learned.dims[4].signal_gp.log_marginal_likelihood() >= 5689.3
 
-    @pytest.mark.parametrize("seed, config_seed",
-                             [(0, 0), (1, 0), (1, 1), (104729, 104729)])
-    def test_door_knot_runs_end_before_the_iteration_cap(self, seed,
-                                                         config_seed, caplog):
+    @pytest.mark.parametrize("seed", [0, 1, 104729])
+    def test_door_knot_runs_end_before_the_iteration_cap(self, seed, caplog):
         """Every dimension's knot run on the door set converges: none stops
         on its NOISE_ITER_PER_PARAM cap, as the hinge dimension did at 60
         iterations on door seeds 1 and 104729."""
-        config = LearnConfig(opt=OptConfig(seed=config_seed))
         with caplog.at_level(logging.DEBUG, logger="gplfd.gp"):
-            learn_policy(generate_synthetic_door_set(seed=seed), config)
+            learn_policy(generate_synthetic_door_set(seed=seed))
         runs = [r.getMessage() for r in caplog.records
                 if r.getMessage().startswith("noise search")]
         assert len(runs) == 6
         assert not [m for m in runs if "LIMIT" in m]
+
+    def test_door_4_y_reaches_its_higher_optimum(self):
+        """Door seed 4's y has two near-equal stage-1 optima. The scan finds
+        the higher one; the random-start search missed it and ended at
+        2 467.93."""
+        learned = learn_policy(generate_synthetic_door_set(seed=4))
+        assert learned.dims[1].signal_gp.log_marginal_likelihood() >= 2475.0
+
+    def test_fit_draws_no_random_numbers(self, monkeypatch):
+        demos = generate_synthetic_door_set(seed=0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the fit drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        assert len(learn_policy(demos).dims) == 6
 
     def test_noise_std_bounds_bound_every_knot(self):
         """A set ``noise_std_bounds`` bounds the knot run too, not only

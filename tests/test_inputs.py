@@ -90,6 +90,24 @@ class TestConfigValues:
         assert all(type(r) is float for r in config.data.radii)
         assert config.policy.noise_std_bounds == (1e-6, 1.0)
 
+    @pytest.mark.parametrize("bounds", [
+        "policy.noise_std_bounds=[1e-300,1e300]",
+        "policy.noise_std_bounds=[1e-200,1e-199]",
+        "policy.signal_std_bounds=[1e-200,1e-199]"])
+    def test_fit_refuses_bounds_whose_squares_leave_the_floats(
+            self, tmp_path, pull_texts, bounds):
+        """Such bounds once ended a fit in an OverflowError traceback, a
+        misleading refusal or a failed search; the config refuses them."""
+        paths = []
+        for k, text in enumerate(pull_texts[:2]):
+            paths.append(str(tmp_path / f"pull_{k}.csv"))
+            (tmp_path / f"pull_{k}.csv").write_text(text)
+        code, err = run(["fit", *paths, f"--set={bounds}",
+                         "--out-dir", str(tmp_path)])
+        assert code == 1 and err.startswith("error:")
+        assert "search bounds" in err and "Traceback" not in err
+        assert not (tmp_path / "policy.json").exists()
+
     def test_binary_config_file(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_bytes(b"\xff\xfe\x00{")

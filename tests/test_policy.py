@@ -526,6 +526,8 @@ class TestNoiseSearch:
         assert set(runs) == {(3, ls_bounds, 7),
                              (2 + 20, ls_bounds, 22 * gp.NOISE_ITER_PER_PARAM)}
         assert sum(n == 22 for n, _, _ in runs) == 6
+        # Stage 1 polishes at most opt_starts maxima per dimension.
+        assert sum(n == 3 for n, _, _ in runs) <= 2 * 6
 
 
 class TestStreaming:
