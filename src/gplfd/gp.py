@@ -609,13 +609,16 @@ def optimize_hyperparameters(train: TrainingSet, noise=None,
     ``noise`` fixes the observation noise (scalar or per-point variance
     vector) during the search; pass None to co-optimize a scalar noise
     variance alongside the kernel parameters. A fixed log grid of the box
-    is scored (``_scan_ratios``, or ``_scan_signals`` for a fixed noise);
-    its local maxima, best first and at most ``config.n_starts``, are each
-    polished by one L-BFGS-B run on the analytic gradient. The result is
-    fit_gp at the best run's end (the first of equal ones), so its LML is
-    that run's objective. Each search logs one DEBUG record on this
-    module's logger: the cells scanned, the maxima found and polished, the
-    failed runs, the best LML and the hyperparameters that end on a bound.
+    is scored: by ``_scan_ratios``, or for a fixed noise an SCAN_LENGTHS^2
+    grid of (length scale, signal std) by the objective. Its local maxima,
+    best first, are each polished by one L-BFGS-B run on the analytic
+    gradient: ``config.n_starts`` of them, and more while every run has
+    failed. The result is fit_gp at the best run's end (the first of equal
+    ones), so its LML is that run's objective; if every maximum's run
+    failed, it is fit_gp at the best scanned cell whose system factorizes.
+    Each search logs one DEBUG record on this module's logger: the cells
+    scanned, the maxima found and polished, the failed runs, the best LML
+    and the hyperparameters that end on a bound.
     """
     if len(train) < 2:
         raise InsufficientDataError("hyperparameter search needs at least 2 points")
@@ -637,26 +640,44 @@ def optimize_hyperparameters(train: TrainingSet, noise=None,
             return np.inf, np.zeros(len(theta))
         return -lml, -grad
 
-    cells, lml = (_scan_ratios if optimize_noise else _scan_signals)(
-        red, log_bounds)
+    if optimize_noise:
+        cells, lml = _scan_ratios(red, log_bounds)
+    else:
+        cells = np.stack(np.meshgrid(*(np.linspace(lo, hi, SCAN_LENGTHS)
+                                       for lo, hi in log_bounds),
+                                     indexing="ij"), axis=-1)
+        lml = -np.apply_along_axis(lambda theta: objective(theta)[0], -1, cells)
     peaks = _peaks(cells, lml)
-    runs = [_lbfgs(objective, theta0, log_bounds, config.max_iter)
-            for theta0 in peaks[:config.n_starts]]
-    found = [res for res in runs if res is not None]
-    best = min(found, key=lambda res: res.fun, default=None)
+    runs, found = 0, []  # (objective, theta) per finished run
+    for theta0 in peaks:  # n_starts of them, and more while none finished
+        if runs >= config.n_starts and found:
+            break
+        runs += 1
+        res = _lbfgs(objective, theta0, log_bounds, config.max_iter)
+        found += [] if res is None else [(res.fun, res.x)]
+    failed = runs - len(found)
+    if not found:  # the best scanned cell whose system factorizes
+        order = np.argsort(np.where(np.isnan(lml), np.inf, -lml), axis=None,
+                           kind="stable")
+        for theta in cells.reshape(lml.size, -1)[order]:
+            if np.isfinite(value := objective(theta)[0]):
+                found.append((value, theta))
+                break
+    best = min(found, key=lambda run: run[0], default=None)
     on_bound = [name for name, x, (lo, hi) in zip(
         ("length_scale", "signal_std", "noise_std"),
-        [] if best is None else best.x, log_bounds) if x <= lo or x >= hi]
+        [] if best is None else best[1], log_bounds) if x <= lo or x >= hi]
     logger.debug("search over %d points: %d cells scanned, %d maxima found, "
                  "%d polished, %d failed, best LML %r, on a bound: %s",
-                 len(train), lml.size, len(peaks), len(runs),
-                 len(runs) - len(found), None if best is None else -best.fun,
+                 len(train), lml.size, len(peaks), runs, failed,
+                 None if best is None else -best[0],
                  ", ".join(on_bound) or "none")
     if best is None:
         raise OptimizationFailureError(
             "no start point of the hyperparameter search converged")
-    params = KernelParams(math.exp(best.x[0]), math.exp(best.x[1]))
-    out_noise = math.exp(2.0 * best.x[2]) if optimize_noise else noise
+    theta = best[1]
+    params = KernelParams(math.exp(theta[0]), math.exp(theta[1]))
+    out_noise = math.exp(2.0 * theta[2]) if optimize_noise else noise
     return fit_gp(train, params, noise=out_noise)
 
 
@@ -703,22 +724,6 @@ def _scan_ratios(red: _Reduced, log_bounds):
             cells.append(np.column_stack([np.full(SCAN_RATIOS, log_l),
                                           log_sf, log_sn]))
     return np.array(cells), np.array(lml)
-
-
-def _scan_signals(red: _Reduced, log_bounds):
-    """Cells (log length_scale, log signal_std) of an SCAN_LENGTHS^2 log
-    grid, and the LML of each by ``_solve``, -inf where it fails."""
-    cells = np.stack(np.meshgrid(*(np.linspace(lo, hi, SCAN_LENGTHS)
-                                   for lo, hi in log_bounds), indexing="ij"),
-                     axis=-1)
-
-    def lml(theta):
-        params = KernelParams(math.exp(theta[0]), math.exp(theta[1]))
-        with contextlib.suppress(NumericalConditioningError):
-            return _solve(red, params, red.gram(params)).lml
-        return -np.inf
-
-    return cells, np.apply_along_axis(lml, -1, cells)
 
 
 def _peaks(cells, lml):

@@ -403,9 +403,32 @@ class TestSafetyPaths:
                                      config=OptConfig(n_starts=3))
         assert calls
 
+    def test_best_cell_stands_in_when_its_run_cannot_start(self, monkeypatch):
+        """The scan scores cells without factorizing. A noise-free sine's
+        scan has one maximum; when its system fails to factorize, the run
+        from it fails, and the search returns the GP at that cell, which
+        factorizes on the next try."""
+        calls = self.failing_cho_factor(monkeypatch, 1)
+        peaks, real_peaks = [], gp._peaks
+        monkeypatch.setattr(gp, "_peaks",
+                            lambda *args: peaks.append(real_peaks(*args))
+                            or peaks[-1])
+        t = np.linspace(0.0, 1.0, 12)
+        res = optimize_hyperparameters(TrainingSet(t, np.sin(3 * t)))
+        log_l, log_sf, log_sn = peaks[0][0]
+        assert len(peaks[0]) == 1 and len(calls) == 3
+        assert res.params == KernelParams(math.exp(log_l), math.exp(log_sf))
+        assert res.noise == math.exp(2.0 * log_sn)
+
     @pytest.mark.parametrize("error", [LinAlgError, ValueError])
     def test_raising_start_is_skipped(self, monkeypatch, error):
-        starts, finished = [], []
+        """A run that raises is skipped. SINE's scan has more than three
+        maxima: with three starts, three runs start and two finish; with
+        one, the next maximum is polished in its place. A noise-free sine's
+        scan has one maximum, and when its run raises the search still
+        returns the GP at that best cell."""
+        starts, finished, peaks = [], [], []
+        real_peaks = gp._peaks
 
         def first_start_raises(fun, x0, **kwargs):
             starts.append(x0)
@@ -416,11 +439,25 @@ class TestSafetyPaths:
             return res
 
         monkeypatch.setattr(gp, "minimize", first_start_raises)
-        # Its scan has more than three maxima, so three runs start.
-        res = optimize_hyperparameters(TestScanSearch.SINE,
+        monkeypatch.setattr(gp, "_peaks",
+                            lambda *args: peaks.append(real_peaks(*args))
+                            or peaks[-1])
+        for n_starts, runs in [(3, 3), (1, 2)]:
+            starts.clear(), finished.clear()
+            res = optimize_hyperparameters(TestScanSearch.SINE,
+                                           config=OptConfig(n_starts=n_starts))
+            assert len(starts) == runs and len(finished) == runs - 1
+            assert res.log_marginal_likelihood() == max(finished)
+
+        starts.clear(), finished.clear()
+        t = np.linspace(0.0, 1.0, 12)
+        res = optimize_hyperparameters(TrainingSet(t, np.sin(3 * t)),
                                        config=OptConfig(n_starts=3))
-        assert len(starts) == 3 and len(finished) == 2
-        assert res.log_marginal_likelihood() == max(finished)
+        assert len(peaks[-1]) == len(starts) == 1 and not finished
+        log_l, log_sf, log_sn = peaks[-1][0]
+        assert res.params == KernelParams(math.exp(log_l), math.exp(log_sf))
+        assert res.noise == math.exp(2.0 * log_sn)
+        assert math.isfinite(res.log_marginal_likelihood())
 
     def test_negative_variance_warns_and_clamps(self, monkeypatch):
         real = gp.cho_factor
