@@ -43,7 +43,9 @@ The homoscedastic search is deterministic: it polishes the local maxima of
 a fixed log grid over its box with L-BFGS-B. With a searched noise the
 signal variance is profiled out (the "concentrated likelihood" of Jones,
 Schonlau & Welch, J. Global Optim. 1998), so one eigendecomposition per
-length scale scores a whole axis of noise ratios in closed form.
+length scale scores a whole axis of noise ratios in closed form. Targets on
+shared inputs share those eigendecompositions: a policy fit scans its
+dimensions together (``scan_columns``), as ``predict_columns`` predicts them.
 """
 
 from __future__ import annotations
@@ -85,6 +87,9 @@ MAX_OPT_ITER = 10_000
 NOISE_KNOTS = 32
 NOISE_ITER_PER_PARAM = 10
 NOISE_SMOOTHING = 0.1
+# Largest target standard deviation a search takes: its gradient squares
+# noise variances up to (3 sd)^2, which overflows past sd = 3.8e76.
+MAX_TARGET_SD = 1e76
 # The search's scan: log-spaced length scales, each with log-spaced noise
 # ratios (a searched noise) or as many signal stds (a fixed noise). One m x m
 # eigendecomposition per length scale dominates a scan's cost.
@@ -587,15 +592,21 @@ class OptConfig:
                     "low < high and squares that neither vanish nor overflow")
 
 
-def _kernel_log_bounds(red: _Reduced, config: OptConfig):
-    """Log (length_scale, signal_std) bounds, the config's or derived; a
-    length scale below the smallest input gap only interpolates the means."""
+def _kernel_log_bounds(red: _Reduced, config: OptConfig, noise=False):
+    """Log (length_scale, signal_std) bounds, and the noise std's if
+    ``noise``, the config's or derived; a length scale below the smallest
+    input gap only interpolates the means. Targets whose standard deviation
+    exceeds MAX_TARGET_SD are refused."""
     gap = float(np.min(np.diff(red.u))) if red.u.size > 1 else 0.0
     scale_t = max(float(np.ptp(red.u)), 1e-3)
     sd = _target_sd(red)
+    if sd > MAX_TARGET_SD:
+        raise InvalidInputError(f"training targets of standard deviation {sd:.3g} "
+                                f"exceed the search's limit of {MAX_TARGET_SD:g}")
     lb = config.length_scale_bounds or (max(gap, 1e-3), 10.0 * scale_t)
     sb = config.signal_std_bounds or (1e-3 * sd, 10.0 * sd)
-    return [tuple(map(math.log, lb)), tuple(map(math.log, sb))]
+    nb = config.noise_std_bounds or (1e-6 * sd, 3.0 * sd)
+    return [tuple(map(math.log, b)) for b in (lb, sb, nb)[:2 + noise]]
 
 
 def _target_sd(red: _Reduced) -> float:
@@ -603,14 +614,16 @@ def _target_sd(red: _Reduced) -> float:
 
 
 def optimize_hyperparameters(train: TrainingSet, noise=None,
-                             config: OptConfig = OptConfig()) -> GPModel:
+                             config: OptConfig = OptConfig(), scan=None) -> GPModel:
     """The GP fitted at the kernel hyperparameters of largest LML found.
 
     ``noise`` fixes the observation noise (scalar or per-point variance
     vector) during the search; pass None to co-optimize a scalar noise
     variance alongside the kernel parameters. A fixed log grid of the box
     is scored: by ``_scan_ratios``, or for a fixed noise an SCAN_LENGTHS^2
-    grid of (length scale, signal std) by the objective. Its local maxima,
+    grid of (length scale, signal std) by the objective; ``scan`` is the
+    former if already made, by ``scan_columns`` with other targets on these
+    inputs (as ``learn_policy`` scans its dimensions). Its local maxima,
     best first, are each polished by one L-BFGS-B run on the analytic
     gradient: ``config.n_starts`` of them, and more while every run has
     failed. The result is fit_gp at the best run's end (the first of equal
@@ -625,11 +638,7 @@ def optimize_hyperparameters(train: TrainingSet, noise=None,
 
     optimize_noise = noise is None
     red = _Reduced(train, noise)
-    log_bounds = _kernel_log_bounds(red, config)
-    if optimize_noise:
-        sd = _target_sd(red)
-        nb = config.noise_std_bounds or (1e-6 * sd, 3.0 * sd)
-        log_bounds.append((math.log(nb[0]), math.log(nb[1])))
+    log_bounds = _kernel_log_bounds(red, config, optimize_noise)
 
     def objective(theta):
         params = KernelParams(math.exp(theta[0]), math.exp(theta[1]))
@@ -641,7 +650,7 @@ def optimize_hyperparameters(train: TrainingSet, noise=None,
         return -lml, -grad
 
     if optimize_noise:
-        cells, lml = _scan_ratios(red, log_bounds)
+        cells, lml = scan or _scan_ratios(red, [(red.resid, log_bounds)])[0]
     else:
         cells = np.stack(np.meshgrid(*(np.linspace(lo, hi, SCAN_LENGTHS)
                                        for lo, hi in log_bounds),
@@ -681,9 +690,23 @@ def optimize_hyperparameters(train: TrainingSet, noise=None,
     return fit_gp(train, params, noise=out_noise)
 
 
-def _scan_ratios(red: _Reduced, log_bounds):
-    """Cells (log length_scale, log signal_std, log noise_std) of an
-    (SCAN_LENGTHS, SCAN_RATIOS) log grid, and the LML of each.
+def scan_columns(t, y, config: OptConfig = OptConfig()) -> list:
+    """Stage-1 scans of c GPs with a searched noise on the shared inputs
+    ``t``: entry j is optimize_hyperparameters(TrainingSet(t, y[:, j]), None,
+    config)'s own ``scan``, bit for bit, with one eigendecomposition per
+    length scale for all columns."""
+    red = _Reduced(TrainingSet(t, y[:, 0]))
+    columns, targets = red.columns(y), []
+    for j in range(y.shape[1]):
+        red.use(*columns, j)
+        targets.append((red.resid, _kernel_log_bounds(red, config, True)))
+    return _scan_ratios(red, targets)
+
+
+def _scan_ratios(red: _Reduced, targets) -> list:
+    """Per (centered targets on red's inputs, their log bounds) in
+    ``targets``: the cells (log length_scale, log signal_std, log noise_std)
+    of an (SCAN_LENGTHS, SCAN_RATIOS) log grid, and the LML of each.
 
     With v = signal_std^2 and lam = noise_std^2 / v + JITTER_FRAC, the
     reduced system is v N^-1/2 (A + lam I) N^-1/2 for the group sizes N and
@@ -692,38 +715,43 @@ def _scan_ratios(red: _Reduced, log_bounds):
     n log 2 pi), F = sum (U^T N^1/2 ybar)^2 / (e + lam) + S / lam with S the
     scatter about the group means, and v = F / n maximizes it. A cell clips
     that v into its box, then its noise std into its own, and scores there.
+    A and the length-scale bounds depend on the inputs alone, so the targets
+    share one U per length scale: decomposed once, held one at a time.
     """
-    n, m = red.resid.size, red.u.size
+    n, m = red.index.size, red.u.size
     sizes = np.bincount(red.index, minlength=m)
-    ybar = np.bincount(red.index, red.resid, m) / sizes
-    d = red.resid - ybar[red.index]
-    scatter, root = float(d @ d), np.sqrt(sizes)
-    (l_lo, l_hi), (s_lo, s_hi), (n_lo, n_hi) = log_bounds
-    log_ratio = np.linspace(2.0 * (n_lo - s_hi), 2.0 * (n_hi - s_lo),
-                            SCAN_RATIOS)[:, None]
-    cells, lml = [], []
+    root = np.sqrt(sizes)
+    scans = []  # per target: N^1/2 ybar, S, its boxes and ratios, cells, LMLs
+    for resid, (_, box_s, box_n) in targets:
+        ybar = np.bincount(red.index, resid, m) / sizes
+        d = resid - ybar[red.index]
+        log_ratio = np.linspace(2.0 * (box_n[0] - box_s[1]),
+                                2.0 * (box_n[1] - box_s[0]), SCAN_RATIOS)
+        scans.append((root * ybar, float(d @ d), box_s, box_n,
+                      log_ratio[:, None], [], []))
     # A ratio past the float range scores -inf or NaN: never a maximum.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for log_l in np.linspace(l_lo, l_hi, SCAN_LENGTHS):
+        for log_l in np.linspace(*targets[0][1][0], SCAN_LENGTHS):
             unit = red.gram(KernelParams(math.exp(log_l), 1.0))
             e, U = np.linalg.eigh(root[:, None] * unit * root)
             e = np.maximum(e, 0.0)  # A is positive semidefinite
-            z2 = (U.T @ (root * ybar)) ** 2
+            for root_ybar, scatter, box_s, box_n, log_ratio, cells, lml in scans:
+                z2 = (U.T @ root_ybar) ** 2
 
-            def fit_term(lam):  # F, per ratio
-                return (z2 / (e + lam)).sum(axis=1, keepdims=True) + scatter / lam
+                def fit_term(lam):  # F, per ratio
+                    return (z2 / (e + lam)).sum(axis=1, keepdims=True) + scatter / lam
 
-            lam = np.exp(log_ratio) + JITTER_FRAC
-            log_sf = np.clip(0.5 * np.log(fit_term(lam) / n), s_lo, s_hi)
-            log_sn = np.clip(0.5 * log_ratio + log_sf, n_lo, n_hi)
-            lam = np.exp(2.0 * (log_sn - log_sf)) + JITTER_FRAC
-            lml.append(-0.5 * (fit_term(lam) * np.exp(-2.0 * log_sf)
-                               + 2.0 * n * log_sf + (n - m) * np.log(lam)
-                               + np.log(e + lam).sum(axis=1, keepdims=True)
-                               + n * LOG_2PI)[:, 0])
-            cells.append(np.column_stack([np.full(SCAN_RATIOS, log_l),
-                                          log_sf, log_sn]))
-    return np.array(cells), np.array(lml)
+                lam = np.exp(log_ratio) + JITTER_FRAC
+                log_sf = np.clip(0.5 * np.log(fit_term(lam) / n), *box_s)
+                log_sn = np.clip(0.5 * log_ratio + log_sf, *box_n)
+                lam = np.exp(2.0 * (log_sn - log_sf)) + JITTER_FRAC
+                lml.append(-0.5 * (fit_term(lam) * np.exp(-2.0 * log_sf)
+                                   + 2.0 * n * log_sf + (n - m) * np.log(lam)
+                                   + np.log(e + lam).sum(axis=1, keepdims=True)
+                                   + n * LOG_2PI)[:, 0])
+                cells.append(np.column_stack([np.full(SCAN_RATIOS, log_l),
+                                              log_sf, log_sn]))
+    return [(np.array(scan[-2]), np.array(scan[-1])) for scan in scans]
 
 
 def _peaks(cells, lml):
@@ -823,14 +851,14 @@ def _profile_lml_and_grad(red: _Reduced, knots, hats, theta):
     return lml, np.concatenate([grad, (d_shift * r) @ hats])
 
 
-def fit_heteroscedastic(train: TrainingSet,
-                        config: OptConfig = OptConfig()) -> HeteroGPModel:
+def fit_heteroscedastic(train: TrainingSet, config: OptConfig = OptConfig(),
+                        scan=None) -> HeteroGPModel:
     """Fit a GP whose observation noise varies over the input domain.
 
-    Stage 1 is the homoscedastic search (``config``, a scan and its
-    polish). From its optimum, with every knot at its noise variance,
-    one L-BFGS-B run of at most NOISE_ITER_PER_PARAM iterations per
-    parameter searches (log length_scale, log signal_std, c_1..c_K) in
+    Stage 1 is the homoscedastic search (``config`` and ``scan``, a scan
+    and its polish). From its optimum, with every knot at its noise
+    variance, one L-BFGS-B run of at most NOISE_ITER_PER_PARAM iterations
+    per parameter searches (log length_scale, log signal_std, c_1..c_K) in
     stage 1's kernel bounds. It maximizes the exact LML, with r(t) =
     exp(interp(t, knots, c)) as every observation's noise variance, less
     NOISE_SMOOTHING / 2 * sum((c_{j+1} - c_j)^2), a random-walk prior that
@@ -847,7 +875,7 @@ def fit_heteroscedastic(train: TrainingSet,
             f"heteroscedastic fit needs at least {HETERO_MIN_POINTS} points, "
             f"got {len(train)}")
     # The search refuses targets that overflow before their variance does.
-    stage1 = optimize_hyperparameters(train, None, config)
+    stage1 = optimize_hyperparameters(train, None, config, scan=scan)
     red = _Reduced(train)
     knots = np.linspace(red.u[0], red.u[-1], min(NOISE_KNOTS, red.u.size))
     floor = max(1e-10 * float(np.var(train.y)), 1e-12)

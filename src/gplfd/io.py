@@ -228,8 +228,7 @@ def save_trace(path, trace) -> None:
 
 def _numbers(value, where) -> np.ndarray:
     """A JSON list of numbers as a float array (bools and strings refused)."""
-    if not (isinstance(value, list)
-            and all(type(v) in (int, float) for v in value)):
+    if not (isinstance(value, list) and set(map(type, value)) <= {int, float}):
         raise FormatError(f"{where} must be a list of numbers")
     try:
         return np.array(value, dtype=float)

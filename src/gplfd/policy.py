@@ -21,7 +21,7 @@ from .errors import (InconsistentConstraintError, InsufficientDataError,
                      InvalidInputError)
 from .gp import (MAX_GP_INPUTS, OptConfig, PosteriorPrediction,
                  TrainingSet, fit_gp,  # noqa: F401 (tracers wrap it here)
-                 fit_heteroscedastic, gaussian_product, predict_columns)
+                 fit_heteroscedastic, gaussian_product, predict_columns, scan_columns)
 from .se3 import DistanceWeights, pose_rows
 
 DIM_NAMES = ("x", "y", "z", "rx", "ry", "rz")
@@ -144,15 +144,18 @@ def _as_times(policy: TaskPolicy, ts):
 
 
 def learn_policy(demos, config: LearnConfig = LearnConfig()) -> TaskPolicy:
-    """Align, resample and fit one heteroscedastic GP per pose dimension."""
+    """Align, resample and fit one heteroscedastic GP per pose dimension.
+    The dimensions share their inputs, so ``scan_columns`` makes their
+    stage-1 scans together: one eigendecomposition per length scale."""
     aligned = align_demonstrations(demos, config.weights, config.measure)
     if len(aligned) < 2:
         raise InsufficientDataError("policy learning needs at least 2 demonstrations")
     grid = np.linspace(0.0, 1.0, config.grid_size)
     pooled = np.concatenate([resample(traj, grid).samples for traj in aligned])
     t_pool = np.tile(grid, len(aligned))
-    models = [fit_heteroscedastic(TrainingSet(t_pool, pooled[:, d].copy()),
-                                  config.opt) for d in range(6)]
+    trains = [TrainingSet(t_pool, pooled[:, d].copy()) for d in range(6)]
+    models = [fit_heteroscedastic(train, config.opt, scan=scan) for train, scan
+              in zip(trains, scan_columns(t_pool, pooled, config.opt))]
     return TaskPolicy(dims=models, grid=grid)
 
 

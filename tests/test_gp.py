@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -917,7 +918,7 @@ class TestScanSearch:
         sd = gp._target_sd(red)
         bounds = gp._kernel_log_bounds(red, OptConfig()) + [
             (math.log(1e-6 * sd), math.log(3.0 * sd))]
-        cells, lml = gp._scan_ratios(red, bounds)
+        (cells, lml), = gp._scan_ratios(red, [(red.resid, bounds)])
         flat = cells.reshape(lml.size, -1)
         for theta in gp._peaks(cells, lml):
             k = np.flatnonzero((flat == theta).all(axis=1))[0]
@@ -925,6 +926,23 @@ class TestScanSearch:
             want = gp._solve(red, params, red.gram(params),
                              math.exp(2.0 * theta[2])).lml
             assert_allclose(lml.flat[k], want, rtol=1e-9)
+
+    def test_columns_scan_as_each_column_alone(self, rng):
+        """``scan_columns`` gives each column the scan its own search makes,
+        bit for bit, for columns whose signal-std boxes differ."""
+        t = np.repeat(np.linspace(0.0, 1.0, 30), 3)
+        y = np.column_stack([np.sin(2 * np.pi * t), 300.0 * np.cos(5 * t),
+                             np.full(t.size, 2.0)])
+        y += rng.normal(0.0, 0.1, y.shape) * [1.0, 1e2, 0.0]
+        boxes = set()
+        for j, (cells, lml) in enumerate(gp.scan_columns(t, y)):
+            red = _Reduced(TrainingSet(t, y[:, j]))
+            bounds = gp._kernel_log_bounds(red, OptConfig(), True)
+            boxes.add(bounds[1])
+            (want_cells, want_lml), = gp._scan_ratios(red, [(red.resid, bounds)])
+            np.testing.assert_array_equal(cells, want_cells)
+            np.testing.assert_array_equal(lml, want_lml)
+        assert len(boxes) == 3
 
     def test_peaks_best_first_one_per_plateau(self):
         """A maximum is no lower than any of its eight neighbours; a NaN
@@ -972,6 +990,19 @@ class TestScanSearch:
         assert (model.log_marginal_likelihood()
                 >= RANDOM_START_WHITE * (1.0 - LBFGS_FTOL))
         assert model.params.length_scale > 0.1
+
+    @pytest.mark.parametrize("scale", [1e100, 1e150])
+    def test_targets_past_the_search_range_refused(self, scale):
+        """Targets of this scale pass the overflow check, but the search
+        would square their noise variances past the float range; it refuses
+        them, naming their scale, and no warning escapes."""
+        t = np.linspace(0.0, 10.0, 12)
+        train = TrainingSet(t, scale * np.sin(t))
+        sd = f"{np.std(train.y):.3g}"
+        for fit in (optimize_hyperparameters, fit_heteroscedastic):
+            with pytest.raises(InvalidInputError,
+                               match=re.escape(f"deviation {sd} ")):
+                fit(train)
 
     def test_each_search_logs_one_debug_record(self, monkeypatch, caplog):
         """The cells scanned, the maxima found and polished, the failed
@@ -1073,9 +1104,9 @@ class TestHeteroscedastic:
         sets = []
         fit = policy.fit_heteroscedastic
 
-        def record(train, config):
+        def record(train, config, **kwargs):
             sets.append(train)
-            return fit(train, config)
+            return fit(train, config, **kwargs)
 
         monkeypatch.setattr(policy, "fit_heteroscedastic", record)
         if samples is None:

@@ -214,7 +214,9 @@ class TestPolicyFiles:
             io.load_policy(path)
 
     @pytest.mark.parametrize("probe", ["no dims", "t not numbers",
-                                       "t holds a string", "no length_scale",
+                                       "t holds a string", "t holds a bool",
+                                       "t holds null", "t holds a list",
+                                       "no length_scale",
                                        "names swapped", "no name",
                                        "not utf-8"])
     def test_malformed_policy_fails_cleanly(self, tmp_path, capsys,
@@ -226,8 +228,10 @@ class TestPolicyFiles:
             payload = {"format": payload["format"]}
         elif probe == "t not numbers":
             payload["dims"][0]["signal"]["t"] = "abc"
-        elif probe == "t holds a string":
-            payload["dims"][0]["signal"]["t"][0] = "abc"
+        elif probe.startswith("t holds"):
+            payload["dims"][0]["signal"]["t"][0] = {
+                "t holds a string": "abc", "t holds a bool": True,
+                "t holds null": None, "t holds a list": [0.5]}[probe]
         elif probe == "no length_scale":
             del payload["dims"][0]["signal"]["length_scale"]
         elif probe == "names swapped":

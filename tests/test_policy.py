@@ -530,6 +530,43 @@ class TestNoiseSearch:
         assert sum(n == 3 for n, _, _ in runs) <= 2 * 6
 
 
+    def test_policy_fit_decomposes_once_per_length_scale(self, monkeypatch):
+        """The six dimensions share each length scale's eigendecomposition:
+        a door fit makes SCAN_LENGTHS eigh calls, not six times as many, and
+        a second fit makes as many again (nothing is kept between calls)."""
+        calls, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a: calls.append(a.shape) or eigh(a))
+        demos = generate_synthetic_door_set(seed=0)
+        learn_policy(demos)
+        assert calls == [(100, 100)] * gp.SCAN_LENGTHS
+        learn_policy(demos)
+        assert len(calls) == 2 * gp.SCAN_LENGTHS
+
+    @pytest.mark.parametrize("samples, grid", [(None, 100), (1000, 50)],
+                             ids=["door-0", "1000-samples-grid-50"])
+    def test_each_dimension_equals_its_fit_alone(self, samples, grid,
+                                                 monkeypatch):
+        """Each dimension of a learned policy is fit_heteroscedastic on its
+        pooled targets alone, bit for bit: kernel, knots, log variances and
+        LML."""
+        trains, fit = [], gp.fit_heteroscedastic
+        monkeypatch.setattr(policy_module, "fit_heteroscedastic",
+                            lambda train, config, **kwargs: trains.append(train)
+                            or fit(train, config, **kwargs))
+        demos = (generate_synthetic_door_set(seed=0) if samples is None else
+                 generate_synthetic_door_set(seed=0, n_samples=samples))
+        learned = learn_policy(demos, LearnConfig(grid_size=grid))
+        assert len(trains) == 6
+        for train, model in zip(trains, learned.dims):
+            alone = fit(TrainingSet(train.t, train.y), OptConfig())
+            assert model.params == alone.params
+            assert np.array_equal(model.knots, alone.knots)
+            assert np.array_equal(model.log_variance, alone.log_variance)
+            assert (model.signal_gp.log_marginal_likelihood()
+                    == alone.signal_gp.log_marginal_likelihood())
+
+
 class TestStreaming:
     def test_needs_three_samples(self, door_policy):
         poses = (Pose(np.zeros(3), (0, 0, 0)),
