@@ -11,6 +11,7 @@ creates the output directory; each ``_cmd_*`` then does only its own work.
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -30,13 +31,46 @@ from .synthetic import generate_synthetic_door_set
 
 # Largest --grid: each query time becomes one table row.
 MAX_QUERY_POINTS = 100_000
+# Manifest ``versions`` fields that can change an output's last bits.
+REPLAY_FIELDS = ("numpy", "scipy", "blas", "threads")
+
+logger = logging.getLogger(__name__)
 
 
 def _resolve_config(args) -> RunConfig:
     payload = read_config_payload(args.config) if args.config else {}
+    if args.config:
+        _check_replay_environment(args.config)
     if args.set:
         payload = apply_overrides(payload, args.set)
     return config_from_dict(payload)
+
+
+def _check_replay_environment(path) -> None:
+    """Log one WARNING when ``path`` is a run manifest written under other
+    numpy, scipy, BLAS builds or BLAS thread settings than this process's,
+    naming each field that differs: a replay may then differ in its last
+    bits. Outputs and exit codes do not change."""
+    manifest = io.read_json(path)
+    if manifest.get("format") != io.FORMAT_MANIFEST:
+        return
+    recorded, here = manifest.get("versions"), io._versions()
+    recorded = recorded if isinstance(recorded, dict) else {}
+    differ = []
+    for name in REPLAY_FIELDS:
+        ours, theirs = here[name], recorded.get(name)
+        if isinstance(ours, dict):
+            theirs = theirs if isinstance(theirs, dict) else {}
+            differ += [(f"{name}.{key}", theirs.get(key), ours[key])
+                       for key in ours if theirs.get(key) != ours[key]]
+        elif theirs != ours:
+            differ.append((name, theirs, ours))
+    if differ:
+        logger.warning(
+            "%s was written under another environment, so this replay may "
+            "differ in its last bits: %s", path, "; ".join(
+                f"{name} {theirs!r} there, {ours!r} here"
+                for name, theirs, ours in differ))
 
 
 def _out_dir(args) -> Path:

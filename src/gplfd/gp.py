@@ -90,6 +90,11 @@ NOISE_SMOOTHING = 0.1
 # Largest target standard deviation a search takes: its gradient squares
 # noise variances up to (3 sd)^2, which overflows past sd = 3.8e76.
 MAX_TARGET_SD = 1e76
+# A set signal or noise std bound lies within [1 / MAX_STD_BOUND,
+# MAX_STD_BOUND]: the search's gradient takes noise variances, and with them
+# the jitter, JITTER_FRAC signal_std^2, to their squares and the squares'
+# inverses, which stay finite for bounds within 1e-77 to 1e77.
+MAX_STD_BOUND = 1e77
 # The search's scan: log-spaced length scales, each with log-spaced noise
 # ratios (a searched noise) or as many signal stds (a fixed noise). One m x m
 # eigendecomposition per length scale dominates a scan's cost.
@@ -156,7 +161,8 @@ def rbf_kernel(ta, tb, params: KernelParams) -> np.ndarray:
     """Gram matrix of the RBF kernel between two input vectors."""
     ta = np.atleast_1d(np.asarray(ta, dtype=float))
     tb = np.atleast_1d(np.asarray(tb, dtype=float))
-    return _lag_kernel(ta[:, None] - tb[None, :], _max_lag(ta, tb), params)
+    return _lag_kernel(ta[:, None] - tb[None, :], _max_lag(ta, tb),
+                       params.length_scale, params.signal_std ** 2)
 
 
 def _max_lag(ta, tb) -> float:
@@ -169,25 +175,38 @@ def _max_lag(ta, tb) -> float:
                float(tb.max()) - float(ta.min()))
 
 
-def _lag_kernel(lag, max_lag, params: KernelParams) -> np.ndarray:
-    """The RBF kernel at the lags ``lag``, whose largest magnitude is
-    ``max_lag``. Lags too far to square overflow to -inf exponents, which
-    the cut maps to exact zeros; numpy's warning is silenced only then, as
+def _lag_kernel(lag, max_lag, length, sf2) -> np.ndarray:
+    """The RBF kernel of length scale ``length`` and signal variance
+    ``sf2`` at the lags ``lag``, whose largest magnitude is ``max_lag``.
+    Both are floats, or (c, 1, ...) arrays of them for a (c, ...) stack of
+    kernels. Lags too far to square overflow to -inf exponents, which the
+    cut maps to exact zeros; numpy's warning is silenced only then, as
     np.errstate costs more than a small kernel."""
-    d_max = max_lag / float(params.length_scale)
+    # The shortest length scale scales the farthest lag farthest.
+    d_max = max_lag / (length.min() if isinstance(length, np.ndarray)
+                       else length)
     with (np.errstate(over="ignore") if d_max > 1e150
           else contextlib.nullcontext()):
-        d = lag / params.length_scale
+        d = lag / length
         arg = -0.5 * d
         arg *= d
-        return _cut_exp(arg, -0.5 * d_max * d_max, params)
+        return _cut_exp(arg, -0.5 * d_max * d_max, sf2)
 
 
-def _cut_exp(arg, lowest, params: KernelParams) -> np.ndarray:
-    """signal_std^2 * exp(arg), with exact zeros where arg < -KERNEL_CUT.
+def _stacked(params, ndim) -> tuple:
+    """The length scales and signal variances of ``params`` as (c, 1, ...)
+    arrays that stack kernels on ``ndim``-d lags."""
+    shape = (len(params),) + (1,) * ndim
+    return (np.array([p.length_scale for p in params]).reshape(shape),
+            np.array([p.signal_std ** 2 for p in params]).reshape(shape))
+
+
+def _cut_exp(arg, lowest, sf2) -> np.ndarray:
+    """sf2 * exp(arg), with exact zeros where arg < -KERNEL_CUT.
 
     ``arg`` is a fresh exponent array, overwritten; ``lowest`` is its
-    smallest entry, so the cut is masked only where it bites.
+    smallest entry, so the cut is masked only where it bites. ``sf2`` is
+    the signal variance, or an array of them that broadcasts to ``arg``.
     """
     if lowest < -KERNEL_CUT:
         cut = arg < -KERNEL_CUT
@@ -197,7 +216,7 @@ def _cut_exp(arg, lowest, params: KernelParams) -> np.ndarray:
         np.copyto(k, 0.0, where=cut)
     else:
         k = np.exp(arg, out=arg)
-    k *= params.signal_std ** 2
+    k *= sf2
     return k
 
 
@@ -228,6 +247,21 @@ def _group(t):
     return ts[first], index, np.bincount(index)
 
 
+def _center(y):
+    """The column means of (n, c) targets ``y`` and the centered targets.
+    Targets whose mean or spread overflows, which would give NaN weights,
+    are refused."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        # The rows of a C-ordered copy of y.T take the pairwise sum each
+        # column's own mean() takes, so each offset is that mean.
+        offset = np.add.reduce(y.T.copy(), axis=1) / y.shape[0]
+        resid = y - offset
+        spread = np.einsum("ij,ij->j", resid, resid)
+    if not np.isfinite(spread).all():
+        raise InvalidInputError("training targets overflow in float64")
+    return offset, resid
+
+
 class _Reduced:
     """A training set grouped by distinct input, ready to collapse.
 
@@ -240,13 +274,24 @@ class _Reduced:
     """
 
     def __init__(self, train: TrainingSet, noise=None):
-        self.u, self.index, _ = _group(train.t)
-        if self.u.size > MAX_GP_INPUTS:
-            raise InvalidInputError(f"a GP takes at most {MAX_GP_INPUTS} "
-                                    f"distinct inputs, got {self.u.size}")
+        self._group(train.t)
         if noise is not None:
             noise = np.reshape(_as_noise(noise, train.y.shape), (-1, 1))
         self.use(*self.columns(train.y[:, None], noise), 0)
+
+    @classmethod
+    def shared(cls, t, y, noise=None):
+        """The inputs ``t`` of c GPs with (n, c) targets ``y``, grouped, and
+        their checked ``columns``; no column is in use yet."""
+        red = cls.__new__(cls)
+        red._group(TrainingSet(t, y[:, 0]).t)
+        return red, red.columns(y, noise)
+
+    def _group(self, t):
+        self.u, self.index, _ = _group(t)
+        if self.u.size > MAX_GP_INPUTS:
+            raise InvalidInputError(f"a GP takes at most {MAX_GP_INPUTS} "
+                                    f"distinct inputs, got {self.u.size}")
         self.sq_dist = np.subtract.outer(self.u, self.u) ** 2
 
     def columns(self, y, noise=None):
@@ -257,15 +302,7 @@ class _Reduced:
         the noise as an (n, c) array.
         """
         n, m = y.shape[0], self.u.size
-        # Targets whose mean or spread overflows would give NaN weights.
-        with np.errstate(over="ignore", invalid="ignore"):
-            # The rows of a C-ordered copy of y.T take the pairwise sum
-            # each column's own mean() takes, so each offset is that mean.
-            offset = np.add.reduce(y.T.copy(), axis=1) / n
-            resid = y - offset
-            spread = np.einsum("ij,ij->j", resid, resid)
-        if not np.isfinite(spread).all():
-            raise InvalidInputError("training targets overflow in float64")
+        offset, resid = _center(y)
         point_noise = np.zeros(y.shape) + (0.0 if noise is None else noise)
         if noise is not None and m < n:
             # Exact duplicates with zero noise make the Gram matrix singular
@@ -290,7 +327,7 @@ class _Reduced:
         the largest squared distance."""
         scale = -0.5 / params.length_scale ** 2
         return _cut_exp(self.sq_dist * scale, self.sq_dist[0, -1] * scale,
-                        params)
+                        params.signal_std ** 2)
 
     @cached_property
     def upper_weights(self):
@@ -359,34 +396,40 @@ class _System:
     """A fitted GP: its reduced system over the distinct inputs ``u``.
 
     ``chol`` is the lower factor of K(u, u) + diag(rbar), the only m x m
-    array kept, and ``alpha`` solves it against the centered ``ybar``.
+    array kept (a grown system's is a view of its ``_Columns`` factors),
+    and ``alpha`` solves it against the centered ``ybar`` when first read.
     """
 
     u: np.ndarray
     offset: float
     params: KernelParams
     chol: np.ndarray
-    alpha: np.ndarray
     ybar: np.ndarray
     rbar: np.ndarray
     jitter: float
-    lml: float | None
+    lml: float | None = None
+    _alpha: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    @property
+    def alpha(self) -> np.ndarray:
+        if self._alpha is None:
+            self._alpha = lapack.dpotrs(self.chol, self.ybar, lower=1)[0]
+        return self._alpha
 
     def predict(self, ts) -> PosteriorPrediction:
         """Latent posterior mean and variance at ``ts``."""
-        return self.predict_lags(*_query_lags(ts, self.u))
-
-    def predict_lags(self, lags, max_lag) -> PosteriorPrediction:
-        """``predict`` at the checked lags of ``_query_lags``."""
+        lags, max_lag = _query_lags(ts, self.u)
         sf2 = self.params.signal_std ** 2
-        Ks = _lag_kernel(lags, max_lag, self.params)
+        mean, explained = self.explain(_lag_kernel(
+            lags, max_lag, self.params.length_scale, sf2))
+        return _clamped(mean, sf2 - explained, sf2)
+
+    def explain(self, Ks):
+        """Posterior mean and explained variance sum(v^2) at queries whose
+        (q, m) kernels on ``u`` are ``Ks``; the solve overwrites ``Ks``."""
         mean = self.offset + Ks @ self.alpha
         v = lapack.dtrtrs(self.chol, Ks.T, lower=1, overwrite_b=1)[0]
-        var = sf2 - np.einsum("ij,ij->j", v, v)
-        if (var < -1e-8 * sf2).any():
-            warnings.warn("posterior variance dipped below the conditioning "
-                          "tolerance and was clamped to zero", RuntimeWarning)
-        return PosteriorPrediction(mean, np.maximum(var, 0.0))
+        return mean, np.einsum("ij,ij->j", v, v)
 
 
 def _query_lags(ts, u):
@@ -402,6 +445,41 @@ def _query_lags(ts, u):
     return ts[:, None] - u[None, :], _max_lag(ts, u)
 
 
+def _predict(systems, lags, max_lag) -> PosteriorPrediction:
+    """(q, c) latent posteriors of the c ``systems`` on shared inputs at
+    the checked lags of ``_query_lags``. The query kernels are one stack;
+    each system's product and solve is its own, as they set the bits."""
+    length, sf2 = _stacked([s.params for s in systems], 2)
+    Ks = _lag_kernel(lags, max_lag, length, sf2)
+    mean, explained = np.empty((2, lags.shape[0], len(systems)))
+    for j, sol in enumerate(systems):
+        mean[:, j], explained[:, j] = sol.explain(Ks[j])
+    sf2 = sf2.ravel()
+    return _clamped(mean, sf2 - explained, sf2)
+
+
+def _clamped(mean, var, sf2) -> PosteriorPrediction:
+    """The posterior with variances below zero clamped, and a warning when
+    one dips below the conditioning tolerance of its signal variance."""
+    if (var < -1e-8 * sf2).any():
+        warnings.warn("posterior variance dipped below the conditioning "
+                      "tolerance and was clamped to zero", RuntimeWarning)
+    return PosteriorPrediction(mean, np.maximum(var, 0.0))
+
+
+def _factor(K) -> np.ndarray:
+    """The lower factor of the symmetric C-ordered ``K``, in place; a
+    matrix that does not factorize is refused."""
+    try:
+        # K is symmetric, so its transpose is the Fortran-ordered array
+        # LAPACK factorizes in place.
+        return cho_factor(K.T)
+    except LinAlgError:
+        raise NumericalConditioningError(
+            "Gram matrix is not positive definite with the jitter added"
+        ) from None
+
+
 def _solve(red: _Reduced, params: KernelParams, K, add=0.0,
            lml=True) -> _System:
     """Factorize the reduced system over the Gram matrix ``K``, in place.
@@ -415,23 +493,13 @@ def _solve(red: _Reduced, params: KernelParams, K, add=0.0,
     m = red.u.size
     ybar, rbar, corr = red.collapse(add + jitter, lml)
     K.flat[::m + 1] += rbar
-    try:
-        # K is symmetric, so its transpose is the Fortran-ordered array
-        # LAPACK factorizes in place.
-        chol = cho_factor(K.T)
-    except LinAlgError:
-        raise NumericalConditioningError(
-            "Gram matrix is not positive definite with the jitter added"
-        ) from None
-    alpha = lapack.dpotrs(chol, ybar, lower=1)[0]
+    sol = _System(u=red.u, offset=red.offset, params=params, chol=_factor(K),
+                  ybar=ybar, rbar=rbar, jitter=jitter)
     if lml:
-        log_det = 2.0 * float(np.log(np.diagonal(chol)).sum())
-        lml = (-0.5 * float(ybar @ alpha) - 0.5 * log_det
-               - 0.5 * m * LOG_2PI + corr)
-    else:
-        lml = None
-    return _System(u=red.u, offset=red.offset, params=params, chol=chol,
-                   alpha=alpha, ybar=ybar, rbar=rbar, jitter=jitter, lml=lml)
+        log_det = 2.0 * float(np.log(np.diagonal(sol.chol)).sum())
+        sol.lml = (-0.5 * float(ybar @ sol.alpha) - 0.5 * log_det
+                   - 0.5 * m * LOG_2PI + corr)
+    return sol
 
 
 def _lml_parts(red: _Reduced, params: KernelParams, add=0.0):
@@ -516,19 +584,174 @@ def predict_columns(t, y, noise, params, ts) -> PosteriorPrediction:
     """(q, c) latent posteriors at ``ts`` of c GPs on the shared inputs ``t``.
 
     Column j is fit_gp(TrainingSet(t, y[:, j]), params[j], noise[:, j])
-    .predict(ts) bit for bit; one column's system is held at a time. The
-    inputs, targets, noise and queries are checked once, for all columns.
+    .predict(ts) bit for bit. The inputs, targets, noise and queries are
+    checked once, for all columns.
     """
-    red = _Reduced(TrainingSet(t, y[:, 0]))
-    columns = red.columns(y, _as_noise(noise, y.shape))
+    return _predict_columns(t, y, noise, params, ts)[0]
+
+
+def _predict_columns(t, y, noise, params, ts, keep=False):
+    """``predict_columns``, and its systems as ``_Columns`` if ``keep`` and
+    all c fit in the memory of one MAX_GP_INPUTS system, else None.
+
+    The columns go in chunks, each a stacked pass: the collapse, the Gram
+    matrices with their diagonals and the query kernels are (chunk, ...)
+    arrays, and only the factorizations and solves run per column. A chunk
+    holds no more than one column does at the caps: one m x m system at
+    MAX_GP_INPUTS inputs and one q x m block at MAX_PREDICT_CELLS.
+    """
+    red, columns = _Reduced.shared(t, y, _as_noise(noise, y.shape))
     lags, max_lag = _query_lags(ts, red.u)
-    out = PosteriorPrediction(*np.empty((2, lags.shape[0], len(params))))
-    for j, p in enumerate(params):
-        red.use(*columns, j)
-        sol = _solve(red, p, red.gram(p), lml=False)
-        pred = sol.predict_lags(lags, max_lag)
-        out.mean[:, j], out.var[:, j] = pred.mean, pred.var
-    return out
+    c, m, q = len(params), red.u.size, lags.shape[0]
+    keep = keep and c * m * m <= MAX_GP_INPUTS ** 2
+    step = max(1, min(c, MAX_GP_INPUTS ** 2 // m ** 2,
+                      MAX_PREDICT_CELLS // (q * m)))
+    preds, kept = [], []
+    for lo in range(0, c, step):
+        part = slice(lo, lo + step)
+        systems = _solve_columns(red, [a[..., part] for a in columns],
+                                 params[part])
+        preds.append(_predict(systems, lags, max_lag))
+        kept += systems if keep else []
+    out = preds[0] if len(preds) == 1 else PosteriorPrediction(
+        np.concatenate([p.mean for p in preds], axis=1),
+        np.concatenate([p.var for p in preds], axis=1))
+    return out, (_Columns(kept) if keep else None)
+
+
+def _solve_columns(red: _Reduced, columns, params) -> list:
+    """The systems of ``params``' GPs on red's inputs, for the checked
+    (offsets, centered targets, noise) ``columns``: column j's is the one
+    ``fit_gp`` builds, bit for bit. The collapse, Gram matrices and their
+    diagonals are (c, ...) stacks; each column is factorized on its own."""
+    offset, resid, point_noise = columns
+    c, m = len(params), red.u.size
+    scale = np.array([-0.5 / p.length_scale ** 2 for p in params])
+    sf2 = _stacked(params, 0)[1]
+    jitter = JITTER_FRAC * sf2
+    # np.add.at sums each group in point order, as np.bincount does.
+    w = 1.0 / (point_noise + jitter)
+    total, ybar = np.zeros((2, m, c))
+    np.add.at(total, red.index, w)
+    np.add.at(ybar, red.index, w * resid)
+    ybar, rbar = (ybar / total).T.copy(), (1.0 / total).T.copy()
+    K = _cut_exp(red.sq_dist * scale[:, None, None],
+                 float((red.sq_dist[0, -1] * scale).min()), sf2[:, None, None])
+    K.reshape(c, -1)[:, ::m + 1] += rbar
+    return [_System(u=red.u, offset=float(offset[j]), params=p,
+                    chol=_factor(K[j]), ybar=ybar[j], rbar=rbar[j],
+                    jitter=float(jitter[j])) for j, p in enumerate(params)]
+
+
+@dataclass
+class _Columns:
+    """c fitted GPs on shared inputs, one ``_System`` each, that grow.
+
+    ``extend`` appends points past the last input to every system by a
+    block Cholesky step (Seeger 2004, "Low rank updates for the Cholesky
+    decomposition"). Once grown, system j's factor is the leading block of
+    the square ``factors[j]``, which has room for more rows, and ``z[j]``
+    and ``z1[j]`` hold L^-1 ybar and L^-1 1: a new offset o' moves L^-1 ybar
+    to z - (o' - o) z1, so a step takes no solve against the whole factor
+    beyond the one its new rows and queries need. An extension writes its
+    rows into ``factors`` in place, so only the newest value of a chain may
+    be extended.
+    """
+
+    systems: list
+    factors: list | None = None
+    z: np.ndarray | None = None
+    z1: np.ndarray | None = None
+
+    def extend(self, y, t_new, y_new, noise_new, ts):
+        """(q, c) posteriors at ``ts`` and the grown columns, after
+        appending the k points ``t_new`` with (k, c) targets ``y_new`` and
+        noise variances ``noise_new``. ``t_new`` strictly increases past
+        the last input; ``y`` holds every target, kept and new, in the
+        order whose mean a from-scratch fit takes as its offset.
+
+        Returns None when the grown factors would not fit in the memory of
+        one MAX_GP_INPUTS system, the stacked query kernels would exceed
+        MAX_PREDICT_CELLS, or a Schur complement does not factorize.
+        """
+        c, m, k = len(self.systems), self.systems[0].u.size, t_new.size
+        if c * (m + k) ** 2 > MAX_GP_INPUTS ** 2:
+            return None
+        offset, _ = _center(y)
+        noise_new = _as_noise(noise_new, y_new.shape)
+        u = np.concatenate([self.systems[0].u, t_new])
+        lags, max_lag = _query_lags(ts, u)
+        q = lags.shape[0]
+        if c * (k + q) * (m + k) > MAX_PREDICT_CELLS:
+            return None
+        factors, z, z1 = self._room(m + k)
+        length, sf2 = _stacked([s.params for s in self.systems], 2)
+        jitter = np.array([s.jitter for s in self.systems])
+        rbar_new = 1.0 / (1.0 / (noise_new + jitter))
+        shift = offset - [s.offset for s in self.systems]
+        z = z - shift[:, None] * z1
+        # Rows: the new points, then the queries; columns: the inputs.
+        rows = np.concatenate([t_new[:, None] - u, lags])
+        K = _lag_kernel(rows, max(_max_lag(t_new, u), max_lag), length, sf2)
+        K[:, :k, m:] += rbar_new.T[:, :, None] * np.eye(k)
+        # L^-1 of the kernels of the new points and queries on the old
+        # inputs, per system: the new rows of L, and the queries' v there.
+        x = np.empty((c, m, k + q))
+        for j in range(c):
+            x[j] = lapack.dtrtrs(factors[j][:m].T, K[j, :, :m].T,
+                                 lower=0, trans=1)[0]
+        below, v = x[:, :, :k].transpose(0, 2, 1), x[:, :, k:]
+        try:
+            corner = np.linalg.cholesky(K[:, :k, m:] - below @ x[:, :, :k])
+        except LinAlgError:
+            return None
+        # The new rows of [L^-1 ybar, L^-1 1, v]: [ybar_new, 1, the queries'
+        # kernels on the new inputs] less their part on the old rows.
+        rhs = np.concatenate([(y_new - offset).T[:, :, None], np.ones((c, k, 1)),
+                              K[:, k:, m:].transpose(0, 2, 1)], axis=2)
+        w = np.linalg.solve(corner, rhs - below @ np.concatenate(
+            [z[:, :, None], z1[:, :, None], v], axis=2))
+        mean = (offset + np.einsum("jiq,ji->qj", v, z)
+                + np.einsum("jiq,ji->qj", w[:, :, 2:], w[:, :, 0]))
+        explained = (np.einsum("jiq,jiq->qj", v, v)
+                     + np.einsum("jiq,jiq->qj", w[:, :, 2:], w[:, :, 2:]))
+        for factor, new_rows, new_corner in zip(factors, below, corner):
+            factor[m:m + k, :m] = new_rows
+            factor[m:m + k, m:m + k] = new_corner
+        ybar = np.concatenate([[s.ybar for s in self.systems]
+                               - shift[:, None], (y_new - offset).T], axis=1)
+        rbar = np.concatenate([[s.rbar for s in self.systems], rbar_new.T],
+                              axis=1)
+        systems = [_System(u=u, offset=float(offset[j]), params=s.params,
+                           chol=factors[j][:m + k, :m + k], ybar=ybar[j],
+                           rbar=rbar[j], jitter=s.jitter)
+                   for j, s in enumerate(self.systems)]
+        grown = _Columns(systems, factors,
+                         np.concatenate([z, w[:, :, 0]], axis=1),
+                         np.concatenate([z1, w[:, :, 1]], axis=1))
+        sf2 = sf2.ravel()
+        return _clamped(mean, sf2 - explained, sf2), grown
+
+    def _room(self, rows):
+        """The factors with room for ``rows`` rows, and z and z1; both are
+        made on the first extension and the factors regrown when full."""
+        c, m = len(self.systems), self.systems[0].u.size
+        if self.factors is not None and len(self.factors[0]) >= rows:
+            return self.factors, self.z, self.z1
+        # Room for 16 more rows: a stream copies its factors once every 16
+        # steps. One buffer per system, within 16 rows of its factor, sized
+        # as a from-scratch fit's Gram matrices are: one stack of all
+        # systems, or doubling, raised a repeated 240-point stream's peak
+        # resident set by ~4% (glibc malloc, 2 vCPU Xeon).
+        cap = min(rows + 16, math.isqrt(MAX_GP_INPUTS ** 2 // c))
+        factors = [np.zeros((cap, cap)) for _ in self.systems]
+        for factor, s in zip(factors, self.systems):
+            factor[:m, :m] = s.chol
+        if self.z is not None:
+            return factors, self.z, self.z1
+        z = np.array([lapack.dtrtrs(s.chol, np.column_stack(
+            [s.ybar, np.ones(m)]), lower=1)[0].T for s in self.systems])
+        return factors, z[:, 0], z[:, 1]
 
 
 def lml_gradient(model: GPModel) -> np.ndarray:
@@ -560,7 +783,8 @@ class OptConfig:
     std(y), noise std within [1e-6, 3] * std(y); ``fit_heteroscedastic``
     derives its knots' own box unless ``noise_std_bounds`` is set. Bounds
     are (low, high), 0 < low < high, with squares that neither overflow nor
-    vanish; derived bounds always satisfy this.
+    vanish; set signal and noise std bounds also lie within [1e-77, 1e77]
+    (MAX_STD_BOUND), as the search takes their fourth powers.
 
     ``n_starts`` caps the local maxima of the scan a search polishes and
     ``max_iter`` the iterations of each polishing run; in
@@ -590,6 +814,13 @@ class OptConfig:
                 raise InvalidInputError(
                     f"search bounds {bounds} are not (low, high) with 0 < "
                     "low < high and squares that neither vanish nor overflow")
+        for bounds in (self.signal_std_bounds, self.noise_std_bounds):
+            if bounds is not None and not (
+                    1.0 / MAX_STD_BOUND <= bounds[0]
+                    and bounds[1] <= MAX_STD_BOUND):
+                raise InvalidInputError(
+                    f"search bounds {bounds} leave [{1.0 / MAX_STD_BOUND:g}, "
+                    f"{MAX_STD_BOUND:g}], past which the search overflows")
 
 
 def _kernel_log_bounds(red: _Reduced, config: OptConfig, noise=False):
@@ -695,8 +926,8 @@ def scan_columns(t, y, config: OptConfig = OptConfig()) -> list:
     ``t``: entry j is optimize_hyperparameters(TrainingSet(t, y[:, j]), None,
     config)'s own ``scan``, bit for bit, with one eigendecomposition per
     length scale for all columns."""
-    red = _Reduced(TrainingSet(t, y[:, 0]))
-    columns, targets = red.columns(y), []
+    red, columns = _Reduced.shared(t, y)
+    targets = []
     for j in range(y.shape[1]):
         red.use(*columns, j)
         targets.append((red.resid, _kernel_log_bounds(red, config, True)))

@@ -6,7 +6,10 @@ piecewise-linear log-noise profile. Via-point adaptation fuses the
 demonstration posterior with a second GP built from the via-points, one
 Gaussian product per dimension and query time. The demonstration-side
 posterior of the last query grid is kept, so repeated adaptation calls on
-one grid only pay for the via-point side.
+one grid only pay for the via-point side. The factorized via side of the
+last call is kept too: a call whose via-points are the kept ones plus new
+ones strictly after them in time grows it by a block Cholesky step, and
+every other call builds it from scratch.
 """
 
 from __future__ import annotations
@@ -20,8 +23,9 @@ from .alignment import MEASURES, Trajectory, align_demonstrations, resample
 from .errors import (InconsistentConstraintError, InsufficientDataError,
                      InvalidInputError)
 from .gp import (MAX_GP_INPUTS, OptConfig, PosteriorPrediction,
-                 TrainingSet, fit_gp,  # noqa: F401 (tracers wrap it here)
-                 fit_heteroscedastic, gaussian_product, predict_columns, scan_columns)
+                 TrainingSet, _predict_columns,
+                 fit_gp,  # noqa: F401 (tracers wrap it here)
+                 fit_heteroscedastic, gaussian_product, scan_columns)
 from .se3 import DistanceWeights, pose_rows
 
 DIM_NAMES = ("x", "y", "z", "rx", "ry", "rz")
@@ -111,6 +115,9 @@ class TaskPolicy:
     grid: np.ndarray
     # (grid bytes, (q, 6) posterior) of the last query grid.
     _last: tuple | None = field(default=None, init=False, repr=False)
+    # (times, poses, strengths, kernels, gp._Columns) of the last via side,
+    # its via-points sorted by time, while its six systems fit.
+    _via: tuple | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if len(self.dims) != 6:
@@ -172,31 +179,65 @@ def _via_side(policy: TaskPolicy, via_t, via_y, via_s, ts) -> PosteriorPredictio
     Via-point k has time via_t[k], pose row via_y[k] and strengths
     via_s[k]. Each dimension gets a via-point GP sharing the policy's kernel
     hyperparameters, with the strengths as observation noise; its predictive
-    variance includes the locally interpolated strength.
+    variance includes the locally interpolated strength. The six GPs grow
+    from the policy's kept ones (``_grown``) or are built from scratch, and
+    then kept while they fit in the memory of one MAX_GP_INPUTS system.
     """
     order = np.argsort(via_t, kind="stable")
     t, y, s = via_t[order], via_y[order], via_s[order]
     # A near-exact via-point must agree with the previous near-exact one of
     # its dimension if that is this close in time; a gap that overflows differs.
     hard = s < _HARD_STRENGTH
-    prev = np.maximum.accumulate(np.where(hard, np.c_[:t.size], -1))[:-1]
+    prev = np.maximum.accumulate(
+        np.where(hard, np.arange(t.size)[:, None], -1))[:-1]
     with np.errstate(over="ignore"):
         clash = (hard[1:] & (prev >= 0)
                  & (t[1:, None] - t[prev] <= _SAME_TIME_TOL)
-                 & (np.abs(y[1:] - np.take_along_axis(y, prev, 0)) > 1e-9))
+                 & (np.abs(y[1:] - y[prev, np.arange(6)]) > 1e-9))
     if np.any(clash):
         d = np.argmax(clash.any(axis=0))
         first = prev[np.argmax(clash[:, d]), d]
         raise InconsistentConstraintError(
             f"two near-exact via-points at t={t[first]} demand different poses")
 
-    via_side = predict_columns(via_t, via_y, via_s,
-                               [model.params for model in policy.dims], ts)
+    params = [model.params for model in policy.dims]
+    via_side = _grown(policy, via_y, (t, y, s), params, ts)
+    if via_side is None:
+        via_side, columns = _predict_columns(via_t, via_y, via_s, params, ts,
+                                             keep=True)
+        policy._via = None if columns is None else (t, y, s, params, columns)
     for d in range(6):
         # Treat the constraint noise as a log-interpolated profile so the
         # via side stays an observation-level posterior away from the knots.
         via_side.var[:, d] += np.exp(np.interp(ts, t, np.log(s[:, d])))
     return via_side
+
+
+def _grown(policy: TaskPolicy, via_y, tys, params, ts):
+    """The via side at ``ts`` from the kept one grown by the call's new
+    via-points, or None to go from scratch.
+
+    ``tys`` holds the call's time-sorted via times, poses and strengths.
+    They extend the kept side when they start with its via-points, with the
+    same bytes, the rest lie strictly after them in strictly increasing
+    time, and each dimension's kernel is the one the kept side was built
+    with.
+    """
+    if policy._via is None:
+        return None
+    *kept, kernels, columns = policy._via
+    n = kept[0].size
+    t, y, s = tys
+    new = t[n:]
+    if not (new.size and kernels == params and new[0] > kept[0][-1]
+            and np.all(new[1:] > new[:-1])
+            and all(a[:n].tobytes() == b.tobytes() for a, b in zip(tys, kept))):
+        return None
+    grown = columns.extend(via_y, new, y[n:], s[n:], ts)
+    if grown is None:
+        return None
+    policy._via = (t, y, s, params, grown[1])
+    return grown[0]
 
 
 def _fuse(policy: TaskPolicy, via_t, via_y, via_s, ts) -> PosteriorPrediction:
@@ -237,12 +278,17 @@ def prediction_error(pred, truth: Trajectory) -> np.ndarray:
 
     For each dimension this is mean over samples of
     (posterior mean - truth)^2 + posterior variance, assuming ``pred`` and
-    ``truth`` share their timestamps.
+    ``truth`` share their timestamps. ``pred`` is a posterior holding
+    (q, 6) arrays, such as ``query`` returns, or a sequence of rows.
     """
-    if len(pred) != len(truth):
+    rows = np.ndim(getattr(pred, "mean", None)) != 2
+    if (len(pred) if rows else len(pred.mean)) != len(truth):
         raise InvalidInputError("prediction and truth lengths differ")
-    return _expected_sq_error(np.stack([p.mean for p in pred]),
-                              np.stack([p.var for p in pred]), truth.samples)
+    if rows:
+        return _expected_sq_error(np.stack([p.mean for p in pred]),
+                                  np.stack([p.var for p in pred]),
+                                  truth.samples)
+    return _expected_sq_error(pred.mean, pred.var, truth.samples)
 
 
 def _calibration(mean, var, target):

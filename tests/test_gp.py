@@ -2,6 +2,7 @@ import logging
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -207,6 +208,27 @@ class TestFitPredict:
             pred = fit_gp(TrainingSet(t, y[:, j]), p, noise=noise[:, j]).predict(ts)
             assert np.array_equal(out.mean[:, j], pred.mean)
             assert np.array_equal(out.var[:, j], pred.var)
+
+    @pytest.mark.parametrize("inputs, queries, chunks", [
+        (20, 5, [6]), (900, 5, [4, 2]), (300, 20_000, [6]),
+        (300, 30_000, [4, 2])])
+    def test_columns_go_in_bounded_chunks(self, inputs, queries, chunks,
+                                          monkeypatch):
+        """A stacked chunk holds no more columns than one m x m system at
+        MAX_GP_INPUTS and one q x m block at MAX_PREDICT_CELLS hold."""
+        t = np.linspace(0.0, 1.0, inputs)
+        y = np.stack([np.sin(k * t) for k in range(1, 7)], axis=1)
+        seen, real = [], gp._solve_columns
+        monkeypatch.setattr(gp, "_solve_columns", lambda red, columns, params:
+                            seen.append(len(params)) or real(red, columns,
+                                                             params))
+        params = [KernelParams(0.3, 1.0)] * 6
+        gp.predict_columns(t, y, np.full(y.shape, 1e-2), params,
+                           np.linspace(0.0, 1.0, queries))
+        assert seen == chunks
+        for size in chunks:
+            assert (size * inputs ** 2 <= MAX_GP_INPUTS ** 2
+                    and size * queries * inputs <= MAX_PREDICT_CELLS)
 
     @pytest.mark.parametrize("case", [
         "nan-query", "inf-query", "cells", "negative-noise", "nan-noise",
@@ -815,6 +837,25 @@ class TestHyperparameterSearch:
         with pytest.raises(InvalidInputError):
             optimize_hyperparameters(
                 train, config=OptConfig(length_scale_bounds=(1.0, 0.5)))
+
+    @pytest.mark.parametrize("field", ["noise_std_bounds",
+                                       "signal_std_bounds"])
+    def test_bounds_past_the_search_range_refused(self, field):
+        """Signal and noise std bounds whose fourth powers overflow once
+        ended the search in overflow warnings and a wrong LML; they are
+        refused, with no warning, and the range's ends are accepted."""
+        t = np.linspace(0.0, 10.0, 12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="search bounds"):
+                optimize_hyperparameters(TrainingSet(t, np.sin(t)), config=(
+                    OptConfig(**{field: (1e100, 1e150)})))
+            with pytest.raises(InvalidInputError, match="search bounds"):
+                OptConfig(**{field: (1e-78, 1.0)})
+            model = optimize_hyperparameters(TrainingSet(t, np.sin(t)),
+                                             config=OptConfig(**{field: (
+                                                 1e-77, 1e77)}))
+        assert math.isfinite(model.log_marginal_likelihood())
 
     @pytest.mark.parametrize("noise", ["searched", "scalar", "per-point"])
     def test_returns_the_model_fit_gp_builds(self, rng, noise):

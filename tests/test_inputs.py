@@ -108,6 +108,20 @@ class TestConfigValues:
         assert "search bounds" in err and "Traceback" not in err
         assert not (tmp_path / "policy.json").exists()
 
+    def test_fit_refuses_bounds_past_the_search_range(self, tmp_path,
+                                                      pull_texts):
+        """Noise std bounds whose fourth powers overflow are refused."""
+        paths = []
+        for k, text in enumerate(pull_texts[:2]):
+            paths.append(str(tmp_path / f"pull_{k}.csv"))
+            (tmp_path / f"pull_{k}.csv").write_text(text)
+        code, err = run(["fit", *paths,
+                         "--set=policy.noise_std_bounds=[1e100,1e150]",
+                         "--out-dir", str(tmp_path)])
+        assert code == 1 and err.startswith("error:")
+        assert "search bounds" in err and "Traceback" not in err
+        assert not (tmp_path / "policy.json").exists()
+
     def test_binary_config_file(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_bytes(b"\xff\xfe\x00{")

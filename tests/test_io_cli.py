@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 
 import numpy as np
@@ -303,6 +304,54 @@ class TestManifests:
         assert versions["threads"] == {"OPENBLAS_NUM_THREADS": "2",
                                        "OMP_NUM_THREADS": "1",
                                        "MKL_NUM_THREADS": None}
+
+
+class TestReplayEnvironment:
+    def test_replay_under_other_threads_warns(self, tmp_path, caplog,
+                                              monkeypatch):
+        """A manifest written under other thread settings replays to the
+        same bytes and exit code, with one WARNING naming the field."""
+        assert main(["gen-data", *SMALL, "--out-dir", str(tmp_path)]) == 0
+        manifest = tmp_path / "gen-data.manifest.json"
+        with caplog.at_level(logging.WARNING, logger="gplfd.cli"):
+            assert main(["gen-data", "--config", str(manifest),
+                         "--out-dir", str(tmp_path / "same")]) == 0
+        assert not caplog.records
+        payload = json.loads(manifest.read_text())
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        payload["versions"]["threads"]["OPENBLAS_NUM_THREADS"] = "7"
+        manifest.write_text(json.dumps(payload))
+        with caplog.at_level(logging.WARNING, logger="gplfd.cli"):
+            assert main(["gen-data", "--config", str(manifest),
+                         "--out-dir", str(tmp_path / "other")]) == 0
+        [record] = caplog.records
+        assert record.levelno == logging.WARNING
+        assert "threads.OPENBLAS_NUM_THREADS '7' there, '1' here" in (
+            record.getMessage())
+        for name in ("numpy", "scipy", "blas"):
+            assert f"{name} " not in record.getMessage()
+        caplog.clear()
+        payload["versions"]["numpy"] = "1.0.0"
+        manifest.write_text(json.dumps(payload))
+        with caplog.at_level(logging.WARNING, logger="gplfd.cli"):
+            assert main(["gen-data", "--config", str(manifest),
+                         "--out-dir", str(tmp_path / "other")]) == 0
+        [record] = caplog.records
+        assert f"numpy '1.0.0' there, '{np.__version__}' here" in (
+            record.getMessage())
+        assert "threads.OPENBLAS_NUM_THREADS" in record.getMessage()
+        for demo in tmp_path.glob("demo_*.csv"):
+            for replay in ("same", "other"):
+                assert (tmp_path / replay / demo.name).read_bytes() == (
+                    demo.read_bytes())
+
+    def test_plain_config_never_warns(self, tmp_path, caplog):
+        path = tmp_path / "config.json"
+        save_config(path, DEFAULTS)
+        with caplog.at_level(logging.WARNING, logger="gplfd.cli"):
+            assert main(["gen-data", "--config", str(path), *SMALL,
+                         "--out-dir", str(tmp_path)]) == 0
+        assert not caplog.records
 
 
 class TestConfig:

@@ -429,7 +429,9 @@ class TestFuseMatchesLoop:
         strength = np.r_[np.full(3, 1e-4), np.full(3, 1e-3)]
         via_s = np.broadcast_to(strength, samples.shape)
         for i in range(1, ts.size):
-            self.assert_same(door_policy, ts[:i], samples[:i], via_s[:i],
+            # A fresh policy per prefix: the from-scratch via side.
+            fresh = TaskPolicy(dims=door_policy.dims, grid=door_policy.grid)
+            self.assert_same(fresh, ts[:i], samples[:i], via_s[:i],
                              ts[i:i + 1])
 
     def test_memory_at_the_input_cap(self, door_policy, rng):
@@ -450,6 +452,143 @@ class TestFuseMatchesLoop:
         finally:
             tracemalloc.stop()
         assert peak < 140e6
+
+
+class TestGrowingViaSide:
+    """Appended via-points grow the kept via side; every other call goes
+    from scratch, bit for bit as a fresh policy does."""
+
+    GRID = TestFuseMatchesLoop.GRID
+
+    @pytest.fixture(scope="class")
+    def stream(self):
+        (truth,) = generate_synthetic_door_set(seed=7, radii=(0.85,),
+                                               repeats=1, n_samples=240)
+        stamps, samples = truth.stamps, truth.samples
+        ts = (stamps - stamps[0]) / (stamps[-1] - stamps[0])
+        strength = np.r_[np.full(3, 1e-4), np.full(3, 1e-3)]
+        return ts, samples, np.broadcast_to(strength, samples.shape).copy()
+
+    @staticmethod
+    def grown(policy):
+        """True when the kept via side has been grown."""
+        return policy._via is not None and policy._via[-1].factors is not None
+
+    def test_every_prefix_within_1e_10_of_the_loop(self, door_policy, stream):
+        """One policy takes the 240-sample stream in order: every step after
+        the first grows the kept side, and each fused posterior is within
+        1e-10 of the per-dimension loop's."""
+        ts, samples, via_s = stream
+        policy = TaskPolicy(dims=door_policy.dims, grid=door_policy.grid)
+        scale = np.abs(samples).max(axis=0) + 1e-3
+        for i in range(1, ts.size):
+            got = _fuse(policy, ts[:i], samples[:i], via_s[:i], ts[i:i + 1])
+            want = loop_fuse(policy, ts[:i], samples[:i], via_s[:i],
+                             ts[i:i + 1])
+            assert self.grown(policy) == (i > 1)
+            assert np.all(np.abs(got.mean - want.mean) <= 1e-10 * scale)
+            assert_allclose(got.var, want.var, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("case", [
+        "earlier-time", "repeated-last-time", "changed-strength",
+        "changed-pose", "swapped-dims", "same-via-points"])
+    def test_other_calls_go_from_scratch(self, door_policy, stream, case):
+        """A call that does not append via-points strictly after the kept
+        ones, with the kept ones unchanged and the same kernels, is bit for
+        bit the from-scratch fusion, and its side replaces the kept one."""
+        ts, samples, via_s = stream
+        dims = list(door_policy.dims)
+        policy = TaskPolicy(dims=dims, grid=door_policy.grid)
+        via_t, via_y, via_s = ts[:40].copy(), samples[:40].copy(), via_s[:40]
+        for n in (30, 35):  # build, then grow
+            _fuse(policy, via_t[:n], via_y[:n], via_s[:n], np.array([0.5]))
+        assert self.grown(policy)
+        n = 36
+        if case == "earlier-time":
+            via_t[35] = 0.5 * (via_t[33] + via_t[34])
+        elif case == "repeated-last-time":
+            via_t[35] = via_t[34]
+        elif case == "changed-strength":
+            via_s = via_s.copy()
+            via_s[10, 2] *= 1.5
+        elif case == "changed-pose":
+            via_y[10, 4] += 1e-9
+        elif case == "swapped-dims":
+            dims[0], dims[1] = dims[1], dims[0]
+        else:
+            n = 35
+        args = (via_t[:n], via_y[:n], via_s[:n], self.GRID)
+        got = _fuse(policy, *args)
+        assert not self.grown(policy)
+        want = loop_fuse(TaskPolicy(dims=dims, grid=door_policy.grid), *args)
+        assert np.array_equal(got.mean, want.mean)
+        assert np.array_equal(got.var, want.var)
+
+    def test_extending_step_factorizes_no_full_system(self, door_policy,
+                                                      stream, monkeypatch):
+        """A step that grows the kept side factorizes only the new rows'
+        Schur complements: no m x m Cholesky factorization."""
+        ts, samples, via_s = stream
+        policy = TaskPolicy(dims=door_policy.dims, grid=door_policy.grid)
+        _fuse(policy, ts[:50], samples[:50], via_s[:50], ts[50:51])
+        factored, cholesky = [], np.linalg.cholesky
+        real = gp.cho_factor
+        monkeypatch.setattr(gp, "cho_factor",
+                            lambda a: factored.append(a.shape) or real(a))
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            lambda a: factored.append(a.shape) or cholesky(a))
+        _fuse(policy, ts[:52], samples[:52], via_s[:52], ts[52:53])
+        assert self.grown(policy)
+        assert factored == [(6, 2, 2)]
+
+    def test_failed_schur_complement_goes_from_scratch(self, door_policy,
+                                                       stream, monkeypatch):
+        """An extension whose Schur complements do not factorize gives way
+        to the from-scratch side, bit for bit, which is then kept."""
+        ts, samples, via_s = stream
+        policy = TaskPolicy(dims=door_policy.dims, grid=door_policy.grid)
+        for n in (20, 21):
+            _fuse(policy, ts[:n], samples[:n], via_s[:n], ts[n:n + 1])
+        assert self.grown(policy)
+
+        def refuse(a):
+            raise np.linalg.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        args = (ts[:22], samples[:22], via_s[:22], self.GRID)
+        got = _fuse(policy, *args)
+        assert not self.grown(policy) and policy._via[0].size == 22
+        want = loop_fuse(policy, *args)
+        assert np.array_equal(got.mean, want.mean)
+        assert np.array_equal(got.var, want.var)
+
+    def test_no_factor_kept_past_the_size_bound(self, door_policy, rng):
+        """The six systems are kept while they fit in the memory of one
+        MAX_GP_INPUTS system, 816 via-points each; past that nothing is."""
+        bound = math.isqrt(MAX_GP_INPUTS ** 2 // 6)
+        via_t = np.linspace(0.0, 1.0, bound + 1)
+        via_y = TestFuseMatchesLoop.near_policy(door_policy, via_t, rng, 0.01)
+        via_s = np.full(via_y.shape, 1e-4)
+        policy = TaskPolicy(dims=door_policy.dims, grid=door_policy.grid)
+        ts = np.array([0.5])
+        _fuse(policy, via_t[:bound], via_y[:bound], via_s[:bound], ts)
+        assert policy._via is not None and policy._via[0].size == bound
+        _fuse(policy, via_t, via_y, via_s, ts)
+        assert policy._via is None
+        _fuse(policy, via_t[:bound - 1], via_y[:bound - 1], via_s[:bound - 1],
+              ts)
+        _fuse(policy, via_t, via_y, via_s, ts)
+        assert policy._via is None
+
+    def test_streaming_evaluation_grows_its_steps(self, door_policy,
+                                                  door_holdout, monkeypatch):
+        """streaming_evaluation's steps after the first grow the kept side."""
+        fresh = TaskPolicy(dims=door_policy.dims, grid=door_policy.grid)
+        calls, real = [], gp._Columns.extend
+        monkeypatch.setattr(gp._Columns, "extend",
+                            lambda *a: calls.append(a[2].size) or real(*a))
+        streaming_evaluation(fresh, door_holdout, 1e-4)
+        assert calls == [1] * (len(door_holdout) - 2)
 
 
 class TestPredictionError:
@@ -486,6 +625,21 @@ class TestPredictionError:
         for i in range(8):
             want += (means[i] - truth_mat[i]) ** 2 + vars_[i]
         assert_allclose(prediction_error(pred, truth), want / 8.0, rtol=1e-12)
+
+    def test_array_posterior_equals_its_rows(self, door_policy,
+                                             door_holdout):
+        """A (q, 6) posterior is read as it is; its list of rows gives the
+        same errors, bit for bit."""
+        stamps = door_holdout.stamps
+        ts = (stamps - stamps[0]) / (stamps[-1] - stamps[0])
+        truth = Trajectory(ts, door_holdout.samples)
+        post = query(door_policy, ts)
+        got = prediction_error(post, truth)
+        assert np.array_equal(got, prediction_error(list(post), truth))
+        assert np.array_equal(got, prediction_error(
+            PosteriorPrediction(post.mean, post.var), truth))
+        with pytest.raises(InvalidInputError, match="lengths differ"):
+            prediction_error(query(door_policy, ts[1:]), truth)
 
     def test_length_mismatch_rejected(self):
         ts = np.linspace(0.0, 1.0, 4)
