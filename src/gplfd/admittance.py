@@ -173,10 +173,14 @@ class SimTrace:
         return 0.5 * self.inertia * self.rate ** 2 + 0.5 * self.stiffness * self.error ** 2
 
     def max_sigma_rate(self) -> float:
-        """Largest |dsigma/dt| observed, by central differences."""
+        """Largest |dsigma/dt| observed, by central differences.
+
+        The differences take the trace's one step, not the stamps: stamps
+        ``k * dt`` are not exactly uniform, and non-uniform weights do not
+        cancel on a constant schedule."""
         if self.times.size < 2:
             return 0.0
-        grad = np.gradient(self.sigma, self.times, axis=0)
+        grad = np.gradient(self.sigma, self.times[1] - self.times[0], axis=0)
         return float(np.max(np.abs(grad)))
 
 

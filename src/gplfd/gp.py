@@ -46,6 +46,10 @@ Schonlau & Welch, J. Global Optim. 1998), so one eigendecomposition per
 length scale scores a whole axis of noise ratios in closed form. Targets on
 shared inputs share those eigendecompositions: a policy fit scans its
 dimensions together (``scan_columns``), as ``predict_columns`` predicts them.
+
+Only a search loads ``scipy.optimize``: ``minimize`` imports it on its first
+call. Loading, predicting and adapting a policy never do, so a process that
+does not fit skips the optimizer's import and its memory.
 """
 
 from __future__ import annotations
@@ -60,7 +64,6 @@ from functools import cached_property
 import numpy as np
 from numpy.linalg import LinAlgError
 from scipy.linalg import lapack
-from scipy.optimize import minimize
 
 from .errors import (InsufficientDataError, InvalidInputError,
                      NumericalConditioningError, OptimizationFailureError)
@@ -1000,6 +1003,14 @@ def _peaks(cells, lml):
     order = np.flatnonzero(top)
     order = order[np.argsort(-lml.flat[order], kind="stable")]
     return cells.reshape(lml.size, -1)[order]
+
+
+def minimize(fun, x0, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first call: the optimizer
+    and what it pulls in (``scipy.fft``, ``scipy.special``, ``scipy.sparse``)
+    load only in a process that searches hyperparameters."""
+    from scipy.optimize import minimize as scipy_minimize
+    return scipy_minimize(fun, x0, **kwargs)
 
 
 def _lbfgs(objective, theta0, log_bounds, max_iter):

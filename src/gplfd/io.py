@@ -285,7 +285,9 @@ def save_policy(path, policy: TaskPolicy) -> None:
     payload = {"format": FORMAT_POLICY,
                "grid": policy.grid.tolist(),
                "dims": dims}
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # Compact separators keep json on its C encoder; indent=2 would not.
+    Path(path).write_text(json.dumps(payload, sort_keys=True,
+                                     separators=(",", ":")) + "\n")
 
 
 def load_policy(path) -> TaskPolicy:

@@ -113,7 +113,8 @@ class TaskPolicy:
 
     dims: list
     grid: np.ndarray
-    # (grid bytes, (q, 6) posterior) of the last query grid.
+    # (grid bytes, the six models, (q, 6) posterior) of the last query grid;
+    # the models are held by reference, so a changed ``dims`` misses.
     _last: tuple | None = field(default=None, init=False, repr=False)
     # (times, poses, strengths, kernels, gp._Columns) of the last via side,
     # its via-points sorted by time, while its six systems fit.
@@ -131,14 +132,16 @@ class TaskPolicy:
 
     def demonstration_posterior(self, ts: np.ndarray) -> PosteriorPrediction:
         """(q, 6) posterior at ``ts``; the last grid's is kept."""
-        key = ts.tobytes()
-        if self._last is None or self._last[0] != key:
-            per_dim = [model.predict(ts) for model in self.dims]
-            self._last = (key, PosteriorPrediction(
+        key, models = ts.tobytes(), tuple(self.dims)
+        last = self._last
+        if (last is None or last[0] != key or len(last[1]) != len(models)
+                or any(a is not b for a, b in zip(last[1], models))):
+            per_dim = [model.predict(ts) for model in models]
+            self._last = (key, models, PosteriorPrediction(
                 mean=np.stack([p.mean for p in per_dim], axis=1),
                 var=np.stack([p.var for p in per_dim], axis=1)))
         # Hand out copies so callers cannot mutate the kept arrays.
-        kept = self._last[1]
+        kept = self._last[2]
         return PosteriorPrediction(mean=kept.mean.copy(), var=kept.var.copy())
 
 

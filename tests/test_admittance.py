@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -244,6 +245,17 @@ class TestSimulate:
         trace = simulate(sigma=lambda t: 0.01 + 0.004 * t, dt=1e-3,
                          horizon=2.0)
         assert_allclose(trace.max_sigma_rate(), 0.004, rtol=1e-6)
+
+    @pytest.mark.parametrize("level", [0.05, 1e12, 1e308])
+    def test_constant_schedule_has_no_rate(self, level):
+        """Stamps k * dt are not exactly uniform; a constant sigma still
+        reads exactly 0 and satisfies the bound, with no overflow."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = simulate(sigma=level, dt=1e-3, horizon=2.0)
+            rate = trace.max_sigma_rate()
+        assert rate == 0.0
+        assert check_stability(DEFAULTS, rate).satisfied
 
 
 class TestForceModels:

@@ -1,12 +1,17 @@
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.linalg import LinAlgError
 from numpy.testing import assert_allclose
 
+import gplfd
 from gplfd import (AlignmentWarning, FormatError, InvalidInputError,
                    ParseError, Pose, RunConfig, Trajectory, ViaPoint,
                    config_sha256, load_config, query, save_config, simulate)
@@ -193,6 +198,21 @@ class TestPolicyFiles:
         for a, b in zip(ours, orig):
             assert np.array_equal(a.mean, b.mean)
             assert np.array_equal(a.var, b.var)
+
+    def test_written_on_one_line_and_indented_files_load(self, tmp_path,
+                                                         door_policy):
+        """The file is compact JSON; an indented v2 file, as written before,
+        loads to the same posterior bit for bit."""
+        compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
+        io.save_policy(compact, door_policy)
+        assert compact.read_text().count("\n") == 1
+        payload = json.loads(compact.read_text())
+        indented.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        ts = np.linspace(0.0, 1.0, 101)
+        ours = query(io.load_policy(indented), ts)
+        theirs = query(io.load_policy(compact), ts)
+        assert np.array_equal(ours.mean, theirs.mean)
+        assert np.array_equal(ours.var, theirs.var)
 
     def test_v1_file_asks_for_a_refit(self, tmp_path, capsys, door_policy):
         """A v1 file held the noise GP this version no longer has."""
@@ -590,3 +610,60 @@ class TestCommandLine:
                      "--out-dir", str(second)]) == 0
         for path in sorted(first.glob("demo_*.csv")):
             assert (second / path.name).read_bytes() == path.read_bytes()
+
+
+# Runs CLI commands in one fresh interpreter and prints, as its last line,
+# the scipy.optimize modules loaded after the import and after each command.
+OPTIMIZER_PROBE = """
+import json, sys
+import gplfd, gplfd.cli
+
+def optimizer():
+    return sorted(m for m in sys.modules if m.startswith("scipy.optimize"))
+
+loaded = [["import", optimizer()]]
+for argv in json.loads(sys.argv[1]):
+    code = gplfd.cli.main(argv)
+    loaded.append([argv[0], optimizer() if code == 0 else f"exit {code}"])
+print(json.dumps(loaded))
+"""
+
+
+def optimizer_modules(commands):
+    """[command, scipy.optimize modules loaded so far] in a fresh process."""
+    env = dict(os.environ, PYTHONPATH=str(Path(gplfd.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", OPTIMIZER_PROBE,
+                           json.dumps(commands)], env=env, check=True,
+                          capture_output=True, text=True)
+    return [tuple(row) for row in json.loads(done.stdout.splitlines()[-1])]
+
+
+class TestOptimizerImport:
+    """Only a hyperparameter search loads scipy.optimize. This session has
+    it loaded already, so each check runs in a fresh interpreter."""
+
+    @pytest.fixture(scope="class")
+    def run_dir(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("optimizer")
+        assert main(["gen-data", *SMALL, "--out-dir", str(out)]) == 0
+        demos = sorted(str(p) for p in out.glob("demo_*.csv"))
+        assert main(["fit", *demos, *SMALL, "--out-dir", str(out)]) == 0
+        io.save_viapoints(out / "via.csv", [ViaPoint(
+            0.5, Pose(np.array([0.5, 0.0, 0.2]), (0, 0.5, 0)), 1e-4)])
+        return out
+
+    def test_only_fit_loads_the_optimizer(self, run_dir):
+        demos = sorted(str(p) for p in run_dir.glob("demo_*.csv"))
+        policy, out = str(run_dir / "policy.json"), str(run_dir / "probe")
+        args = [*SMALL, "--out-dir", out]
+        commands = [["gen-data", *args], ["align", *demos, *args],
+                    ["query", "--policy", policy, "--grid", "9", *args],
+                    ["adapt", "--policy", policy,
+                     "--via", str(run_dir / "via.csv"), *args],
+                    ["simulate", "--policy", policy, *args],
+                    ["eval", "--policy", policy, "--truth", demos[0], *args]]
+        assert optimizer_modules(commands) == [
+            (name, []) for name in ("import", "gen-data", "align", "query",
+                                    "adapt", "simulate", "eval")]
+        [(_, before), (_, after)] = optimizer_modules([["fit", *demos, *args]])
+        assert before == [] and "scipy.optimize" in after

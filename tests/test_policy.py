@@ -211,6 +211,39 @@ class TestAdaptation:
         policy.demonstration_posterior(grids[0])
         assert calls == [20] * 6
 
+    @pytest.mark.parametrize("change", ["swapped in place", "reassigned"])
+    def test_changed_dims_are_predicted_afresh(self, door_policy, change):
+        ts = np.linspace(0.0, 1.0, 100)
+        policy = TaskPolicy(dims=list(door_policy.dims), grid=door_policy.grid)
+        query(policy, ts)
+        if change == "swapped in place":
+            policy.dims[0], policy.dims[1] = policy.dims[1], policy.dims[0]
+        else:
+            policy.dims = [policy.dims[1], policy.dims[0], *policy.dims[2:]]
+        fresh = TaskPolicy(dims=list(policy.dims), grid=door_policy.grid)
+        ours, theirs = query(policy, ts), query(fresh, ts)
+        assert np.array_equal(ours.mean, theirs.mean)
+        assert np.array_equal(ours.var, theirs.var)
+
+    def test_the_same_models_keep_the_posterior(self, door_policy,
+                                                monkeypatch):
+        ts = np.linspace(0.0, 1.0, 100)
+        policy = TaskPolicy(dims=list(door_policy.dims), grid=door_policy.grid)
+        kept = query(policy, ts)
+        # A new list of the same six models still hits.
+        policy.dims = list(policy.dims)
+        calls, predict = [], GPModel.predict
+
+        def counted(model, ts):
+            calls.append(ts.size)
+            return predict(model, ts)
+
+        monkeypatch.setattr(GPModel, "predict", counted)
+        again = query(policy, ts)
+        assert calls == []
+        assert np.array_equal(again.mean, kept.mean)
+        assert np.array_equal(again.var, kept.var)
+
     def test_fused_posterior_matches_dense_oracle(self, rng):
         """Each dimension rebuilt from explicit inverses and fused by hand."""
         dims = []
