@@ -22,7 +22,7 @@ from . import io
 from .admittance import check_stability, constant_force, simulate
 from .alignment import align_demonstrations
 from .config import (RunConfig, apply_overrides, config_from_dict,
-                     distance_weights, learn_config, read_config_payload,
+                     config_payload, distance_weights, learn_config,
                      via_strength)
 from .errors import InvalidInputError, ToolkitError
 from .policy import (DIM_NAMES, adapt_with_viapoints, learn_policy, query,
@@ -38,21 +38,23 @@ logger = logging.getLogger(__name__)
 
 
 def _resolve_config(args) -> RunConfig:
-    payload = read_config_payload(args.config) if args.config else {}
+    payload = {}
     if args.config:
-        _check_replay_environment(args.config)
+        doc = io.read_json(args.config)
+        payload = config_payload(doc, args.config)
+        _check_replay_environment(args.config, doc)
     if args.set:
         payload = apply_overrides(payload, args.set)
     return config_from_dict(payload)
 
 
-def _check_replay_environment(path) -> None:
-    """Log one WARNING when ``path`` is a run manifest written under other
-    numpy, scipy, BLAS builds or BLAS thread settings than this process's,
-    naming each field that differs: a replay may then differ in its last
-    bits. Outputs and exit codes do not change."""
-    manifest = io.read_json(path)
-    if manifest.get("format") != io.FORMAT_MANIFEST:
+def _check_replay_environment(path, manifest) -> None:
+    """Log one WARNING when ``manifest``, parsed from ``path``, is a run
+    manifest written under other numpy, scipy, BLAS builds or BLAS thread
+    settings than this process's, naming each field that differs: a replay
+    may then differ in its last bits. Outputs and exit codes do not
+    change."""
+    if not io.is_manifest(manifest):
         return
     recorded, here = manifest.get("versions"), io._versions()
     recorded = recorded if isinstance(recorded, dict) else {}

@@ -20,7 +20,7 @@ import numpy as np
 from .admittance import ControllerParams, simulation_steps
 from .errors import InvalidInputError
 from .gp import OptConfig
-from .io import FORMAT_MANIFEST, canonical_sha256, read_json
+from .io import canonical_sha256, is_manifest, read_json
 from .policy import LearnConfig, strength_vector
 from .se3 import DistanceWeights
 from .synthetic import DoorSet
@@ -123,10 +123,10 @@ def config_from_dict(payload: dict) -> RunConfig:
     return config
 
 
-def read_config_payload(path) -> dict:
-    """Raw config dict from a config file or from a run manifest."""
-    payload = read_json(path)
-    if isinstance(payload, dict) and payload.get("format") == FORMAT_MANIFEST:
+def config_payload(payload, path) -> dict:
+    """Raw config dict from the parsed document of the config file or run
+    manifest at ``path``."""
+    if is_manifest(payload):
         payload, digest = payload.get("config"), payload.get("config_sha256")
         if isinstance(payload, dict) and digest != canonical_sha256(payload):
             raise InvalidInputError(f"{path}: manifest config_sha256 does "
@@ -138,7 +138,7 @@ def read_config_payload(path) -> dict:
 
 def load_config(path) -> RunConfig:
     """Load a config file; a run manifest is accepted in place of one."""
-    return config_from_dict(read_config_payload(path))
+    return config_from_dict(config_payload(read_json(path), path))
 
 
 def save_config(path, config: RunConfig) -> None:

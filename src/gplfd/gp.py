@@ -284,10 +284,10 @@ class _Reduced:
 
     @classmethod
     def shared(cls, t, y, noise=None):
-        """The inputs ``t`` of c GPs with (n, c) targets ``y``, grouped, and
-        their checked ``columns``; no column is in use yet."""
+        """The checked inputs ``t`` of c GPs with (n, c) targets ``y``,
+        grouped, and their checked ``columns``; no column is in use yet."""
         red = cls.__new__(cls)
-        red._group(TrainingSet(t, y[:, 0]).t)
+        red._group(t)
         return red, red.columns(y, noise)
 
     def _group(self, t):
@@ -583,19 +583,16 @@ def fit_gp(train: TrainingSet, params: KernelParams, noise=0.0) -> GPModel:
     return GPModel(train, noise, _solve(red, params, red.gram(params)))
 
 
-def predict_columns(t, y, noise, params, ts) -> PosteriorPrediction:
-    """(q, c) latent posteriors at ``ts`` of c GPs on the shared inputs ``t``.
+def predict_columns(t, y, noise, params, ts, kept=None):
+    """(q, c) latent posteriors at ``ts`` of c GPs on the shared inputs
+    ``t``, one kernel in ``params`` each, and their systems as ``_Columns``
+    to keep, or None past the memory of one MAX_GP_INPUTS system.
 
     Column j is fit_gp(TrainingSet(t, y[:, j]), params[j], noise[:, j])
     .predict(ts) bit for bit. The inputs, targets, noise and queries are
-    checked once, for all columns.
-    """
-    return _predict_columns(t, y, noise, params, ts)[0]
-
-
-def _predict_columns(t, y, noise, params, ts, keep=False):
-    """``predict_columns``, and its systems as ``_Columns`` if ``keep`` and
-    all c fit in the memory of one MAX_GP_INPUTS system, else None.
+    checked once, for all columns. ``kept``, the ``_Columns`` of an earlier
+    call, grows when its ``extend`` takes the call; every other call builds
+    from scratch.
 
     The columns go in chunks, each a stacked pass: the collapse, the Gram
     matrices with their diagonals and the query kernels are (chunk, ...)
@@ -603,23 +600,35 @@ def _predict_columns(t, y, noise, params, ts, keep=False):
     holds no more than one column does at the caps: one m x m system at
     MAX_GP_INPUTS inputs and one q x m block at MAX_PREDICT_CELLS.
     """
-    red, columns = _Reduced.shared(t, y, _as_noise(noise, y.shape))
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 2 or y.shape[1] != len(params):
+        raise InvalidInputError("predict_columns takes (n, c) targets and "
+                                "one kernel per column")
+    noise = _as_noise(noise, y.shape)
+    t = TrainingSet(t, y[:, 0]).t
+    order = np.argsort(t, kind="stable")
+    inputs = (t[order], y[order],
+              noise[order] if np.ndim(noise) else np.full(y.shape, noise))
+    grown = None if kept is None else kept.extend(inputs, y, params, ts)
+    if grown is not None:
+        return grown
+    red, columns = _Reduced.shared(t, y, noise)
     lags, max_lag = _query_lags(ts, red.u)
     c, m, q = len(params), red.u.size, lags.shape[0]
-    keep = keep and c * m * m <= MAX_GP_INPUTS ** 2
+    keep = c * m * m <= MAX_GP_INPUTS ** 2
     step = max(1, min(c, MAX_GP_INPUTS ** 2 // m ** 2,
-                      MAX_PREDICT_CELLS // (q * m)))
-    preds, kept = [], []
+                      MAX_PREDICT_CELLS // (max(q, 1) * m)))
+    preds, systems = [], []
     for lo in range(0, c, step):
         part = slice(lo, lo + step)
-        systems = _solve_columns(red, [a[..., part] for a in columns],
-                                 params[part])
-        preds.append(_predict(systems, lags, max_lag))
-        kept += systems if keep else []
+        chunk = _solve_columns(red, [a[..., part] for a in columns],
+                               params[part])
+        preds.append(_predict(chunk, lags, max_lag))
+        systems += chunk if keep else []
     out = preds[0] if len(preds) == 1 else PosteriorPrediction(
         np.concatenate([p.mean for p in preds], axis=1),
         np.concatenate([p.var for p in preds], axis=1))
-    return out, (_Columns(kept) if keep else None)
+    return out, (_Columns(systems, inputs) if keep else None)
 
 
 def _solve_columns(red: _Reduced, columns, params) -> list:
@@ -650,38 +659,47 @@ def _solve_columns(red: _Reduced, columns, params) -> list:
 class _Columns:
     """c fitted GPs on shared inputs, one ``_System`` each, that grow.
 
-    ``extend`` appends points past the last input to every system by a
-    block Cholesky step (Seeger 2004, "Low rank updates for the Cholesky
-    decomposition"). Once grown, system j's factor is the leading block of
-    the square ``factors[j]``, which has room for more rows, and ``z[j]``
-    and ``z1[j]`` hold L^-1 ybar and L^-1 1: a new offset o' moves L^-1 ybar
-    to z - (o' - o) z1, so a step takes no solve against the whole factor
-    beyond the one its new rows and queries need. An extension writes its
-    rows into ``factors`` in place, so only the newest value of a chain may
-    be extended.
+    ``inputs`` holds the time-sorted inputs, (n, c) targets and noise the
+    systems were built from. ``extend`` appends points past the last input
+    to every system by a block Cholesky step (Seeger 2004, "Low rank
+    updates for the Cholesky decomposition"). Once grown, system j's factor
+    is the leading block of the square ``factors[j]``, which has room for
+    more rows, and ``z[j]`` and ``z1[j]`` hold L^-1 ybar and L^-1 1: a new
+    offset o' moves L^-1 ybar to z - (o' - o) z1, so a step takes no solve
+    against the whole factor beyond the one its new rows and queries need.
+    An extension writes its rows into ``factors`` in place, so only the
+    newest value of a chain may be extended.
     """
 
     systems: list
+    inputs: tuple
     factors: list | None = None
     z: np.ndarray | None = None
     z1: np.ndarray | None = None
 
-    def extend(self, y, t_new, y_new, noise_new, ts):
-        """(q, c) posteriors at ``ts`` and the grown columns, after
-        appending the k points ``t_new`` with (k, c) targets ``y_new`` and
-        noise variances ``noise_new``. ``t_new`` strictly increases past
-        the last input; ``y`` holds every target, kept and new, in the
-        order whose mean a from-scratch fit takes as its offset.
+    def extend(self, inputs, y, params, ts):
+        """``predict_columns``' result for a call with the checked,
+        time-sorted inputs, targets and noise ``inputs``, targets ``y`` in
+        call order and kernels ``params``; or None to build from scratch.
 
-        Returns None when the grown factors would not fit in the memory of
-        one MAX_GP_INPUTS system, the stacked query kernels would exceed
-        MAX_PREDICT_CELLS, or a Schur complement does not factorize.
+        The columns grow when ``inputs`` start with the kept ones, with the
+        same bytes and kernels, and add k >= 1 points past the last in
+        strictly increasing time; the grown factors fit in the memory of
+        one MAX_GP_INPUTS system; the stacked query kernels stay within
+        MAX_PREDICT_CELLS; and each Schur complement factorizes.
         """
+        n = self.inputs[0].size
+        t_new, y_new, noise_new = (a[n:] for a in inputs)
+        if not (t_new.size and t_new[0] > self.inputs[0][-1]
+                and np.all(t_new[1:] > t_new[:-1])
+                and [s.params for s in self.systems] == list(params)
+                and all(a[:n].tobytes() == b.tobytes()
+                        for a, b in zip(inputs, self.inputs))):
+            return None
         c, m, k = len(self.systems), self.systems[0].u.size, t_new.size
         if c * (m + k) ** 2 > MAX_GP_INPUTS ** 2:
             return None
-        offset, _ = _center(y)
-        noise_new = _as_noise(noise_new, y_new.shape)
+        offset, _ = _center(y)  # a from-scratch fit's: over the call's order
         u = np.concatenate([self.systems[0].u, t_new])
         lags, max_lag = _query_lags(ts, u)
         q = lags.shape[0]
@@ -729,7 +747,7 @@ class _Columns:
                            chol=factors[j][:m + k, :m + k], ybar=ybar[j],
                            rbar=rbar[j], jitter=s.jitter)
                    for j, s in enumerate(self.systems)]
-        grown = _Columns(systems, factors,
+        grown = _Columns(systems, inputs, factors,
                          np.concatenate([z, w[:, :, 0]], axis=1),
                          np.concatenate([z1, w[:, :, 1]], axis=1))
         sf2 = sf2.ravel()
@@ -929,7 +947,7 @@ def scan_columns(t, y, config: OptConfig = OptConfig()) -> list:
     ``t``: entry j is optimize_hyperparameters(TrainingSet(t, y[:, j]), None,
     config)'s own ``scan``, bit for bit, with one eigendecomposition per
     length scale for all columns."""
-    red, columns = _Reduced.shared(t, y)
+    red, columns = _Reduced.shared(TrainingSet(t, y[:, 0]).t, y)
     targets = []
     for j in range(y.shape[1]):
         red.use(*columns, j)

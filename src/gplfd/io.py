@@ -372,8 +372,13 @@ def write_manifest(path, command: str, config: dict, inputs, outputs,
     Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def is_manifest(doc) -> bool:
+    """Whether a parsed JSON document is a run manifest."""
+    return isinstance(doc, dict) and doc.get("format") == FORMAT_MANIFEST
+
+
 def read_manifest(path) -> dict:
     manifest = read_json(path)
-    if not isinstance(manifest, dict) or manifest.get("format") != FORMAT_MANIFEST:
+    if not is_manifest(manifest):
         raise FormatError(f"{path}: not a {FORMAT_MANIFEST} file")
     return manifest

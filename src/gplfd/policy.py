@@ -6,10 +6,10 @@ piecewise-linear log-noise profile. Via-point adaptation fuses the
 demonstration posterior with a second GP built from the via-points, one
 Gaussian product per dimension and query time. The demonstration-side
 posterior of the last query grid is kept, so repeated adaptation calls on
-one grid only pay for the via-point side. The factorized via side of the
-last call is kept too: a call whose via-points are the kept ones plus new
-ones strictly after them in time grows it by a block Cholesky step, and
-every other call builds it from scratch.
+one grid only pay for the via-point side. The via side's six factorized
+GPs of the last call are kept too and handed to the next call's
+``gp.predict_columns``, which alone decides whether to grow them (by
+via-points strictly after the kept ones in time) or to rebuild them.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ import numpy as np
 from .alignment import MEASURES, Trajectory, align_demonstrations, resample
 from .errors import (InconsistentConstraintError, InsufficientDataError,
                      InvalidInputError)
-from .gp import (MAX_GP_INPUTS, OptConfig, PosteriorPrediction,
-                 TrainingSet, _predict_columns,
+from .gp import (MAX_GP_INPUTS, OptConfig, PosteriorPrediction, TrainingSet,
                  fit_gp,  # noqa: F401 (tracers wrap it here)
-                 fit_heteroscedastic, gaussian_product, scan_columns)
+                 fit_heteroscedastic, gaussian_product, predict_columns,
+                 scan_columns)
 from .se3 import DistanceWeights, pose_rows
 
 DIM_NAMES = ("x", "y", "z", "rx", "ry", "rz")
@@ -116,9 +116,8 @@ class TaskPolicy:
     # (grid bytes, the six models, (q, 6) posterior) of the last query grid;
     # the models are held by reference, so a changed ``dims`` misses.
     _last: tuple | None = field(default=None, init=False, repr=False)
-    # (times, poses, strengths, kernels, gp._Columns) of the last via side,
-    # its via-points sorted by time, while its six systems fit.
-    _via: tuple | None = field(default=None, init=False, repr=False)
+    # The last via side's six systems, gp._Columns, while they fit.
+    _via: object | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if len(self.dims) != 6:
@@ -182,9 +181,9 @@ def _via_side(policy: TaskPolicy, via_t, via_y, via_s, ts) -> PosteriorPredictio
     Via-point k has time via_t[k], pose row via_y[k] and strengths
     via_s[k]. Each dimension gets a via-point GP sharing the policy's kernel
     hyperparameters, with the strengths as observation noise; its predictive
-    variance includes the locally interpolated strength. The six GPs grow
-    from the policy's kept ones (``_grown``) or are built from scratch, and
-    then kept while they fit in the memory of one MAX_GP_INPUTS system.
+    variance includes the locally interpolated strength. ``predict_columns``
+    grows the six GPs from the policy's kept ones or builds them from
+    scratch; the policy keeps what it returns.
     """
     order = np.argsort(via_t, kind="stable")
     t, y, s = via_t[order], via_y[order], via_s[order]
@@ -204,43 +203,13 @@ def _via_side(policy: TaskPolicy, via_t, via_y, via_s, ts) -> PosteriorPredictio
             f"two near-exact via-points at t={t[first]} demand different poses")
 
     params = [model.params for model in policy.dims]
-    via_side = _grown(policy, via_y, (t, y, s), params, ts)
-    if via_side is None:
-        via_side, columns = _predict_columns(via_t, via_y, via_s, params, ts,
-                                             keep=True)
-        policy._via = None if columns is None else (t, y, s, params, columns)
+    via_side, policy._via = predict_columns(via_t, via_y, via_s, params, ts,
+                                            policy._via)
     for d in range(6):
         # Treat the constraint noise as a log-interpolated profile so the
         # via side stays an observation-level posterior away from the knots.
         via_side.var[:, d] += np.exp(np.interp(ts, t, np.log(s[:, d])))
     return via_side
-
-
-def _grown(policy: TaskPolicy, via_y, tys, params, ts):
-    """The via side at ``ts`` from the kept one grown by the call's new
-    via-points, or None to go from scratch.
-
-    ``tys`` holds the call's time-sorted via times, poses and strengths.
-    They extend the kept side when they start with its via-points, with the
-    same bytes, the rest lie strictly after them in strictly increasing
-    time, and each dimension's kernel is the one the kept side was built
-    with.
-    """
-    if policy._via is None:
-        return None
-    *kept, kernels, columns = policy._via
-    n = kept[0].size
-    t, y, s = tys
-    new = t[n:]
-    if not (new.size and kernels == params and new[0] > kept[0][-1]
-            and np.all(new[1:] > new[:-1])
-            and all(a[:n].tobytes() == b.tobytes() for a, b in zip(tys, kept))):
-        return None
-    grown = columns.extend(via_y, new, y[n:], s[n:], ts)
-    if grown is None:
-        return None
-    policy._via = (t, y, s, params, grown[1])
-    return grown[0]
 
 
 def _fuse(policy: TaskPolicy, via_t, via_y, via_s, ts) -> PosteriorPrediction:

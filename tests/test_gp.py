@@ -138,7 +138,7 @@ class TestKernelCut:
         assert np.array_equal(pred.mean, [2.0, 2.0, 2.0])
         assert np.array_equal(pred.var, [2.25, 2.25, 2.25])
         cols = gp.predict_columns(train.t, np.c_[train.y, -train.y],
-                                  np.full((2, 2), 1e-4), [p, p], ts)
+                                  np.full((2, 2), 1e-4), [p, p], ts)[0]
         assert np.array_equal(cols.mean, [[2.0, -2.0]] * 3)
         assert np.array_equal(cols.var, [[2.25, 2.25]] * 3)
 
@@ -203,7 +203,7 @@ class TestFitPredict:
         params = [KernelParams(float(rng.uniform(0.05, 1.0)),
                                float(rng.uniform(0.3, 2.0))) for _ in range(3)]
         ts = np.linspace(-0.2, 1.2, 9)
-        out = gp.predict_columns(t, y, noise, params, ts)
+        out = gp.predict_columns(t, y, noise, params, ts)[0]
         for j, p in enumerate(params):
             pred = fit_gp(TrainingSet(t, y[:, j]), p, noise=noise[:, j]).predict(ts)
             assert np.array_equal(out.mean[:, j], pred.mean)
@@ -269,6 +269,30 @@ class TestFitPredict:
             gp.predict_columns(t, y, noise, params, ts)
         assert not calls
 
+    @pytest.mark.parametrize("count", [0, 1, 3])
+    def test_columns_take_one_kernel_per_column(self, count):
+        """A kernel list that does not match the target columns is refused."""
+        t = np.linspace(0.0, 1.0, 5)
+        y = np.stack([np.sin(t), np.cos(t)], axis=1)
+        with pytest.raises(InvalidInputError, match="one kernel per column"):
+            gp.predict_columns(t, y, np.full(y.shape, 1e-3),
+                               [KernelParams(0.3, 1.0)] * count, [0.5])
+
+    def test_columns_take_no_query(self):
+        """No query gives (0, c) arrays, as fit_gp's predict gives (0,)."""
+        t = np.linspace(0.0, 1.0, 5)
+        y = np.stack([np.sin(t), np.cos(t)], axis=1)
+        params = [KernelParams(0.3, 1.0)] * 2
+        single = fit_gp(TrainingSet(t, y[:, 0]), params[0], 1e-3).predict([])
+        assert single.mean.shape == single.var.shape == (0,)
+        out, kept = gp.predict_columns(t[:4], y[:4], np.full((4, 2), 1e-3),
+                                       params, [])
+        assert out.mean.shape == out.var.shape == (0, 2)
+        out, grown = gp.predict_columns(t, y, np.full(y.shape, 1e-3), params,
+                                        [], kept)
+        assert grown.factors is not None
+        assert out.mean.shape == out.var.shape == (0, 2)
+
     def test_training_set_validation(self):
         with pytest.raises(InvalidInputError):
             TrainingSet([0.0, 1.0], [0.0])
@@ -286,6 +310,115 @@ class TestFitPredict:
                        noise=1e-3)
         with pytest.raises(InvalidInputError, match="query inputs"):
             model.predict([0.5, bad])
+
+
+class TestGrowingColumns:
+    """predict_columns grows the columns it is handed when the call's
+    time-sorted inputs add points strictly after theirs; every other call
+    is built from scratch, bit for bit."""
+
+    PARAMS = [KernelParams(0.1 + 0.05 * j, 0.5 + 0.2 * j) for j in range(6)]
+    TS = np.linspace(-0.1, 1.1, 7)
+
+    @pytest.fixture
+    def stream(self, rng):
+        t = np.sort(rng.uniform(0.0, 1.0, 40))
+        y = np.sin(np.outer(t, np.arange(1, 7))) + rng.normal(0.0, 0.01,
+                                                                (40, 6))
+        return t, y, np.full(y.shape, 1e-4)
+
+    def kept(self, stream, n=35):
+        """Columns built on the first 30 points, then grown to ``n``."""
+        t, y, noise = stream
+        kept = gp.predict_columns(t[:30], y[:30], noise[:30], self.PARAMS,
+                                  self.TS)[1]
+        kept = gp.predict_columns(t[:n], y[:n], noise[:n], self.PARAMS,
+                                  self.TS, kept)[1]
+        assert kept.factors is not None
+        return kept
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_later_points_grow_within_1e_10(self, stream, k):
+        t, y, noise = stream
+        kept = self.kept(stream)
+        # The call's order does not matter: its points are sorted by time.
+        args = (t[:35 + k][::-1], y[:35 + k][::-1], noise[:35 + k],
+                self.PARAMS, self.TS)
+        got, grown = gp.predict_columns(*args, kept)
+        want = gp.predict_columns(*args)[0]
+        assert grown.factors is not None and grown.inputs[0].size == 35 + k
+        assert np.all(np.abs(got.mean - want.mean) <= 1e-10 * np.abs(
+            want.mean).max(axis=0))
+        assert_allclose(got.var, want.var, rtol=1e-10, atol=0.0)
+
+    @pytest.mark.parametrize("case", [
+        "earlier-time", "repeated-last-time", "changed-strength",
+        "changed-pose", "changed-kernel", "same-inputs"])
+    def test_other_calls_rebuild(self, stream, case):
+        t, y, noise = (a.copy() for a in stream)
+        params = list(self.PARAMS)
+        kept = self.kept(stream)
+        n = 36
+        if case == "earlier-time":
+            t[35] = 0.5 * (t[33] + t[34])
+        elif case == "repeated-last-time":
+            t[35] = t[34]
+        elif case == "changed-strength":
+            noise[10, 2] *= 1.5
+        elif case == "changed-pose":
+            y[10, 4] += 1e-9
+        elif case == "changed-kernel":
+            params[3] = KernelParams(params[3].length_scale * 1.01,
+                                     params[3].signal_std)
+        else:
+            n = 35
+        args = (t[:n], y[:n], noise[:n], params, self.TS)
+        got, rebuilt = gp.predict_columns(*args, kept)
+        want = gp.predict_columns(*args)[0]
+        assert rebuilt.factors is None and rebuilt.inputs[0].size == n
+        assert np.array_equal(got.mean, want.mean)
+        assert np.array_equal(got.var, want.var)
+
+    @pytest.mark.parametrize("case", [
+        "nan-time", "inf-time", "nan-target", "inf-target", "nan-noise"])
+    def test_non_finite_appended_point_refused(self, stream, case):
+        """An appended point the scratch path refuses is refused with its
+        error, before anything is grown."""
+        t, y, noise = (a[:36].copy() for a in stream)
+        kept = self.kept(stream)
+        kind, what = case.split("-")
+        bad = {"nan": np.nan, "inf": np.inf}[kind]
+        if what == "time":
+            t[35] = bad
+        elif what == "target":
+            y[35, 0 if kind == "nan" else 4] = bad
+        else:
+            noise[35, 1] = bad
+        args = (t, y, noise, self.PARAMS, self.TS)
+        with pytest.raises(InvalidInputError) as scratch:
+            gp.predict_columns(*args)
+        with pytest.raises(InvalidInputError,
+                           match=re.escape(str(scratch.value))):
+            gp.predict_columns(*args, kept)
+        assert kept.inputs[0].size == 35
+
+    def test_nothing_kept_past_816_inputs(self):
+        """Six columns are kept while they fit in the memory of one
+        MAX_GP_INPUTS system: 816 inputs each."""
+        bound = math.isqrt(MAX_GP_INPUTS ** 2 // 6)
+        assert bound == 816
+        t = np.linspace(0.0, 1.0, bound + 1)
+        y = np.sin(np.outer(t, np.arange(1, 7)))
+        noise = np.full(y.shape, 1e-4)
+        kept = gp.predict_columns(t[:bound], y[:bound], noise[:bound],
+                                  self.PARAMS, [0.5])[1]
+        assert kept is not None
+        got, grown = gp.predict_columns(t, y, noise, self.PARAMS, [0.5], kept)
+        assert grown is None
+        want, scratch = gp.predict_columns(t, y, noise, self.PARAMS, [0.5])
+        assert scratch is None
+        assert np.array_equal(got.mean, want.mean)
+        assert np.array_equal(got.var, want.var)
 
 
 def traced_peak(call):

@@ -365,6 +365,18 @@ class TestReplayEnvironment:
                 assert (tmp_path / replay / demo.name).read_bytes() == (
                     demo.read_bytes())
 
+    def test_config_file_read_once(self, tmp_path, monkeypatch):
+        """A --config run reads its file once, for the config and for the
+        replay check alike."""
+        assert main(["gen-data", *SMALL, "--out-dir", str(tmp_path)]) == 0
+        manifest = tmp_path / "gen-data.manifest.json"
+        reads, real = [], io._read_text
+        monkeypatch.setattr(io, "_read_text",
+                            lambda path: reads.append(str(path)) or real(path))
+        assert main(["gen-data", "--config", str(manifest),
+                     "--out-dir", str(tmp_path / "replay")]) == 0
+        assert reads == [str(manifest)]
+
     def test_plain_config_never_warns(self, tmp_path, caplog):
         path = tmp_path / "config.json"
         save_config(path, DEFAULTS)

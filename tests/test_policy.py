@@ -505,7 +505,7 @@ class TestGrowingViaSide:
     @staticmethod
     def grown(policy):
         """True when the kept via side has been grown."""
-        return policy._via is not None and policy._via[-1].factors is not None
+        return policy._via is not None and policy._via.factors is not None
 
     def test_every_prefix_within_1e_10_of_the_loop(self, door_policy, stream):
         """One policy takes the 240-sample stream in order: every step after
@@ -590,7 +590,7 @@ class TestGrowingViaSide:
         monkeypatch.setattr(np.linalg, "cholesky", refuse)
         args = (ts[:22], samples[:22], via_s[:22], self.GRID)
         got = _fuse(policy, *args)
-        assert not self.grown(policy) and policy._via[0].size == 22
+        assert not self.grown(policy) and policy._via.inputs[0].size == 22
         want = loop_fuse(policy, *args)
         assert np.array_equal(got.mean, want.mean)
         assert np.array_equal(got.var, want.var)
@@ -605,7 +605,7 @@ class TestGrowingViaSide:
         policy = TaskPolicy(dims=door_policy.dims, grid=door_policy.grid)
         ts = np.array([0.5])
         _fuse(policy, via_t[:bound], via_y[:bound], via_s[:bound], ts)
-        assert policy._via is not None and policy._via[0].size == bound
+        assert policy._via is not None and policy._via.inputs[0].size == bound
         _fuse(policy, via_t, via_y, via_s, ts)
         assert policy._via is None
         _fuse(policy, via_t[:bound - 1], via_y[:bound - 1], via_s[:bound - 1],
@@ -618,8 +618,13 @@ class TestGrowingViaSide:
         """streaming_evaluation's steps after the first grow the kept side."""
         fresh = TaskPolicy(dims=door_policy.dims, grid=door_policy.grid)
         calls, real = [], gp._Columns.extend
-        monkeypatch.setattr(gp._Columns, "extend",
-                            lambda *a: calls.append(a[2].size) or real(*a))
+
+        def extend(columns, inputs, *rest):
+            grown = real(columns, inputs, *rest)
+            calls.append(grown and inputs[0].size - columns.inputs[0].size)
+            return grown
+
+        monkeypatch.setattr(gp._Columns, "extend", extend)
         streaming_evaluation(fresh, door_holdout, 1e-4)
         assert calls == [1] * (len(door_holdout) - 2)
 
