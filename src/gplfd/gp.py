@@ -49,7 +49,9 @@ dimensions together (``scan_columns``), as ``predict_columns`` predicts them.
 
 Only a search loads ``scipy.optimize``: ``minimize`` imports it on its first
 call. Loading, predicting and adapting a policy never do, so a process that
-does not fit skips the optimizer's import and its memory.
+does not fit skips the optimizer's import and its memory. Nor does it import
+the ``scipy.linalg`` package: ``_flapack`` loads only its compiled LAPACK
+module, under its own name, which a later ``import scipy.linalg`` reuses.
 """
 
 from __future__ import annotations
@@ -57,16 +59,40 @@ from __future__ import annotations
 import contextlib
 import logging
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from importlib import machinery, util
 
 import numpy as np
+import scipy
 from numpy.linalg import LinAlgError
-from scipy.linalg import lapack
 
 from .errors import (InsufficientDataError, InvalidInputError,
                      NumericalConditioningError, OptimizationFailureError)
+
+
+def _flapack():
+    """The compiled module behind ``scipy.linalg.lapack``, loaded from its
+    file without importing ``scipy.linalg``; that public module if none."""
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = machinery.FileFinder(
+        os.path.join(scipy.__path__[0], "linalg"),
+        (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES),
+    ).find_spec(name)
+    if spec is None:
+        from scipy.linalg import lapack
+        return lapack
+    module = sys.modules[name] = util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+lapack = _flapack()
 
 # Jitter added to every observation's noise, as a fraction of mean(diag K).
 JITTER_FRAC = 1e-10
@@ -127,14 +153,14 @@ class KernelParams:
 
 @dataclass(frozen=True)
 class TrainingSet:
-    """Paired inputs and targets. Duplicate inputs are allowed."""
+    """Read-only copies of paired inputs and targets; inputs may repeat."""
 
     t: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        t = np.atleast_1d(np.asarray(self.t, dtype=float))
-        y = np.atleast_1d(np.asarray(self.y, dtype=float))
+        t = np.atleast_1d(np.array(self.t, dtype=float))
+        y = np.atleast_1d(np.array(self.y, dtype=float))
         if t.ndim != 1 or y.ndim != 1:
             raise InvalidInputError("training inputs and targets must be 1-d")
         if t.shape != y.shape:
@@ -606,6 +632,8 @@ def predict_columns(t, y, noise, params, ts, kept=None):
                                 "one kernel per column")
     noise = _as_noise(noise, y.shape)
     t = TrainingSet(t, y[:, 0]).t
+    if not np.isfinite(y).all():
+        raise InvalidInputError("training data must be finite")
     order = np.argsort(t, kind="stable")
     inputs = (t[order], y[order],
               noise[order] if np.ndim(noise) else np.full(y.shape, noise))

@@ -303,6 +303,29 @@ class TestFitPredict:
         with pytest.raises(InvalidInputError, match="at least one point"):
             TrainingSet([], [])
 
+    def test_caller_arrays_stay_writeable(self):
+        """A training set stores read-only copies: after fit_gp and
+        predict_columns the caller's arrays stay writeable, and writing to
+        them changes no fitted output."""
+        t = np.linspace(0.0, 1.0, 12)
+        y = np.sin(np.outer(t, [3.0, 5.0]))
+        y0 = y[:, 0].copy()
+        noise = np.full(y.shape, 1e-3)
+        params = [KernelParams(0.3, 1.0), KernelParams(0.2, 0.8)]
+        ts = np.linspace(-0.1, 1.1, 9)
+        train = TrainingSet(t, y0)
+        model = fit_gp(train, params[0], noise=1e-3)
+        kept = gp.predict_columns(t, y, noise, params, ts)[1]
+        assert t.flags.writeable and y.flags.writeable and y0.flags.writeable
+        assert not (train.t.flags.writeable or train.y.flags.writeable)
+        want, inputs = model.predict(ts), (t.copy(), y.copy())
+        t[0], y[0], y0[0] = 0.5, 9.0, 9.0
+        got = model.predict(ts)
+        assert np.array_equal(got.mean, want.mean)
+        assert np.array_equal(got.var, want.var)
+        assert np.array_equal(kept.inputs[0], inputs[0])
+        assert np.array_equal(kept.inputs[1], inputs[1])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_query_rejected(self, bad):
         model = fit_gp(TrainingSet([0.0, 1.0], [0.0, 1.0]),
@@ -401,6 +424,18 @@ class TestGrowingColumns:
                            match=re.escape(str(scratch.value))):
             gp.predict_columns(*args, kept)
         assert kept.inputs[0].size == 35
+
+    @pytest.mark.parametrize("path", ["rebuilt", "grown"])
+    @pytest.mark.parametrize("column", range(6))
+    def test_non_finite_target_in_any_column(self, stream, column, path):
+        """A NaN target is non-finite training data in every column, on the
+        rebuilt and the grown path alike."""
+        t, y, noise = (a[:36].copy() for a in stream)
+        y[35, column] = np.nan
+        kept = self.kept(stream) if path == "grown" else None
+        with pytest.raises(InvalidInputError,
+                           match="^training data must be finite$"):
+            gp.predict_columns(t, y, noise, self.PARAMS, self.TS, kept)
 
     def test_nothing_kept_past_816_inputs(self):
         """Six columns are kept while they fit in the memory of one

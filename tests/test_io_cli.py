@@ -625,13 +625,13 @@ class TestCommandLine:
 
 
 # Runs CLI commands in one fresh interpreter and prints, as its last line,
-# the scipy.optimize modules loaded after the import and after each command.
+# the modules under a prefix loaded after the import and after each command.
 OPTIMIZER_PROBE = """
 import json, sys
 import gplfd, gplfd.cli
 
 def optimizer():
-    return sorted(m for m in sys.modules if m.startswith("scipy.optimize"))
+    return sorted(m for m in sys.modules if m.startswith(sys.argv[2]))
 
 loaded = [["import", optimizer()]]
 for argv in json.loads(sys.argv[1]):
@@ -641,13 +641,19 @@ print(json.dumps(loaded))
 """
 
 
-def optimizer_modules(commands):
-    """[command, scipy.optimize modules loaded so far] in a fresh process."""
+def fresh_python(code, *args) -> str:
+    """The last line ``code`` prints in a fresh interpreter on this gplfd."""
     env = dict(os.environ, PYTHONPATH=str(Path(gplfd.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", OPTIMIZER_PROBE,
-                           json.dumps(commands)], env=env, check=True,
-                          capture_output=True, text=True)
-    return [tuple(row) for row in json.loads(done.stdout.splitlines()[-1])]
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          check=True, capture_output=True, text=True)
+    return done.stdout.splitlines()[-1]
+
+
+def optimizer_modules(commands, prefix="scipy.optimize"):
+    """[command, modules under ``prefix`` loaded so far] in a fresh
+    process."""
+    return [tuple(row) for row in json.loads(
+        fresh_python(OPTIMIZER_PROBE, json.dumps(commands), prefix))]
 
 
 class TestOptimizerImport:
@@ -679,3 +685,61 @@ class TestOptimizerImport:
                                     "adapt", "simulate", "eval")]
         [(_, before), (_, after)] = optimizer_modules([["fit", *demos, *args]])
         assert before == [] and "scipy.optimize" in after
+
+
+# gp's LAPACK routines, each compared by identity with scipy.linalg.lapack's.
+LAPACK_ROUTINES = ("dpotrf", "dpotrs", "dtrtrs", "dpotri")
+SAME_ROUTINES_PROBE = """
+import sys
+first, second = sys.argv[1:3]
+__import__(first)
+__import__(second)
+from gplfd import gp
+from scipy.linalg import lapack
+print(all(getattr(gp.lapack, f) is getattr(lapack, f) for f in sys.argv[3:]))
+"""
+
+
+class TestLinalgImport:
+    """gp binds its LAPACK routines from scipy's compiled extension, so a
+    process that does not fit never imports the scipy.linalg package."""
+
+    run_dir = TestOptimizerImport.run_dir
+
+    def test_only_fit_loads_scipy_linalg(self, run_dir):
+        demos = sorted(str(p) for p in run_dir.glob("demo_*.csv"))
+        policy, out = str(run_dir / "policy.json"), str(run_dir / "probe")
+        args = [*SMALL, "--out-dir", out]
+        commands = [["gen-data", *args], ["align", *demos, *args],
+                    ["query", "--policy", policy, "--grid", "9", *args],
+                    ["adapt", "--policy", policy,
+                     "--via", str(run_dir / "via.csv"), *args],
+                    ["simulate", "--policy", policy, *args],
+                    ["eval", "--policy", policy, "--truth", demos[0], *args]]
+        loaded = optimizer_modules(commands, "scipy.linalg")
+        assert [name for name, _ in loaded] == [
+            "import", "gen-data", "align", "query", "adapt", "simulate",
+            "eval"]
+        assert all("scipy.linalg" not in modules for _, modules in loaded)
+        [(_, before), (_, after)] = optimizer_modules(
+            [["fit", *demos, *args]], "scipy.linalg")
+        assert "scipy.linalg" not in before and "scipy.linalg" in after
+
+    @pytest.mark.parametrize("order", [("gplfd", "scipy.linalg"),
+                                       ("scipy.linalg", "gplfd")])
+    def test_routines_are_scipys(self, order):
+        assert fresh_python(SAME_ROUTINES_PROBE, *order,
+                            *LAPACK_ROUTINES) == "True"
+
+    def test_public_module_without_the_extension_file(self, monkeypatch,
+                                                      tmp_path):
+        """An installation whose scipy has no _flapack file beside
+        scipy.linalg gets the public scipy.linalg.lapack."""
+        import scipy
+        from scipy.linalg import lapack
+        monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        module = gp._flapack()
+        assert module is lapack
+        assert all(getattr(module, f) is getattr(gp.lapack, f)
+                   for f in LAPACK_ROUTINES)
