@@ -105,6 +105,10 @@ MAX_GP_INPUTS = 2000
 # Most query-by-input cells of one predict, which holds a few q x m float
 # matrices: about 1 GB at this size.
 MAX_PREDICT_CELLS = 40_000_000
+# Most query-by-input cells of one stacked ``predict_hetero`` chunk: past
+# it the (chunk, q, m) kernel stack and its temporaries leave the cache and
+# the per-model predicts run faster.
+STACK_CELLS = 2 ** 15
 # Fewest training points a heteroscedastic fit accepts.
 HETERO_MIN_POINTS = 10
 # Most L-BFGS-B starts of one search: each start is a full local search.
@@ -167,7 +171,7 @@ class TrainingSet:
             raise InvalidInputError("training inputs and targets differ in length")
         if t.size < 1:
             raise InvalidInputError("training set must contain at least one point")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(y))):
+        if not (np.isfinite(t).all() and np.isfinite(y).all()):
             raise InvalidInputError("training data must be finite")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "y", y)
@@ -264,9 +268,10 @@ def _as_noise(noise, shape):
     return vec
 
 
-def _group(t):
-    """Sorted distinct inputs, each point's group index and the group sizes."""
-    order = np.argsort(t, kind="stable")
+def _group(t, order=None):
+    """Sorted distinct inputs, each point's group index and the group sizes;
+    ``order`` is t's stable argsort, if the caller has made it."""
+    order = np.argsort(t, kind="stable") if order is None else order
     ts = t[order]
     first = np.empty(t.size, dtype=bool)
     first[0] = True
@@ -309,15 +314,15 @@ class _Reduced:
         self.use(*self.columns(train.y[:, None], noise), 0)
 
     @classmethod
-    def shared(cls, t, y, noise=None):
+    def shared(cls, t, y, noise=None, order=None):
         """The checked inputs ``t`` of c GPs with (n, c) targets ``y``,
-        grouped, and their checked ``columns``; no column is in use yet."""
+        grouped by ``_group``, and their checked ``columns``; none in use."""
         red = cls.__new__(cls)
-        red._group(t)
+        red._group(t, order)
         return red, red.columns(y, noise)
 
-    def _group(self, t):
-        self.u, self.index, _ = _group(t)
+    def _group(self, t, order=None):
+        self.u, self.index, _ = _group(t, order)
         if self.u.size > MAX_GP_INPUTS:
             raise InvalidInputError(f"a GP takes at most {MAX_GP_INPUTS} "
                                     f"distinct inputs, got {self.u.size}")
@@ -445,21 +450,6 @@ class _System:
             self._alpha = lapack.dpotrs(self.chol, self.ybar, lower=1)[0]
         return self._alpha
 
-    def predict(self, ts) -> PosteriorPrediction:
-        """Latent posterior mean and variance at ``ts``."""
-        lags, max_lag = _query_lags(ts, self.u)
-        sf2 = self.params.signal_std ** 2
-        mean, explained = self.explain(_lag_kernel(
-            lags, max_lag, self.params.length_scale, sf2))
-        return _clamped(mean, sf2 - explained, sf2)
-
-    def explain(self, Ks):
-        """Posterior mean and explained variance sum(v^2) at queries whose
-        (q, m) kernels on ``u`` are ``Ks``; the solve overwrites ``Ks``."""
-        mean = self.offset + Ks @ self.alpha
-        v = lapack.dtrtrs(self.chol, Ks.T, lower=1, overwrite_b=1)[0]
-        return mean, np.einsum("ij,ij->j", v, v)
-
 
 def _query_lags(ts, u):
     """The (q, m) lags ts - u of the checked query inputs ``ts``, and their
@@ -474,17 +464,23 @@ def _query_lags(ts, u):
     return ts[:, None] - u[None, :], _max_lag(ts, u)
 
 
-def _predict(systems, lags, max_lag) -> PosteriorPrediction:
+def _predict(systems, lags, max_lag, stack=None) -> PosteriorPrediction:
     """(q, c) latent posteriors of the c ``systems`` on shared inputs at
-    the checked lags of ``_query_lags``. The query kernels are one stack;
-    each system's product and solve is its own, as they set the bits."""
-    length, sf2 = _stacked([s.params for s in systems], 2)
+    the checked lags of ``_query_lags``; ``stack`` is their ``_stacked``
+    kernels on 2-d lags, if made. The query kernels Ks, the means offset +
+    Ks alpha and the explained variances sum(v^2) are (c, ...) stacks,
+    each system solving L v = Ks^T in place on its own: a stack runs each
+    system's own BLAS and einsum loops, so column j is bit for bit its own."""
+    length, sf2 = stack or _stacked([s.params for s in systems], 2)
     Ks = _lag_kernel(lags, max_lag, length, sf2)
-    mean, explained = np.empty((2, lags.shape[0], len(systems)))
-    for j, sol in enumerate(systems):
-        mean[:, j], explained[:, j] = sol.explain(Ks[j])
+    mean = np.empty((lags.shape[0], len(systems)))
+    np.add([s.offset for s in systems],
+           (Ks @ np.array([s.alpha for s in systems])[:, :, None])[:, :, 0].T,
+           out=mean)
+    for K, sol in zip(Ks, systems):
+        K.T[...] = lapack.dtrtrs(sol.chol, K.T, lower=1, overwrite_b=1)[0]
     sf2 = sf2.ravel()
-    return _clamped(mean, sf2 - explained, sf2)
+    return _clamped(mean, sf2 - np.einsum("jqi,jqi->qj", Ks, Ks), sf2)
 
 
 def _clamped(mean, var, sf2) -> PosteriorPrediction:
@@ -593,7 +589,8 @@ class GPModel:
 
         The variance does not include observation noise at the query points.
         """
-        return self.system.predict(ts)
+        out = _predict([self.system], *_query_lags(ts, self.system.u))
+        return PosteriorPrediction(out.mean[:, 0], out.var[:, 0])
 
     def log_marginal_likelihood(self) -> float:
         return self.system.lml
@@ -609,16 +606,17 @@ def fit_gp(train: TrainingSet, params: KernelParams, noise=0.0) -> GPModel:
     return GPModel(train, noise, _solve(red, params, red.gram(params)))
 
 
-def predict_columns(t, y, noise, params, ts, kept=None):
+def predict_columns(t, y, noise, params, ts, kept=None, order=None):
     """(q, c) latent posteriors at ``ts`` of c GPs on the shared inputs
     ``t``, one kernel in ``params`` each, and their systems as ``_Columns``
     to keep, or None past the memory of one MAX_GP_INPUTS system.
 
     Column j is fit_gp(TrainingSet(t, y[:, j]), params[j], noise[:, j])
     .predict(ts) bit for bit. The inputs, targets, noise and queries are
-    checked once, for all columns. ``kept``, the ``_Columns`` of an earlier
-    call, grows when its ``extend`` takes the call; every other call builds
-    from scratch.
+    checked once, for all columns, and sorted once: by ``order``, t's
+    stable argsort if the caller has made it. ``kept``, the ``_Columns`` of
+    an earlier call, grows when its ``extend`` takes the call; every other
+    call builds from scratch.
 
     The columns go in chunks, each a stacked pass: the collapse, the Gram
     matrices with their diagonals and the query kernels are (chunk, ...)
@@ -634,13 +632,13 @@ def predict_columns(t, y, noise, params, ts, kept=None):
     t = TrainingSet(t, y[:, 0]).t
     if not np.isfinite(y).all():
         raise InvalidInputError("training data must be finite")
-    order = np.argsort(t, kind="stable")
+    order = np.argsort(t, kind="stable") if order is None else order
     inputs = (t[order], y[order],
               noise[order] if np.ndim(noise) else np.full(y.shape, noise))
     grown = None if kept is None else kept.extend(inputs, y, params, ts)
     if grown is not None:
         return grown
-    red, columns = _Reduced.shared(t, y, noise)
+    red, columns = _Reduced.shared(t, y, noise, order)
     lags, max_lag = _query_lags(ts, red.u)
     c, m, q = len(params), red.u.size, lags.shape[0]
     keep = c * m * m <= MAX_GP_INPUTS ** 2
@@ -649,26 +647,31 @@ def predict_columns(t, y, noise, params, ts, kept=None):
     preds, systems = [], []
     for lo in range(0, c, step):
         part = slice(lo, lo + step)
+        stack = _stacked(params[part], 2)
         chunk = _solve_columns(red, [a[..., part] for a in columns],
-                               params[part])
-        preds.append(_predict(chunk, lags, max_lag))
+                               params[part], stack)
+        preds.append(_predict(chunk, lags, max_lag, stack))
         systems += chunk if keep else []
-    out = preds[0] if len(preds) == 1 else PosteriorPrediction(
-        np.concatenate([p.mean for p in preds], axis=1),
-        np.concatenate([p.var for p in preds], axis=1))
-    return out, (_Columns(systems, inputs) if keep else None)
+    return _side_by_side(preds), (_Columns(systems, inputs) if keep else None)
 
 
-def _solve_columns(red: _Reduced, columns, params) -> list:
-    """The systems of ``params``' GPs on red's inputs, for the checked
-    (offsets, centered targets, noise) ``columns``: column j's is the one
-    ``fit_gp`` builds, bit for bit. The collapse, Gram matrices and their
-    diagonals are (c, ...) stacks; each column is factorized on its own."""
+def _side_by_side(parts) -> PosteriorPrediction:
+    """The (q, c) posterior of ``parts``: (q,) columns or (q, k) blocks."""
+    if len(parts) == 1 and parts[0].mean.ndim == 2:
+        return parts[0]
+    return PosteriorPrediction(np.column_stack([p.mean for p in parts]),
+                               np.column_stack([p.var for p in parts]))
+
+
+def _solve_columns(red: _Reduced, columns, params, stack) -> list:
+    """The systems of ``params``' GPs, ``stack`` their ``_stacked`` kernels,
+    on red's inputs for the checked (offsets, centered targets, noise)
+    ``columns``: column j's is the one ``fit_gp`` builds, bit for bit. The
+    collapse and Gram matrices are stacks; each is factorized on its own."""
     offset, resid, point_noise = columns
     c, m = len(params), red.u.size
     scale = np.array([-0.5 / p.length_scale ** 2 for p in params])
-    sf2 = _stacked(params, 0)[1]
-    jitter = JITTER_FRAC * sf2
+    jitter = JITTER_FRAC * stack[1].ravel()
     # np.add.at sums each group in point order, as np.bincount does.
     w = 1.0 / (point_noise + jitter)
     total, ybar = np.zeros((2, m, c))
@@ -676,7 +679,7 @@ def _solve_columns(red: _Reduced, columns, params) -> list:
     np.add.at(ybar, red.index, w * resid)
     ybar, rbar = (ybar / total).T.copy(), (1.0 / total).T.copy()
     K = _cut_exp(red.sq_dist * scale[:, None, None],
-                 float((red.sq_dist[0, -1] * scale).min()), sf2[:, None, None])
+                 float((red.sq_dist[0, -1] * scale).min()), stack[1])
     K.reshape(c, -1)[:, ::m + 1] += rbar
     return [_System(u=red.u, offset=float(offset[j]), params=p,
                     chol=_factor(K[j]), ybar=ybar[j], rbar=rbar[j],
@@ -1056,6 +1059,9 @@ def minimize(fun, x0, **kwargs):
     and what it pulls in (``scipy.fft``, ``scipy.special``, ``scipy.sparse``)
     load only in a process that searches hyperparameters."""
     from scipy.optimize import minimize as scipy_minimize
+    # That loaded scipy.linalg, which reuses ``_flapack()``'s module but,
+    # not having imported it itself, has no attribute for it.
+    scipy.linalg._flapack = sys.modules["scipy.linalg._flapack"]
     return scipy_minimize(fun, x0, **kwargs)
 
 
@@ -1116,6 +1122,23 @@ class HeteroGPModel:
         out = self.signal_gp.predict(ts)
         out.var = out.var + self.noise_variance(ts)
         return out
+
+
+def predict_hetero(models, ts) -> PosteriorPrediction:
+    """(q, c) ``predict`` at ``ts`` of c HeteroGPModels, column j
+    models[j].predict(ts) bit for bit. Models on the same inputs go through
+    ``_predict`` in chunks of at most STACK_CELLS query kernel cells each;
+    past that, or on different inputs, each model predicts on its own."""
+    systems = [model.signal_gp.system for model in models]
+    u = systems[0].u
+    step = STACK_CELLS // max(np.size(ts) * u.size, 1)
+    if not step or any(s.u.tobytes() != u.tobytes() for s in systems):
+        return _side_by_side([model.predict(ts) for model in models])
+    lags, max_lag = _query_lags(ts, u)
+    out = _side_by_side([_predict(systems[lo:lo + step], lags, max_lag)
+                         for lo in range(0, len(systems), step)])
+    out.var += np.column_stack([model.noise_variance(ts) for model in models])
+    return out
 
 
 def _hats(u, knots) -> np.ndarray:
@@ -1218,12 +1241,12 @@ def gaussian_product(a: PosteriorPrediction,
     mb, vb = np.asarray(b.mean, dtype=float), np.asarray(b.var, dtype=float)
     if ma.shape != mb.shape or va.shape != vb.shape or ma.shape != va.shape:
         raise InvalidInputError("fused predictions must share their shape")
-    if np.any(va < 0.0) or np.any(vb < 0.0):
+    if (va < 0.0).any() or (vb < 0.0).any():
         raise InvalidInputError("variances must be nonnegative")
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         tot = va + vb
         mean = (vb * ma + va * mb) / tot
         var = va * vb / tot
-    if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(var))):
+    if not (np.isfinite(mean).all() and np.isfinite(var).all()):
         raise InvalidInputError("Gaussian product is not finite")
     return PosteriorPrediction(mean=mean, var=var)

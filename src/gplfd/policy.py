@@ -6,8 +6,10 @@ piecewise-linear log-noise profile. Via-point adaptation fuses the
 demonstration posterior with a second GP built from the via-points, one
 Gaussian product per dimension and query time. The demonstration-side
 posterior of the last query grid is kept, so repeated adaptation calls on
-one grid only pay for the via-point side. The via side's six factorized
-GPs of the last call are kept too and handed to the next call's
+one grid only pay for the via-point side. A new grid predicts the six
+signal GPs, which share their inputs, in stacked chunks of at most
+gp.STACK_CELLS query kernel cells (``gp.predict_hetero``). The via side's
+six factorized GPs of the last call are kept too and handed to the next call's
 ``gp.predict_columns``, which alone decides whether to grow them (by
 via-points strictly after the kept ones in time) or to rebuild them.
 """
@@ -25,7 +27,7 @@ from .errors import (InconsistentConstraintError, InsufficientDataError,
 from .gp import (MAX_GP_INPUTS, OptConfig, PosteriorPrediction, TrainingSet,
                  fit_gp,  # noqa: F401 (tracers wrap it here)
                  fit_heteroscedastic, gaussian_product, predict_columns,
-                 scan_columns)
+                 predict_hetero, scan_columns)
 from .se3 import DistanceWeights, pose_rows
 
 DIM_NAMES = ("x", "y", "z", "rx", "ry", "rz")
@@ -130,15 +132,14 @@ class TaskPolicy:
                                     "strictly increasing times")
 
     def demonstration_posterior(self, ts: np.ndarray) -> PosteriorPrediction:
-        """(q, 6) posterior at ``ts``; the last grid's is kept."""
+        """(q, 6) posterior at ``ts``; the last grid's is kept. A miss
+        predicts the six models in stacked chunks of at most gp.STACK_CELLS
+        query kernel cells; past that each model predicts on its own."""
         key, models = ts.tobytes(), tuple(self.dims)
         last = self._last
         if (last is None or last[0] != key or len(last[1]) != len(models)
                 or any(a is not b for a, b in zip(last[1], models))):
-            per_dim = [model.predict(ts) for model in models]
-            self._last = (key, models, PosteriorPrediction(
-                mean=np.stack([p.mean for p in per_dim], axis=1),
-                var=np.stack([p.var for p in per_dim], axis=1)))
+            self._last = (key, models, predict_hetero(models, ts))
         # Hand out copies so callers cannot mutate the kept arrays.
         kept = self._last[2]
         return PosteriorPrediction(mean=kept.mean.copy(), var=kept.var.copy())
@@ -147,7 +148,7 @@ class TaskPolicy:
 def _as_times(policy: TaskPolicy, ts):
     """Checked query times, and the mask of those off the policy grid."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    if ts.ndim != 1 or ts.size == 0 or not np.all(np.isfinite(ts)):
+    if ts.ndim != 1 or ts.size == 0 or not np.isfinite(ts).all():
         raise InvalidInputError("query times must be a finite 1-d array")
     return ts, (ts < policy.grid[0]) | (ts > policy.grid[-1])
 
@@ -190,25 +191,25 @@ def _via_side(policy: TaskPolicy, via_t, via_y, via_s, ts) -> PosteriorPredictio
     # A near-exact via-point must agree with the previous near-exact one of
     # its dimension if that is this close in time; a gap that overflows differs.
     hard = s < _HARD_STRENGTH
-    prev = np.maximum.accumulate(
-        np.where(hard, np.arange(t.size)[:, None], -1))[:-1]
-    with np.errstate(over="ignore"):
-        clash = (hard[1:] & (prev >= 0)
-                 & (t[1:, None] - t[prev] <= _SAME_TIME_TOL)
-                 & (np.abs(y[1:] - y[prev, np.arange(6)]) > 1e-9))
-    if np.any(clash):
-        d = np.argmax(clash.any(axis=0))
-        first = prev[np.argmax(clash[:, d]), d]
-        raise InconsistentConstraintError(
-            f"two near-exact via-points at t={t[first]} demand different poses")
+    if hard.any():
+        prev = np.maximum.accumulate(
+            np.where(hard, np.arange(t.size)[:, None], -1))[:-1]
+        with np.errstate(over="ignore"):
+            clash = (hard[1:] & (prev >= 0)
+                     & (t[1:, None] - t[prev] <= _SAME_TIME_TOL)
+                     & (np.abs(y[1:] - y[prev, np.arange(6)]) > 1e-9))
+        if np.any(clash):
+            d = np.argmax(clash.any(axis=0))
+            first = prev[np.argmax(clash[:, d]), d]
+            raise InconsistentConstraintError(
+                f"two near-exact via-points at t={t[first]} demand different poses")
 
     params = [model.params for model in policy.dims]
     via_side, policy._via = predict_columns(via_t, via_y, via_s, params, ts,
-                                            policy._via)
-    for d in range(6):
-        # Treat the constraint noise as a log-interpolated profile so the
-        # via side stays an observation-level posterior away from the knots.
-        via_side.var[:, d] += np.exp(np.interp(ts, t, np.log(s[:, d])))
+                                            policy._via, order)
+    # Treat the constraint noise as a log-interpolated profile so the via
+    # side stays an observation-level posterior away from the knots.
+    via_side.var += np.exp([np.interp(ts, t, c) for c in np.log(s.T)]).T
     return via_side
 
 
@@ -227,8 +228,8 @@ def adapt_with_viapoints(policy: TaskPolicy, via, ts) -> PoseDistribution:
         raise InvalidInputError("via must contain ViaPoint instances")
     ts, outside = _as_times(policy, ts)
     fused = _fuse(policy, np.array([v.time for v in via]),
-                  np.stack([v.pose for v in via]),
-                  np.stack([v.strength for v in via]), ts)
+                  np.array([v.pose for v in via]),
+                  np.array([v.strength for v in via]), ts)
     return PoseDistribution(fused.mean, fused.var, outside)
 
 

@@ -209,6 +209,28 @@ class TestFitPredict:
             assert np.array_equal(out.mean[:, j], pred.mean)
             assert np.array_equal(out.var[:, j], pred.var)
 
+    @pytest.mark.parametrize("m, q", [(1, 1), (7, 1), (7, 100), (100, 2),
+                                      (100, 101)])
+    def test_stacked_pass_is_each_systems_own(self, rng, m, q):
+        """gp._predict stacks the kernels, products and row sums of c
+        systems; column j keeps the bits of system j's own (q, m) kernel,
+        product, in-place solve and row sum."""
+        t = np.sort(rng.uniform(0.0, 1.0, m))
+        systems = [fit_gp(TrainingSet(t, rng.normal(0.0, 1.0, m)),
+                          KernelParams(float(rng.uniform(0.05, 1.0)),
+                                       float(rng.uniform(0.3, 2.0))),
+                          noise=1e-3).system for _ in range(6)]
+        lags, max_lag = gp._query_lags(rng.uniform(-0.2, 1.2, q), t)
+        got = gp._predict(systems, lags, max_lag)
+        for j, sol in enumerate(systems):
+            sf2 = sol.params.signal_std ** 2
+            Ks = gp._lag_kernel(lags, max_lag, sol.params.length_scale, sf2)
+            mean = sol.offset + Ks @ sol.alpha
+            v = lapack.dtrtrs(sol.chol, Ks.T, lower=1, overwrite_b=1)[0]
+            var = np.maximum(sf2 - np.einsum("ij,ij->j", v, v), 0.0)
+            assert np.array_equal(got.mean[:, j], mean)
+            assert np.array_equal(got.var[:, j], var)
+
     @pytest.mark.parametrize("inputs, queries, chunks", [
         (20, 5, [6]), (900, 5, [4, 2]), (300, 20_000, [6]),
         (300, 30_000, [4, 2])])
@@ -218,10 +240,9 @@ class TestFitPredict:
         MAX_GP_INPUTS and one q x m block at MAX_PREDICT_CELLS hold."""
         t = np.linspace(0.0, 1.0, inputs)
         y = np.stack([np.sin(k * t) for k in range(1, 7)], axis=1)
-        seen, real = [], gp._solve_columns
-        monkeypatch.setattr(gp, "_solve_columns", lambda red, columns, params:
-                            seen.append(len(params)) or real(red, columns,
-                                                             params))
+        seen, real = [], gp._predict
+        monkeypatch.setattr(gp, "_predict", lambda systems, *rest:
+                            seen.append(len(systems)) or real(systems, *rest))
         params = [KernelParams(0.3, 1.0)] * 6
         gp.predict_columns(t, y, np.full(y.shape, 1e-2), params,
                            np.linspace(0.0, 1.0, queries))
@@ -373,6 +394,40 @@ class TestGrowingColumns:
         assert np.all(np.abs(got.mean - want.mean) <= 1e-10 * np.abs(
             want.mean).max(axis=0))
         assert_allclose(got.var, want.var, rtol=1e-10, atol=0.0)
+
+    def test_shuffled_points_with_the_callers_sort(self, stream, rng):
+        """Shuffled points with their stable argsort as ``order``: rebuilt,
+        column j is fit_gp's on the call's order bit for bit; grown, it is
+        the call without ``order`` bit for bit, centered over the call's
+        order as fit_gp is and within 1e-10 of fit_gp's posterior."""
+        t, y, noise = stream
+        kept = gp.predict_columns(t[:30], y[:30], noise[:30], self.PARAMS,
+                                  self.TS)[1]
+        for n, start in ((30, None), (36, kept)):
+            perm = rng.permutation(n)
+            args = (t[:n][perm], y[:n][perm], noise[:n][perm], self.PARAMS,
+                    self.TS)
+            got, columns = gp.predict_columns(
+                *args, start, np.argsort(args[0], kind="stable"))
+            fits = [fit_gp(TrainingSet(args[0], args[1][:, j]), p,
+                           noise=args[2][:, j])
+                    for j, p in enumerate(self.PARAMS)]
+            want = [fit.predict(self.TS) for fit in fits]
+            if start is None:
+                for j, pred in enumerate(want):
+                    assert np.array_equal(got.mean[:, j], pred.mean)
+                    assert np.array_equal(got.var[:, j], pred.var)
+                continue
+            assert columns.factors is not None
+            again = gp.predict_columns(*args, start)[0]
+            assert np.array_equal(got.mean, again.mean)
+            assert np.array_equal(got.var, again.var)
+            assert ([s.offset for s in columns.systems]
+                    == [fit.mean_offset for fit in fits])
+            for j, pred in enumerate(want):
+                assert_allclose(got.mean[:, j], pred.mean, rtol=0.0,
+                                atol=1e-10)
+                assert_allclose(got.var[:, j], pred.var, rtol=1e-10, atol=0.0)
 
     @pytest.mark.parametrize("case", [
         "earlier-time", "repeated-last-time", "changed-strength",

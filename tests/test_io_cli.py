@@ -700,6 +700,16 @@ print(all(getattr(gp.lapack, f) is getattr(lapack, f) for f in sys.argv[3:]))
 """
 
 
+FLAPACK_ATTRIBUTE_PROBE = """
+import numpy as np
+from gplfd import gp
+t = np.linspace(0.0, 1.0, 12)
+gp.optimize_hyperparameters(gp.TrainingSet(t, np.sin(6.0 * t)))
+import scipy.linalg
+print(scipy.linalg._flapack.dpotrf is gp.lapack.dpotrf)
+"""
+
+
 class TestLinalgImport:
     """gp binds its LAPACK routines from scipy's compiled extension, so a
     process that does not fit never imports the scipy.linalg package."""
@@ -730,6 +740,11 @@ class TestLinalgImport:
     def test_routines_are_scipys(self, order):
         assert fresh_python(SAME_ROUTINES_PROBE, *order,
                             *LAPACK_ROUTINES) == "True"
+
+    def test_package_attribute_after_a_fit(self):
+        """gplfd registers _flapack before scipy.linalg exists; once a fit
+        has loaded the package, its _flapack attribute is that module."""
+        assert fresh_python(FLAPACK_ATTRIBUTE_PROBE) == "True"
 
     def test_public_module_without_the_extension_file(self, monkeypatch,
                                                       tmp_path):

@@ -13,7 +13,7 @@ from gplfd import (AlignmentWarning, GPModel, HeteroGPModel,
                    Trajectory, TrainingSet, ViaPoint, adapt_with_viapoints,
                    fit_gp, generate_synthetic_door_set, learn_policy,
                    prediction_error, query, streaming_evaluation)
-from gplfd import gp
+from gplfd import gp, io
 from gplfd import policy as policy_module
 from gplfd.config import config_from_dict, learn_config
 from gplfd.gp import JITTER_FRAC, MAX_GP_INPUTS
@@ -34,6 +34,20 @@ def posteriors_held(policy):
         elif isinstance(obj, dict):
             stack.extend(obj.values())
     return found
+
+
+def spy_predictions(monkeypatch):
+    """A list that records every GP prediction from now on as the (query
+    times, columns) of its ``gp._predict`` pass: a stacked chunk of
+    several systems, or one model's own ``predict``."""
+    calls, real = [], gp._predict
+
+    def spy(systems, lags, *rest):
+        calls.append((lags.shape[0], len(systems)))
+        return real(systems, lags, *rest)
+
+    monkeypatch.setattr(gp, "_predict", spy)
+    return calls
 
 
 def offset_pose(dist, dx=0.0, dz=0.0):
@@ -198,18 +212,13 @@ class TestAdaptation:
         # One (q, 6) posterior: the last grid's.
         assert posteriors_held(policy) == 1
 
-        calls, predict = [], GPModel.predict
-
-        def counted(model, ts):
-            calls.append(ts.size)
-            return predict(model, ts)
-
-        monkeypatch.setattr(GPModel, "predict", counted)
+        calls = spy_predictions(monkeypatch)
         policy.demonstration_posterior(grids[-1])
         assert calls == []
-        # The first grid was dropped: its 6 signal GPs predict.
+        # The first grid was dropped: its 6 signal GPs predict, in one
+        # stacked chunk.
         policy.demonstration_posterior(grids[0])
-        assert calls == [20] * 6
+        assert calls == [(20, 6)]
 
     @pytest.mark.parametrize("change", ["swapped in place", "reassigned"])
     def test_changed_dims_are_predicted_afresh(self, door_policy, change):
@@ -232,13 +241,7 @@ class TestAdaptation:
         kept = query(policy, ts)
         # A new list of the same six models still hits.
         policy.dims = list(policy.dims)
-        calls, predict = [], GPModel.predict
-
-        def counted(model, ts):
-            calls.append(ts.size)
-            return predict(model, ts)
-
-        monkeypatch.setattr(GPModel, "predict", counted)
+        calls = spy_predictions(monkeypatch)
         again = query(policy, ts)
         assert calls == []
         assert np.array_equal(again.mean, kept.mean)
@@ -323,6 +326,76 @@ class TestAdaptation:
         o1, o2 = adapt_with_viapoints(door_policy, vias, [0.3, 0.7])
         assert abs(o1.mean[0] - t1.as_vector()[0]) < 1e-2
         assert abs(o2.mean[2] - t2.as_vector()[2]) < 1e-2
+
+
+class TestStackedDemonstrationSide:
+    """demonstration_posterior predicts the six signal GPs in stacked
+    ``gp._predict`` chunks of at most gp.STACK_CELLS query kernel cells;
+    past that, or on different inputs, each model predicts alone. Either
+    way column j is dims[j].predict, bit for bit."""
+
+    @staticmethod
+    def per_dimension(dims, ts):
+        parts = [model.predict(ts) for model in dims]
+        return (np.stack([p.mean for p in parts], axis=1),
+                np.stack([p.var for p in parts], axis=1))
+
+    @pytest.fixture(scope="class")
+    def loaded(self, door_policy, tmp_path_factory):
+        path = tmp_path_factory.mktemp("stacked") / "policy.json"
+        io.save_policy(path, door_policy)
+        return io.load_policy(path)
+
+    # A 100-input policy: 54 times fit six models in a 2^15-cell chunk,
+    # 100 times three, 300 times one; 2001 times fall back to the models.
+    @pytest.mark.parametrize("q, chunks", [
+        (1, [(1, 6)]), (54, [(54, 6)]), (100, [(100, 3)] * 2),
+        (300, [(300, 1)] * 6), (2001, [(2001, 1)] * 6)])
+    @pytest.mark.parametrize("source", ["fitted", "loaded"])
+    def test_columns_are_the_models_own(self, door_policy, loaded, source,
+                                        q, chunks, monkeypatch):
+        policy = door_policy if source == "fitted" else loaded
+        ts = np.linspace(-0.1, 1.1, q) if q > 1 else np.array([0.37])
+        mean, var = self.per_dimension(policy.dims, ts)
+        calls = spy_predictions(monkeypatch)
+        fresh = TaskPolicy(dims=policy.dims, grid=policy.grid)
+        got = fresh.demonstration_posterior(ts)
+        assert calls == chunks
+        assert np.array_equal(got.mean, mean)
+        assert np.array_equal(got.var, var)
+
+    def test_models_on_different_inputs_predict_alone(self, rng,
+                                                      monkeypatch):
+        knots = np.linspace(0.0, 1.0, 4)
+        dims = [HeteroGPModel.fit(
+            TrainingSet(t, np.sin(3.0 * t)), KernelParams(0.3, 1.0), knots,
+            np.full(4, -6.0)) for t in np.sort(rng.uniform(0, 1, (6, 12)))]
+        ts = np.linspace(0.0, 1.0, 9)
+        mean, var = self.per_dimension(dims, ts)
+        calls = spy_predictions(monkeypatch)
+        policy = TaskPolicy(dims=dims, grid=np.linspace(0.0, 1.0, 10))
+        got = policy.demonstration_posterior(ts)
+        assert calls == [(9, 1)] * 6
+        assert np.array_equal(got.mean, mean)
+        assert np.array_equal(got.var, var)
+
+    def test_memory_at_the_simulation_schedule(self, door_policy):
+        """At simulate's 2001 times the chunks would hold more than one
+        model's kernels: the posterior peaks within 1.1x of the loop."""
+        ts = np.linspace(0.0, 1.0, 2001)
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        fresh = TaskPolicy(dims=door_policy.dims, grid=door_policy.grid)
+        stacked = peak(lambda: fresh.demonstration_posterior(ts))
+        loop = peak(lambda: self.per_dimension(door_policy.dims, ts))
+        assert stacked <= 1.1 * loop
 
 
 class TestPosteriorValue:
@@ -556,6 +629,32 @@ class TestGrowingViaSide:
         want = loop_fuse(TaskPolicy(dims=dims, grid=door_policy.grid), *args)
         assert np.array_equal(got.mean, want.mean)
         assert np.array_equal(got.var, want.var)
+
+    def test_shuffled_via_points_sort_once(self, door_policy, stream, rng,
+                                           monkeypatch):
+        """A via side sorts a shuffled list by one stable argsort, rebuilt
+        and grown; it fuses bit for bit as the loop does when rebuilt, and
+        within 1e-10 of it when grown."""
+        ts, samples, via_s = stream
+        policy = TaskPolicy(dims=door_policy.dims, grid=door_policy.grid)
+        sorts, argsort = [], np.argsort
+        monkeypatch.setattr(np, "argsort", lambda a, *rest, **kw:
+                            sorts.append(a.size) or argsort(a, *rest, **kw))
+        for n in (30, 36):
+            perm = rng.permutation(n)
+            args = (ts[:n][perm], samples[:n][perm], via_s[:n][perm],
+                    self.GRID)
+            sorts.clear()
+            got = _fuse(policy, *args)
+            assert sorts == [n]
+            assert self.grown(policy) == (n == 36)
+            want = loop_fuse(policy, *args)
+            if n == 30:
+                assert np.array_equal(got.mean, want.mean)
+                assert np.array_equal(got.var, want.var)
+            else:
+                assert_allclose(got.mean, want.mean, rtol=0.0, atol=1e-10)
+                assert_allclose(got.var, want.var, rtol=1e-10, atol=0.0)
 
     def test_extending_step_factorizes_no_full_system(self, door_policy,
                                                       stream, monkeypatch):
@@ -803,27 +902,24 @@ class TestStreaming:
         strength = np.r_[np.full(3, 1e-4), np.full(3, 1e-3)]
         stamps, samples = door_holdout.stamps, door_holdout.samples
         ts = (stamps - stamps[0]) / (stamps[-1] - stamps[0])
-        products, predicted, real = [], [], policy_module.gaussian_product
+        products, real = [], policy_module.gaussian_product
 
         def spy(a, b):
             products.append((a, real(a, b)))
             return products[-1][1]
 
-        predict = GPModel.predict
-
-        def counted(model, ts):
-            predicted.append(np.size(ts))
-            return predict(model, ts)
-
         monkeypatch.setattr(policy_module, "gaussian_product", spy)
-        monkeypatch.setattr(GPModel, "predict", counted)
+        predicted = spy_predictions(monkeypatch)
         fresh = TaskPolicy(dims=door_policy.dims, grid=door_policy.grid)
         streaming_evaluation(fresh, door_holdout, strength)
         monkeypatch.undo()
 
         (demo, fused), = products
-        # The demonstration GPs predict once, over every streamed stamp.
-        assert predicted.count(ts.size - 1) == 6
+        # The demonstration GPs predict once, over every streamed stamp, in
+        # stacked chunks of five and one (59 x 100 cells a model within
+        # 2^15); the via side predicts one stamp at a time.
+        assert ts.size - 1 == 59
+        assert [c for c in predicted if c[0] != 1] == [(59, 5), (59, 1)]
         static = door_policy.demonstration_posterior(ts[1:])
         assert np.array_equal(demo.mean, static.mean)
         assert np.array_equal(demo.var, static.var)
