@@ -47,11 +47,10 @@ length scale scores a whole axis of noise ratios in closed form. Targets on
 shared inputs share those eigendecompositions: a policy fit scans its
 dimensions together (``scan_columns``), as ``predict_columns`` predicts them.
 
-Only a search loads ``scipy.optimize``: ``minimize`` imports it on its first
-call. Loading, predicting and adapting a policy never do, so a process that
-does not fit skips the optimizer's import and its memory. Nor does it import
-the ``scipy.linalg`` package: ``_flapack`` loads only its compiled LAPACK
-module, under its own name, which a later ``import scipy.linalg`` reuses.
+No process imports the ``scipy.optimize`` or ``scipy.linalg`` package:
+``_compiled`` loads the compiled LAPACK wrappers and L-BFGS-B routine that
+gp calls from their files, and ``minimize`` drives that routine as scipy's
+own L-BFGS-B driver does.
 """
 
 from __future__ import annotations
@@ -64,7 +63,8 @@ import sys
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from importlib import machinery, util
+from importlib import import_module, machinery, util
+from types import SimpleNamespace
 
 import numpy as np
 import scipy
@@ -74,25 +74,37 @@ from .errors import (InsufficientDataError, InvalidInputError,
                      NumericalConditioningError, OptimizationFailureError)
 
 
-def _flapack():
-    """The compiled module behind ``scipy.linalg.lapack``, loaded from its
-    file without importing ``scipy.linalg``; that public module if none."""
-    name = "scipy.linalg._flapack"
-    if name in sys.modules:
-        return sys.modules[name]
+def _compiled(name):
+    """scipy's compiled module ``scipy.<name>``, loaded from its file without
+    importing its package; None if there is no such file. It is left out of
+    ``sys.modules``: the package's own import, if any, loads it again from
+    CPython's extension cache, as its attribute, with the same routines."""
+    full = "scipy." + name
+    if full in sys.modules:
+        return sys.modules[full]
     spec = machinery.FileFinder(
-        os.path.join(scipy.__path__[0], "linalg"),
+        os.path.join(scipy.__path__[0], name.split(".")[0]),
         (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES),
-    ).find_spec(name)
+    ).find_spec(full)
     if spec is None:
-        from scipy.linalg import lapack
-        return lapack
-    module = sys.modules[name] = util.module_from_spec(spec)
+        return None
+    module = util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    sys.modules.pop(full, None)
     return module
 
 
-lapack = _flapack()
+def _setulb(module):
+    """``module.setulb`` if it has the signature of scipy 1.15's and later
+    releases', which ``minimize`` drives; None otherwise."""
+    setulb = getattr(module, "setulb", None)
+    return setulb if str(getattr(setulb, "__doc__", "")).startswith(
+        "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,dsave,"
+        "maxls,ln_task)") else None
+
+
+lapack = _compiled("linalg._flapack") or import_module("scipy.linalg.lapack")
+setulb = _setulb(_compiled("optimize._lbfgsb"))
 
 # Jitter added to every observation's noise, as a fraction of mean(diag K).
 JITTER_FRAC = 1e-10
@@ -1054,15 +1066,51 @@ def _peaks(cells, lml):
     return cells.reshape(lml.size, -1)[order]
 
 
-def minimize(fun, x0, **kwargs):
-    """``scipy.optimize.minimize``, imported on the first call: the optimizer
-    and what it pulls in (``scipy.fft``, ``scipy.special``, ``scipy.sparse``)
-    load only in a process that searches hyperparameters."""
-    from scipy.optimize import minimize as scipy_minimize
-    # That loaded scipy.linalg, which reuses ``_flapack()``'s module but,
-    # not having imported it itself, has no attribute for it.
-    scipy.linalg._flapack = sys.modules["scipy.linalg._flapack"]
-    return scipy_minimize(fun, x0, **kwargs)
+# scipy's message for each (state, reason) task that setulb ends a run on.
+_LBFGSB_MESSAGES = {
+    (4, 401): "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL",
+    (4, 402): "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH",
+    (5, 502): "STOP: TOTAL NO. OF F,G EVALUATIONS EXCEEDS LIMIT",
+    (5, 504): "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT",
+    (8, 0): "ABNORMAL: "}
+
+
+def minimize(fun, x0, jac, method, bounds, options):
+    """``scipy.optimize.minimize`` bit for bit, for ``jac=True``, ``method=
+    "L-BFGS-B"``, finite ``bounds`` and ``options={"maxiter": k}``: scipy's
+    driver loop and defaults over its compiled ``setulb``. Other calls, and
+    installations without that ``setulb``, go to scipy's ``minimize``."""
+    if setulb is None or (jac, method) != (True, "L-BFGS-B"):
+        from scipy.optimize import minimize as scipy_minimize
+        return scipy_minimize(fun, x0, jac=jac, method=method, bounds=bounds,
+                              options=options)
+    lo, hi = np.array(bounds, dtype=float).T.copy()
+    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    n, m, factr = x.size, 10, 2.2204460492503131e-09 / np.finfo(float).eps
+    value, grad = fun(x.copy())  # as scipy evaluates x0 before the first call
+    last, nfev, nit, f, g = x.copy(), 1, 0, 0.0, np.zeros(n)
+    wa, dsave = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m), np.zeros(29)
+    iwa, nbd = np.zeros(3 * n, np.int32), np.full(n, 2, np.int32)
+    task, ln_task, lsave, isave = (np.zeros(k, np.int32) for k in (2, 2, 4, 44))
+    while True:
+        setulb(m, x, lo, hi, nbd, f, g, factr, 1e-5, wa, iwa, task, lsave,
+               isave, dsave, 20, ln_task)
+        if task[0] == 3:  # FG: the objective at x, evaluated once per point
+            if not np.array_equal(x, last):
+                value, grad = fun(x.copy())
+                last, nfev = x.copy(), nfev + 1
+            f, g = value, np.array(grad, dtype=float)
+        elif task[0] == 1:  # NEW_X: an iteration done
+            nit += 1
+            if nit >= options["maxiter"]:
+                task[:] = 5, 504
+            elif nfev > 15000:
+                task[:] = 5, 502
+        else:
+            break
+    key = (int(task[0]), int(task[1]))
+    return SimpleNamespace(x=x, fun=f, nfev=nfev, nit=nit, success=key[0] == 4,
+                           message=_LBFGSB_MESSAGES.get(key, f"task {key}"))
 
 
 def _lbfgs(objective, theta0, log_bounds, max_iter):

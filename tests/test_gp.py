@@ -1,7 +1,9 @@
 import logging
 import math
 import re
+import sys
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -1524,6 +1526,102 @@ class TestHeteroscedastic:
                               model.noise_variance(train.t))
         assert_allclose(model.predict(ts).var - model.signal_gp.predict(ts).var,
                         model.noise_variance(ts), rtol=1e-12)
+
+
+def assert_same_run(ours, scipys):
+    """Two L-BFGS-B results agree bit for bit."""
+    assert ours.x.tobytes() == scipys.x.tobytes()
+    assert ours.fun == scipys.fun and type(ours.fun) is type(scipys.fun)
+    assert (ours.nfev, ours.nit, ours.success, ours.message) == (
+        scipys.nfev, scipys.nit, scipys.success, scipys.message)
+
+
+class TestMinimize:
+    """gp.minimize drives scipy's compiled setulb as scipy's own L-BFGS-B
+    driver does: every result equals scipy.optimize.minimize's bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def knot_fit(self):
+        """(fun, x0, kwargs) of each run of a heteroscedastic fit: the
+        stage-1 runs, then the knot run over 2 + 25 parameters."""
+        calls, real = [], gp.minimize
+
+        def record(fun, x0, **kwargs):
+            calls.append((fun, np.array(x0), kwargs))
+            return real(fun, x0, **kwargs)
+
+        t = np.repeat(np.linspace(0.0, 1.0, 25), 4)
+        y = np.sin(2 * np.pi * t) + np.random.default_rng(3).normal(
+            0.0, 0.02 + 0.3 * t)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gp, "minimize", record)
+            fit_heteroscedastic(TrainingSet(t, y))
+        assert [len(x0) for _, x0, _ in calls][-1] == 27
+        return calls
+
+    def test_every_run_of_a_door_fit(self, monkeypatch, door_demos):
+        runs, real = [], gp.minimize
+
+        def compare(fun, x0, **kwargs):
+            ours = real(fun, x0, **kwargs)
+            assert_same_run(ours, minimize(fun, x0, **kwargs))
+            runs.append(ours.success)
+            return ours
+
+        monkeypatch.setattr(gp, "minimize", compare)
+        learn_policy(door_demos)
+        assert len(runs) >= 12
+
+    @pytest.mark.parametrize("case", ["stage-1", "outside-the-box", "refusal",
+                                      "maxiter", "knots"])
+    def test_matches_scipy(self, knot_fit, case):
+        """A stage-1 run; one from a start outside the box, which both clip;
+        one whose objective refuses (inf, zero gradient) a step away from
+        its start, as a Gram matrix that fails to factorize does; one cut
+        by maxiter; and the knot run."""
+        fun, x0, kwargs = knot_fit[-1 if case in ("maxiter", "knots") else 0]
+        lo, hi = np.transpose(kwargs["bounds"])
+        refused = []
+        if case == "outside-the-box":
+            x0 = np.where(np.arange(x0.size) % 2 == 0, lo - 1.0, hi + 1.0)
+        elif case == "refusal":
+            objective = fun
+
+            def fun(theta):
+                if np.max(np.abs(theta - x0)) > 0.05:
+                    refused.append(theta)
+                    return np.inf, np.zeros(theta.size)
+                return objective(theta)
+        elif case == "maxiter":
+            kwargs = {**kwargs, "options": {"maxiter": 3}}
+        ours = gp.minimize(fun, x0, **kwargs)
+        assert_same_run(ours, minimize(fun, x0, **kwargs))
+        assert (case != "refusal" or refused) and np.isfinite(ours.fun)
+        assert ours.message.startswith("STOP" if case == "maxiter" else
+                                       ("CONVERGENCE", "ABNORMAL"))
+
+    def test_without_scipys_setulb(self, monkeypatch, tmp_path, knot_fit):
+        """An installation without the routine's file, or with another
+        signature, has no setulb; gp.minimize then calls scipy's minimize,
+        with the same results."""
+        import scipy
+        import scipy.optimize
+        assert gp._setulb(types.SimpleNamespace(setulb=lambda: None)) is None
+        monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+        monkeypatch.delitem(sys.modules, "scipy.optimize._lbfgsb")
+        assert gp._setulb(gp._compiled("optimize._lbfgsb")) is None
+        monkeypatch.undo()
+
+        driven = [gp.minimize(fun, x0, **kwargs)
+                  for fun, x0, kwargs in knot_fit]
+        calls, real = [], scipy.optimize.minimize
+        monkeypatch.setattr(scipy.optimize, "minimize",
+                            lambda *args, **kwargs: calls.append(args)
+                            or real(*args, **kwargs))
+        monkeypatch.setattr(gp, "setulb", None)
+        for ours, (fun, x0, kwargs) in zip(driven, knot_fit):
+            assert_same_run(ours, gp.minimize(fun, x0, **kwargs))
+        assert len(calls) == len(knot_fit)
 
 
 class TestGaussianProduct:

@@ -657,8 +657,10 @@ def optimizer_modules(commands, prefix="scipy.optimize"):
 
 
 class TestOptimizerImport:
-    """Only a hyperparameter search loads scipy.optimize. This session has
-    it loaded already, so each check runs in a fresh interpreter."""
+    """No command imports the scipy.optimize package: a fit drives scipy's
+    compiled L-BFGS-B routine, which gp loads from its file. This session
+    has the package loaded already, so each check runs in a fresh
+    interpreter."""
 
     @pytest.fixture(scope="class")
     def run_dir(self, tmp_path_factory):
@@ -670,21 +672,29 @@ class TestOptimizerImport:
             0.5, Pose(np.array([0.5, 0.0, 0.2]), (0, 0.5, 0)), 1e-4)])
         return out
 
-    def test_only_fit_loads_the_optimizer(self, run_dir):
+    @staticmethod
+    def every_command(run_dir):
         demos = sorted(str(p) for p in run_dir.glob("demo_*.csv"))
         policy, out = str(run_dir / "policy.json"), str(run_dir / "probe")
         args = [*SMALL, "--out-dir", out]
         commands = [["gen-data", *args], ["align", *demos, *args],
+                    ["fit", *demos, *args],
                     ["query", "--policy", policy, "--grid", "9", *args],
                     ["adapt", "--policy", policy,
                      "--via", str(run_dir / "via.csv"), *args],
                     ["simulate", "--policy", policy, *args],
                     ["eval", "--policy", policy, "--truth", demos[0], *args]]
+        # Where this scipy's setulb is not the one gp drives, a fit calls
+        # scipy.optimize.minimize, which imports both packages.
+        return [argv for argv in commands
+                if argv[0] != "fit" or gp.setulb is not None]
+
+    def test_no_command_imports_the_optimizer_package(self, run_dir):
+        """Not one module under scipy.optimize is imported, by a fit or by
+        any other command."""
+        commands = self.every_command(run_dir)
         assert optimizer_modules(commands) == [
-            (name, []) for name in ("import", "gen-data", "align", "query",
-                                    "adapt", "simulate", "eval")]
-        [(_, before), (_, after)] = optimizer_modules([["fit", *demos, *args]])
-        assert before == [] and "scipy.optimize" in after
+            (name, []) for name in ["import"] + [c[0] for c in commands]]
 
 
 # gp's LAPACK routines, each compared by identity with scipy.linalg.lapack's.
@@ -700,40 +710,35 @@ print(all(getattr(gp.lapack, f) is getattr(lapack, f) for f in sys.argv[3:]))
 """
 
 
-FLAPACK_ATTRIBUTE_PROBE = """
+# Imports scipy.linalg and scipy.optimize after gplfd, with or without a fit
+# first: their compiled modules are gp's, and scipy's own minimize runs.
+PACKAGE_ATTRIBUTE_PROBE = """
+import sys
 import numpy as np
 from gplfd import gp
 t = np.linspace(0.0, 1.0, 12)
-gp.optimize_hyperparameters(gp.TrainingSet(t, np.sin(6.0 * t)))
-import scipy.linalg
-print(scipy.linalg._flapack.dpotrf is gp.lapack.dpotrf)
+if sys.argv[1] == "fit":
+    gp.optimize_hyperparameters(gp.TrainingSet(t, np.sin(6.0 * t)))
+import scipy.linalg, scipy.optimize
+res = scipy.optimize.minimize(lambda x: (x @ x, 2.0 * x), np.ones(2),
+                              jac=True, method="L-BFGS-B")
+print(scipy.linalg._flapack.dpotrf is gp.lapack.dpotrf,
+      gp.setulb in (None, scipy.optimize._lbfgsb.setulb), res.success)
 """
 
 
 class TestLinalgImport:
-    """gp binds its LAPACK routines from scipy's compiled extension, so a
-    process that does not fit never imports the scipy.linalg package."""
+    """gp binds its LAPACK routines from scipy's compiled extension, so no
+    process imports the scipy.linalg package."""
 
     run_dir = TestOptimizerImport.run_dir
 
-    def test_only_fit_loads_scipy_linalg(self, run_dir):
-        demos = sorted(str(p) for p in run_dir.glob("demo_*.csv"))
-        policy, out = str(run_dir / "policy.json"), str(run_dir / "probe")
-        args = [*SMALL, "--out-dir", out]
-        commands = [["gen-data", *args], ["align", *demos, *args],
-                    ["query", "--policy", policy, "--grid", "9", *args],
-                    ["adapt", "--policy", policy,
-                     "--via", str(run_dir / "via.csv"), *args],
-                    ["simulate", "--policy", policy, *args],
-                    ["eval", "--policy", policy, "--truth", demos[0], *args]]
-        loaded = optimizer_modules(commands, "scipy.linalg")
-        assert [name for name, _ in loaded] == [
-            "import", "gen-data", "align", "query", "adapt", "simulate",
-            "eval"]
-        assert all("scipy.linalg" not in modules for _, modules in loaded)
-        [(_, before), (_, after)] = optimizer_modules(
-            [["fit", *demos, *args]], "scipy.linalg")
-        assert "scipy.linalg" not in before and "scipy.linalg" in after
+    def test_no_command_imports_scipy_linalg(self, run_dir):
+        """Not even scipy.linalg._flapack stays registered: gp holds that
+        module without putting it in sys.modules."""
+        commands = TestOptimizerImport.every_command(run_dir)
+        assert optimizer_modules(commands, "scipy.linalg") == [
+            (name, []) for name in ["import"] + [c[0] for c in commands]]
 
     @pytest.mark.parametrize("order", [("gplfd", "scipy.linalg"),
                                        ("scipy.linalg", "gplfd")])
@@ -742,19 +747,23 @@ class TestLinalgImport:
                             *LAPACK_ROUTINES) == "True"
 
     def test_package_attribute_after_a_fit(self):
-        """gplfd registers _flapack before scipy.linalg exists; once a fit
-        has loaded the package, its _flapack attribute is that module."""
-        assert fresh_python(FLAPACK_ATTRIBUTE_PROBE) == "True"
+        """gp loads _flapack and _lbfgsb before their packages exist; once
+        a fit has run, importing the packages binds them as their
+        attributes, with gp's routines."""
+        assert fresh_python(PACKAGE_ATTRIBUTE_PROBE, "fit") == "True True True"
+
+    def test_package_attribute_without_a_fit(self):
+        assert fresh_python(PACKAGE_ATTRIBUTE_PROBE, "none") == "True True True"
 
     def test_public_module_without_the_extension_file(self, monkeypatch,
                                                       tmp_path):
         """An installation whose scipy has no _flapack file beside
-        scipy.linalg gets the public scipy.linalg.lapack."""
+        scipy.linalg has no compiled module to load, and gp takes the public
+        scipy.linalg.lapack, whose routines are the same."""
         import scipy
         from scipy.linalg import lapack
         monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
         monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
-        module = gp._flapack()
-        assert module is lapack
-        assert all(getattr(module, f) is getattr(gp.lapack, f)
+        assert gp._compiled("linalg._flapack") is None
+        assert all(getattr(lapack, f) is getattr(gp.lapack, f)
                    for f in LAPACK_ROUTINES)
