@@ -9,23 +9,22 @@ their intermediate samples dragged onto the wrong task phase.
 
 from __future__ import annotations
 
+import mmap
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import DegenerateTrajectoryError, InvalidInputError
 from .se3 import (DistanceWeights, Pose, arc_distances, canonical_rotvecs,
-                  pose_distances, pose_rows, slerp)
+                  pose_distances, pose_rows, quaternions_of, slerp)
 
 MEASURES = ("tci", "euclidean-pose")
-# Most cells (na * nb) of one DTW pair: the costs and then the cumulative
-# costs share one buffer of 8 bytes a cell, about 200 MB at the cap.
+# Most cells (na * nb) of one DTW pair, and most backtrack codes of one
+# sweep, padding included: one byte a cell, 25 MB at the cap.
 MAX_DTW_CELLS = 25_000_000
-# Cells per row block of the euclidean-pose cost matrix: its (rows, nb, 3)
-# temporaries take about 100 bytes a cell.
-_COST_BLOCK_CELLS = 1_000_000
 
 
 class AlignmentWarning(UserWarning):
@@ -112,57 +111,98 @@ class WarpPath:
         pairs.setflags(write=False)
 
 
-def _cost_matrix(a: Trajectory, b: Trajectory, weights: DistanceWeights,
-                 measure: str) -> np.ndarray:
-    """Local costs in the [1:, 1:] interior of an inf-bordered buffer whose
-    corner is 0: the (len(a)+1, len(b)+1) input of `_dtw`."""
+def _sweep(ref: np.ndarray, others, cost) -> list:
+    """Warps of the rows ``ref`` against each of ``others`` in one pass over
+    the anti-diagonals. Diagonal k holds the cells (i, j), i + j = k, of
+    every pair as a contiguous (L, P) block, by reference row i, of three
+    rolling (n + 1, P) buffers of cumulative costs. The others are stacked
+    reversed and padded with copies of their last row (cells past a pair's
+    end never feed its own), so that ``cost`` takes the rows of up to 64
+    diagonals as one strided window. Each cell's backtrack step is an int8
+    code in one flat buffer: (lf < min(dg, up)) + (min(dg, up, lf) < dg),
+    that is 2 left, else 1 up if up < dg, else 0 diagonal.
+    """
+    n, count = len(ref), len(others)
+    widths = np.maximum.accumulate([len(b) for b in others])
+    # Greedy groups of at most MAX_DTW_CELLS codes, padding included.
+    over = int(np.argmax(n * widths * np.arange(1, count + 1) > MAX_DTW_CELLS))
+    if over:
+        return _sweep(ref, others[:over], cost) + _sweep(ref, others[over:], cost)
+    width = int(widths[-1])
+    # Diagonals whose costs are taken together: 4 to 64, within 8 192 cells
+    # of the pairs where 4 allow it. Larger transient blocks raised the peak
+    # RSS of perfbench's door-cli runs (2 vCPU Xeon, glibc).
+    block = max(4, min(64, 8_192 // (count * (min(n, width) + 64))))
+    rows = np.empty((width + 2 * block, count) + ref.shape[1:])
+    for p, b in enumerate(others):  # row block + width - j: sample j - 1
+        rows[:, p] = b[-1]
+        rows[block + width - len(b):block + width, p] = b[::-1]
+    bufs = list(np.full((3, n + 1, count), np.inf))
+    bufs[0][0] = 0.0
+    # In its own anonymous mapping, unmapped when the sweep ends: as a heap
+    # block it left glibc's heap up to 3.5 MB higher on perfbench's runs.
+    codes = np.frombuffer(mmap.mmap(-1, n * width * count),
+                          np.int8).reshape(-1, count)
+    starts, ends = np.empty(n + width + 1, int), np.empty((n + width + 1, count))
+    s = 0
+    for k0 in range(2, n + width + 1, block):
+        k1 = min(k0 + block, n + width + 1)
+        ilo, ihi = max(1, k0 - width), min(n, k1 - 2)
+        # Cell (k0 + d, ilo + r) takes row block + width - k0 - d + ilo + r.
+        local = cost(ref[ilo - 1:ihi, None], as_strided(
+            rows[block + width - k0 + ilo:], (k1 - k0, ihi - ilo + 1)
+            + rows.shape[1:], (-rows.strides[0],) + rows.strides, writeable=False))
+        s0, lefts = s, codes[s:s + local.shape[0] * local.shape[1]].view(bool)
+        ups = np.empty_like(lefts)
+        for k in range(k0, k1):
+            lo, hi = max(1, k - width), min(n, k - 1)
+            prev2, prev1, cur = bufs[(k + 1) % 3], bufs[(k + 2) % 3], bufs[k % 3]
+            dg, up, lf = prev2[lo - 1:hi], prev1[lo - 1:hi], prev1[lo:hi + 1]
+            a, e = s - s0, s - s0 + hi - lo + 1
+            best = np.minimum(dg, up)
+            np.less(lf, best, out=lefts[a:e])
+            np.minimum(best, lf, out=best)
+            np.less(best, dg, out=ups[a:e])
+            np.add(local[k - k0, lo - ilo:hi - ilo + 1], best, out=cur[lo:hi + 1])
+            ends[k], starts[k], s = cur[n], s, s + hi - lo + 1
+            if k == 2:
+                prev2[0] = np.inf
+        np.add(codes[s0:s], ups[:s - s0].view(np.int8), out=codes[s0:s])
+    costs = ends[n + np.array([len(b) for b in others]), np.arange(count)]
+    if not np.all(np.isfinite(costs)):
+        raise InvalidInputError("DTW cost is not finite: a distance overflows")
+    steps, starts, warps = memoryview(codes.reshape(-1)), memoryview(starts), []
+    for p, b in enumerate(others):  # path: the steps back from the end
+        i, j, path = n, len(b), bytearray()
+        while i > 1 or j > 1:
+            step = steps[(starts[i + j] + i - max(1, i + j - width)) * count + p]
+            i, j = i - (step != 2), j - (step != 1)
+            path.append(step)
+        moves = np.frombuffer(b"\3" + path[::-1], np.int8)  # 3: onto (0, 0)
+        # i advances on every move but 2 (left), j on every one but 1 (up).
+        pairs = np.stack([np.cumsum(moves != 2), np.cumsum(moves != 1)], 1) - 1
+        warps.append(WarpPath(pairs=pairs, cost=float(costs[p])))
+    return warps
+
+
+def _warps(a: Trajectory, others, weights: DistanceWeights,
+           measure: str) -> list:
+    """Warps of ``a`` against each of ``others`` by ``_sweep``."""
     if measure not in MEASURES:
         raise InvalidInputError(f"unknown alignment measure {measure!r}; "
                                 f"expected one of {MEASURES}")
-    D = np.full((len(a) + 1, len(b) + 1), np.inf)
-    D[0, 0] = 0.0
-    C = D[1:, 1:]
+    for b in others:
+        if len(a) * len(b) > MAX_DTW_CELLS:
+            raise InvalidInputError(f"a DTW pair holds at most {MAX_DTW_CELLS}"
+                                    f" cells; got {len(a)} x {len(b)} samples")
     if measure == "tci":
-        za = tci_profile(a, weights)
-        zb = tci_profile(b, weights)
-        np.abs(np.subtract(za[:, None], zb[None, :], out=C), out=C)
-    else:
-        step = max(1, _COST_BLOCK_CELLS // len(b))
-        for i in range(0, len(a), step):
-            C[i:i + step] = pose_distances(a.samples[i:i + step, None, :],
-                                           b.samples[None, :, :], weights)
-    return D
-
-
-def _dtw(D: np.ndarray) -> WarpPath:
-    """Warp over a bordered cost buffer, which is left holding the cumulative
-    costs. Anti-diagonal k (cells with i + j = k) is a stride-nb slice of the
-    flat buffer, as are its cells' neighbours on diagonals k - 1 and k - 2.
-    """
-    rows, width = D.shape
-    nb = width - 1
-    flat = D.reshape(-1)
-    for k in range(2, rows + nb):
-        first, last = max(1, k - nb), min(rows - 1, k - 1)
-        s = first * width + k - first
-        e = s + (last - first) * nb + 1
-        diag, up, left = (flat[s - o:e - o:nb] for o in (width + 1, width, 1))
-        flat[s:e:nb] += np.minimum(np.minimum(diag, up), left)
-    if not np.isfinite(D[-1, -1]):
-        raise InvalidInputError("DTW cost is not finite: a distance overflows")
-    i, j = rows - 1, nb
-    pairs = [(i - 1, j - 1)]
-    while i > 1 or j > 1:
-        best = min(D[i - 1, j - 1], D[i - 1, j], D[i, j - 1])
-        if D[i - 1, j - 1] == best:
-            i, j = i - 1, j - 1
-        elif D[i - 1, j] == best:
-            i -= 1
-        else:
-            j -= 1
-        pairs.append((i - 1, j - 1))
-    pairs.reverse()
-    return WarpPath(pairs=np.array(pairs), cost=float(D[-1, -1]))
+        rows = [tci_profile(t, weights) for t in (a, *others)]
+        cost = lambda x, y: np.abs(d := x - y, out=d)  # noqa: E731
+    else:  # the rotations as quaternions, made once per sample
+        rows = [np.hstack([t.samples[:, :3], quaternions_of(t.samples[:, 3:])])
+                for t in (a, *others)]
+        cost = lambda x, y: pose_distances(x, y, weights)  # noqa: E731
+    return _sweep(rows[0], rows[1:], cost)
 
 
 def dtw_align(a: Trajectory, b: Trajectory,
@@ -173,10 +213,7 @@ def dtw_align(a: Trajectory, b: Trajectory,
     ``a`` is treated as the reference: when backtracking hits cost ties the
     diagonal step is preferred, then the step that advances ``a``.
     """
-    if len(a) * len(b) > MAX_DTW_CELLS:
-        raise InvalidInputError(f"a DTW pair holds at most {MAX_DTW_CELLS} "
-                                f"cells; got {len(a)} x {len(b)} samples")
-    return _dtw(_cost_matrix(a, b, weights, measure))
+    return _warps(a, [b], weights, measure)[0]
 
 
 def _merge_collisions(samples: np.ndarray, pairs: np.ndarray) -> np.ndarray:
@@ -228,15 +265,11 @@ def align_demonstrations(demos, weights: DistanceWeights = DistanceWeights(),
     span = ref.stamps[-1] - ref.stamps[0]
     stamps = (ref.stamps - ref.stamps[0]) / span
 
-    aligned = []
-    for demo in usable:
-        if demo is ref:
-            aligned.append(Trajectory(stamps, ref.samples))
-            continue
-        warp = dtw_align(ref, demo, weights, measure)
-        aligned.append(Trajectory(stamps,
-                                  _merge_collisions(demo.samples, warp.pairs)))
-    return aligned
+    others = [demo for demo in usable if demo is not ref]
+    warps = iter(_warps(ref, others, weights, measure) if others else ())
+    return [Trajectory(stamps, ref.samples if demo is ref else
+                       _merge_collisions(demo.samples, next(warps).pairs))
+            for demo in usable]
 
 
 def resample(traj: Trajectory, grid) -> Trajectory:

@@ -14,6 +14,7 @@ import argparse
 import logging
 import sys
 from dataclasses import asdict
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -247,6 +248,7 @@ def _add_times(sub) -> None:
     group.add_argument("--times", help="explicit comma-separated query times")
 
 
+@cache  # built once per process; each parse_args makes a fresh namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gplfd",

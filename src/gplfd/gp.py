@@ -62,7 +62,7 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from importlib import import_module, machinery, util
 from types import SimpleNamespace
 
@@ -103,8 +103,13 @@ def _setulb(module):
         "maxls,ln_task)") else None
 
 
+@cache
+def compiled_setulb():
+    """The ``setulb`` that ``minimize`` drives, loaded on a fit's first run."""
+    return _setulb(_compiled("optimize._lbfgsb"))
+
+
 lapack = _compiled("linalg._flapack") or import_module("scipy.linalg.lapack")
-setulb = _setulb(_compiled("optimize._lbfgsb"))
 
 # Jitter added to every observation's noise, as a fraction of mean(diag K).
 JITTER_FRAC = 1e-10
@@ -1080,7 +1085,7 @@ def minimize(fun, x0, jac, method, bounds, options):
     "L-BFGS-B"``, finite ``bounds`` and ``options={"maxiter": k}``: scipy's
     driver loop and defaults over its compiled ``setulb``. Other calls, and
     installations without that ``setulb``, go to scipy's ``minimize``."""
-    if setulb is None or (jac, method) != (True, "L-BFGS-B"):
+    if (setulb := compiled_setulb()) is None or (jac, method) != (True, "L-BFGS-B"):
         from scipy.optimize import minimize as scipy_minimize
         return scipy_minimize(fun, x0, jac=jac, method=method, bounds=bounds,
                               options=options)

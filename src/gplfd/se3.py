@@ -105,9 +105,10 @@ def rotvecs_from_quaternions(q) -> np.ndarray:
                              * theta)
 
 
-def arc_distances(ra, rb) -> np.ndarray:
-    """Geodesic angles in [0, pi] between rows of canonical rotation vectors."""
-    qa, qb = quaternions_of(ra), quaternions_of(rb)
+def arc_distances(ra, rb, quaternions: bool = False) -> np.ndarray:
+    """Geodesic angles in [0, pi] between rows of canonical rotation vectors,
+    or of their ``quaternions_of`` rows if ``quaternions``."""
+    qa, qb = (ra, rb) if quaternions else (quaternions_of(ra), quaternions_of(rb))
     # Relative-quaternion components; atan2 keeps full precision at both
     # ends of [0, pi] where arccos loses half the significant digits, and
     # coincident inputs cancel to an exact zero.
@@ -172,10 +173,11 @@ class DistanceWeights:
 
 
 def pose_distances(a, b, weights: DistanceWeights = DistanceWeights()) -> np.ndarray:
-    """Weighted SE(3) distances sqrt(w_rot * arc^2 + w_trans * |dp|^2) of pose rows."""
+    """Weighted SE(3) distances sqrt(w_rot * arc^2 + w_trans * |dp|^2) of pose
+    rows, or of rows of a position and ``quaternions_of`` the rotation."""
     dp = a[..., :3] - b[..., :3]
     trans_sq = np.einsum("...i,...i->...", dp, dp)
-    arc = arc_distances(a[..., 3:], b[..., 3:])
+    arc = arc_distances(a[..., 3:], b[..., 3:], a.shape[-1] == 7)
     return np.sqrt(weights.rotation * arc * arc + weights.translation * trans_sq)
 
 

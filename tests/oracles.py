@@ -4,9 +4,10 @@ Everything here except the loop references deliberately avoids the
 library's code paths: kernels are rebuilt from the formula, solves use
 explicit inverses (or, for the extended-precision posterior, a hand-written
 Cholesky), and the DTW cost is found by enumerating every admissible path.
-The loop references (`loop_dtw`, `loop_fuse`, `random_hetero` with its
-`random_search`) are the plain implementations that faster or simpler
-library code replaced, kept to pin it bit for bit or to bound it from below.
+The loop references (`loop_dtw` over `cost_matrix`, `loop_fuse`,
+`random_hetero` with its `random_search`) are the plain implementations that
+faster or simpler library code replaced, kept to pin it bit for bit or to
+bound it from below.
 """
 
 import math
@@ -14,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from gplfd.alignment import tci_profile
 from gplfd.errors import (InconsistentConstraintError, InsufficientDataError,
                           NumericalConditioningError, OptimizationFailureError)
 from gplfd.gp import (HETERO_MIN_POINTS, GPModel, KernelParams, OptConfig,
@@ -21,6 +23,7 @@ from gplfd.gp import (HETERO_MIN_POINTS, GPModel, KernelParams, OptConfig,
                       _kernel_log_bounds, _lbfgs, _lml_and_grad, _Reduced,
                       _target_sd, fit_gp, gaussian_product)
 from gplfd.policy import _HARD_STRENGTH, _SAME_TIME_TOL
+from gplfd.se3 import pose_distances
 
 
 def _rbf(ta, tb, length_scale, signal_std):
@@ -75,11 +78,24 @@ def brute_force_dtw_cost(C):
     return best[0]
 
 
+def cost_matrix(a, b, weights, measure):
+    """The full (len(a), len(b)) matrix of DTW local costs under ``measure``.
+
+    The matrix that `gplfd.alignment` built before its anti-diagonal sweep
+    computed the costs a run of diagonals at a time.
+    """
+    if measure == "tci":
+        return np.abs(tci_profile(a, weights)[:, None]
+                      - tci_profile(b, weights)[None, :])
+    return pose_distances(a.samples[:, None, :], b.samples[None, :, :],
+                          weights)
+
+
 def loop_dtw(C):
     """Cumulative cost and warp pairs by the plain double loop.
 
-    The row-by-row dynamic program and backtrack that the wavefront DTW in
-    `gplfd.alignment` replaced, kept as its bit-for-bit reference.
+    The row-by-row dynamic program and backtrack that the anti-diagonal
+    sweep in `gplfd.alignment` replaced, kept as its bit-for-bit reference.
     """
     na, nb = C.shape
     D = np.full((na, nb), np.inf)

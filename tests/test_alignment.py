@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,11 +13,11 @@ from gplfd import (AlignmentWarning, DegenerateTrajectoryError,
                    generate_synthetic_door_set, resample, tci_profile)
 from gplfd import alignment
 from gplfd.se3 import arc_distances, canonical_rotvecs, pose_distances
-from gplfd.alignment import (MAX_DTW_CELLS, _cost_matrix, _dtw,
-                             _merge_collisions)
+from gplfd.alignment import (MAX_DTW_CELLS, _merge_collisions, _sweep,
+                             _warps)
 from gplfd.cli import main
 
-from oracles import brute_force_dtw_cost, loop_dtw
+from oracles import brute_force_dtw_cost, cost_matrix, loop_dtw
 
 
 def line_trajectory(stamps, start, end):
@@ -125,45 +126,80 @@ class TestDTW:
             a, b = random_trajectory(rng), random_trajectory(rng)
             for measure in ("tci", "euclidean-pose"):
                 warp = dtw_align(a, b, measure=measure)
-                C = _cost_matrix(a, b, DistanceWeights(), measure)[1:, 1:]
+                C = cost_matrix(a, b, DistanceWeights(), measure)
                 assert warp.cost == brute_force_dtw_cost(C)
 
-    def test_cost_matrix_blocks_join_exactly(self, rng, monkeypatch):
-        a, b = random_trajectory(rng, n=7), random_trajectory(rng, n=6)
-        whole = _cost_matrix(a, b, DistanceWeights(), "euclidean-pose")[1:, 1:]
-        monkeypatch.setattr(alignment, "_COST_BLOCK_CELLS", 13)
-        blocks = _cost_matrix(a, b, DistanceWeights(), "euclidean-pose")[1:, 1:]
-        assert np.array_equal(blocks, whole)
+    def test_sweep_groups_join_exactly(self, rng, monkeypatch):
+        """Pairs split into sweeps of at most MAX_DTW_CELLS codes, padding
+        included, warp exactly as they do in one sweep."""
+        ref = random_trajectory(rng, n=7)
+        others = [random_trajectory(rng, n=n) for n in (6, 9, 4, 8, 5)]
+        for measure in ("tci", "euclidean-pose"):
+            whole = _warps(ref, others, DistanceWeights(), measure)
+            sweeps = []
+            with monkeypatch.context() as patch:
+                patch.setattr(alignment, "MAX_DTW_CELLS", 7 * 9 * 2)
+                patch.setattr(alignment, "_sweep", lambda *args: sweeps.append(
+                    len(args[1])) or _sweep(*args))
+                grouped = _warps(ref, others, DistanceWeights(), measure)
+            # 6 and 9 fill one sweep (7 x 9 x 2 codes), 4 and 8 the next:
+            # the five pairs split after the second, the last three after
+            # their second.
+            assert sweeps == [5, 2, 3, 2, 1]
+            for one, two in zip(whole, grouped):
+                assert np.array_equal(one.pairs, two.pairs)
+                assert one.cost == two.cost
 
     def test_path_cost_is_sum_along_pairs(self, rng):
         a, b = random_trajectory(rng), random_trajectory(rng)
         warp = dtw_align(a, b)
-        C = _cost_matrix(a, b, DistanceWeights(), "tci")[1:, 1:]
+        C = cost_matrix(a, b, DistanceWeights(), "tci")
         acc = 0.0
         for i, j in warp.pairs:
             acc += C[i, j]
         assert_allclose(warp.cost, acc, rtol=1e-12)
 
     @staticmethod
-    def bordered(C):
-        D = np.full((C.shape[0] + 1, C.shape[1] + 1), np.inf)
-        D[0, 0] = 0.0
-        D[1:, 1:] = C
-        return D
+    def swept(matrices):
+        """One sweep over cost matrices that share their row count, each
+        looked up by index: the pairs' warps."""
+        n, width = len(matrices[0]), max(C.shape[1] for C in matrices)
+        table = np.zeros((n, width, len(matrices)))
+        for p, C in enumerate(matrices):
+            table[:, :C.shape[1], p] = C
+        others = [np.arange(C.shape[1]) for C in matrices]
+        return _sweep(np.arange(n), others, lambda i, j: table[
+            i.astype(int), j.astype(int), np.arange(len(matrices))])
 
     def test_wavefront_matches_loop_bit_for_bit(self, rng):
-        shapes = [(1, 1), (1, 7), (7, 1), (2, 9), (9, 2)]
-        shapes += [tuple(rng.integers(1, 40, 2)) for _ in range(60)]
-        for k, shape in enumerate(shapes):
-            # Integer costs from {0, 1, 2} tie often: they pin the tie order.
-            C = (rng.integers(0, 3, shape).astype(float) if k % 2
-                 else rng.uniform(0.0, 1.0, shape))
-            D = self.bordered(C)
-            warp = _dtw(D)
-            loop_D, loop_pairs = loop_dtw(C)
-            assert np.array_equal(D[1:, 1:], loop_D)
-            assert np.array_equal(warp.pairs, loop_pairs)
-            assert warp.cost == loop_D[-1, -1]
+        """1 to 6 pairs a sweep, uneven lengths, 1-sample sides; integer
+        costs from {0, 1, 2} tie often: they pin the tie order."""
+        shapes = [(1, [1]), (1, [7, 1, 3]), (7, [1]), (2, [9, 1]), (9, [2])]
+        shapes += [(int(rng.integers(1, 40)),
+                    list(rng.integers(1, 40, int(rng.integers(1, 7)))))
+                   for _ in range(80)]
+        for k, (n, widths) in enumerate(shapes):
+            matrices = [rng.integers(0, 3, (n, m)).astype(float) if k % 2
+                        else rng.uniform(0.0, 1.0, (n, m)) for m in widths]
+            for C, warp in zip(matrices, self.swept(matrices)):
+                loop_D, loop_pairs = loop_dtw(C)
+                assert np.array_equal(warp.pairs, loop_pairs)
+                assert warp.cost == loop_D[-1, -1]
+
+    @pytest.mark.parametrize("measure", ["tci", "euclidean-pose"])
+    def test_sweep_matches_loop_for_both_measures(self, rng, measure):
+        """Each measure's warps of 1 to 6 demonstrations of uneven lengths
+        against a reference equal the loop's over the full cost matrix."""
+        for count in range(1, 7):
+            ref = random_trajectory(rng, n=int(rng.integers(2, 30)))
+            others = [random_trajectory(rng, n=int(n))
+                      for n in rng.integers(2, 30, count)]
+            warps = _warps(ref, others, DistanceWeights(), measure)
+            for b, warp in zip(others, warps):
+                loop_D, loop_pairs = loop_dtw(
+                    cost_matrix(ref, b, DistanceWeights(), measure))
+                assert np.array_equal(warp.pairs, loop_pairs)
+                assert warp.cost == loop_D[-1, -1]
 
     @pytest.mark.parametrize("measure", ["tci", "euclidean-pose"])
     def test_door_pair_matches_loop(self, measure):
@@ -180,11 +216,13 @@ class TestDTW:
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_cost_refused(self, bad):
-        # Every warp crosses column 2.
-        C = np.ones((3, 4))
-        C[:, 2] = bad
+        # Every warp of the second pair crosses its column 2; the other
+        # pairs of the sweep are finite.
+        matrices = [np.ones((3, 5)), np.ones((3, 4)), np.ones((3, 2))]
+        matrices[1][:, 2] = bad
         with pytest.raises(InvalidInputError, match="not finite"):
-            _dtw(self.bordered(C))
+            self.swept(matrices)
+        assert len(self.swept(matrices[::2])) == 2
 
     def test_one_buffer_per_pair(self):
         n = 1000
@@ -198,9 +236,36 @@ class TestDTW:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # The bordered buffer alone is 8 MB; a second n x n matrix beside it
-        # (a separate cost matrix or temporary) would be another 8 MB.
+        # One n x n float matrix (a cost matrix or the cumulative costs)
+        # would take 8 MB; the 1 MB of codes is mapped outside the heap.
         assert peak < 10_000_000
+
+    def test_six_long_demonstrations_in_one_sweep(self, monkeypatch):
+        """Five 1000 x 1000 pairs: 5 MB of codes in one mapping, which
+        tracemalloc does not see, and the traced peak beside them stay below
+        the 8 MB one pair's float64 cumulative costs took."""
+        demos = generate_synthetic_door_set(seed=2, n_samples=1000)
+        assert len(demos) == 6
+        mapped, real = [], alignment.mmap.mmap
+        monkeypatch.setattr(alignment.mmap, "mmap",
+                            lambda *args: mapped.append(args[1]) or real(*args))
+        tracemalloc.start()
+        try:
+            align_demonstrations(demos)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert mapped == [5 * 1000 * 1000]
+        assert peak + sum(mapped) < 8_000_000
+
+    @pytest.mark.parametrize("measure", ["tci", "euclidean-pose"])
+    def test_uneven_lengths_warn_nothing(self, measure):
+        demos = [*generate_synthetic_door_set(seed=4, n_samples=40),
+                 *generate_synthetic_door_set(seed=5, n_samples=73)[:3]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            aligned = align_demonstrations(demos, measure=measure)
+        assert {len(t) for t in aligned} == {40}
 
     def test_unknown_measure_rejected(self, rng):
         a, b = random_trajectory(rng), random_trajectory(rng)

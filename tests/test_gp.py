@@ -1609,8 +1609,13 @@ class TestMinimize:
         assert gp._setulb(types.SimpleNamespace(setulb=lambda: None)) is None
         monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
         monkeypatch.delitem(sys.modules, "scipy.optimize._lbfgsb")
-        assert gp._setulb(gp._compiled("optimize._lbfgsb")) is None
-        monkeypatch.undo()
+        gp.compiled_setulb.cache_clear()
+        try:
+            assert gp.compiled_setulb() is None
+        finally:
+            monkeypatch.undo()
+            gp.compiled_setulb.cache_clear()
+        assert gp.compiled_setulb() in (None, scipy.optimize._lbfgsb.setulb)
 
         driven = [gp.minimize(fun, x0, **kwargs)
                   for fun, x0, kwargs in knot_fit]
@@ -1618,7 +1623,7 @@ class TestMinimize:
         monkeypatch.setattr(scipy.optimize, "minimize",
                             lambda *args, **kwargs: calls.append(args)
                             or real(*args, **kwargs))
-        monkeypatch.setattr(gp, "setulb", None)
+        monkeypatch.setattr(gp, "compiled_setulb", lambda: None)
         for ours, (fun, x0, kwargs) in zip(driven, knot_fit):
             assert_same_run(ours, gp.minimize(fun, x0, **kwargs))
         assert len(calls) == len(knot_fit)

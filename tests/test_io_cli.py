@@ -16,7 +16,7 @@ from gplfd import (AlignmentWarning, FormatError, InvalidInputError,
                    ParseError, Pose, RunConfig, Trajectory, ViaPoint,
                    config_sha256, load_config, query, save_config, simulate)
 from gplfd import gp, io
-from gplfd.cli import main
+from gplfd.cli import build_parser, main
 from gplfd.config import apply_overrides, config_from_dict
 from gplfd.policy import DIM_NAMES
 
@@ -623,6 +623,20 @@ class TestCommandLine:
         for path in sorted(first.glob("demo_*.csv")):
             assert (second / path.name).read_bytes() == path.read_bytes()
 
+    def test_set_values_do_not_leak_between_calls(self, tmp_path):
+        """main parses every call with the one parser the process builds; a
+        call's --set values stay out of the next call's config."""
+        assert build_parser() is build_parser()
+        configs = []
+        for k, extra in enumerate([["--set", "data.n_samples=9"], [],
+                                   ["--set", "data.noise=0.002"], []]):
+            out = tmp_path / str(k)
+            assert main(["gen-data", *SMALL, *extra, "--out-dir", str(out)]) == 0
+            manifest = json.loads((out / "gen-data.manifest.json").read_text())
+            configs.append(manifest["config"]["data"])
+        assert [(c["n_samples"], c["noise"]) for c in configs] == [
+            (9, 0.004), (14, 0.004), (14, 0.002), (14, 0.004)]
+
 
 # Runs CLI commands in one fresh interpreter and prints, as its last line,
 # the modules under a prefix loaded after the import and after each command.
@@ -637,6 +651,20 @@ loaded = [["import", optimizer()]]
 for argv in json.loads(sys.argv[1]):
     code = gplfd.cli.main(argv)
     loaded.append([argv[0], optimizer() if code == 0 else f"exit {code}"])
+print(json.dumps(loaded))
+"""
+
+
+# Runs CLI commands in one fresh interpreter and prints, as its last line,
+# how often gp has loaded its compiled L-BFGS-B routine after each command.
+SETULB_PROBE = """
+import json, sys
+import gplfd.cli
+from gplfd import gp
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    assert gplfd.cli.main(argv) == 0
+    loaded.append([argv[0], gp.compiled_setulb.cache_info().misses])
 print(json.dumps(loaded))
 """
 
@@ -687,7 +715,16 @@ class TestOptimizerImport:
         # Where this scipy's setulb is not the one gp drives, a fit calls
         # scipy.optimize.minimize, which imports both packages.
         return [argv for argv in commands
-                if argv[0] != "fit" or gp.setulb is not None]
+                if argv[0] != "fit" or gp.compiled_setulb() is not None]
+
+    def test_only_a_fit_loads_the_compiled_routine(self, run_dir):
+        """gp loads L-BFGS-B's extension on a fit's first run, not at
+        import: the other commands never load it."""
+        commands = sorted(self.every_command(run_dir),
+                          key=lambda argv: argv[0] == "fit")
+        loaded = json.loads(fresh_python(SETULB_PROBE, json.dumps(commands)))
+        assert loaded == [[argv[0], int(argv[0] == "fit")]
+                          for argv in commands]
 
     def test_no_command_imports_the_optimizer_package(self, run_dir):
         """Not one module under scipy.optimize is imported, by a fit or by
@@ -723,7 +760,8 @@ import scipy.linalg, scipy.optimize
 res = scipy.optimize.minimize(lambda x: (x @ x, 2.0 * x), np.ones(2),
                               jac=True, method="L-BFGS-B")
 print(scipy.linalg._flapack.dpotrf is gp.lapack.dpotrf,
-      gp.setulb in (None, scipy.optimize._lbfgsb.setulb), res.success)
+      gp.compiled_setulb() in (None, scipy.optimize._lbfgsb.setulb),
+      res.success)
 """
 
 
