@@ -211,18 +211,30 @@ def rbf_kernel(ta, tb, params: KernelParams) -> np.ndarray:
     """Gram matrix of the RBF kernel between two input vectors."""
     ta = np.atleast_1d(np.asarray(ta, dtype=float))
     tb = np.atleast_1d(np.asarray(tb, dtype=float))
-    return _lag_kernel(ta[:, None] - tb[None, :], _max_lag(ta, tb),
+    with _quiet(True):
+        lags = ta[:, None] - tb
+    return _lag_kernel(lags, float(np.abs(lags).max(initial=0.0)),
                        params.length_scale, params.signal_std ** 2)
 
 
-def _max_lag(ta, tb) -> float:
-    """The largest |a - b| over a in ``ta`` and b in ``tb``, as rounded in
-    their lag matrix."""
-    if ta.size == 0 or tb.size == 0:
-        return 0.0
-    # Python floats: a difference past the largest float is inf, unwarned.
-    return max(float(ta.max()) - float(tb.min()),
-               float(tb.max()) - float(ta.min()))
+def _quiet(overflows):
+    """np.errstate(over="ignore") if ``overflows``, else a cheaper no-op."""
+    return np.errstate(over="ignore") if overflows else contextlib.nullcontext()
+
+
+def _lags(ta, u):
+    """The lags ``ta - u`` on the sorted inputs ``u`` and their largest
+    magnitude: inf past the largest float, which the kernel cut zeroes."""
+    max_lag = (max(float(ta.max()) - float(u[0]), float(u[-1]) - float(ta.min()))
+               if ta.size and u.size else 0.0)
+    with _quiet(max_lag == math.inf):
+        return ta[:, None] - u, max_lag
+
+
+def _sq_dist(u):
+    """(m, m) squared lags of the sorted ``u``: inf past the largest float."""
+    with _quiet(float(u[-1]) - float(u[0]) > 1e154):
+        return (u[:, None] - u) ** 2
 
 
 def _lag_kernel(lag, max_lag, length, sf2) -> np.ndarray:
@@ -230,25 +242,22 @@ def _lag_kernel(lag, max_lag, length, sf2) -> np.ndarray:
     ``sf2`` at the lags ``lag``, whose largest magnitude is ``max_lag``.
     Both are floats, or (c, 1, ...) arrays of them for a (c, ...) stack of
     kernels. Lags too far to square overflow to -inf exponents, which the
-    cut maps to exact zeros; numpy's warning is silenced only then, as
-    np.errstate costs more than a small kernel."""
-    # The shortest length scale scales the farthest lag farthest.
-    d_max = max_lag / (length.min() if isinstance(length, np.ndarray)
+    cut maps to exact zeros; numpy's warning is silenced only then."""
+    # The farthest lag over the shortest length: a Python float, inf unwarned.
+    d_max = max_lag / (float(length.min()) if isinstance(length, np.ndarray)
                        else length)
-    with (np.errstate(over="ignore") if d_max > 1e150
-          else contextlib.nullcontext()):
+    with _quiet(d_max > 1e150):
         d = lag / length
         arg = -0.5 * d
         arg *= d
         return _cut_exp(arg, -0.5 * d_max * d_max, sf2)
 
 
-def _stacked(params, ndim) -> tuple:
-    """The length scales and signal variances of ``params`` as (c, 1, ...)
-    arrays that stack kernels on ``ndim``-d lags."""
-    shape = (len(params),) + (1,) * ndim
-    return (np.array([p.length_scale for p in params]).reshape(shape),
-            np.array([p.signal_std ** 2 for p in params]).reshape(shape))
+def _stacked(params) -> tuple:
+    """The length scales and signal variances of ``params`` as (c, 1, 1)
+    arrays that stack kernels on 2-d lags."""
+    return (np.array([p.length_scale for p in params]).reshape(-1, 1, 1),
+            np.array([p.signal_std ** 2 for p in params]).reshape(-1, 1, 1))
 
 
 def _cut_exp(arg, lowest, sf2) -> np.ndarray:
@@ -285,32 +294,51 @@ def _as_noise(noise, shape):
     return vec
 
 
-def _group(t, order=None):
-    """Sorted distinct inputs, each point's group index and the group sizes;
-    ``order`` is t's stable argsort, if the caller has made it."""
-    order = np.argsort(t, kind="stable") if order is None else order
-    ts = t[order]
-    first = np.empty(t.size, dtype=bool)
+def _distinct(ts):
+    """The mask of each run's first in sorted ``ts``, and the distinct ones."""
+    first = np.empty(ts.size, dtype=bool)
     first[0] = True
     np.not_equal(ts[1:], ts[:-1], out=first[1:])
+    u = ts[first]
+    if u.size > MAX_GP_INPUTS:
+        raise InvalidInputError(f"a GP takes at most {MAX_GP_INPUTS} "
+                                f"distinct inputs, got {u.size}")
+    return first, u
+
+
+def _group(t):
+    """Sorted distinct inputs, each point's group index and the group sizes."""
+    order = np.argsort(t, kind="stable")
+    first, u = _distinct(t[order])
     index = np.empty(t.size, dtype=np.intp)
     index[order] = np.cumsum(first) - 1
-    return ts[first], index, np.bincount(index)
+    return u, index, np.bincount(index)
 
 
-def _center(y):
-    """The column means of (n, c) targets ``y`` and the centered targets.
-    Targets whose mean or spread overflows, which would give NaN weights,
-    are refused."""
+def _center(y, rows=None):
+    """The column means of (n, c) targets ``y``, and ``rows`` (y itself, or
+    y's rows in another order) less them. Targets whose mean or spread
+    overflows, which would give NaN weights, are refused."""
     with np.errstate(over="ignore", invalid="ignore"):
         # The rows of a C-ordered copy of y.T take the pairwise sum each
         # column's own mean() takes, so each offset is that mean.
         offset = np.add.reduce(y.T.copy(), axis=1) / y.shape[0]
-        resid = y - offset
+        resid = (y if rows is None else rows) - offset
         spread = np.einsum("ij,ij->j", resid, resid)
     if not np.isfinite(spread).all():
         raise InvalidInputError("training targets overflow in float64")
     return offset, resid
+
+
+def _refuse_zero_noise_duplicates(index, m, noise):
+    """Refuse two points of zero (n, c) ``noise`` in one of m groups and
+    one column: a singular Gram matrix, which jitter would only paper over."""
+    zero = np.zeros((m, noise.shape[1]), dtype=np.intp)
+    np.add.at(zero, index, noise == 0.0)
+    if (zero > 1).any():
+        raise NumericalConditioningError(
+            "duplicate timestamps with zero noise produce a singular "
+            "Gram matrix")
 
 
 class _Reduced:
@@ -325,53 +353,19 @@ class _Reduced:
     """
 
     def __init__(self, train: TrainingSet, noise=None):
-        self._group(train.t)
-        if noise is not None:
-            noise = np.reshape(_as_noise(noise, train.y.shape), (-1, 1))
-        self.use(*self.columns(train.y[:, None], noise), 0)
+        self.u, self.index, _ = _group(train.t)
+        self.sq_dist = _sq_dist(self.u)
+        self.point_noise = np.zeros(train.y.shape) + (
+            0.0 if noise is None else _as_noise(noise, train.y.shape))
+        self.use(train.y)
+        if noise is not None and self.u.size < train.y.size:
+            _refuse_zero_noise_duplicates(self.index, self.u.size,
+                                          self.point_noise[:, None])
 
-    @classmethod
-    def shared(cls, t, y, noise=None, order=None):
-        """The checked inputs ``t`` of c GPs with (n, c) targets ``y``,
-        grouped by ``_group``, and their checked ``columns``; none in use."""
-        red = cls.__new__(cls)
-        red._group(t, order)
-        return red, red.columns(y, noise)
-
-    def _group(self, t, order=None):
-        self.u, self.index, _ = _group(t, order)
-        if self.u.size > MAX_GP_INPUTS:
-            raise InvalidInputError(f"a GP takes at most {MAX_GP_INPUTS} "
-                                    f"distinct inputs, got {self.u.size}")
-        self.sq_dist = np.subtract.outer(self.u, self.u) ** 2
-
-    def columns(self, y, noise=None):
-        """Check c target columns on these inputs, each a GP of its own.
-
-        ``y`` is (n, c) and ``noise`` None or a checked noise variance that
-        broadcasts to it. Returns the column means, the centered targets and
-        the noise as an (n, c) array.
-        """
-        n, m = y.shape[0], self.u.size
-        offset, resid = _center(y)
-        point_noise = np.zeros(y.shape) + (0.0 if noise is None else noise)
-        if noise is not None and m < n:
-            # Exact duplicates with zero noise make the Gram matrix singular
-            # in exact arithmetic; refuse them instead of letting jitter
-            # paper over it.
-            zero = np.zeros((m, y.shape[1]), dtype=np.intp)
-            np.add.at(zero, self.index, point_noise == 0.0)
-            if (zero > 1).any():
-                raise NumericalConditioningError(
-                    "duplicate timestamps with zero noise produce a singular "
-                    "Gram matrix")
-        return offset, resid, point_noise
-
-    def use(self, offset, resid, point_noise, j):
-        """Take column ``j`` of checked ``columns`` as the targets."""
-        self.offset = float(offset[j])
-        self.resid = resid[:, j]
-        self.point_noise = point_noise[:, j]
+    def use(self, y):
+        """Take the checked targets ``y`` on these inputs, centered."""
+        offset, resid = _center(y[:, None])
+        self.offset, self.resid = float(offset[0]), resid[:, 0]
 
     def gram(self, params: KernelParams) -> np.ndarray:
         """The RBF Gram matrix K(u, u); u is sorted, so the corner holds
@@ -468,17 +462,21 @@ class _System:
         return self._alpha
 
 
-def _query_lags(ts, u):
-    """The (q, m) lags ts - u of the checked query inputs ``ts``, and their
-    largest magnitude."""
+def _queries(ts):
+    """The query inputs ``ts`` as a checked 1-d float array."""
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     if not np.isfinite(ts).all():
         raise InvalidInputError("query inputs must be finite")
+    return ts
+
+
+def _query_lags(ts, u):
+    """``_lags`` of the checked query inputs ``ts`` on the sorted inputs
+    ``u``, refused past MAX_PREDICT_CELLS kernel cells."""
     if ts.size * u.size > MAX_PREDICT_CELLS:
-        raise InvalidInputError(
-            f"{ts.size} query inputs against {u.size} training "
-            f"inputs exceed {MAX_PREDICT_CELLS} cells")
-    return ts[:, None] - u[None, :], _max_lag(ts, u)
+        raise InvalidInputError(f"{ts.size} query inputs against {u.size} "
+                                f"training inputs exceed {MAX_PREDICT_CELLS} cells")
+    return _lags(ts, u)
 
 
 def _predict(systems, lags, max_lag, stack=None) -> PosteriorPrediction:
@@ -488,7 +486,7 @@ def _predict(systems, lags, max_lag, stack=None) -> PosteriorPrediction:
     Ks alpha and the explained variances sum(v^2) are (c, ...) stacks,
     each system solving L v = Ks^T in place on its own: a stack runs each
     system's own BLAS and einsum loops, so column j is bit for bit its own."""
-    length, sf2 = stack or _stacked([s.params for s in systems], 2)
+    length, sf2 = stack or _stacked([s.params for s in systems])
     Ks = _lag_kernel(lags, max_lag, length, sf2)
     mean = np.empty((lags.shape[0], len(systems)))
     np.add([s.offset for s in systems],
@@ -606,7 +604,7 @@ class GPModel:
 
         The variance does not include observation noise at the query points.
         """
-        out = _predict([self.system], *_query_lags(ts, self.system.u))
+        out = _predict([self.system], *_query_lags(_queries(ts), self.system.u))
         return PosteriorPrediction(out.mean[:, 0], out.var[:, 0])
 
     def log_marginal_likelihood(self) -> float:
@@ -629,45 +627,69 @@ def predict_columns(t, y, noise, params, ts, kept=None, order=None):
     to keep, or None past the memory of one MAX_GP_INPUTS system.
 
     Column j is fit_gp(TrainingSet(t, y[:, j]), params[j], noise[:, j])
-    .predict(ts) bit for bit. The inputs, targets, noise and queries are
-    checked once, for all columns, and sorted once: by ``order``, t's
-    stable argsort if the caller has made it. ``kept``, the ``_Columns`` of
-    an earlier call, grows when its ``extend`` takes the call; every other
-    call builds from scratch.
-
-    The columns go in chunks, each a stacked pass: the collapse, the Gram
-    matrices with their diagonals and the query kernels are (chunk, ...)
-    arrays, and only the factorizations and solves run per column. A chunk
-    holds no more than one column does at the caps: one m x m system at
-    MAX_GP_INPUTS inputs and one q x m block at MAX_PREDICT_CELLS.
+    .predict(ts) bit for bit. Each input is checked once: the kernel count,
+    noise, inputs, targets and queries here (on the via side a ViaPoint,
+    policy._as_times and _via_side's clash scan do, and call fit_columns
+    directly). ``fit_columns`` takes the points sorted by ``order`` (t's
+    stable argsort, if made) and refuses the caps, overflowing targets,
+    zero-noise duplicates and systems that do not factorize.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 2 or y.shape[1] != len(params):
         raise InvalidInputError("predict_columns takes (n, c) targets and "
                                 "one kernel per column")
-    noise = _as_noise(noise, y.shape)
+    noise = np.broadcast_to(_as_noise(noise, y.shape), y.shape)
     t = TrainingSet(t, y[:, 0]).t
     if not np.isfinite(y).all():
         raise InvalidInputError("training data must be finite")
     order = np.argsort(t, kind="stable") if order is None else order
-    inputs = (t[order], y[order],
-              noise[order] if np.ndim(noise) else np.full(y.shape, noise))
-    grown = None if kept is None else kept.extend(inputs, y, params, ts)
-    if grown is not None:
+    return fit_columns((t[order], y[order], noise[order]), y, params,
+                       _queries(ts), kept)
+
+
+def fit_columns(inputs, y, params, ts, kept=None):
+    """``predict_columns``' pass on inputs it checks no further: ``inputs``
+    holds finite times, (n, c) targets and nonnegative noise in time order,
+    ``y`` the targets in the call's order (fit_gp centers over it) and
+    ``ts`` finite query times. ``kept``, an earlier call's ``_Columns``,
+    grows when its ``extend`` takes the call; others build in stacked
+    chunks, factorized and solved per column, none above one column's caps."""
+    t, rows, noise = inputs
+    first, u = _distinct(t)
+    c, m, q = len(params), u.size, ts.size
+    offset, resid = _center(y, rows)
+    if kept and (grown := kept.extend(inputs, offset, resid, u, params, ts)):
         return grown
-    red, columns = _Reduced.shared(t, y, noise, order)
-    lags, max_lag = _query_lags(ts, red.u)
-    c, m, q = len(params), red.u.size, lags.shape[0]
+    stack = _stacked(params)
+    jitter = JITTER_FRAC * stack[1].ravel()
+    # Each group sums its points in order from zero, as np.bincount does;
+    # a lone point's weight needs no zero added, as it is positive.
+    w = 1.0 / (noise + jitter)
+    if m == t.size:
+        total, ybar = w, w * resid + 0.0
+    else:
+        index = np.cumsum(first) - 1
+        _refuse_zero_noise_duplicates(index, m, noise)
+        total, ybar = np.zeros((2, m, c))
+        np.add.at(total, index, w)
+        np.add.at(ybar, index, w * resid)
+    ybar, rbar = (ybar / total).T.copy(), (1.0 / total).T.copy()
+    sq, (lags, max_lag) = _sq_dist(u), _query_lags(ts, u)
+    scale = -0.5 / stack[0] ** 2
     keep = c * m * m <= MAX_GP_INPUTS ** 2
     step = max(1, min(c, MAX_GP_INPUTS ** 2 // m ** 2,
                       MAX_PREDICT_CELLS // (max(q, 1) * m)))
     preds, systems = [], []
     for lo in range(0, c, step):
         part = slice(lo, lo + step)
-        stack = _stacked(params[part], 2)
-        chunk = _solve_columns(red, [a[..., part] for a in columns],
-                               params[part], stack)
-        preds.append(_predict(chunk, lags, max_lag, stack))
+        K = _cut_exp(sq * scale[part], float((sq[0, -1] * scale[part]).min()),
+                     stack[1][part])
+        K.reshape(len(K), -1)[:, ::m + 1] += rbar[part]
+        chunk = [_System(u=u, offset=float(offset[j]), params=params[j],
+                         chol=_factor(Kj), ybar=ybar[j], rbar=rbar[j],
+                         jitter=float(jitter[j])) for j, Kj in enumerate(K, lo)]
+        preds.append(_predict(chunk, lags, max_lag,
+                              (stack[0][part], stack[1][part])))
         systems += chunk if keep else []
     return _side_by_side(preds), (_Columns(systems, inputs) if keep else None)
 
@@ -678,29 +700,6 @@ def _side_by_side(parts) -> PosteriorPrediction:
         return parts[0]
     return PosteriorPrediction(np.column_stack([p.mean for p in parts]),
                                np.column_stack([p.var for p in parts]))
-
-
-def _solve_columns(red: _Reduced, columns, params, stack) -> list:
-    """The systems of ``params``' GPs, ``stack`` their ``_stacked`` kernels,
-    on red's inputs for the checked (offsets, centered targets, noise)
-    ``columns``: column j's is the one ``fit_gp`` builds, bit for bit. The
-    collapse and Gram matrices are stacks; each is factorized on its own."""
-    offset, resid, point_noise = columns
-    c, m = len(params), red.u.size
-    scale = np.array([-0.5 / p.length_scale ** 2 for p in params])
-    jitter = JITTER_FRAC * stack[1].ravel()
-    # np.add.at sums each group in point order, as np.bincount does.
-    w = 1.0 / (point_noise + jitter)
-    total, ybar = np.zeros((2, m, c))
-    np.add.at(total, red.index, w)
-    np.add.at(ybar, red.index, w * resid)
-    ybar, rbar = (ybar / total).T.copy(), (1.0 / total).T.copy()
-    K = _cut_exp(red.sq_dist * scale[:, None, None],
-                 float((red.sq_dist[0, -1] * scale).min()), stack[1])
-    K.reshape(c, -1)[:, ::m + 1] += rbar
-    return [_System(u=red.u, offset=float(offset[j]), params=p,
-                    chol=_factor(K[j]), ybar=ybar[j], rbar=rbar[j],
-                    jitter=float(jitter[j])) for j, p in enumerate(params)]
 
 
 @dataclass
@@ -725,44 +724,34 @@ class _Columns:
     z: np.ndarray | None = None
     z1: np.ndarray | None = None
 
-    def extend(self, inputs, y, params, ts):
-        """``predict_columns``' result for a call with the checked,
-        time-sorted inputs, targets and noise ``inputs``, targets ``y`` in
-        call order and kernels ``params``; or None to build from scratch.
-
-        The columns grow when ``inputs`` start with the kept ones, with the
-        same bytes and kernels, and add k >= 1 points past the last in
-        strictly increasing time; the grown factors fit in the memory of
-        one MAX_GP_INPUTS system; the stacked query kernels stay within
-        MAX_PREDICT_CELLS; and each Schur complement factorizes.
-        """
-        n = self.inputs[0].size
-        t_new, y_new, noise_new = (a[n:] for a in inputs)
-        if not (t_new.size and t_new[0] > self.inputs[0][-1]
-                and np.all(t_new[1:] > t_new[:-1])
-                and [s.params for s in self.systems] == list(params)
+    def extend(self, inputs, offset, resid, u, params, ts):
+        """``fit_columns``' result for its ``inputs``, their distinct ``u``,
+        centered ``resid`` and column means ``offset``; or None to build
+        from scratch. It grows when ``inputs`` start with the kept ones'
+        bytes, on the same ``params``, and add k >= 1 points past the last,
+        each a distinct input; the grown factors fit in the memory of one
+        MAX_GP_INPUTS system, the query kernels in MAX_PREDICT_CELLS; and
+        each Schur complement factorizes."""
+        kept, n = self.systems, self.inputs[0].size
+        c, m, q = len(kept), kept[0].u.size, ts.size
+        k = u.size - m
+        if not (k > 0 and inputs[0].size == n + k
+                and c * (m + k) ** 2 <= MAX_GP_INPUTS ** 2
+                and c * (k + q) * (m + k) <= MAX_PREDICT_CELLS
                 and all(a[:n].tobytes() == b.tobytes()
-                        for a, b in zip(inputs, self.inputs))):
-            return None
-        c, m, k = len(self.systems), self.systems[0].u.size, t_new.size
-        if c * (m + k) ** 2 > MAX_GP_INPUTS ** 2:
-            return None
-        offset, _ = _center(y)  # a from-scratch fit's: over the call's order
-        u = np.concatenate([self.systems[0].u, t_new])
-        lags, max_lag = _query_lags(ts, u)
-        q = lags.shape[0]
-        if c * (k + q) * (m + k) > MAX_PREDICT_CELLS:
+                        for a, b in zip(inputs, self.inputs))
+                and [s.params for s in kept] == list(params)):
             return None
         factors, z, z1 = self._room(m + k)
-        length, sf2 = _stacked([s.params for s in self.systems], 2)
-        jitter = np.array([s.jitter for s in self.systems])
-        rbar_new = 1.0 / (1.0 / (noise_new + jitter))
-        shift = offset - [s.offset for s in self.systems]
+        length, sf2 = _stacked(params)
+        rbar_new = 1.0 / (1.0 / (inputs[2][n:] + [s.jitter for s in kept]))
+        resid_new = resid[n:].T
+        shift = offset - [s.offset for s in kept]
         z = z - shift[:, None] * z1
         # Rows: the new points, then the queries; columns: the inputs.
-        rows = np.concatenate([t_new[:, None] - u, lags])
-        K = _lag_kernel(rows, max(_max_lag(t_new, u), max_lag), length, sf2)
-        K[:, :k, m:] += rbar_new.T[:, :, None] * np.eye(k)
+        K = _lag_kernel(*_lags(np.concatenate([inputs[0][n:], ts]), u),
+                        length, sf2)
+        K.reshape(c, -1)[:, m:k * (m + k):m + k + 1] += rbar_new.T
         # L^-1 of the kernels of the new points and queries on the old
         # inputs, per system: the new rows of L, and the queries' v there.
         x = np.empty((c, m, k + q))
@@ -776,7 +765,7 @@ class _Columns:
             return None
         # The new rows of [L^-1 ybar, L^-1 1, v]: [ybar_new, 1, the queries'
         # kernels on the new inputs] less their part on the old rows.
-        rhs = np.concatenate([(y_new - offset).T[:, :, None], np.ones((c, k, 1)),
+        rhs = np.concatenate([resid_new[:, :, None], np.ones((c, k, 1)),
                               K[:, k:, m:].transpose(0, 2, 1)], axis=2)
         w = np.linalg.solve(corner, rhs - below @ np.concatenate(
             [z[:, :, None], z1[:, :, None], v], axis=2))
@@ -787,14 +776,13 @@ class _Columns:
         for factor, new_rows, new_corner in zip(factors, below, corner):
             factor[m:m + k, :m] = new_rows
             factor[m:m + k, m:m + k] = new_corner
-        ybar = np.concatenate([[s.ybar for s in self.systems]
-                               - shift[:, None], (y_new - offset).T], axis=1)
-        rbar = np.concatenate([[s.rbar for s in self.systems], rbar_new.T],
-                              axis=1)
+        ybar = np.concatenate([[s.ybar for s in kept] - shift[:, None],
+                               resid_new], axis=1)
+        rbar = np.concatenate([[s.rbar for s in kept], rbar_new.T], axis=1)
         systems = [_System(u=u, offset=float(offset[j]), params=s.params,
                            chol=factors[j][:m + k, :m + k], ybar=ybar[j],
                            rbar=rbar[j], jitter=s.jitter)
-                   for j, s in enumerate(self.systems)]
+                   for j, s in enumerate(kept)]
         grown = _Columns(systems, inputs, factors,
                          np.concatenate([z, w[:, :, 0]], axis=1),
                          np.concatenate([z1, w[:, :, 1]], axis=1))
@@ -995,10 +983,9 @@ def scan_columns(t, y, config: OptConfig = OptConfig()) -> list:
     ``t``: entry j is optimize_hyperparameters(TrainingSet(t, y[:, j]), None,
     config)'s own ``scan``, bit for bit, with one eigendecomposition per
     length scale for all columns."""
-    red, columns = _Reduced.shared(TrainingSet(t, y[:, 0]).t, y)
-    targets = []
+    red, targets = _Reduced(TrainingSet(t, y[:, 0])), []
     for j in range(y.shape[1]):
-        red.use(*columns, j)
+        red.use(y[:, j])
         targets.append((red.resid, _kernel_log_bounds(red, config, True)))
     return _scan_ratios(red, targets)
 
@@ -1187,7 +1174,7 @@ def predict_hetero(models, ts) -> PosteriorPrediction:
     step = STACK_CELLS // max(np.size(ts) * u.size, 1)
     if not step or any(s.u.tobytes() != u.tobytes() for s in systems):
         return _side_by_side([model.predict(ts) for model in models])
-    lags, max_lag = _query_lags(ts, u)
+    lags, max_lag = _query_lags(_queries(ts), u)
     out = _side_by_side([_predict(systems[lo:lo + step], lags, max_lag)
                          for lo in range(0, len(systems), step)])
     out.var += np.column_stack([model.noise_variance(ts) for model in models])
@@ -1296,6 +1283,11 @@ def gaussian_product(a: PosteriorPrediction,
         raise InvalidInputError("fused predictions must share their shape")
     if (va < 0.0).any() or (vb < 0.0).any():
         raise InvalidInputError("variances must be nonnegative")
+    return _product(ma, va, mb, vb)
+
+
+def _product(ma, va, mb, vb) -> PosteriorPrediction:
+    """``gaussian_product`` of checked arrays, which it does not check."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         tot = va + vb
         mean = (vb * ma + va * mb) / tot

@@ -8,16 +8,19 @@ Gaussian product per dimension and query time. The demonstration-side
 posterior of the last query grid is kept, so repeated adaptation calls on
 one grid only pay for the via-point side. A new grid predicts the six
 signal GPs, which share their inputs, in stacked chunks of at most
-gp.STACK_CELLS query kernel cells (``gp.predict_hetero``). The via side's
-six factorized GPs of the last call are kept too and handed to the next call's
-``gp.predict_columns``, which alone decides whether to grow them (by
-via-points strictly after the kept ones in time) or to rebuild them.
+gp.STACK_CELLS query kernel cells (``gp.predict_hetero``). The via side
+checks each input once: a ViaPoint its time, pose and strengths,
+``_as_times`` the query times, ``_via_side`` clashes and ``gp.fit_columns``
+the caps and factorizations. The last call's six GPs are kept for the next
+call's, which grows them (by via-points strictly after the kept ones in
+time) or rebuilds them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -25,8 +28,8 @@ from .alignment import MEASURES, Trajectory, align_demonstrations, resample
 from .errors import (InconsistentConstraintError, InsufficientDataError,
                      InvalidInputError)
 from .gp import (MAX_GP_INPUTS, OptConfig, PosteriorPrediction, TrainingSet,
+                 _product, fit_columns, fit_heteroscedastic, gaussian_product,
                  fit_gp,  # noqa: F401 (tracers wrap it here)
-                 fit_heteroscedastic, gaussian_product, predict_columns,
                  predict_hetero, scan_columns)
 from .se3 import DistanceWeights, pose_rows
 
@@ -180,9 +183,10 @@ def _via_side(policy: TaskPolicy, via_t, via_y, via_s, ts) -> PosteriorPredictio
     """(q, 6) via-point posterior at ``ts``, observation-level.
 
     Via-point k has time via_t[k], pose row via_y[k] and strengths
-    via_s[k]. Each dimension gets a via-point GP sharing the policy's kernel
+    via_s[k], as a ViaPoint checks them, at ``_as_times``' query times
+    ``ts``. Each dimension gets a via-point GP sharing the policy's kernel
     hyperparameters, with the strengths as observation noise; its predictive
-    variance includes the locally interpolated strength. ``predict_columns``
+    variance includes the locally interpolated strength. ``gp.fit_columns``
     grows the six GPs from the policy's kept ones or builds them from
     scratch; the policy keeps what it returns.
     """
@@ -191,7 +195,7 @@ def _via_side(policy: TaskPolicy, via_t, via_y, via_s, ts) -> PosteriorPredictio
     # A near-exact via-point must agree with the previous near-exact one of
     # its dimension if that is this close in time; a gap that overflows differs.
     hard = s < _HARD_STRENGTH
-    if hard.any():
+    if np.count_nonzero(hard, axis=0).max() > 1:
         prev = np.maximum.accumulate(
             np.where(hard, np.arange(t.size)[:, None], -1))[:-1]
         with np.errstate(over="ignore"):
@@ -203,20 +207,22 @@ def _via_side(policy: TaskPolicy, via_t, via_y, via_s, ts) -> PosteriorPredictio
             first = prev[np.argmax(clash[:, d]), d]
             raise InconsistentConstraintError(
                 f"two near-exact via-points at t={t[first]} demand different poses")
-
-    params = [model.params for model in policy.dims]
-    via_side, policy._via = predict_columns(via_t, via_y, via_s, params, ts,
-                                            policy._via, order)
+    via_side, policy._via = fit_columns(
+        (t, y, s), via_y, [model.params for model in policy.dims], ts,
+        policy._via)
     # Treat the constraint noise as a log-interpolated profile so the via
-    # side stays an observation-level posterior away from the knots.
-    via_side.var += np.exp([np.interp(ts, t, c) for c in np.log(s.T)]).T
+    # side stays an observation-level posterior away from the knots; equal
+    # strength columns, as a scalar strength gives, interpolate once.
+    logs = np.log(s.T[:1] if (s == s[:, :1]).all() else s.T)
+    via_side.var += np.exp([np.interp(ts, t, c) for c in logs]).T
     return via_side
 
 
 def _fuse(policy: TaskPolicy, via_t, via_y, via_s, ts) -> PosteriorPrediction:
     """(q, 6) posterior of the policy fused with via-points at ``ts``."""
-    via_side = _via_side(policy, via_t, via_y, via_s, ts)
-    return gaussian_product(policy.demonstration_posterior(ts), via_side)
+    via = _via_side(policy, via_t, via_y, via_s, ts)
+    demo = policy.demonstration_posterior(ts)
+    return _product(demo.mean, demo.var, via.mean, via.var)
 
 
 def adapt_with_viapoints(policy: TaskPolicy, via, ts) -> PoseDistribution:
@@ -224,12 +230,14 @@ def adapt_with_viapoints(policy: TaskPolicy, via, ts) -> PoseDistribution:
     via = list(via)
     if not via:
         raise InvalidInputError("via-point adaptation needs at least one via-point")
-    if not all(isinstance(v, ViaPoint) for v in via):
+    if not all(issubclass(kind, ViaPoint) for kind in set(map(type, via))):
         raise InvalidInputError("via must contain ViaPoint instances")
     ts, outside = _as_times(policy, ts)
-    fused = _fuse(policy, np.array([v.time for v in via]),
-                  np.array([v.pose for v in via]),
-                  np.array([v.strength for v in via]), ts)
+    # A ViaPoint's pose and strength are float64 (6,) arrays: join bytes.
+    rows = [np.frombuffer(b"".join(map(attrgetter(name), via))).reshape(-1, 6)
+            for name in ("pose", "strength")]
+    fused = _fuse(policy, np.array(list(map(attrgetter("time"), via)),
+                                   dtype=float), *rows, ts)
     return PoseDistribution(fused.mean, fused.var, outside)
 
 

@@ -128,21 +128,66 @@ class TestKernelCut:
         for a, b in zip(cut, uncut):
             assert np.array_equal(a, b)
 
-    def test_far_query_gets_exactly_the_prior(self):
+    def test_far_query_gets_exactly_the_prior(self, door_policy):
         """A query farther than sqrt(2 KERNEL_CUT) length scales from every
         input has each of its kernel values cut, so its posterior is exactly
-        the prior: the data mean and signal_std^2."""
+        the prior: the data mean and signal_std^2. Lags past the largest
+        float are cut as quietly as the others: a query at +-1e308 or a
+        via-point at 1e155, 1e200 or +-1e308 gives what the fully cut case
+        at +-1e200 gives, with no overflow warning."""
         train = TrainingSet([0.0, 0.1], [1.0, 3.0])
         p = KernelParams(length_scale=0.05, signal_std=1.5)
         far = 1.001 * math.sqrt(2.0 * gp.KERNEL_CUT) * p.length_scale
-        ts = [0.1 + far, -far, 1e200]
+        top = sys.float_info.max
+        ts = [0.1 + far, -far, 1e200, -1e200, 1e308, -1e308, top, -top]
         pred = fit_gp(train, p, noise=1e-4).predict(ts)
-        assert np.array_equal(pred.mean, [2.0, 2.0, 2.0])
-        assert np.array_equal(pred.var, [2.25, 2.25, 2.25])
+        assert np.array_equal(pred.mean, [2.0] * 8)
+        assert np.array_equal(pred.var, [2.25] * 8)
         cols = gp.predict_columns(train.t, np.c_[train.y, -train.y],
                                   np.full((2, 2), 1e-4), [p, p], ts)[0]
-        assert np.array_equal(cols.mean, [[2.0, -2.0]] * 3)
-        assert np.array_equal(cols.var, [[2.25, 2.25]] * 3)
+        assert np.array_equal(cols.mean, [[2.0, -2.0]] * 8)
+        assert np.array_equal(cols.var, [[2.25, 2.25]] * 8)
+        # Far query times through the policy: exactly the +-1e200 posterior.
+        def fresh():
+            return policy.TaskPolicy(dims=door_policy.dims,
+                                     grid=door_policy.grid)
+
+        for call in (query, lambda pol, ts: policy.adapt_with_viapoints(
+                pol, [policy.ViaPoint(0.5, np.full(6, 0.1), 1e-4)], ts)):
+            want = call(fresh(), [1e200, -1e200])
+            got = call(fresh(), [1e308, -1e308, top, -top])
+            assert np.array_equal(got.mean, np.tile(want.mean, (2, 1)))
+            assert np.array_equal(got.var, np.tile(want.var, (2, 1)))
+        # Far via-points: their kernel values on the near one and on the
+        # queries are cut, so only their share of the centering remains.
+        grid = np.linspace(0.0, 1.0, 11)
+        y = np.c_[train.y, -train.y]
+        for times, ref in [([1e155], [1e200]), ([1e200], [-1e200]),
+                           ([1e308], [1e200]), ([-1e308], [-1e200]),
+                           ([-1e308, 1e308], [-1e200, 1e200])]:
+            rows = np.r_[y[:1], np.repeat(y[1:], len(times), axis=0)]
+            want = gp.predict_columns(np.r_[0.1, ref], rows, 1e-4, [p, p],
+                                      grid)[0]
+            got = gp.predict_columns(np.r_[0.1, times], rows, 1e-4, [p, p],
+                                     grid)[0]
+            assert np.array_equal(got.mean, want.mean)
+            assert np.array_equal(got.var, want.var)
+            want, got = (policy.adapt_with_viapoints(fresh(), [
+                policy.ViaPoint(s, np.full(6, 0.1 if s == 0.5 else -0.1),
+                                1e-4) for s in [0.5, *far]], grid)
+                for far in (ref, times))
+            assert np.array_equal(got.mean, want.mean)
+            assert np.array_equal(got.var, want.var)
+        # A grown via side whose new via-point lies 2e308 past the first.
+        pol, ts = fresh(), [-1e308, 0.5, 1e308]
+        vias = [policy.ViaPoint(s, np.full(6, 0.1 * k), 1e-4)
+                for k, s in enumerate(ts)]
+        policy.adapt_with_viapoints(pol, vias[:2], grid)
+        got = policy.adapt_with_viapoints(pol, vias, grid)
+        assert pol._via.factors is not None
+        want = policy.adapt_with_viapoints(fresh(), vias, grid)
+        assert_allclose(got.mean, want.mean, rtol=1e-10, atol=0.0)
+        assert_allclose(got.var, want.var, rtol=1e-10, atol=0.0)
 
 
 class TestFitPredict:

@@ -540,6 +540,48 @@ class TestFuseMatchesLoop:
             self.assert_same(fresh, ts[:i], samples[:i], via_s[:i],
                              ts[i:i + 1])
 
+    def test_random_via_sets(self, door_policy, rng):
+        """Seeded random via sets of 1 to 12 points, with repeated times,
+        hard and soft strengths, times outside [0, 1] and shuffled order:
+        through a fresh policy each fuses bit for bit as the loop does, and
+        fed to one policy in time order, every prefix (grown where it can
+        be) is within 1e-10 of the loop: the means of each column's scale,
+        as in TestGrowingViaSide, and the variances of the column's signal
+        variance sf2. Next to a near-exact via-point a grown variance is
+        sf2 - explained with explained within ~1e-8 of sf2, so it agrees
+        with the loop's to a small part of sf2 but only ~1e-8 of itself."""
+        grid = np.linspace(-0.2, 1.2, 29)
+        refused = 0
+        for _ in range(40):
+            k = int(rng.integers(1, 13))
+            via_t = rng.choice(rng.uniform(-0.3, 1.3, k), k)
+            hard = rng.random((k, 6)) < 0.3
+            via_s = np.where(hard, rng.choice([1e-12, 1e-11], (k, 6)),
+                             10.0 ** rng.uniform(-6.0, -2.0, (k, 6)))
+            # Hard entries at one time agree unless a row is moved.
+            mean = door_policy.demonstration_posterior(via_t).mean
+            via_y = mean + np.where(hard, 0.0,
+                                    rng.normal(0.0, 0.02, mean.shape))
+            via_y[rng.random(k) < 0.1] += 0.01
+            perm = rng.permutation(k)
+            fresh = TaskPolicy(dims=door_policy.dims, grid=door_policy.grid)
+            if self.assert_same(fresh, via_t[perm], via_y[perm],
+                                via_s[perm], grid):
+                refused += 1
+                continue
+            order = np.argsort(via_t, kind="stable")
+            t, y, s = via_t[order], via_y[order], via_s[order]
+            stream = TaskPolicy(dims=door_policy.dims, grid=door_policy.grid)
+            scale = np.abs(y).max(axis=0) + 1e-3
+            sf2 = np.array([m.params.signal_std ** 2
+                            for m in door_policy.dims])
+            for i in range(1, k + 1):
+                got = _fuse(stream, t[:i], y[:i], s[:i], grid)
+                want = loop_fuse(stream, t[:i], y[:i], s[:i], grid)
+                assert np.all(np.abs(got.mean - want.mean) <= 1e-10 * scale)
+                assert np.all(np.abs(got.var - want.var) <= 1e-10 * sf2)
+        assert refused < 10
+
     def test_memory_at_the_input_cap(self, door_policy, rng):
         """Six GPs on MAX_GP_INPUTS via-points hold one system at a time.
 
