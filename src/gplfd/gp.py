@@ -628,11 +628,12 @@ def predict_columns(t, y, noise, params, ts, kept=None, order=None):
 
     Column j is fit_gp(TrainingSet(t, y[:, j]), params[j], noise[:, j])
     .predict(ts) bit for bit. Each input is checked once: the kernel count,
-    noise, inputs, targets and queries here (on the via side a ViaPoint,
-    policy._as_times and _via_side's clash scan do, and call fit_columns
-    directly). ``fit_columns`` takes the points sorted by ``order`` (t's
-    stable argsort, if made) and refuses the caps, overflowing targets,
-    zero-noise duplicates and systems that do not factorize.
+    noise, inputs, targets and queries here. On the via side a ViaPoint or
+    policy.streaming_evaluation, policy._as_times and _via_side's clash
+    scan check them and call _fit_columns, which takes the points sorted by
+    ``order`` (t's stable argsort, if made) and refuses the caps,
+    overflowing targets, zero-noise duplicates and systems that do not
+    factorize.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim != 2 or y.shape[1] != len(params):
@@ -643,11 +644,11 @@ def predict_columns(t, y, noise, params, ts, kept=None, order=None):
     if not np.isfinite(y).all():
         raise InvalidInputError("training data must be finite")
     order = np.argsort(t, kind="stable") if order is None else order
-    return fit_columns((t[order], y[order], noise[order]), y, params,
-                       _queries(ts), kept)
+    return _fit_columns((t[order], y[order], noise[order]), y, params,
+                        _queries(ts), kept)
 
 
-def fit_columns(inputs, y, params, ts, kept=None):
+def _fit_columns(inputs, y, params, ts, kept=None):
     """``predict_columns``' pass on inputs it checks no further: ``inputs``
     holds finite times, (n, c) targets and nonnegative noise in time order,
     ``y`` the targets in the call's order (fit_gp centers over it) and
@@ -725,7 +726,7 @@ class _Columns:
     z1: np.ndarray | None = None
 
     def extend(self, inputs, offset, resid, u, params, ts):
-        """``fit_columns``' result for its ``inputs``, their distinct ``u``,
+        """``_fit_columns``' result for its ``inputs``, their distinct ``u``,
         centered ``resid`` and column means ``offset``; or None to build
         from scratch. It grows when ``inputs`` start with the kept ones'
         bytes, on the same ``params``, and add k >= 1 points past the last,

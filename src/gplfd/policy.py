@@ -9,11 +9,11 @@ posterior of the last query grid is kept, so repeated adaptation calls on
 one grid only pay for the via-point side. A new grid predicts the six
 signal GPs, which share their inputs, in stacked chunks of at most
 gp.STACK_CELLS query kernel cells (``gp.predict_hetero``). The via side
-checks each input once: a ViaPoint its time, pose and strengths,
-``_as_times`` the query times, ``_via_side`` clashes and ``gp.fit_columns``
-the caps and factorizations. The last call's six GPs are kept for the next
-call's, which grows them (by via-points strictly after the kept ones in
-time) or rebuilds them.
+checks each input once: a ViaPoint (for a stream, a Trajectory and
+``streaming_evaluation``) its time, pose and strengths, ``_as_times`` the
+query times, ``_via_side`` clashes and ``gp._fit_columns`` the caps and
+factorizations. The last call's six GPs are kept; the next call grows them
+by via-points strictly after theirs in time, or rebuilds them.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .alignment import MEASURES, Trajectory, align_demonstrations, resample
 from .errors import (InconsistentConstraintError, InsufficientDataError,
                      InvalidInputError)
 from .gp import (MAX_GP_INPUTS, OptConfig, PosteriorPrediction, TrainingSet,
-                 _product, fit_columns, fit_heteroscedastic, gaussian_product,
+                 _fit_columns, _product, fit_heteroscedastic, gaussian_product,
                  fit_gp,  # noqa: F401 (tracers wrap it here)
                  predict_hetero, scan_columns)
 from .se3 import DistanceWeights, pose_rows
@@ -183,12 +183,12 @@ def _via_side(policy: TaskPolicy, via_t, via_y, via_s, ts) -> PosteriorPredictio
     """(q, 6) via-point posterior at ``ts``, observation-level.
 
     Via-point k has time via_t[k], pose row via_y[k] and strengths
-    via_s[k], as a ViaPoint checks them, at ``_as_times``' query times
-    ``ts``. Each dimension gets a via-point GP sharing the policy's kernel
-    hyperparameters, with the strengths as observation noise; its predictive
-    variance includes the locally interpolated strength. ``gp.fit_columns``
-    grows the six GPs from the policy's kept ones or builds them from
-    scratch; the policy keeps what it returns.
+    via_s[k], checked as the module docstring says, at ``_as_times``'
+    query times ``ts``. Each dimension gets a via-point GP sharing the
+    policy's kernel hyperparameters, with the strengths as observation
+    noise; its predictive variance includes the locally interpolated
+    strength. ``gp._fit_columns`` grows the six GPs from the policy's kept
+    ones or builds them from scratch; the policy keeps what it returns.
     """
     order = np.argsort(via_t, kind="stable")
     t, y, s = via_t[order], via_y[order], via_s[order]
@@ -207,14 +207,11 @@ def _via_side(policy: TaskPolicy, via_t, via_y, via_s, ts) -> PosteriorPredictio
             first = prev[np.argmax(clash[:, d]), d]
             raise InconsistentConstraintError(
                 f"two near-exact via-points at t={t[first]} demand different poses")
-    via_side, policy._via = fit_columns(
-        (t, y, s), via_y, [model.params for model in policy.dims], ts,
-        policy._via)
+    via_side, policy._via = _fit_columns(
+        (t, y, s), via_y, [m.params for m in policy.dims], ts, policy._via)
     # Treat the constraint noise as a log-interpolated profile so the via
-    # side stays an observation-level posterior away from the knots; equal
-    # strength columns, as a scalar strength gives, interpolate once.
-    logs = np.log(s.T[:1] if (s == s[:, :1]).all() else s.T)
-    via_side.var += np.exp([np.interp(ts, t, c) for c in logs]).T
+    # side stays an observation-level posterior away from the knots.
+    via_side.var += np.exp([np.interp(ts, t, c) for c in np.log(s.T)]).T
     return via_side
 
 
@@ -323,6 +320,8 @@ def streaming_evaluation(policy: TaskPolicy, truth: Trajectory,
         raise InvalidInputError(f"streaming evaluation takes at most "
                                 f"{MAX_GP_INPUTS + 1} samples, got {len(truth)}")
     stamps, samples = truth.stamps, truth.samples
+    if not math.isfinite(float(stamps[-1]) - float(stamps[0])):
+        raise InvalidInputError("truth stamps must span a finite interval")
     ts = (stamps - stamps[0]) / (stamps[-1] - stamps[0])
     via_s = np.broadcast_to(strength_vector(strength), samples.shape)
 

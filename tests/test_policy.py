@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -907,6 +908,34 @@ class TestStreaming:
         short = Trajectory([0.0, 1.0], poses)
         with pytest.raises(InsufficientDataError):
             streaming_evaluation(door_policy, short, 1e-4)
+
+    def test_stamps_spanning_past_the_largest_float(self, door_policy,
+                                                    door_holdout, monkeypatch):
+        """Stamps from -1e308 to 1e308 span past the largest float, so the
+        samples near the top would get NaN via-point and query times: the
+        truth is refused before any via side is built, without a numpy
+        warning. A span just inside the largest float is scored as the same
+        truth on its normalized stamps, bit for bit."""
+        stamps = np.linspace(-1.0, 1.0, len(door_holdout)) * 1e308
+        # More than the last sample lies past where stamps - stamps[0]
+        # overflows, so a via-point time would be NaN too.
+        assert (stamps > sys.float_info.max - 1e308).sum() > 1
+        far = Trajectory(stamps, door_holdout.samples)
+        built = []
+        monkeypatch.setattr(policy_module, "_fit_columns",
+                            lambda *args: built.append(args))
+        with pytest.raises(InvalidInputError, match="span a finite interval"):
+            streaming_evaluation(door_policy, far, 1e-4)
+        assert built == []
+        monkeypatch.undo()
+
+        near = Trajectory(stamps * 0.8, door_holdout.samples)
+        ts = (near.stamps - near.stamps[0]) / (near.stamps[-1] - near.stamps[0])
+        got = streaming_evaluation(door_policy, near, 1e-4)
+        want = streaming_evaluation(
+            door_policy, Trajectory(ts, door_holdout.samples), 1e-4)
+        for name in vars(want):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
     def test_adaptation_beats_static_policy(self, door_policy, door_holdout):
         report = streaming_evaluation(door_policy, door_holdout, 1e-4)
