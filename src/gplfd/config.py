@@ -143,7 +143,7 @@ def load_config(path) -> RunConfig:
 
 def save_config(path, config: RunConfig) -> None:
     Path(path).write_text(json.dumps(config.to_dict(), indent=2,
-                                     sort_keys=True) + "\n")
+                                     sort_keys=True) + "\n", encoding="utf-8")
 
 
 def config_sha256(config: RunConfig) -> str:

@@ -124,7 +124,7 @@ MAX_GP_INPUTS = 2000
 MAX_PREDICT_CELLS = 40_000_000
 # Most query-by-input cells of one stacked ``predict_hetero`` chunk: past
 # it the (chunk, q, m) kernel stack and its temporaries leave the cache and
-# the per-model predicts run faster.
+# chunks of one model each run faster.
 STACK_CELLS = 2 ** 15
 # Fewest training points a heteroscedastic fit accepts.
 HETERO_MIN_POINTS = 10
@@ -247,9 +247,9 @@ def _lag_kernel(lag, max_lag, length, sf2) -> np.ndarray:
     d_max = max_lag / (float(length.min()) if isinstance(length, np.ndarray)
                        else length)
     with _quiet(d_max > 1e150):
-        d = lag / length
-        arg = -0.5 * d
-        arg *= d
+        arg = lag / length
+        arg *= arg
+        arg *= -0.5
         return _cut_exp(arg, -0.5 * d_max * d_max, sf2)
 
 
@@ -1167,13 +1167,14 @@ class HeteroGPModel:
 
 def predict_hetero(models, ts) -> PosteriorPrediction:
     """(q, c) ``predict`` at ``ts`` of c HeteroGPModels, column j
-    models[j].predict(ts) bit for bit. Models on the same inputs go through
-    ``_predict`` in chunks of at most STACK_CELLS query kernel cells each;
-    past that, or on different inputs, each model predicts on its own."""
+    models[j].predict(ts) bit for bit. Models on the same inputs share one
+    (q, m) lag matrix and go through ``_predict`` in chunks of at most
+    STACK_CELLS query kernel cells each; past that, one model per chunk.
+    Models on different inputs each predict on their own."""
     systems = [model.signal_gp.system for model in models]
     u = systems[0].u
-    step = STACK_CELLS // max(np.size(ts) * u.size, 1)
-    if not step or any(s.u.tobytes() != u.tobytes() for s in systems):
+    step = max(STACK_CELLS // max(np.size(ts) * u.size, 1), 1)
+    if any(s.u.tobytes() != u.tobytes() for s in systems):
         return _side_by_side([model.predict(ts) for model in models])
     lags, max_lag = _query_lags(_queries(ts), u)
     out = _side_by_side([_predict(systems[lo:lo + step], lags, max_lag)

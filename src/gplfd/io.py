@@ -35,14 +35,19 @@ _VIA_HEADER = _DEMO_HEADER + ["position_strength", "rotation_strength"]
 _QUAT_ORDERS = ("wxyz", "xyzw")
 
 
+# Rows formatted per write: the text of one block is all a write holds.
+_BLOCK_ROWS = 256
+
+
 def _write_columnar(path, fmt_tag, metadata, header, rows):
-    lines = [f"# format: {fmt_tag}"]
-    for key, value in metadata.items():
-        lines.append(f"# {key}: {value}")
-    lines.append(",".join(header))
-    for row in np.asarray(rows, dtype=float).tolist():
-        lines.append(",".join(map(repr, row)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    rows = np.asarray(rows, dtype=float)
+    head = [f"# format: {fmt_tag}", *(f"# {k}: {v}" for k, v in metadata.items()),
+            ",".join(header)]
+    with open(path, "w", encoding="utf-8") as out:
+        out.write("\n".join(head) + "\n")
+        for lo in range(0, len(rows), _BLOCK_ROWS):
+            out.write("".join([",".join(map(repr, row)) + "\n"
+                               for row in rows[lo:lo + _BLOCK_ROWS].tolist()]))
 
 
 def _read_text(path) -> str:
@@ -73,10 +78,11 @@ def canonical_sha256(payload: dict) -> str:
 def _read_columnar(path, fmt_tag, width=None):
     """(metadata, header, float rows, line numbers) of a columnar file.
 
-    Checks the format tag; each row needs ``width`` cells, the header's by
-    default, and a bad one raises ParseError at its line.
+    Checks the format tag; each data line stays one string until its row
+    is parsed, which needs ``width`` cells, the header's by default; a bad
+    row raises ParseError at its line.
     """
-    metadata, header, cells = {}, None, []
+    metadata, header, lines, texts = {}, None, [], []
     for lineno, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -92,15 +98,17 @@ def _read_columnar(path, fmt_tag, width=None):
         elif header is None:
             header = [cell.strip() for cell in line.split(",")]
         else:
-            cells.append((lineno, line.split(",")))
+            lines.append(lineno)
+            texts.append(line)
     if header is None:
         raise FormatError(f"{path}: no header row")
     found = metadata.get("format")
     if found != fmt_tag:
         raise FormatError(f"{path}: expected format {fmt_tag!r}, found {found!r}")
     width = width or len(header)
-    rows = np.empty((len(cells), width))
-    for k, (lineno, row) in enumerate(cells):
+    rows = np.empty((len(texts), width))
+    for k, (lineno, line) in enumerate(zip(lines, texts)):
+        row = line.split(",")
         if len(row) != width:
             raise ParseError(f"expected {width} columns, found {len(row)}",
                              line=lineno)
@@ -108,7 +116,7 @@ def _read_columnar(path, fmt_tag, width=None):
             rows[k] = [float(cell) for cell in row]
         except ValueError as exc:
             raise ParseError(str(exc), line=lineno) from None
-    return metadata, header, rows, [lineno for lineno, _ in cells]
+    return metadata, header, rows, lines
 
 
 def _quaternion_order(metadata, path):
@@ -287,7 +295,8 @@ def save_policy(path, policy: TaskPolicy) -> None:
                "dims": dims}
     # Compact separators keep json on its C encoder; indent=2 would not.
     Path(path).write_text(json.dumps(payload, sort_keys=True,
-                                     separators=(",", ":")) + "\n")
+                                     separators=(",", ":")) + "\n",
+                          encoding="utf-8")
 
 
 def load_policy(path) -> TaskPolicy:
@@ -314,7 +323,11 @@ def load_policy(path) -> TaskPolicy:
 # ---------------------------------------------------------------------------
 
 def file_sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        for block in iter(lambda: f.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
 
 
 # Thread settings of the BLAS builds numpy and scipy may load; the thread
@@ -369,7 +382,8 @@ def write_manifest(path, command: str, config: dict, inputs, outputs,
         "outputs": {str(p): file_sha256(p) for p in outputs},
         "versions": _versions(),
     }
-    Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+                          encoding="utf-8")
 
 
 def is_manifest(doc) -> bool:

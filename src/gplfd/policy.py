@@ -137,7 +137,7 @@ class TaskPolicy:
     def demonstration_posterior(self, ts: np.ndarray) -> PosteriorPrediction:
         """(q, 6) posterior at ``ts``; the last grid's is kept. A miss
         predicts the six models in stacked chunks of at most gp.STACK_CELLS
-        query kernel cells; past that each model predicts on its own."""
+        query kernel cells on one lag matrix; past that, one per chunk."""
         key, models = ts.tobytes(), tuple(self.dims)
         last = self._last
         if (last is None or last[0] != key or len(last[1]) != len(models)

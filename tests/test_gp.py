@@ -128,6 +128,42 @@ class TestKernelCut:
         for a, b in zip(cut, uncut):
             assert np.array_equal(a, b)
 
+    LAGS = [0.0, 1e-160, 1e-154, 1.0, 1e150, 1.5e154, 1e155, 1e300]
+
+    @staticmethod
+    def two_step_kernel(lag, max_lag, length, sf2):
+        """The kernel with its exponent -0.5 d * d formed from d = lag /
+        length in two buffers: the form the one-buffer square replaced."""
+        d_max = max_lag / (float(length.min()) if isinstance(length, np.ndarray)
+                           else length)
+        with np.errstate(over="ignore" if d_max > 1e150 else "warn"):
+            d = lag / length
+            arg = -0.5 * d
+            arg *= d
+            return gp._cut_exp(arg, -0.5 * d_max * d_max, sf2)
+
+    @pytest.mark.parametrize("top", range(1, len(LAGS) + 1))
+    def test_one_buffer_exponent_is_the_two_step_one(self, top):
+        """_lag_kernel squares lag / length in place and halves it: -0.5 d
+        is exact, so the square rounds to the same double as -0.5 d * d,
+        exp maps both to 1.0 where d^2 is subnormal, and the cut zeroes both
+        where it overflows, with no RuntimeWarning either way."""
+        lags = np.array(self.LAGS[:top])
+        lags = np.stack([lags, -lags, lags[::-1]])
+        max_lag = float(np.abs(lags).max())
+        lengths = np.array([1e-3, 0.3, 1.0, 7.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            cases = [(length, 2.5) for length in lengths]
+            cases.append((lengths.reshape(-1, 1, 1),
+                          np.array([0.5, 1.0, 2.0, 4.0]).reshape(-1, 1, 1)))
+            for length, sf2 in cases:
+                got = gp._lag_kernel(lags, max_lag, length, sf2)
+                want = self.two_step_kernel(lags, max_lag, length, sf2)
+                assert got.shape == want.shape
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
     def test_far_query_gets_exactly_the_prior(self, door_policy):
         """A query farther than sqrt(2 KERNEL_CUT) length scales from every
         input has each of its kernel values cut, so its posterior is exactly
@@ -277,6 +313,28 @@ class TestFitPredict:
             var = np.maximum(sf2 - np.einsum("ij,ij->j", v, v), 0.0)
             assert np.array_equal(got.mean[:, j], mean)
             assert np.array_equal(got.var[:, j], var)
+
+    def test_hetero_past_the_stack_shares_one_lag_matrix(self, door_policy,
+                                                         monkeypatch):
+        """Past STACK_CELLS (2 001 queries on 100 inputs), predict_hetero
+        builds the query lags once and predicts one model per pass; column
+        j is models[j].predict bit for bit."""
+        models = door_policy.dims
+        ts = np.linspace(-0.1, 1.1, 2001)
+        assert ts.size * models[0].signal_gp.system.u.size > gp.STACK_CELLS
+        want = [model.predict(ts) for model in models]
+        lag_calls, passes = [], []
+        real_lags, real_predict = gp._query_lags, gp._predict
+        monkeypatch.setattr(gp, "_query_lags", lambda *a: lag_calls.append(1)
+                            or real_lags(*a))
+        monkeypatch.setattr(gp, "_predict", lambda systems, *rest:
+                            passes.append(len(systems))
+                            or real_predict(systems, *rest))
+        got = gp.predict_hetero(models, ts)
+        assert lag_calls == [1] and passes == [1] * len(models)
+        for j, pred in enumerate(want):
+            assert np.array_equal(got.mean[:, j], pred.mean)
+            assert np.array_equal(got.var[:, j], pred.var)
 
     @pytest.mark.parametrize("inputs, queries, chunks", [
         (20, 5, [6]), (900, 5, [4, 2]), (300, 20_000, [6]),

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -180,6 +181,95 @@ class TestTablesAndTraces:
         assert len(header) == 1 + 6 * 6
         assert data.shape == (trace.times.size, len(header))
         assert float(metadata["inertia"]) == trace.inertia
+
+
+def joined_table_text(header, rows, metadata):
+    """A table's text built whole and joined: the writer's form before it
+    wrote blocks of rows, kept here as the oracle of its bytes."""
+    lines = [f"# format: {io.FORMAT_TABLE}"]
+    lines += [f"# {key}: {value}" for key, value in metadata.items()]
+    lines.append(",".join(header))
+    lines += [",".join(map(repr, row))
+              for row in np.asarray(rows, dtype=float).tolist()]
+    return "\n".join(lines) + "\n"
+
+
+BLOCK = io._BLOCK_ROWS
+EDGE_VALUES = [-0.0, 5e-324, 1e-5, 1e16, 1e308, -1e308, math.inf, -math.inf,
+               math.nan]
+
+
+class TestBlockWriter:
+    @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1,
+                                   3 * BLOCK + 7])
+    def test_bytes_equal_the_joined_text(self, tmp_path, n):
+        header = ["a", "b", "c", "d"]
+        # Each edge value in every column over the rows.
+        rows = np.resize(EDGE_VALUES, (n, len(header)))
+        metadata = {"note": "caf\u00e9 \u2013 d\u00f6or", "inertia": "1.5"}
+        ours, oracle = tmp_path / "ours.csv", tmp_path / "oracle.csv"
+        io.write_table(ours, header, rows, metadata)
+        oracle.write_text(joined_table_text(header, rows, metadata),
+                          encoding="utf-8")
+        assert ours.read_bytes() == oracle.read_bytes()
+        _, got_header, back = io.read_table(ours)
+        assert got_header == header
+        assert back.shape == (n, len(header))
+        assert np.array_equal(back, rows, equal_nan=True)
+        assert np.array_equal(np.signbit(back), np.signbit(rows))
+
+    @pytest.mark.parametrize("rows", [[[1.0, 2.0, 3.0]], [[1.0, 2.0], [3.0]]],
+                             ids=["width", "ragged"])
+    def test_refused_table_leaves_the_file_untouched(self, tmp_path, rows):
+        path = tmp_path / "t.csv"
+        io.write_table(path, ["a", "b"], [[1.0, 2.0]])
+        before = path.read_bytes()
+        # FormatError is a ValueError; numpy refuses ragged rows with one.
+        with pytest.raises(ValueError):
+            io.write_table(path, ["a", "b"], rows)
+        assert path.read_bytes() == before
+
+    def test_bounded_memory(self, tmp_path):
+        rows = np.random.default_rng(0).random((20_000, 37))
+        path = tmp_path / "big.csv"
+        header = [f"c{k}" for k in range(37)]
+        tracemalloc.start()
+        try:
+            io.write_table(path, header, rows)
+            written = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            _, _, back = io.read_table(path)
+            read = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 13e6
+        assert np.array_equal(back, rows)
+        assert written <= 1e6
+        assert read <= 2.5 * size
+
+    def test_error_order_and_lines(self, tmp_path):
+        path = tmp_path / "t.csv"
+        body = ["1,2"] * 6
+        body[2] = "1,2,3"  # line 5: a width error
+        path.write_text("\n".join([f"# format: {io.FORMAT_TABLE}", "a,b",
+                                   *body, "# late: 1"]) + "\n")
+        # The scan of every line comes first: the late metadata wins.
+        with pytest.raises(ParseError, match="metadata after the header") as info:
+            io.read_table(path)
+        assert info.value.line == 9
+        path.write_text("\n".join([f"# format: {io.FORMAT_TABLE}", "a,b",
+                                   *body]) + "\n")
+        with pytest.raises(ParseError, match="expected 2 columns") as info:
+            io.read_table(path)
+        assert info.value.line == 5
+        body[2] = "1,two"
+        path.write_text("\n".join([f"# format: {io.FORMAT_TABLE}", "", "a,b",
+                                   *body]) + "\n")
+        with pytest.raises(ParseError, match="two") as info:
+            io.read_table(path)
+        assert info.value.line == 6
 
 
 class TestPolicyFiles:
@@ -675,6 +765,35 @@ def fresh_python(code, *args) -> str:
     done = subprocess.run([sys.executable, "-c", code, *args], env=env,
                           check=True, capture_output=True, text=True)
     return done.stdout.splitlines()[-1]
+
+
+class TestTextEncoding:
+    """Every writer names UTF-8, the encoding the readers insist on: under
+    warn_default_encoding and error::EncodingWarning, a text file opened in
+    the locale's encoding ends the command in a traceback."""
+
+    def test_commands_write_utf8_explicitly(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(gplfd.__file__).parents[1]))
+
+        def run(*args):
+            done = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                                   "-W", "error::EncodingWarning", *args],
+                                  cwd=tmp_path, env=env, capture_output=True,
+                                  text=True)
+            assert done.returncode == 0, done.stderr
+            assert "Traceback" not in done.stderr
+
+        cli = ["-m", "gplfd.cli"]
+        run(*cli, "gen-data", *SMALL, "--out-dir", ".")
+        demos = sorted(p.name for p in tmp_path.glob("demo_*.csv"))
+        run(*cli, "fit", *demos, *SMALL, "--out-dir", ".")
+        run(*cli, "simulate", "--policy", "policy.json", *SMALL, "--out-dir", ".")
+        run(*cli, "eval", "--policy", "policy.json", "--truth", demos[0],
+            *SMALL, "--out-dir", ".")
+        run("-c", "from gplfd.config import RunConfig, save_config; "
+                  "save_config('config.json', RunConfig())")
+        assert {"policy.json", "trace.csv", "eval.csv", "config.json",
+                "eval.manifest.json"} <= {p.name for p in tmp_path.iterdir()}
 
 
 def optimizer_modules(commands, prefix="scipy.optimize"):

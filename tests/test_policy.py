@@ -332,8 +332,9 @@ class TestAdaptation:
 class TestStackedDemonstrationSide:
     """demonstration_posterior predicts the six signal GPs in stacked
     ``gp._predict`` chunks of at most gp.STACK_CELLS query kernel cells;
-    past that, or on different inputs, each model predicts alone. Either
-    way column j is dims[j].predict, bit for bit."""
+    past that, one model per chunk on shared lags, and on different inputs
+    each model predicts alone. Either way column j is dims[j].predict, bit
+    for bit."""
 
     @staticmethod
     def per_dimension(dims, ts):
@@ -348,7 +349,7 @@ class TestStackedDemonstrationSide:
         return io.load_policy(path)
 
     # A 100-input policy: 54 times fit six models in a 2^15-cell chunk,
-    # 100 times three, 300 times one; 2001 times fall back to the models.
+    # 100 times three, 300 and 2001 times one.
     @pytest.mark.parametrize("q, chunks", [
         (1, [(1, 6)]), (54, [(54, 6)]), (100, [(100, 3)] * 2),
         (300, [(300, 1)] * 6), (2001, [(2001, 1)] * 6)])
