@@ -41,10 +41,10 @@ _BLOCK_ROWS = 256
 
 def _write_columnar(path, fmt_tag, metadata, header, rows):
     rows = np.asarray(rows, dtype=float)
-    head = [f"# format: {fmt_tag}", *(f"# {k}: {v}" for k, v in metadata.items()),
-            ",".join(header)]
     with open(path, "w", encoding="utf-8") as out:
-        out.write("\n".join(head) + "\n")
+        out.write(f"# format: {fmt_tag}\n")
+        out.writelines(f"# {key}: {value}\n" for key, value in metadata.items())
+        out.write(",".join(header) + "\n")
         for lo in range(0, len(rows), _BLOCK_ROWS):
             out.write("".join([",".join(map(repr, row)) + "\n"
                                for row in rows[lo:lo + _BLOCK_ROWS].tolist()]))
